@@ -12,20 +12,31 @@ comparable LM amounts, which is what makes beam comparisons meaningful.
 The end-of-sentence LM term is added when the best final token is
 selected.
 
+Pronunciations are laid out as consecutive state ids (entry state, chain,
+junction), so every emitting state ``s`` has exactly two arcs, ``s -> s``
+and ``s -> s + 1``, both emitting ``state_pdf[s]`` with one of two global
+log weights; the graph stores that topology, not an arc list.  The
+emitting step is shifted arithmetic over the active states: self-loop
+scores land on ``s`` and forward scores on ``s + 1``, and where the two
+tie the forward arc wins (it has the lower id in the global arc order that
+``emitting_arcs`` yields).
+
 Decoding is frame-synchronous token passing with at most one surviving
 token per graph state, beam pruning, and a hard cap on surviving tokens
-(``max_active``).  The beam is measured from the best token that can still
-end on a word boundary: a token at emitting position ``k`` of an
-``L``-state chain needs ``L - k`` more frames (``frames_to_word_end``), so
-near the end of the utterance a token that cannot finish in the frames left
-does not set the reference, though it is kept or pruned like any other.
-With the default transition weights a wider beam never turns a successful
-decode into a failure (see ``decode``).  The combined score is not promised
-to rise with the beam: a wider beam can raise the reference and so prune a
-token that a narrower one kept, and the single hub keeps only one word-end
-token per frame.  The per-frame work is vectorized over the active set
-only, so tighter pruning genuinely reduces wall-clock time.  Transition
-weights are folded into the acoustic total so a hypothesis score is always
+(``max_active``).  The cap keeps the ``max_active`` highest scores, found
+with a partition, and among tokens tied at the cut the lowest state ids.
+The beam is measured from the best token that can still end on a word
+boundary: a token at emitting position ``k`` of an ``L``-state chain needs
+``L - k`` more frames (``frames_to_word_end``), so near the end of the
+utterance a token that cannot finish in the frames left does not set the
+reference, though it is kept or pruned like any other.  With the default
+transition weights a wider beam never turns a successful decode into a
+failure (see ``decode``).  The combined score is not promised to rise with
+the beam: a wider beam can raise the reference and so prune a token that a
+narrower one kept, and the single hub keeps only one word-end token per
+frame.  The per-frame work is vectorized over the active set only, so
+tighter pruning genuinely reduces wall-clock time.  Transition weights are
+folded into the acoustic total so a hypothesis score is always
 ``am_total + lm_weight * lm_total``.
 """
 
@@ -109,6 +120,10 @@ class MatrixScorer:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != len(labels):
             raise ValueError("matrix must be (frames, len(labels))")
+        # NaN compares false and +inf is no log likelihood; -inf (zero
+        # likelihood) is a valid score
+        if not (matrix < np.inf).all():
+            raise ValueError("score matrix holds NaN or +inf")
         self.matrix = matrix
         self.labels = tuple(labels)
         self.frame_shift = frame_shift
@@ -154,7 +169,10 @@ def read_scores(
         magic = fh.read(4)
         if magic != FSCR_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected FSCR")
-        frames, n_labels = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"{path}: truncated FSCR header")
+        frames, n_labels = struct.unpack("<II", header)
         data = np.frombuffer(fh.read(frames * n_labels * 4), dtype="<f4")
     if data.size != frames * n_labels:
         raise ValueError(f"{path}: truncated score matrix")
@@ -166,7 +184,10 @@ def read_scores(
     if len(labels) != n_labels:
         raise ValueError(f"{path}: {n_labels} columns but {len(labels)} labels")
     matrix = data.reshape(frames, n_labels).astype(np.float64)
-    return MatrixScorer(matrix, labels, frame_shift)
+    try:
+        return MatrixScorer(matrix, labels, frame_shift)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def pdf_labels_for(phone_label: str) -> tuple[str, ...]:
@@ -187,8 +208,6 @@ class SearchGraph:
         self.scheme = lex.scheme
         self.lm = lm
         self.self_loop_prob = self_loop_prob
-        w_self = math.log(self_loop_prob)
-        w_fwd = math.log(1.0 - self_loop_prob)
 
         self.pdf_labels = tuple(
             sorted({p for lab in lex.labels for p in pdf_labels_for(lab)})
@@ -210,15 +229,16 @@ class SearchGraph:
 
         self.hub = 0
         self.start = self.hub
-        e_src: list[int] = []
-        e_dst: list[int] = []
-        e_pdf: list[int] = []
-        e_w: list[float] = []
+        # every emitting state s has a self-loop and a forward arc to s + 1,
+        # both emitting state_pdf[s]; the last state of a chain moves to its
+        # junction, which with the hub emits nothing (state_pdf -1)
+        self.w_self = math.log(self_loop_prob)
+        self.w_fwd = math.log(1.0 - self_loop_prob)
+        state_pdf: list[int] = [-1]
         entry_states: list[int] = []
         j_states: list[int] = []
         j_words: list[int] = []
         to_end: list[int] = [0]
-        next_state = 1
         self.num_prons = 0
         for word in self.words:
             for pron in lex.entries[word]:
@@ -227,33 +247,18 @@ class SearchGraph:
                     for phone in pron
                     for pdf in pdf_labels_for(phone.label)
                 ]
-                first = next_state
-                junction = next_state + len(chain)
-                entry_states.append(first)
-                for k, pdf in enumerate(chain):
-                    state = first + k
-                    nxt = state + 1 if k + 1 < len(chain) else junction
-                    e_src.append(state)
-                    e_dst.append(state)
-                    e_pdf.append(pdf)
-                    e_w.append(w_self)
-                    e_src.append(state)
-                    e_dst.append(nxt)
-                    e_pdf.append(pdf)
-                    e_w.append(w_fwd)
+                entry_states.append(len(state_pdf))
+                state_pdf.extend(chain)
+                j_states.append(len(state_pdf))
+                state_pdf.append(-1)
+                j_words.append(word_index[word])
                 to_end.extend(range(len(chain), 0, -1))
                 to_end.append(0)
-                j_states.append(junction)
-                j_words.append(word_index[word])
-                next_state = junction + 1
                 self.num_prons += 1
-        self.num_states = next_state
-        self.num_emitting_states = next_state - 1 - self.num_prons
+        self.num_states = len(state_pdf)
+        self.num_emitting_states = self.num_states - 1 - self.num_prons
 
-        self.e_src = np.asarray(e_src, dtype=np.int32)
-        self.e_dst = np.asarray(e_dst, dtype=np.int32)
-        self.e_pdf = np.asarray(e_pdf, dtype=np.int32)
-        self.e_w = np.asarray(e_w, dtype=np.float64)
+        self.state_pdf = np.asarray(state_pdf, dtype=np.int32)
         self.entry_states = np.asarray(entry_states, dtype=np.int32)
         self.j_states = np.asarray(j_states, dtype=np.int32)
         self.j_words = np.asarray(j_words, dtype=np.int32)
@@ -263,10 +268,6 @@ class SearchGraph:
         # fewest frames from each state to a word boundary: 0 at the hub
         # and the junctions, L - k at position k of a length-L chain
         self.frames_to_word_end = np.asarray(to_end, dtype=np.int32)
-
-        # CSR over emitting arcs by source state (arcs are built src-sorted)
-        counts = np.bincount(self.e_src, minlength=self.num_states)
-        self.e_off = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
         self._build_lm_tables()
 
@@ -303,14 +304,12 @@ class SearchGraph:
         )
 
     def emitting_arcs(self):
-        """(src, dst, pdf_index, weight) in global arc order."""
-        for i in range(len(self.e_src)):
-            yield (
-                int(self.e_src[i]),
-                int(self.e_dst[i]),
-                int(self.e_pdf[i]),
-                float(self.e_w[i]),
-            )
+        """(src, dst, pdf_index, weight) in global arc order: per emitting
+        state in ascending order, its self-loop, then its forward arc."""
+        for s, pdf in enumerate(self.state_pdf.tolist()):
+            if pdf >= 0:
+                yield (s, s, pdf, self.w_self)
+                yield (s, s + 1, pdf, self.w_fwd)
 
     def entry_word_pairs(self):
         """(entry state, word) per pronunciation, in construction order."""
@@ -318,11 +317,10 @@ class SearchGraph:
             yield int(state), self.words[int(w)]
 
     def arc_counts(self) -> dict:
-        n_self = int(np.sum(self.e_src == self.e_dst))
         return {
             "emitting_states": self.num_emitting_states,
-            "self_loops": n_self,
-            "forward": len(self.e_src) - n_self,
+            "self_loops": self.num_emitting_states,
+            "forward": self.num_emitting_states,
             "entry_eps": len(self.entry_states),
             "word_eps": len(self.j_states),
         }
@@ -334,23 +332,28 @@ def build_graph(
     return SearchGraph(lex, lm, self_loop_prob)
 
 
-def _score_matrix(graph: SearchGraph, scorer) -> np.ndarray:
+def _score_matrix(graph: SearchGraph, scorer: MatrixScorer) -> np.ndarray:
     """(frames, graph pdf) score array, mapped from the scorer's labels."""
-    if isinstance(scorer, MatrixScorer) or (
-        hasattr(scorer, "matrix") and hasattr(scorer, "labels")
-    ):
-        col = {lab: i for i, lab in enumerate(scorer.labels)}
-        try:
-            perm = np.array([col[lab] for lab in graph.pdf_labels])
-        except KeyError as exc:
-            raise DecodeError(f"scorer is missing pdf label {exc.args[0]!r}") from None
-        return np.ascontiguousarray(np.asarray(scorer.matrix, dtype=np.float64)[:, perm])
-    frames = scorer.num_frames()
-    out = np.empty((frames, len(graph.pdf_labels)))
-    for t in range(frames):
-        for j, lab in enumerate(graph.pdf_labels):
-            out[t, j] = scorer.score(t, lab)
-    return out
+    col = {lab: i for i, lab in enumerate(scorer.labels)}
+    try:
+        perm = np.array([col[lab] for lab in graph.pdf_labels])
+    except KeyError as exc:
+        raise DecodeError(f"scorer is missing pdf label {exc.args[0]!r}") from None
+    return np.ascontiguousarray(scorer.matrix[:, perm])
+
+
+def _cap(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` of ``ids`` with the highest ``scores``, in ascending order.
+
+    ``ids`` must be ascending; among the scores tied at the cut the lowest
+    ids are kept, so the set is exactly the first ``k`` of a sort by
+    (-score, id).
+    """
+    cut = np.partition(scores, scores.size - k)[scores.size - k]
+    keep = scores > cut
+    ties = np.flatnonzero(scores == cut)
+    keep[ties[: k - np.count_nonzero(keep)]] = True
+    return ids[keep]
 
 
 def decode(
@@ -383,6 +386,9 @@ def decode(
         raise DecodeError("scorer has no frames")
     started = time.perf_counter()
 
+    # per-state token: score, its acoustic and LM parts, LM context and the
+    # word-boundary record it descends from (side arrays are meaningful
+    # only where the score is finite)
     S = graph.num_states
     v = np.full(S, NEG_INF)
     v_am = np.zeros(S)
@@ -405,39 +411,39 @@ def decode(
 
     expanded = 0
     active_total = 0
-    big = np.iinfo(np.int64).max
+    state_pdf = graph.state_pdf
+    emitting = state_pdf >= 0
+    w_self, w_fwd = graph.w_self, graph.w_fwd
     to_end = graph.frames_to_word_end
     horizon = int(to_end.max())
 
     for t in range(n_frames):
-        active = np.flatnonzero(v > NEG_INF)
-        expanded += len(active)
-        starts = graph.e_off[active]
-        counts = graph.e_off[active + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
+        live = v > NEG_INF
+        expanded += int(np.count_nonzero(live))
+        em = np.flatnonzero(live & emitting)
+        if em.size == 0:
             raise DecodeError(f"no surviving tokens to expand at frame {t}")
-        idx = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(total)
-        srcs = graph.e_src[idx]
-        dsts = graph.e_dst[idx]
-        cand = v[srcs] + graph.e_w[idx] + am[t, graph.e_pdf[idx]]
-
+        # self-loops into em, then forward arcs into em + 1; a forward arc
+        # wins a tie (it has the lower arc id).  Every sum runs (v + w) + am:
+        # another order moves scores in their last bits.
+        e = am[t, state_pdf[em]]
+        ve = v[em]
         nv = np.full(S, NEG_INF)
-        np.maximum.at(nv, dsts, cand)
-        wmask = cand == nv[dsts]
-        winner = np.full(S, big, dtype=np.int64)
-        np.minimum.at(winner, dsts[wmask], idx[wmask])
-        updated = np.flatnonzero(winner < big)
-        wa = winner[updated]
-        wsrc = graph.e_src[wa]
-        v_am_new = v_am.copy()
-        v_lm_new = v_lm.copy()
-        ctx_new = ctx.copy()
-        rec_new = rec.copy()
-        v_am_new[updated] = v_am[wsrc] + graph.e_w[wa] + am[t, graph.e_pdf[wa]]
-        v_lm_new[updated] = v_lm[wsrc]
-        ctx_new[updated] = ctx[wsrc]
-        rec_new[updated] = rec[wsrc]
+        nv[em] = ve + w_self + e
+        fc = ve + w_fwd + e
+        win = fc >= nv[em + 1]
+        src = em[win]
+        dst = src + 1
+        nv[dst] = fc[win]
+        # a self-loop keeps its state's LM total, context and record, so
+        # only forward winners copy them; every gather below reads the
+        # previous frame's values before its scatter writes
+        am_prev = v_am[em]
+        v_am[em] = am_prev + w_self + e
+        v_am[dst] = am_prev[win] + w_fwd + e[win]
+        v_lm[dst] = v_lm[src]
+        ctx[dst] = ctx[src]
+        rec[dst] = rec[src]
 
         # epsilon closure: word-end arcs into the hub, then word entries
         # (each word's LM cost was already charged on its entry arc)
@@ -452,31 +458,31 @@ def decode(
             for k in keep:
                 s, w = int(j_states[k]), int(j_words[k])
                 rec_word.append(w)
-                rec_prev.append(int(rec_new[s]))
+                rec_prev.append(int(rec[s]))
                 rec_frame.append(t + 1)
-                rec_am.append(float(v_am_new[s]))
-                rec_lm.append(float(v_lm_new[s]))
+                rec_am.append(float(v_am[s]))
+                rec_lm.append(float(v_lm[s]))
             best_k = keep[0]
             s = int(j_states[best_k])
             w = int(j_words[best_k])
             hub = graph.hub
             nv[hub] = float(crossing[best_k])
-            v_am_new[hub] = v_am_new[s]
-            v_lm_new[hub] = v_lm_new[s]
-            ctx_new[hub] = graph.word_end_ctx[w]
-            rec_new[hub] = len(rec_word) - len(keep)  # first appended = best
+            v_am[hub] = v_am[s]
+            v_lm[hub] = v_lm[s]
+            ctx[hub] = graph.word_end_ctx[w]
+            rec[hub] = len(rec_word) - len(keep)  # first appended = best
         hv = nv[graph.hub]
         if hv > NEG_INF:
             entries = graph.entry_states
-            wc = graph.word_lm[ctx_new[graph.hub], graph.j_words]
+            wc = graph.word_lm[ctx[graph.hub], graph.j_words]
             cand_entry = hv + lm_weight * wc
             improve = cand_entry > nv[entries]
             targets = entries[improve]
             nv[targets] = cand_entry[improve]
-            v_am_new[targets] = v_am_new[graph.hub]
-            v_lm_new[targets] = v_lm_new[graph.hub] + wc[improve]
-            ctx_new[targets] = ctx_new[graph.hub]
-            rec_new[targets] = rec_new[graph.hub]
+            v_am[targets] = v_am[graph.hub]
+            v_lm[targets] = v_lm[graph.hub] + wc[improve]
+            ctx[targets] = ctx[graph.hub]
+            rec[targets] = rec[graph.hub]
 
         # the beam is measured from the best token that can still reach a
         # word boundary in the frames left; if none can, from the best token
@@ -488,12 +494,9 @@ def decode(
             raise DecodeError(f"beam pruned every token at frame {t}")
         keep_ids = np.flatnonzero(nv >= best - params.beam)
         if keep_ids.size > params.max_active:
-            order = np.lexsort((keep_ids, -nv[keep_ids]))
-            keep_ids = keep_ids[order[: params.max_active]]
-        pruned = np.full(S, NEG_INF)
-        pruned[keep_ids] = nv[keep_ids]
-        v = pruned
-        v_am, v_lm, ctx, rec = v_am_new, v_lm_new, ctx_new, rec_new
+            keep_ids = _cap(keep_ids, nv[keep_ids], params.max_active)
+        v = np.full(S, NEG_INF)
+        v[keep_ids] = nv[keep_ids]
         active_total += keep_ids.size
 
     if v[graph.hub] == NEG_INF:

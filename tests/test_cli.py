@@ -130,6 +130,19 @@ def test_simulate_decode_round_trip(tmp_path, capsys):
     assert hyps[0]["text"] == "香港天氣好"
 
 
+def test_decode_truncated_fscr_header_is_data_error(tmp_path, capsys):
+    arpa = tmp_path / "lm.arpa"
+    run(capsys, "lm", "train", "--corpus", str(DATA / "demo_corpus.txt"),
+        "--order", "2", "--out", str(arpa))
+    scores = tmp_path / "short.fscr"
+    scores.write_bytes(b"FSCR\x01\x00")
+    code, _, err = run(
+        capsys, "decode", "--scheme", "onc", "--lm", str(arpa), "--scores", str(scores),
+    )
+    assert code == 2
+    assert "short.fscr: truncated FSCR header" in err
+
+
 def test_simulate_rejects_unknown_word(tmp_path, capsys):
     code, _, err = run(
         capsys, "simulate", "--scheme", "onc", "--text", "不存在詞",

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cantoasr.decoder import (
     DecodeStats,
     GraphError,
     MatrixScorer,
+    _cap,
     _score_matrix,
     aggregate_rtf,
     batch_decode,
@@ -52,6 +54,21 @@ def test_graph_counts_one_word_two_phones():
         "entry_eps": 1,
         "word_eps": 1,
     }
+
+
+def test_graph_emitting_arcs_one_word_two_phones():
+    lex, lm, graph = make_system([("天", "tin1")], scheme="if")
+    assert graph.pdf_labels == ("in1#0", "in1#1", "in1#2", "t#0", "t#1", "t#2")
+    h = math.log(0.5)
+    # states 1-6 emit t#0..2, in1#0..2; state 6 moves on to junction 7
+    assert list(graph.emitting_arcs()) == [
+        (1, 1, 3, h), (1, 2, 3, h),
+        (2, 2, 4, h), (2, 3, 4, h),
+        (3, 3, 5, h), (3, 4, 5, h),
+        (4, 4, 0, h), (4, 5, 0, h),
+        (5, 5, 1, h), (5, 6, 1, h),
+        (6, 6, 2, h), (6, 7, 2, h),
+    ]
 
 
 def test_graph_frames_to_word_end_one_word_two_phones():
@@ -283,6 +300,28 @@ def test_max_active_one_is_greedy_extension():
     assert hyp.text == "哦"
 
 
+def lexsort_cap(ids, scores, k):
+    return np.sort(ids[np.lexsort((ids, -scores))[:k]])
+
+
+def test_cap_keeps_the_lexsort_set():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        ids = np.sort(rng.choice(1000, size=n, replace=False))
+        # integer-valued scores, so most of them tie
+        scores = rng.integers(-3, 4, size=n).astype(np.float64)
+        scores[rng.random(n) < 0.1] = -np.inf
+        for k in (1, n - 1, int(rng.integers(1, n))):
+            np.testing.assert_array_equal(
+                _cap(ids, scores, k), lexsort_cap(ids, scores, k)
+            )
+    ids = np.arange(10, 30)
+    scores = np.full(ids.size, -2.5)
+    for k in (1, 7, ids.size - 1):
+        np.testing.assert_array_equal(_cap(ids, scores, k), ids[:k])
+
+
 def test_decode_deterministic():
     rng = random.Random(99)
     graph, lm, scorer, lm_weight = random_fixture(rng)
@@ -320,6 +359,26 @@ def test_fscr_round_trip(tmp_path):
     assert back.audio_seconds == pytest.approx(0.17)
     np.testing.assert_allclose(back.matrix, matrix, atol=1e-6)
     assert back.score(3, "c") == pytest.approx(matrix[3, 2], abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "pos_inf"])
+def test_matrix_scorer_rejects_nan_and_pos_inf(bad):
+    matrix = np.zeros((4, 3))
+    matrix[2, 1] = bad
+    with pytest.raises(ValueError, match=r"NaN or \+inf"):
+        MatrixScorer(matrix, tuple("abc"))
+    # zero likelihood is a valid score
+    matrix[2, 1] = -math.inf
+    assert MatrixScorer(matrix, tuple("abc")).score(2, "b") == -math.inf
+
+
+def test_fscr_nan_scores_name_the_file(tmp_path):
+    p = tmp_path / "nan.fscr"
+    data = np.zeros((2, 3), dtype="<f4")
+    data[1, 2] = np.nan
+    p.write_bytes(b"FSCR" + struct.pack("<II", 2, 3) + data.tobytes())
+    with pytest.raises(ValueError, match=r"nan\.fscr: score matrix holds NaN"):
+        read_scores(p, labels=tuple("abc"))
 
 
 def test_fscr_bad_magic(tmp_path):
