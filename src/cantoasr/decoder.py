@@ -4,13 +4,21 @@ The graph is a word loop: a hub state fans out to every pronunciation,
 each phone expands to a strict left-to-right 3-state HMM (self-loop plus
 forward transition, emitting its state's pdf on both), and a word-end
 epsilon arc returns to the hub carrying the word.  The bigram character LM
-is conditioned on the last character stored in the token, so the graph
+is conditioned on the last character of the previous word, so the graph
 stays small.  The whole word's LM cost is charged on the entry arc (the
 context is already known there): path totals are unchanged versus charging
 it at the word end, but tokens inside competing words then carry
 comparable LM amounts, which is what makes beam comparisons meaningful.
 The end-of-sentence LM term is added when the best final token is
 selected.
+
+A token carries its score, its acoustic total and the word-boundary record
+it descends from, nothing more.  Inside a word its LM total and context
+never change, so both are derived from that record: each record keeps the
+LM total at its word end and the context after its word, and a token in
+pronunciation ``p`` entered from record ``r`` has LM total
+``rec_lm[r] + pron_lm[rec_ctx[r], p]``.  The hub's context is the context
+of its record.
 
 Pronunciations are laid out as consecutive state ids (entry state, chain,
 junction), so every emitting state ``s`` has exactly two arcs, ``s -> s``
@@ -23,7 +31,9 @@ tie the forward arc wins (it has the lower id in the global arc order that
 
 Decoding is frame-synchronous token passing with at most one surviving
 token per graph state, beam pruning, and a hard cap on surviving tokens
-(``max_active``).  The cap keeps the ``max_active`` highest scores, found
+(``max_active``).  The surviving tokens are carried from frame to frame as
+an ascending list of state ids with their scores, so no frame rescans the
+graph to find them.  The cap keeps the ``max_active`` highest scores, found
 with a partition, and among tokens tied at the cut the lowest state ids.
 The beam is measured from the best token that can still end on a word
 boundary: a token at emitting position ``k`` of an ``L``-state chain needs
@@ -258,9 +268,10 @@ class SearchGraph:
         self.num_states = len(state_pdf)
         self.num_emitting_states = self.num_states - 1 - self.num_prons
 
-        self.state_pdf = np.asarray(state_pdf, dtype=np.int32)
-        self.entry_states = np.asarray(entry_states, dtype=np.int32)
-        self.j_states = np.asarray(j_states, dtype=np.int32)
+        # index arrays are intp: numpy casts any other dtype on every use
+        self.state_pdf = np.asarray(state_pdf, dtype=np.intp)
+        self.entry_states = np.asarray(entry_states, dtype=np.intp)
+        self.j_states = np.asarray(j_states, dtype=np.intp)
         self.j_words = np.asarray(j_words, dtype=np.int32)
         self.junction_words = {
             int(s): self.words[w] for s, w in zip(j_states, j_words)
@@ -272,7 +283,11 @@ class SearchGraph:
         self._build_lm_tables()
 
     def _build_lm_tables(self) -> None:
-        """Per-word LM costs factored as first-char-given-context + inner."""
+        """Per-word LM costs factored as first-char-given-context + inner.
+
+        ``pron_lm[c, p]`` is the LM cost of pronunciation ``p``'s word after
+        context ``c``, one contiguous row per context.
+        """
         ln10 = math.log(10.0)
         ctx_chars = sorted({toks[-1] for toks in self.word_tokens.values()})
         self.ctx_ids = {c: i for i, c in enumerate(ctx_chars)}
@@ -289,12 +304,11 @@ class SearchGraph:
             for prev, tok in zip(toks, toks[1:]):
                 total += ln10 * self.lm.logprob10(tok, (prev,))
             inner[w] = total
-        self.word_lm = np.empty((n_ctx, len(self.words)))
+        word_lm = np.empty((n_ctx, len(self.words)))
         for c, ctx_tok in enumerate(ctx_tokens):
             for w, first in enumerate(firsts):
-                self.word_lm[c, w] = (
-                    ln10 * self.lm.logprob10(first, (ctx_tok,)) + inner[w]
-                )
+                word_lm[c, w] = ln10 * self.lm.logprob10(first, (ctx_tok,)) + inner[w]
+        self.pron_lm = word_lm[:, self.j_words]
         self.end_lm = np.array(
             [ln10 * self.lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
         )
@@ -386,28 +400,35 @@ def decode(
         raise DecodeError("scorer has no frames")
     started = time.perf_counter()
 
-    # per-state token: score, its acoustic and LM parts, LM context and the
-    # word-boundary record it descends from (side arrays are meaningful
-    # only where the score is finite)
+    # the surviving tokens are the ascending state ids ``act`` with scores
+    # ``vals``; each frame recombines into the dense ``nv``, ``v_am`` and
+    # ``rec``, which hold meaning only where ``nv`` is finite
     S = graph.num_states
-    v = np.full(S, NEG_INF)
     v_am = np.zeros(S)
-    v_lm = np.zeros(S)
-    ctx = np.full(S, graph.sos_ctx, dtype=np.int32)
     rec = np.full(S, -1, dtype=np.int32)
-    # per-record parallel lists: word id, previous record, end frame,
-    # am total, lm total at the crossing
+    # per-record parallel lists: word id, previous record, end frame, am
+    # total, lm total at the crossing, and the LM context after the word
     rec_word: list[int] = []
     rec_prev: list[int] = []
     rec_frame: list[int] = []
     rec_am: list[float] = []
     rec_lm: list[float] = []
+    rec_ctx: list[int] = []
+    pron_lm = graph.pron_lm
+
+    def token_lm(r: int, p: int) -> float:
+        """LM total of a token in pronunciation ``p`` entered from record
+        ``r``: fixed on its entry arc, so derived, not carried."""
+        if r < 0:
+            return pron_lm.item(graph.sos_ctx, p)
+        return rec_lm[r] + pron_lm.item(rec_ctx[r], p)
 
     lm_weight = params.lm_weight
-    v[graph.hub] = 0.0
-    entry_lm = graph.word_lm[graph.sos_ctx, graph.j_words]
-    v[graph.entry_states] = lm_weight * entry_lm
-    v_lm[graph.entry_states] = entry_lm
+    nv = np.full(S, NEG_INF)
+    nv[graph.hub] = 0.0
+    nv[graph.entry_states] = lm_weight * pron_lm[graph.sos_ctx]
+    act = (nv > NEG_INF).nonzero()[0]
+    vals = nv[act]
 
     expanded = 0
     active_total = 0
@@ -416,73 +437,68 @@ def decode(
     w_self, w_fwd = graph.w_self, graph.w_fwd
     to_end = graph.frames_to_word_end
     horizon = int(to_end.max())
+    hub = graph.hub
+    entries = graph.entry_states
+    j_words = graph.j_words.tolist()
+    word_end_ctx = graph.word_end_ctx.tolist()
 
     for t in range(n_frames):
-        live = v > NEG_INF
-        expanded += int(np.count_nonzero(live))
-        em = np.flatnonzero(live & emitting)
+        expanded += act.size
+        is_em = emitting.take(act)
+        em = act[is_em]
         if em.size == 0:
             raise DecodeError(f"no surviving tokens to expand at frame {t}")
         # self-loops into em, then forward arcs into em + 1; a forward arc
         # wins a tie (it has the lower arc id).  Every sum runs (v + w) + am:
         # another order moves scores in their last bits.
-        e = am[t, state_pdf[em]]
-        ve = v[em]
-        nv = np.full(S, NEG_INF)
+        e = am[t].take(state_pdf.take(em))
+        ve = vals[is_em]
+        nv.fill(NEG_INF)
         nv[em] = ve + w_self + e
         fc = ve + w_fwd + e
-        win = fc >= nv[em + 1]
+        win = (fc >= nv[em + 1]).nonzero()[0]
         src = em[win]
         dst = src + 1
         nv[dst] = fc[win]
-        # a self-loop keeps its state's LM total, context and record, so
-        # only forward winners copy them; every gather below reads the
-        # previous frame's values before its scatter writes
+        # a self-loop keeps its state's record, so only forward winners copy
+        # it; every gather below reads the previous frame's values before
+        # its scatter writes
         am_prev = v_am[em]
         v_am[em] = am_prev + w_self + e
         v_am[dst] = am_prev[win] + w_fwd + e[win]
-        v_lm[dst] = v_lm[src]
-        ctx[dst] = ctx[src]
         rec[dst] = rec[src]
 
         # epsilon closure: word-end arcs into the hub, then word entries
         # (each word's LM cost was already charged on its entry arc)
-        jv = nv[graph.j_states]
-        jmask = np.flatnonzero(jv > NEG_INF)
-        if jmask.size:
-            j_states = graph.j_states[jmask]
-            j_words = graph.j_words[jmask]
-            crossing = jv[jmask]
+        jv = nv.take(graph.j_states)
+        j_prons = (jv > NEG_INF).nonzero()[0]
+        if j_prons.size:
+            j_states = graph.j_states[j_prons]
+            crossing = jv[j_prons]
             order = np.lexsort((j_states, -crossing))
             keep = order[: params.lattice_width]
-            for k in keep:
-                s, w = int(j_states[k]), int(j_words[k])
+            first = len(rec_word)  # first appended = best
+            ks = j_states[keep]
+            for p, r, a in zip(
+                j_prons[keep].tolist(), rec[ks].tolist(), v_am[ks].tolist()
+            ):
+                w = j_words[p]
                 rec_word.append(w)
-                rec_prev.append(int(rec[s]))
+                rec_prev.append(r)
                 rec_frame.append(t + 1)
-                rec_am.append(float(v_am[s]))
-                rec_lm.append(float(v_lm[s]))
-            best_k = keep[0]
-            s = int(j_states[best_k])
-            w = int(j_words[best_k])
-            hub = graph.hub
-            nv[hub] = float(crossing[best_k])
-            v_am[hub] = v_am[s]
-            v_lm[hub] = v_lm[s]
-            ctx[hub] = graph.word_end_ctx[w]
-            rec[hub] = len(rec_word) - len(keep)  # first appended = best
-        hv = nv[graph.hub]
-        if hv > NEG_INF:
-            entries = graph.entry_states
-            wc = graph.word_lm[ctx[graph.hub], graph.j_words]
-            cand_entry = hv + lm_weight * wc
+                rec_am.append(a)
+                rec_lm.append(token_lm(r, p))
+                rec_ctx.append(word_end_ctx[w])
+            hv = crossing[keep[0]]
+            nv[hub] = hv
+            v_am[hub] = rec_am[first]
+            rec[hub] = first
+            cand_entry = hv + lm_weight * pron_lm[rec_ctx[first]]
             improve = cand_entry > nv[entries]
             targets = entries[improve]
             nv[targets] = cand_entry[improve]
-            v_am[targets] = v_am[graph.hub]
-            v_lm[targets] = v_lm[graph.hub] + wc[improve]
-            ctx[targets] = ctx[graph.hub]
-            rec[targets] = rec[graph.hub]
+            v_am[targets] = v_am[hub]
+            rec[targets] = first
 
         # the beam is measured from the best token that can still reach a
         # word boundary in the frames left; if none can, from the best token
@@ -492,24 +508,25 @@ def decode(
             best = nv.max()
         if best == NEG_INF:
             raise DecodeError(f"beam pruned every token at frame {t}")
-        keep_ids = np.flatnonzero(nv >= best - params.beam)
-        if keep_ids.size > params.max_active:
-            keep_ids = _cap(keep_ids, nv[keep_ids], params.max_active)
-        v = np.full(S, NEG_INF)
-        v[keep_ids] = nv[keep_ids]
-        active_total += keep_ids.size
+        cut = best - params.beam
+        act = (nv >= cut if cut > NEG_INF else nv > NEG_INF).nonzero()[0]
+        if act.size > params.max_active:
+            act = _cap(act, nv[act], params.max_active)
+        vals = nv[act]
+        active_total += act.size
 
-    if v[graph.hub] == NEG_INF:
+    # the hub has the lowest state id, so it leads ``act`` when it survived
+    if act[0] != hub:
         raise DecodeError(
             "no surviving token reaches a word boundary at the final frame"
         )
-    end = float(graph.end_lm[ctx[graph.hub]])
-    combined = float(v[graph.hub]) + lm_weight * end
-    am_total = float(v_am[graph.hub])
-    lm_total = float(v_lm[graph.hub]) + end
+    r = int(rec[hub])
+    end = float(graph.end_lm[rec_ctx[r]])
+    combined = float(vals[0]) + lm_weight * end
+    am_total = float(v_am[hub])
+    lm_total = rec_lm[r] + end
 
     words = []
-    r = int(rec[graph.hub])
     while r >= 0:
         words.append(graph.words[rec_word[r]])
         r = rec_prev[r]

@@ -6,7 +6,6 @@ into a ``PhoneLexicon``: per-word phone label sequences plus the phone set,
 which downstream modules use to build the recognizer search graph.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,10 +198,3 @@ def homophone_groups(entries: list[LexiconEntry]) -> dict[tuple[str, ...], list[
         for pron in entry.pronunciations:
             groups.setdefault(pron, []).append(entry.word)
     return {p: ws for p, ws in groups.items() if len(set(ws)) > 1}
-
-
-def character_counts(entries: list[LexiconEntry]) -> Counter:
-    counts: Counter = Counter()
-    for entry in entries:
-        counts.update(entry.word)
-    return counts

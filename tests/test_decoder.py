@@ -22,7 +22,7 @@ from cantoasr.decoder import (
 )
 from cantoasr.lattice import best_path
 from cantoasr.lexicon import LexiconEntry, compile_lexicon
-from cantoasr.ngram import train_ngram
+from cantoasr.ngram import EOS, SOS, train_ngram
 from cantoasr.phonology import default_inventory
 from cantoasr.simulate import SimConfig, build_state_models, simulate_utterance
 
@@ -271,6 +271,66 @@ def test_wider_beam_never_turns_success_into_failure():
     ]
     assert [h.text for h in runs] == ["甲", "甲"]
     assert runs[1].combined == pytest.approx(runs[0].combined, abs=1e-9)
+
+
+def test_infinite_beam_counts_only_live_tokens():
+    # beam=inf puts the cut at -inf: states no token reached must not count
+    graph, lm, scorer, lm_weight = random_fixture(random.Random(3))
+    runs = [
+        decode(graph, scorer, DecodeParams(beam=b, lm_weight=lm_weight))
+        for b in (math.inf, 1e30)
+    ]
+    (h_inf, _, s_inf), (h_wide, _, s_wide) = runs
+    assert h_inf.words == h_wide.words and h_inf.combined == h_wide.combined
+    assert s_inf.active_tokens_mean == s_wide.active_tokens_mean == 4.75
+
+
+def test_minus_inf_scores_never_reach_the_lattice():
+    # a forward arc carrying -inf ties a dead successor (-inf >= -inf) and
+    # so "wins" it; such a token must not cross a word end into the lattice
+    decoded = 0
+    for seed in range(1000, 1020):
+        rng = random.Random(seed)
+        dead = np.random.default_rng(seed)
+        for _ in range(6):
+            graph, lm, scorer, lm_weight = random_fixture(rng)
+            matrix = scorer.matrix.copy()
+            matrix[dead.random(matrix.shape) < 0.15] = -np.inf
+            scorer = MatrixScorer(matrix, scorer.labels)
+            params = DecodeParams(beam=1e30, max_active=10**9, lm_weight=lm_weight)
+            try:
+                hyp, lattice, _ = decode(graph, scorer, params)
+            except DecodeError:
+                continue
+            decoded += 1
+            assert math.isfinite(hyp.combined)
+            for arc in lattice.arcs:
+                assert math.isfinite(arc.am) and math.isfinite(arc.lm), (seed, arc)
+    assert decoded >= 80
+
+
+def test_lm_total_is_the_character_bigram_total():
+    # the decoder derives a token's LM total from its word-boundary record;
+    # recompute it from the words, one bigram per character
+    ln10 = math.log(10.0)
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        for _ in range(6):
+            graph, lm, scorer, lm_weight = random_fixture(rng)
+            params = DecodeParams(beam=1e30, max_active=10**9, lm_weight=lm_weight)
+            try:
+                hyp = decode(graph, scorer, params)[0]
+            except DecodeError:
+                continue
+            if len(hyp.words) < 2:
+                continue
+            tokens = [tok for w in hyp.words for tok in graph.word_tokens[w]] + [EOS]
+            history = [SOS] + tokens[:-1]
+            total = sum(lm.logprob10(tok, (h,)) for tok, h in zip(tokens, history))
+            assert hyp.lm_total == pytest.approx(ln10 * total, abs=1e-9)
+            checked += 1
+    assert checked >= 80
 
 
 def test_max_active_one_is_greedy_extension():
