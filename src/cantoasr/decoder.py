@@ -292,7 +292,6 @@ class SearchGraph:
         ctx_chars = sorted({toks[-1] for toks in self.word_tokens.values()})
         self.ctx_ids = {c: i for i, c in enumerate(ctx_chars)}
         self.sos_ctx = len(ctx_chars)
-        n_ctx = len(ctx_chars) + 1
         ctx_tokens = ctx_chars + [SOS]
 
         inner = np.zeros(len(self.words))
@@ -304,10 +303,7 @@ class SearchGraph:
             for prev, tok in zip(toks, toks[1:]):
                 total += ln10 * self.lm.logprob10(tok, (prev,))
             inner[w] = total
-        word_lm = np.empty((n_ctx, len(self.words)))
-        for c, ctx_tok in enumerate(ctx_tokens):
-            for w, first in enumerate(firsts):
-                word_lm[c, w] = ln10 * self.lm.logprob10(first, (ctx_tok,)) + inner[w]
+        word_lm = ln10 * self.lm.bigram_log10_table(ctx_tokens, firsts) + inner
         self.pron_lm = word_lm[:, self.j_words]
         self.end_lm = np.array(
             [ln10 * self.lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]

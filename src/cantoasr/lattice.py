@@ -351,7 +351,10 @@ def read_lattice(path: str | Path) -> Lattice:
                 if src not in nodes or dst not in nodes:
                     fail(lineno, f"arc references undeclared node: {line!r}")
                 word = None if fields[3] == "-" else fields[3]
-                arcs.append(Arc(src, dst, word, float(fields[4]), float(fields[5])))
+                am, lm = float(fields[4]), float(fields[5])
+                if math.isnan(am) or math.isnan(lm):
+                    raise ValueError("NaN arc score")
+                arcs.append(Arc(src, dst, word, am, lm))
             else:
                 fail(lineno, f"unrecognized line {line!r}")
         except ValueError as exc:

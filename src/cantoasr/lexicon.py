@@ -168,33 +168,5 @@ def write_phone_lexicon(lex: PhoneLexicon, out_dir: str | Path) -> tuple[Path, P
     return lex_path, phones_path
 
 
-def read_phone_lexicon(out_dir: str | Path, scheme: str) -> PhoneLexicon:
-    """Read back the ``write_phone_lexicon`` output."""
-    out_dir = Path(out_dir)
-    lex = PhoneLexicon(scheme=scheme)
-    with open(out_dir / "lexicon.txt", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise LexiconError(f"lexicon.txt:{lineno}: malformed line {line!r}")
-            word, labels = fields
-            seq = tuple(Phone.from_label(lab, scheme) for lab in labels.split())
-            lex.entries.setdefault(word, ())
-            lex.entries[word] = lex.entries[word] + (seq,)
-    return lex
-
-
 def demo_lexicon_path() -> Path:
     return Path(__file__).parent / "data" / "demo_lexicon.txt"
-
-
-def homophone_groups(entries: list[LexiconEntry]) -> dict[tuple[str, ...], list[str]]:
-    """Words sharing an identical pronunciation, for fixture curation."""
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for entry in entries:
-        for pron in entry.pronunciations:
-            groups.setdefault(pron, []).append(entry.word)
-    return {p: ws for p, ws in groups.items() if len(set(ws)) > 1}

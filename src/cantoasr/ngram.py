@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 SOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
@@ -97,6 +99,39 @@ class NGramModel:
             return self.logprob.get((UNK,), LOG10_FLOOR)
         bow = self.backoff.get(gram[:-1], 0.0)
         return bow + self._backoff_logprob(gram[1:])
+
+    def bigram_log10_table(self, histories: list[str], words: list[str]) -> np.ndarray:
+        """``table[i, j] == logprob10(words[j], (histories[i],))``, bitwise.
+
+        Every cell that no stored bigram covers is the back-off sum
+        ``backoff[h] + unigram[w]``, so the table starts as that outer sum
+        and the stored bigrams are written over it; tokens are mapped as
+        ``logprob10`` maps them.
+        """
+        words = [self._map_token(w) for w in words]
+        # a word missing from the unigrams is <unk> without a unigram
+        uni = np.array([self.logprob.get((w,), LOG10_FLOOR) for w in words])
+        if self.order == 1:
+            return np.tile(uni, (len(histories), 1))
+        histories = [self._map_token(h) for h in histories]
+        bow = np.array([self.backoff.get((h,), 0.0) for h in histories])
+        table = bow[:, None] + uni
+        rows: dict[str, list[int]] = {}
+        for i, h in enumerate(histories):
+            rows.setdefault(h, []).append(i)
+        cols: dict[str, list[int]] = {}
+        for j, w in enumerate(words):
+            cols.setdefault(w, []).append(j)
+        at_rows, at_cols, values = [], [], []
+        for gram, lp in self.logprob.items():
+            if len(gram) == 2 and gram[0] in rows and gram[1] in cols:
+                for i in rows[gram[0]]:
+                    for j in cols[gram[1]]:
+                        at_rows.append(i)
+                        at_cols.append(j)
+                        values.append(lp)
+        table[at_rows, at_cols] = values
+        return table
 
     def prob(self, word: str, history: tuple[str, ...] = ()) -> float:
         return 10.0 ** self.logprob10(word, history)
@@ -449,6 +484,8 @@ def read_arpa(path: str | Path) -> NGramModel:
                     lp = float(fields[0])
                 except ValueError:
                     fail(lineno, f"bad log probability in {line!r}")
+                if math.isnan(lp):
+                    fail(lineno, f"NaN log probability in {line!r}")
                 gram = tuple(fields[1].split())
                 if len(gram) != section:
                     fail(lineno, f"{len(gram)}-gram {gram!r} in section {section}")
@@ -456,9 +493,12 @@ def read_arpa(path: str | Path) -> NGramModel:
                 model.logprob[gram] = lp
                 if len(fields) == 3:
                     try:
-                        model.backoff[gram] = float(fields[2])
+                        bow = float(fields[2])
                     except ValueError:
                         fail(lineno, f"bad back-off weight in {line!r}")
+                    if math.isnan(bow):
+                        fail(lineno, f"NaN back-off weight in {line!r}")
+                    model.backoff[gram] = bow
                 seen_in_section += 1
     if state != "done" or model is None:
         raise ArpaFormatError(f"{path}: truncated ARPA file (no \\end\\)")

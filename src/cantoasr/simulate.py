@@ -89,48 +89,51 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
 
     Non-confused label pairs are kept at least ``4 * noise_sigma`` apart by
     redrawing the lexicographically later mean (separation is enforced on
-    the independent draws; the confusion blend is applied afterwards).
+    the independent draws; the confusion blend is applied afterwards).  The
+    conflicting pairs are those of the first draws, taken in row-major
+    order; each redraw overwrites its label's row of one (labels x dim)
+    matrix in place, and is checked against the current rows of every label
+    it is not confused with.
     """
     labels = sorted(set(labels))
     if not labels:
         raise SimulationError("no labels")
-    rngs = {lab: _label_rng(cfg.seed, lab) for lab in labels}
-    means = {
-        lab: rngs[lab].normal(0.0, cfg.mean_scale, cfg.feature_dim) for lab in labels
-    }
+    rngs = [_label_rng(cfg.seed, lab) for lab in labels]
+    mat = np.stack([rng.normal(0.0, cfg.mean_scale, cfg.feature_dim) for rng in rngs])
 
     expanded: list[tuple[str, str, float]] = []
     for entry in cfg.confusion:
         expanded.extend(_expand_confusion(entry, set(labels)))
-    exempt = {frozenset((a, b)) for a, b, _ in expanded}
+    index = {lab: k for k, lab in enumerate(labels)}
+    exempt: list[list[int]] = [[] for _ in labels]
+    for a, b, _ in expanded:
+        exempt[index[a]].append(index[b])
+        exempt[index[b]].append(index[a])
 
     floor = 4.0 * cfg.noise_sigma
     if floor > 0.0 and len(labels) > 1:
-        mat = np.stack([means[lab] for lab in labels])
         dist = np.sqrt(np.sum((mat[:, None] - mat[None, :]) ** 2, axis=2))
         upper = np.triu(np.ones_like(dist, dtype=bool), 1)
         for i, j in np.argwhere((dist < floor) & upper):
-            if frozenset((labels[i], labels[j])) in exempt:
+            if i in exempt[j]:
                 continue
             # redraw the later label until it clears every non-exempt mean
-            lab_b = labels[j]
-            others = [
-                means[lab]
-                for lab in labels
-                if lab != lab_b and frozenset((lab, lab_b)) not in exempt
-            ]
-            other_mat = np.stack(others)
+            others = np.ones(len(labels), dtype=bool)
+            others[j] = False
+            others[exempt[j]] = False
+            other_mat = mat[others]
             for tries in range(101):
-                gaps = np.sqrt(np.sum((other_mat - means[lab_b]) ** 2, axis=1))
+                gaps = np.sqrt(np.sum((other_mat - mat[j]) ** 2, axis=1))
                 if gaps.min() >= floor:
                     break
                 if tries == 100:
                     raise SimulationError(
-                        f"cannot separate {lab_b!r}; raise mean_scale or "
+                        f"cannot separate {labels[j]!r}; raise mean_scale or "
                         f"lower noise_sigma"
                     )
-                means[lab_b] = rngs[lab_b].normal(0.0, cfg.mean_scale, cfg.feature_dim)
+                mat[j] = rngs[j].normal(0.0, cfg.mean_scale, cfg.feature_dim)
 
+    means = dict(zip(labels, mat))
     for a, b, p in expanded:
         means[b] = p * means[a] + (1.0 - p) * means[b]
     return StateModel(means=means, variance=cfg.model_variance)

@@ -163,6 +163,18 @@ def test_nbest_demo_lattice_prints_node_path(capsys):
     assert hyps[0]["text"] == "合共九千九百萬元"
 
 
+def test_nbest_nan_lattice_score_is_data_error(tmp_path, capsys):
+    lines = demo_lattice_path().read_text(encoding="utf-8").splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("arc "))
+    fields = lines[k].split()
+    lines[k] = " ".join(fields[:4] + ["nan", fields[5]])
+    lat = tmp_path / "nan.lat"
+    lat.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--json", "nbest", "--lattice", str(lat), "--n", "3")
+    assert code == 2 and out == ""
+    assert f"nan.lat:{k + 1}: " in err and "NaN arc score" in err
+
+
 def test_rescore_cli(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text(

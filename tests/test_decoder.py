@@ -21,8 +21,8 @@ from cantoasr.decoder import (
     write_scores,
 )
 from cantoasr.lattice import best_path
-from cantoasr.lexicon import LexiconEntry, compile_lexicon
-from cantoasr.ngram import EOS, SOS, train_ngram
+from cantoasr.lexicon import LexiconEntry, compile_lexicon, demo_lexicon_path, read_lexicon
+from cantoasr.ngram import EOS, SOS, UNK, read_arpa, read_corpus, train_ngram, write_arpa
 from cantoasr.phonology import default_inventory
 from cantoasr.simulate import SimConfig, build_state_models, simulate_utterance
 
@@ -111,6 +111,61 @@ def test_graph_unknown_word_token_warns(caplog):
     with caplog.at_level("WARNING"):
         build_graph(lex, lm)
     assert any("罕" in rec.message for rec in caplog.records)
+
+
+def per_cell_lm_tables(graph, lm):
+    """``pron_lm`` and ``end_lm`` built with one ``logprob10`` call per cell."""
+    ln10 = math.log(10.0)
+    contexts = sorted(graph.ctx_ids, key=graph.ctx_ids.get) + [SOS]
+    word_lm = np.empty((len(contexts), len(graph.words)))
+    for w, word in enumerate(graph.words):
+        toks = graph.word_tokens[word]
+        inner = 0.0
+        for prev, tok in zip(toks, toks[1:]):
+            inner += ln10 * lm.logprob10(tok, (prev,))
+        for c, ctx in enumerate(contexts):
+            word_lm[c, w] = ln10 * lm.logprob10(toks[0], (ctx,)) + inner
+    end_lm = np.array([ln10 * lm.logprob10(EOS, (ctx,)) for ctx in contexts])
+    return word_lm[:, graph.j_words], end_lm
+
+
+# 香, 港 and 罕 are unknown to the small LM, so they map to <unk>
+SMALL_ENTRIES = [
+    entry("天氣", "tin1 hei3"),
+    entry("好", "hou2"),
+    entry("香港", "hoeng1 gong2"),
+    entry("罕", "hon2"),
+    entry("天", "tin1"),
+]
+SMALL_CORPUS = [["天", "氣", "好"], ["好", "天"], ["氣"]]
+
+
+@pytest.mark.parametrize(
+    "lexicon, scheme, lm_kind",
+    [
+        ("demo", "if", "trained"),
+        ("demo", "onc", "trained"),
+        ("demo", "onc", "arpa"),
+        ("small", "if", "trained"),
+        ("small", "onc", "no_unk"),
+    ],
+)
+def test_pron_lm_equals_per_cell_logprob10(lexicon, scheme, lm_kind, tmp_path):
+    if lexicon == "demo":
+        entries = read_lexicon(demo_lexicon_path())
+        lm = train_ngram(read_corpus(demo_lexicon_path().parent / "demo_corpus.txt"), 2)
+    else:
+        entries = SMALL_ENTRIES
+        lm = train_ngram(SMALL_CORPUS, 2)
+    if lm_kind == "arpa":
+        write_arpa(lm, tmp_path / "lm.arpa")
+        lm = read_arpa(tmp_path / "lm.arpa")
+    elif lm_kind == "no_unk":
+        del lm.logprob[(UNK,)]  # unknown characters score LOG10_FLOOR
+    graph = build_graph(compile_lexicon(entries, scheme, default_inventory()), lm)
+    pron_lm, end_lm = per_cell_lm_tables(graph, lm)
+    assert graph.pron_lm.tobytes() == pron_lm.tobytes()
+    assert graph.end_lm.tobytes() == end_lm.tobytes()
 
 
 def test_decode_defaults_logged_in_stats():

@@ -113,6 +113,19 @@ def test_lattice_undeclared_node(tmp_path):
         read_lattice(p)
 
 
+@pytest.mark.parametrize("field", ["am", "lm"])
+def test_lattice_nan_score_names_the_line(tmp_path, field):
+    am, lm = ("nan", "-0.100000") if field == "am" else ("-1.000000", "nan")
+    p = tmp_path / "bad.lat"
+    p.write_text(
+        "LATTICE v1\nnode 0 0\nnode 1 5\nstart 0\nfinal 1\n"
+        f"arc 0 1 天 {am} {lm}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(LatticeFormatError, match=r"bad\.lat:6: .*NaN arc score"):
+        read_lattice(p)
+
+
 def test_lattice_rejects_cycles():
     with pytest.raises(LatticeFormatError, match="cycle"):
         make_lattice(

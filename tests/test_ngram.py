@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cantoasr.ngram import (
@@ -185,6 +186,20 @@ def test_tuned_lambda_beats_endpoints():
     assert tuned <= min(p0, p1) + 1e-9
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("smoothing", ["none", "witten_bell"])
+def test_bigram_log10_table_equals_logprob10(order, smoothing):
+    m = train_ngram(sents("a b c a", "b b a", "c a"), order=order, smoothing=smoothing)
+    # unknown histories ("z") read the <unk> back-off and bigrams
+    m.backoff[(UNK,)] = -0.5
+    m.logprob[(UNK, "b")] = -0.25
+    histories = [SOS, "a", "b", "c", "z", "a", UNK]
+    words = ["a", "b", EOS, "y", "c", "a"]
+    table = m.bigram_log10_table(histories, words)
+    expected = np.array([[m.logprob10(w, (h,)) for w in words] for h in histories])
+    assert table.tobytes() == expected.tobytes()
+
+
 def test_arpa_round_trip(tmp_path, hand_bigram):
     path = tmp_path / "m.arpa"
     write_arpa(hand_bigram, path)
@@ -241,6 +256,22 @@ def test_arpa_truncated(tmp_path):
     path = tmp_path / "bad.arpa"
     path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\ta\n", encoding="utf-8")
     with pytest.raises(ArpaFormatError, match="end"):
+        read_arpa(path)
+
+
+@pytest.mark.parametrize(
+    "line, what",
+    [("nan\ta\t-0.2", "NaN log probability"), ("-0.3\ta\tnan", "NaN back-off weight")],
+    ids=["logprob", "backoff"],
+)
+def test_arpa_rejects_nan(tmp_path, line, what):
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n"
+        f"{line}\n-0.6\tb\t-0.1\n\n\\2-grams:\n-0.1\ta b\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaFormatError, match=rf"bad\.arpa:6: {what}"):
         read_arpa(path)
 
 

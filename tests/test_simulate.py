@@ -8,6 +8,8 @@ from cantoasr.phonology import default_inventory
 from cantoasr.simulate import (
     SimConfig,
     SimulationError,
+    _expand_confusion,
+    _label_rng,
     build_state_models,
     simulate_utterance,
     true_label_sequence,
@@ -64,6 +66,77 @@ def test_separation_floor():
         for b in labs[i + 1:]:
             gap = np.linalg.norm(models.means[a] - models.means[b])
             assert gap >= 4 * cfg.noise_sigma
+
+
+def per_pair_state_models(labels, cfg):
+    """The per-pair separation loop ``build_state_models`` replaced.
+
+    Returns the blended means, the means before the blend, the number of
+    redraws and the exempt (confused) pairs.
+    """
+    labels = sorted(set(labels))
+    rngs = {lab: _label_rng(cfg.seed, lab) for lab in labels}
+    means = {
+        lab: rngs[lab].normal(0.0, cfg.mean_scale, cfg.feature_dim) for lab in labels
+    }
+    expanded = []
+    for entry in cfg.confusion:
+        expanded.extend(_expand_confusion(entry, set(labels)))
+    exempt = {frozenset((a, b)) for a, b, _ in expanded}
+    floor = 4.0 * cfg.noise_sigma
+    redraws = 0
+    mat = np.stack([means[lab] for lab in labels])
+    dist = np.sqrt(np.sum((mat[:, None] - mat[None, :]) ** 2, axis=2))
+    upper = np.triu(np.ones_like(dist, dtype=bool), 1)
+    for i, j in np.argwhere((dist < floor) & upper):
+        if frozenset((labels[i], labels[j])) in exempt:
+            continue
+        lab_b = labels[j]
+        others = [
+            means[lab]
+            for lab in labels
+            if lab != lab_b and frozenset((lab, lab_b)) not in exempt
+        ]
+        other_mat = np.stack(others)
+        for tries in range(101):
+            gaps = np.sqrt(np.sum((other_mat - means[lab_b]) ** 2, axis=1))
+            if gaps.min() >= floor:
+                break
+            assert tries < 100
+            means[lab_b] = rngs[lab_b].normal(0.0, cfg.mean_scale, cfg.feature_dim)
+            redraws += 1
+    separated = dict(means)
+    for a, b, p in expanded:
+        means[b] = p * means[a] + (1.0 - p) * means[b]
+    return means, separated, redraws, exempt
+
+
+# 24 labels in 3 dimensions at mean_scale 1 against a floor of 0.8, so the
+# separation pass redraws.  Seeds 7 and 40 start with a confused pair closer
+# than the floor (it must stay exempt); in seeds 13 and 40 a redrawn label
+# lies within the floor of a label it is confused with (which must not count)
+@pytest.mark.parametrize("seed", [7, 13, 40])
+def test_state_models_equal_the_per_pair_loop(seed):
+    labels = pdfs({"aa1", "_k3", "_t3", "b", "_p3", "i1", "o2", "m"})
+    confusion = (("_k3", "_t3", 0.5), ("_p3", "_t3", 1.0), ("aa1#0", "o2#1", 0.25))
+    cfg = SimConfig(seed=seed, feature_dim=3, noise_sigma=0.2, mean_scale=1.0,
+                    confusion=confusion)
+    means, separated, redraws, exempt = per_pair_state_models(labels, cfg)
+    assert redraws > 0
+    for a in labels:
+        for b in labels:
+            if a < b and frozenset((a, b)) not in exempt:
+                assert np.linalg.norm(separated[a] - separated[b]) >= 4 * cfg.noise_sigma
+    models = build_state_models(labels, cfg)
+    assert models.labels == tuple(sorted(means))
+    for lab in models.labels:
+        assert models.means[lab].tobytes() == means[lab].tobytes()
+    # with every blend weight 0 the result is the separated means themselves
+    unblended = SimConfig(seed=seed, feature_dim=3, noise_sigma=0.2, mean_scale=1.0,
+                          confusion=tuple((a, b, 0.0) for a, b, _ in confusion))
+    models = build_state_models(labels, unblended)
+    for lab in models.labels:
+        assert models.means[lab].tobytes() == separated[lab].tobytes()
 
 
 def test_noiseless_frames_argmax_true_label():
