@@ -18,6 +18,7 @@ from .decoder import (
     batch_decode,
     build_graph,
     decode,
+    pdf_labels_for,
     read_scores,
     write_scores,
 )
@@ -322,7 +323,7 @@ def cmd_simulate(args):
     unknown = [w for w in words if w not in lex.entries]
     if unknown:
         raise LexiconError(f"words not in lexicon: {' '.join(unknown)}")
-    labels = {p for lab in lex.labels for p in (f"{lab}#0", f"{lab}#1", f"{lab}#2")}
+    labels = {p for lab in lex.labels for p in pdf_labels_for(lab)}
     models = build_state_models(labels, cfg)
     phones = [p.label for w in words for p in lex.entries[w][0]]
     scorer = simulate_utterance(phones, models, cfg, salt=args.salt)

@@ -169,11 +169,7 @@ def write_scores(path: str | Path, scorer: MatrixScorer) -> None:
     )
 
 
-def read_scores(
-    path: str | Path,
-    labels: tuple[str, ...] | None = None,
-    frame_shift: float = 0.01,
-) -> MatrixScorer:
+def read_scores(path: str | Path, labels: tuple[str, ...] | None = None) -> MatrixScorer:
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -195,7 +191,7 @@ def read_scores(
         raise ValueError(f"{path}: {n_labels} columns but {len(labels)} labels")
     matrix = data.reshape(frames, n_labels).astype(np.float64)
     try:
-        return MatrixScorer(matrix, labels, frame_shift)
+        return MatrixScorer(matrix, labels)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -367,7 +363,7 @@ def _cap(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def decode(
-    graph: SearchGraph, scorer, params: DecodeParams | None = None
+    graph: SearchGraph, scorer: MatrixScorer, params: DecodeParams | None = None
 ) -> tuple[Hypothesis, Lattice, DecodeStats]:
     """Frame-synchronous beam search; see the module docstring.
 
@@ -542,7 +538,7 @@ def decode(
         frames=n_frames,
         active_tokens_mean=active_total / n_frames,
         wall_seconds=wall,
-        audio_seconds=getattr(scorer, "audio_seconds", n_frames * 0.01),
+        audio_seconds=scorer.audio_seconds,
         beam=params.beam,
         max_active=params.max_active,
         lm_weight=lm_weight,
@@ -591,7 +587,6 @@ def _records_to_lattice(
 
 @dataclass
 class UtteranceResult:
-    index: int
     hypothesis: Hypothesis | None = None
     lattice: Lattice | None = None
     stats: DecodeStats | None = None
@@ -601,9 +596,13 @@ class UtteranceResult:
 @dataclass
 class BatchResult:
     results: list[UtteranceResult] = field(default_factory=list)
-    rtf: float = 0.0
     wall_seconds: float = 0.0
     audio_seconds: float = 0.0
+
+    @property
+    def rtf(self) -> float:
+        """Total processing time over total audio duration."""
+        return self.wall_seconds / self.audio_seconds if self.audio_seconds else 0.0
 
     @property
     def failures(self) -> list[UtteranceResult]:
@@ -626,23 +625,12 @@ def batch_decode(
         try:
             hyp, lattice, stats = decode(graph, scorer, params)
         except DecodeError as exc:
-            batch.results.append(UtteranceResult(index=i, error=str(exc)))
+            batch.results.append(UtteranceResult(error=str(exc)))
             log.warning("utterance %d failed: %s", i, exc)
             continue
         batch.results.append(
-            UtteranceResult(index=i, hypothesis=hyp, lattice=lattice, stats=stats)
+            UtteranceResult(hypothesis=hyp, lattice=lattice, stats=stats)
         )
         batch.wall_seconds += stats.wall_seconds
         batch.audio_seconds += stats.audio_seconds
-    batch.rtf = aggregate_rtf(
-        [r.stats for r in batch.results if r.stats is not None]
-    )
     return batch
-
-
-def aggregate_rtf(stats: list[DecodeStats]) -> float:
-    """Total processing time over total audio duration."""
-    audio = sum(s.audio_seconds for s in stats)
-    if audio == 0.0:
-        return 0.0
-    return sum(s.wall_seconds for s in stats) / audio

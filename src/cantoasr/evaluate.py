@@ -9,7 +9,6 @@ insertions and deletions.  Corpus rates are micro-averaged (total errors
 over total reference length).
 """
 
-import json
 from dataclasses import dataclass
 
 from .decoder import DecodeParams, batch_decode
@@ -52,19 +51,12 @@ class WerResult:
         )
 
 
-def normalize(text: str, keep_punctuation: bool = True) -> str:
-    """Strip whitespace; punctuation is kept unless asked otherwise."""
-    chars = [c for c in text if not c.isspace()]
-    if not keep_punctuation:
-        import unicodedata
-
-        chars = [c for c in chars if not unicodedata.category(c).startswith("P")]
-    return "".join(chars)
+def normalize(text: str) -> str:
+    """Strip whitespace; punctuation is kept."""
+    return "".join(c for c in text if not c.isspace())
 
 
-def wer(
-    ref: str | list[str], hyp: str | list[str], keep_punctuation: bool = True
-) -> WerResult:
+def wer(ref: str | list[str], hyp: str | list[str]) -> WerResult:
     """Character error counts from a minimal-edit alignment.
 
     Strings are scored one unit per character (whitespace stripped first);
@@ -76,9 +68,9 @@ def wer(
     totals fixed, the individual counts follow from the length difference.
     """
     if isinstance(ref, str):
-        ref = list(normalize(ref, keep_punctuation))
+        ref = list(normalize(ref))
     if isinstance(hyp, str):
-        hyp = list(normalize(hyp, keep_punctuation))
+        hyp = list(normalize(hyp))
     if not ref:
         raise ValueError("empty reference")
     n, m = len(ref), len(hyp)
@@ -104,13 +96,13 @@ def wer(
     return WerResult(substitutions, insertions, deletions, n)
 
 
-def corpus_wer(pairs: list[tuple], keep_punctuation: bool = True) -> WerResult:
+def corpus_wer(pairs: list[tuple]) -> WerResult:
     """Component-wise sums over sentence pairs (micro-average)."""
     if not pairs:
         raise ValueError("no sentence pairs")
     total = WerResult(0, 0, 0, 0)
     for ref, hyp in pairs:
-        total = total + wer(ref, hyp, keep_punctuation)
+        total = total + wer(ref, hyp)
     return total
 
 
@@ -271,21 +263,3 @@ def format_wer_table(rows: list[tuple[str, WerResult, float]]) -> str:
         lines.append(f"{name:<24} {result.percent:>8} {rtf:>9.5f}")
     return "\n".join(lines)
 
-
-def eval_report_json(
-    wer_result: WerResult,
-    rtf: float,
-    params: dict,
-    per_utterance: list[dict],
-) -> str:
-    return json.dumps(
-        {
-            "wer": wer_result.to_json(),
-            "rtf": rtf,
-            "params": params,
-            "per_utterance": per_utterance,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-        indent=2,
-    )

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import DecodeParams, batch_decode, build_graph, pdf_labels_for
+from .decoder import BatchResult, DecodeParams, batch_decode, build_graph, pdf_labels_for
 from .evaluate import (
     classify_errors,
     corpus_wer,
@@ -44,7 +44,7 @@ from .evaluate import (
 )
 from .lexicon import compile_lexicon, demo_lexicon_path, lexicon_stats, read_lexicon
 from .ngram import read_corpus, train_ngram
-from .phonology import MergeRuleSet, default_inventory
+from .phonology import JyutpingError, MergeRuleSet, default_inventory
 from .simulate import SimConfig, build_state_models, simulate_utterance
 
 log = logging.getLogger(__name__)
@@ -179,11 +179,11 @@ def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
     pairs = []
     for rule in rules.rules:
         if scheme == SCHEME_B:
-            exposure = rule, merge_dilution(inv, rule)
+            exposure = merge_dilution(inv, rule)
             for tone in range(1, 7):
                 a, b = f"_{rule.to_coda}{tone}", f"_{rule.from_coda}{tone}"
                 if a in labels and b in labels:
-                    pairs.append((a, b, exposure[1]))
+                    pairs.append((a, b, exposure))
         else:
             for final, (nucleus, coda) in sorted(inv.finals.items()):
                 if coda != rule.from_coda:
@@ -192,7 +192,7 @@ def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
                     continue
                 try:
                     target = inv.final_for(nucleus, rule.to_coda)
-                except Exception:
+                except JyutpingError:
                     continue
                 for tone in range(1, 7):
                     a, b = f"{target}{tone}", f"{final}{tone}"
@@ -282,6 +282,33 @@ def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSyst
     return SchemeSystem(scheme, lex, graph, models, sim_cfg)
 
 
+def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[tuple[str, ...]]:
+    """``num_utterances`` word sequences drawn from the RNG stream ``(cfg.seed, *stream)``."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, *stream)))
+    return [
+        tuple(words[int(k)] for k in rng.integers(0, len(words), cfg.words_per_utterance))
+        for _ in range(cfg.num_utterances)
+    ]
+
+
+def _simulate(system: SchemeSystem, texts: list[tuple[str, ...]], first_salt: int) -> list:
+    """One simulated scorer per text; text ``i`` is salted ``first_salt + i``."""
+    return [
+        simulate_utterance(
+            [p.label for w in text for p in system.lex.entries[w][0]],
+            system.models,
+            system.sim_cfg,
+            first_salt + i,
+        )
+        for i, text in enumerate(texts)
+    ]
+
+
+def _relative_improvement(wer_if, wer_onc) -> float:
+    """ONC's error-rate reduction as a fraction of IF's rate; 0 when IF has no errors."""
+    return (wer_if.rate - wer_onc.rate) / wer_if.rate if wer_if.rate > 0 else 0.0
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the paired scheme comparison and write report files.
 
@@ -312,32 +339,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     pooled_pairs: dict[str, list[tuple[str, str]]] = {SCHEME_A: [], SCHEME_B: []}
     refs_all: list[str] = []
     hyps_all: dict[str, list[str]] = {SCHEME_A: [], SCHEME_B: []}
-    timing: dict[str, dict] = {
-        s: {"wall_seconds": 0.0, "audio_seconds": 0.0} for s in systems
-    }
+    # wall and audio seconds of every batch, pooled per scheme
+    timing = {s: BatchResult() for s in systems}
     failures = {s: 0 for s in systems}
 
     for seed_idx in range(cfg.num_seeds):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, 2, seed_idx))
-        )
-        texts = [
-            tuple(words[int(k)] for k in rng.integers(0, len(words), cfg.words_per_utterance))
-            for _ in range(cfg.num_utterances)
-        ]
+        texts = _draw_texts(words, cfg, 2, seed_idx)
         refs = ["".join(t) for t in texts]
         seed_rows = {}
         for scheme, system in systems.items():
-            scorers = []
-            for utt_idx, text in enumerate(texts):
-                phones = [
-                    p.label for w in text for p in system.lex.entries[w][0]
-                ]
-                salt = seed_idx * 1_000_000 + utt_idx
-                scorers.append(
-                    simulate_utterance(phones, system.models, system.sim_cfg, salt)
-                )
-            batch = batch_decode(system.graph, scorers, params)
+            # no name holds the scorers, so one scheme's are freed before the next's are made
+            batch = batch_decode(
+                system.graph, _simulate(system, texts, seed_idx * 1_000_000), params
+            )
             hyps = [
                 r.hypothesis.text if r.hypothesis is not None else ""
                 for r in batch.results
@@ -347,17 +361,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             pooled_pairs[scheme].extend(pairs)
             hyps_all[scheme].extend(hyps)
             seed_rows[scheme] = corpus_wer(pairs)
-            timing[scheme]["wall_seconds"] += batch.wall_seconds
-            timing[scheme]["audio_seconds"] += batch.audio_seconds
+            timing[scheme].wall_seconds += batch.wall_seconds
+            timing[scheme].audio_seconds += batch.audio_seconds
         refs_all.extend(refs)
         wer_if, wer_onc = seed_rows[SCHEME_A], seed_rows[SCHEME_B]
-        rel = (wer_if.rate - wer_onc.rate) / wer_if.rate if wer_if.rate > 0 else 0.0
         per_seed.append(
             {
                 "seed_index": seed_idx,
                 "wer_if": wer_if.to_json(),
                 "wer_onc": wer_onc.to_json(),
-                "relative_improvement": rel,
+                "relative_improvement": _relative_improvement(wer_if, wer_onc),
             }
         )
         log.info(
@@ -402,11 +415,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "num_seeds": cfg.num_seeds,
             "onc_better_fraction": onc_better / cfg.num_seeds,
             "mean_relative_improvement": mean_rel,
-            "relative_improvement_pooled": (
-                (pooled[SCHEME_A].rate - pooled[SCHEME_B].rate)
-                / pooled[SCHEME_A].rate
-                if pooled[SCHEME_A].rate > 0
-                else 0.0
+            "relative_improvement_pooled": _relative_improvement(
+                pooled[SCHEME_A], pooled[SCHEME_B]
             ),
             "decode_failures": failures,
         },
@@ -422,16 +432,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     )
 
     timing_out = {
-        s: {
-            "wall_seconds": timing[s]["wall_seconds"],
-            "audio_seconds": timing[s]["audio_seconds"],
-            "rtf": (
-                timing[s]["wall_seconds"] / timing[s]["audio_seconds"]
-                if timing[s]["audio_seconds"]
-                else 0.0
-            ),
-        }
-        for s in systems
+        s: {"wall_seconds": t.wall_seconds, "audio_seconds": t.audio_seconds, "rtf": t.rtf}
+        for s, t in timing.items()
     }
     timing_out["total_wall_seconds"] = time.perf_counter() - t_start
     (out_dir / "timing.json").write_text(
@@ -458,25 +460,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.sweep_beams or cfg.sweep_max_actives:
         beams = list(cfg.sweep_beams) or [cfg.beam]
         actives = list(cfg.sweep_max_actives) or [cfg.max_active]
+        texts = _draw_texts(words, cfg, 3)
         sweep_report = {}
         for scheme, system in systems.items():
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3)))
-            texts = [
-                tuple(words[int(k)] for k in rng.integers(0, len(words), cfg.words_per_utterance))
-                for _ in range(cfg.num_utterances)
-            ]
-            scorers = [
-                simulate_utterance(
-                    [p.label for w in text for p in system.lex.entries[w][0]],
-                    system.models,
-                    system.sim_cfg,
-                    9_000_000 + i,
-                )
-                for i, text in enumerate(texts)
-            ]
             cells = sweep(
                 system.graph,
-                scorers,
+                _simulate(system, texts, 9_000_000),
                 beams,
                 actives,
                 ["".join(t) for t in texts],

@@ -99,9 +99,6 @@ class Lattice:
     def arcs_from(self, node: int) -> list[Arc]:
         return self._out.get(node, [])
 
-    def arcs_into(self, node: int) -> list[Arc]:
-        return self._in.get(node, [])
-
     def _closure(self, seeds: set[int], forward: bool) -> set[int]:
         seen = set(seeds)
         stack = list(seeds)
@@ -352,11 +349,14 @@ def read_lattice(path: str | Path) -> Lattice:
                     fail(lineno, f"arc references undeclared node: {line!r}")
                 word = None if fields[3] == "-" else fields[3]
                 am, lm = float(fields[4]), float(fields[5])
-                if math.isnan(am) or math.isnan(lm):
-                    raise ValueError("NaN arc score")
+                for score in (am, lm):
+                    if not score < math.inf:  # -inf is a zero likelihood, NaN compares false
+                        raise ValueError(f"{'NaN' if math.isnan(score) else '+inf'} arc score")
                 arcs.append(Arc(src, dst, word, am, lm))
             else:
                 fail(lineno, f"unrecognized line {line!r}")
+        except LatticeFormatError:
+            raise  # already names the file and line
         except ValueError as exc:
             fail(lineno, f"bad value in {line!r}: {exc}")
     if start is None:

@@ -368,23 +368,12 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
                 if gram[-1] == SOS:
                     continue
                 num -= 10.0 ** model.logprob[gram]
-                den -= 10.0 ** _query(model, gram[-1], h[1:])
+                den -= 10.0 ** model._backoff_logprob(h[1:] + gram[-1:])
             if num <= 1e-12 or den <= 1e-12:
                 model.backoff[h] = LOG10_FLOOR
             else:
                 model.backoff[h] = math.log10(num / den)
     return model
-
-
-def _query(model: NGramModel, word: str, history: tuple[str, ...]) -> float:
-    """log10 through the partially built model (lower levels complete)."""
-    gram = history + (word,)
-    if gram in model.logprob:
-        return model.logprob[gram]
-    if len(gram) == 1:
-        return model.logprob.get((UNK,), LOG10_FLOOR)
-    bow = model.backoff.get(gram[:-1], 0.0)
-    return bow + _query(model, word, history[1:])
 
 
 def write_arpa(model: NGramModel, path: str | Path) -> None:
@@ -445,13 +434,15 @@ def read_arpa(path: str | Path) -> NGramModel:
                 else:
                     fail(lineno, f"unexpected line {line!r} in \\data\\ section")
             if state == "grams":
-                if line.startswith("\\") and line.endswith("-grams:"):
-                    if section and seen_in_section != declared[section]:
-                        fail(
-                            lineno,
-                            f"section {section} declared {declared[section]} "
-                            f"entries but has {seen_in_section}",
-                        )
+                header = line.startswith("\\") and line.endswith("-grams:")
+                ends_section = header or line == "\\end\\"
+                if ends_section and section and seen_in_section != declared[section]:
+                    fail(
+                        lineno,
+                        f"section {section} declared {declared[section]} "
+                        f"entries but has {seen_in_section}",
+                    )
+                if header:
                     try:
                         new_section = int(line[1:-len("-grams:")])
                     except ValueError:
@@ -464,12 +455,6 @@ def read_arpa(path: str | Path) -> NGramModel:
                     seen_in_section = 0
                     continue
                 if line == "\\end\\":
-                    if section and seen_in_section != declared[section]:
-                        fail(
-                            lineno,
-                            f"section {section} declared {declared[section]} "
-                            f"entries but has {seen_in_section}",
-                        )
                     if section != max(declared):
                         fail(lineno, f"missing sections after {section}")
                     state = "done"
@@ -484,8 +469,9 @@ def read_arpa(path: str | Path) -> NGramModel:
                     lp = float(fields[0])
                 except ValueError:
                     fail(lineno, f"bad log probability in {line!r}")
-                if math.isnan(lp):
-                    fail(lineno, f"NaN log probability in {line!r}")
+                if not lp < math.inf:  # -inf is a zero probability, NaN compares false
+                    kind = "NaN" if math.isnan(lp) else "+inf"
+                    fail(lineno, f"{kind} log probability in {line!r}")
                 gram = tuple(fields[1].split())
                 if len(gram) != section:
                     fail(lineno, f"{len(gram)}-gram {gram!r} in section {section}")
@@ -496,8 +482,9 @@ def read_arpa(path: str | Path) -> NGramModel:
                         bow = float(fields[2])
                     except ValueError:
                         fail(lineno, f"bad back-off weight in {line!r}")
-                    if math.isnan(bow):
-                        fail(lineno, f"NaN back-off weight in {line!r}")
+                    if not bow < math.inf:
+                        kind = "NaN" if math.isnan(bow) else "+inf"
+                        fail(lineno, f"{kind} back-off weight in {line!r}")
                     model.backoff[gram] = bow
                 seen_in_section += 1
     if state != "done" or model is None:

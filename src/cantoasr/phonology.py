@@ -104,25 +104,6 @@ class Phone:
             return f"_{self.base}{self.tone}"
         return f"{self.base}{self.tone}"
 
-    @classmethod
-    def from_label(cls, label: str, scheme: str) -> "Phone":
-        """Invert ``label`` under the given scheme."""
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        if label.startswith("_"):
-            if scheme != SCHEME_ONC:
-                raise ValueError(f"coda label {label!r} is only valid under onc")
-            base, tone = label[1:-1], label[-1]
-            if not base or not tone.isdigit():
-                raise ValueError(f"bad coda label {label!r}")
-            return cls(scheme, "coda", base, int(tone))
-        if label and label[-1].isdigit():
-            base, tone = label[:-1], int(label[-1])
-            kind = "final" if scheme == SCHEME_IF else "nucleus"
-            return cls(scheme, kind, base, tone)
-        kind = "initial" if scheme == SCHEME_IF else "onset"
-        return cls(scheme, kind, label)
-
 
 class Inventory:
     """Immutable segment inventory with the final decomposition table.
@@ -372,15 +353,6 @@ class MergeRuleSet:
                 nuclei = frozenset(n.strip() for n in filt.split(",") if n.strip())
             rules.append(MergeRule(src.strip(), dst.strip(), nuclei))
         return cls(tuple(rules))
-
-    def format(self) -> str:
-        parts = []
-        for r in self.rules:
-            s = f"{r.from_coda}>{r.to_coda}"
-            if r.nuclei is not None:
-                s += "@" + ",".join(sorted(r.nuclei))
-            parts.append(s)
-        return ";".join(parts)
 
 
 def apply_merge(syl: Syllable, rules: MergeRuleSet) -> Syllable:

@@ -21,6 +21,7 @@ import numpy as np
 from .decoder import HMM_STATES_PER_PHONE, MatrixScorer, pdf_labels_for
 
 FRAME_SHIFT_SECONDS = 0.01
+MODEL_VARIANCE = 1.0
 
 
 class SimulationError(ValueError):
@@ -34,7 +35,6 @@ class SimConfig:
     feature_dim: int = 8
     noise_sigma: float = 0.3
     mean_scale: float = 1.0
-    model_variance: float = 1.0
     confusion: tuple[tuple[str, str, float], ...] = ()
 
     def __post_init__(self):
@@ -136,7 +136,7 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
     means = dict(zip(labels, mat))
     for a, b, p in expanded:
         means[b] = p * means[a] + (1.0 - p) * means[b]
-    return StateModel(means=means, variance=cfg.model_variance)
+    return StateModel(means=means, variance=MODEL_VARIANCE)
 
 
 def simulate_utterance(

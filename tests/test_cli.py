@@ -167,12 +167,13 @@ def test_nbest_nan_lattice_score_is_data_error(tmp_path, capsys):
     lines = demo_lattice_path().read_text(encoding="utf-8").splitlines()
     k = next(i for i, line in enumerate(lines) if line.startswith("arc "))
     fields = lines[k].split()
-    lines[k] = " ".join(fields[:4] + ["nan", fields[5]])
-    lat = tmp_path / "nan.lat"
-    lat.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run(capsys, "--json", "nbest", "--lattice", str(lat), "--n", "3")
-    assert code == 2 and out == ""
-    assert f"nan.lat:{k + 1}: " in err and "NaN arc score" in err
+    for value, what in [("nan", "NaN"), ("inf", "+inf")]:
+        lines[k] = " ".join(fields[:4] + [value, fields[5]])
+        lat = tmp_path / f"{value}.lat"
+        lat.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "--json", "nbest", "--lattice", str(lat), "--n", "3")
+        assert code == 2 and out == ""
+        assert f"{value}.lat:{k + 1}: " in err and f"{what} arc score" in err
 
 
 def test_rescore_cli(tmp_path, capsys):

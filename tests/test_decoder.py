@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cantoasr.decoder import (
+    BatchResult,
     DecodeError,
     DecodeParams,
     DecodeStats,
@@ -13,7 +14,6 @@ from cantoasr.decoder import (
     MatrixScorer,
     _cap,
     _score_matrix,
-    aggregate_rtf,
     batch_decode,
     build_graph,
     decode,
@@ -515,7 +515,9 @@ def test_rtf_arithmetic():
         tokens_expanded=100,
     )
     assert stats.rtf == pytest.approx(2.5 / 1.8, abs=1e-4)
-    assert aggregate_rtf([stats, stats]) == pytest.approx(2.5 / 1.8, abs=1e-4)
+    batch = BatchResult(wall_seconds=2 * 2.5, audio_seconds=2 * 1.8)
+    assert batch.rtf == pytest.approx(2.5 / 1.8, abs=1e-4)
+    assert BatchResult().rtf == 0.0
 
 
 def test_batch_decode_collects_errors():

@@ -1,4 +1,3 @@
-import json
 import random
 
 import numpy as np
@@ -10,7 +9,6 @@ from cantoasr.evaluate import (
     ErrorClassification,
     classify_errors,
     corpus_wer,
-    eval_report_json,
     format_classification,
     format_sweep_table,
     format_wer_table,
@@ -188,14 +186,6 @@ def test_sweep_marks_failed_cells():
     # an empty hypothesis rather than failing outright
     assert cells[0].failed is None
     assert cells[0].wer.rate == 1.0
-
-
-def test_report_json_shape():
-    r = wer("該罐裝奶含天然乳糖", "該罐裝奶含天然魚塘")
-    payload = json.loads(eval_report_json(r, 1.25, {"beam": 15.0}, [r.to_json()]))
-    assert payload["wer"]["S"] == 2 and payload["wer"]["N"] == 9
-    assert payload["rtf"] == 1.25
-    assert payload["params"]["beam"] == 15.0
 
 
 def test_wer_table_format():

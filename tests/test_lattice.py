@@ -113,17 +113,51 @@ def test_lattice_undeclared_node(tmp_path):
         read_lattice(p)
 
 
-@pytest.mark.parametrize("field", ["am", "lm"])
-def test_lattice_nan_score_names_the_line(tmp_path, field):
-    am, lm = ("nan", "-0.100000") if field == "am" else ("-1.000000", "nan")
+@pytest.mark.parametrize(
+    "field, value, what",
+    [
+        ("am", "nan", "NaN"),
+        ("lm", "nan", "NaN"),
+        ("am", "inf", r"\+inf"),
+        ("lm", "inf", r"\+inf"),
+    ],
+    ids=["am", "lm", "am_inf", "lm_inf"],
+)
+def test_lattice_nan_score_names_the_line(tmp_path, field, value, what):
+    am, lm = (value, "-0.100000") if field == "am" else ("-1.000000", value)
     p = tmp_path / "bad.lat"
     p.write_text(
         "LATTICE v1\nnode 0 0\nnode 1 5\nstart 0\nfinal 1\n"
         f"arc 0 1 天 {am} {lm}\n",
         encoding="utf-8",
     )
-    with pytest.raises(LatticeFormatError, match=r"bad\.lat:6: .*NaN arc score"):
+    with pytest.raises(LatticeFormatError, match=rf"bad\.lat:6: .*{what} arc score"):
         read_lattice(p)
+
+
+def test_lattice_neg_inf_score_is_valid(tmp_path):
+    p = tmp_path / "zero.lat"
+    p.write_text(
+        "LATTICE v1\nnode 0 0\nnode 1 5\nstart 0\nfinal 1\narc 0 1 天 -inf -0.100000\n",
+        encoding="utf-8",
+    )
+    assert read_lattice(p).arcs[0].am == -math.inf
+
+
+@pytest.mark.parametrize(
+    "line, what",
+    [("arc 0 9 天 -1.000000 -0.100000", "undeclared node"), ("arcs 0 1", "unrecognized line")],
+    ids=["undeclared_node", "unrecognized"],
+)
+def test_lattice_error_names_the_file_once(tmp_path, line, what):
+    p = tmp_path / "bad.lat"
+    p.write_text(
+        f"LATTICE v1\nnode 0 0\nnode 1 5\nstart 0\nfinal 1\n{line}\n", encoding="utf-8"
+    )
+    with pytest.raises(LatticeFormatError, match=what) as err:
+        read_lattice(p)
+    assert str(err.value).startswith(f"{p}:6: ")
+    assert str(err.value).count("bad.lat") == 1
 
 
 def test_lattice_rejects_cycles():

@@ -261,8 +261,13 @@ def test_arpa_truncated(tmp_path):
 
 @pytest.mark.parametrize(
     "line, what",
-    [("nan\ta\t-0.2", "NaN log probability"), ("-0.3\ta\tnan", "NaN back-off weight")],
-    ids=["logprob", "backoff"],
+    [
+        ("nan\ta\t-0.2", "NaN log probability"),
+        ("-0.3\ta\tnan", "NaN back-off weight"),
+        ("inf\ta\t-0.2", r"\+inf log probability"),
+        ("-0.3\ta\tinf", r"\+inf back-off weight"),
+    ],
+    ids=["logprob", "backoff", "logprob_inf", "backoff_inf"],
 )
 def test_arpa_rejects_nan(tmp_path, line, what):
     path = tmp_path / "bad.arpa"
@@ -273,6 +278,14 @@ def test_arpa_rejects_nan(tmp_path, line, what):
     )
     with pytest.raises(ArpaFormatError, match=rf"bad\.arpa:6: {what}"):
         read_arpa(path)
+
+
+def test_arpa_accepts_neg_inf(tmp_path):
+    path = tmp_path / "zero.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=2\n\n\\1-grams:\n-inf\ta\n-0.6\tb\n\n\\end\\\n", encoding="utf-8"
+    )
+    assert read_arpa(path).logprob[("a",)] == -math.inf
 
 
 def test_prefixes_always_present():

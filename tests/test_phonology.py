@@ -148,17 +148,6 @@ def test_scheme_consistency(inv):
             assert inv.final_for(nucleus, coda) == final
 
 
-def test_phone_labels_round_trip():
-    for phone in [
-        Phone("if", "initial", "l"),
-        Phone("if", "final", "ing", 4),
-        Phone("onc", "onset", "gw"),
-        Phone("onc", "nucleus", "aa", 1),
-        Phone("onc", "coda", "ng", 6),
-    ]:
-        assert Phone.from_label(phone.label, phone.scheme) == phone
-
-
 def test_phone_tone_rules():
     with pytest.raises(ValueError):
         Phone("if", "initial", "l", 3)
@@ -208,11 +197,6 @@ def test_merge_preserves_tone_and_nucleus(inv):
 def test_merge_rules_reject_identity():
     with pytest.raises(ValueError):
         MergeRuleSet.parse("t>t")
-
-
-def test_merge_rules_format_round_trip():
-    text = "ng>n@a,aa,o;t>k"
-    assert MergeRuleSet.parse(text).format() == text
 
 
 def test_tone_range():
