@@ -33,6 +33,7 @@ from .experiment import ExperimentError, load_experiment_config, run_experiment
 from .lattice import (
     best_path,
     nbest,
+    read_external_scores,
     read_lattice,
     rescore_external,
     rescore_ngram,
@@ -237,10 +238,7 @@ def cmd_rescore(args):
         )
         return 0
     if args.external:
-        scores = {}
-        for line in _read_lines(args.external):
-            text, _, lp = line.rpartition("\t")
-            scores[tuple(text.split())] = float(lp)
+        scores = read_external_scores(args.external)
         hyps = nbest(lat, args.n, args.lm_weight)
         rescored_hyps = rescore_external(hyps, scores, args.interpolation)
         payload = [

@@ -67,6 +67,7 @@ log = logging.getLogger(__name__)
 
 NEG_INF = -np.inf
 HMM_STATES_PER_PHONE = 3
+FRAME_SHIFT_SECONDS = 0.01
 DEFAULT_LATTICE_WIDTH = 10
 
 
@@ -122,11 +123,11 @@ class DecodeStats:
 class MatrixScorer:
     """Acoustic scores backed by a (frames x labels) matrix.
 
-    ``score(frame, label)`` returns a natural-log likelihood; the audio
-    duration annotation assumes a fixed frame shift (default 10 ms).
+    ``matrix[t, k]`` is the natural-log likelihood of frame ``t`` under
+    ``labels[k]``; the audio duration assumes a fixed 10 ms frame shift.
     """
 
-    def __init__(self, matrix: np.ndarray, labels: tuple[str, ...], frame_shift: float = 0.01):
+    def __init__(self, matrix: np.ndarray, labels: tuple[str, ...]):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != len(labels):
             raise ValueError("matrix must be (frames, len(labels))")
@@ -136,18 +137,13 @@ class MatrixScorer:
             raise ValueError("score matrix holds NaN or +inf")
         self.matrix = matrix
         self.labels = tuple(labels)
-        self.frame_shift = frame_shift
-        self._col = {lab: i for i, lab in enumerate(self.labels)}
 
     def num_frames(self) -> int:
         return self.matrix.shape[0]
 
     @property
     def audio_seconds(self) -> float:
-        return self.num_frames() * self.frame_shift
-
-    def score(self, frame: int, label: str) -> float:
-        return float(self.matrix[frame, self._col[label]])
+        return self.num_frames() * FRAME_SHIFT_SECONDS
 
 
 FSCR_MAGIC = b"FSCR"
@@ -169,7 +165,7 @@ def write_scores(path: str | Path, scorer: MatrixScorer) -> None:
     )
 
 
-def read_scores(path: str | Path, labels: tuple[str, ...] | None = None) -> MatrixScorer:
+def read_scores(path: str | Path) -> MatrixScorer:
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -182,11 +178,10 @@ def read_scores(path: str | Path, labels: tuple[str, ...] | None = None) -> Matr
         data = np.frombuffer(fh.read(frames * n_labels * 4), dtype="<f4")
     if data.size != frames * n_labels:
         raise ValueError(f"{path}: truncated score matrix")
-    if labels is None:
-        sidecar = Path(str(path) + ".labels")
-        if not sidecar.exists():
-            raise ValueError(f"{path}: no labels given and no {sidecar.name} sidecar")
-        labels = tuple(sidecar.read_text(encoding="utf-8").split())
+    sidecar = Path(str(path) + ".labels")
+    if not sidecar.exists():
+        raise ValueError(f"{path}: no {sidecar.name} sidecar")
+    labels = tuple(sidecar.read_text(encoding="utf-8").split())
     if len(labels) != n_labels:
         raise ValueError(f"{path}: {n_labels} columns but {len(labels)} labels")
     matrix = data.reshape(frames, n_labels).astype(np.float64)

@@ -5,7 +5,10 @@ from the same word list and the same character bigram LM, injects the
 configured coda-merge confusion into both acoustic simulators, decodes a
 shared utterance set under both schemes across a battery of seeds, and
 reports per-seed and pooled error rates, sentence-level error
-classification, and timing.
+classification, and timing.  Each scheme's state models are built once:
+every pair of means is separated, each confused pair's blend weight is
+derived from its distance in those separated means, and the blend is
+applied to them.
 
 Confusion derivation is where the scheme asymmetry lives.  A merge rule
 such as ``t>k@aa,a,o`` blends the affected units toward their merge
@@ -45,7 +48,7 @@ from .evaluate import (
 from .lexicon import compile_lexicon, demo_lexicon_path, lexicon_stats, read_lexicon
 from .ngram import read_corpus, train_ngram
 from .phonology import JyutpingError, MergeRuleSet, default_inventory
-from .simulate import SimConfig, build_state_models, simulate_utterance
+from .simulate import SimConfig, blend_confusions, build_state_models, simulate_utterance
 
 log = logging.getLogger(__name__)
 
@@ -204,31 +207,35 @@ def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
 def derive_confusions(
     inv,
     scheme: str,
-    labels: set[str],
+    models,
     rules: MergeRuleSet,
     p: float,
     base: float,
-    pair_distance=None,
-    reference_distance: float | None = None,
+    reference_distance: float,
 ) -> tuple[tuple[str, str, float], ...]:
     """Per-scheme confusion entries realizing a coda merge of strength p.
 
-    Each pair's blend fraction is ``b + (1-b) * p * exposure`` where the
-    exposure is 1 for a whole-final unit (it is only ever trained inside the
-    merging context) and the affected-context fraction for a shared coda
-    unit.  When the actual independent distance of a pair's means is known,
-    the blend weight is rescaled so the post-blend margin hits the same
-    target regardless of where the random draws landed, which keeps flip
-    rates comparable across model seeds.
+    Each pair's nominal blend fraction is ``b + (1-b) * p * exposure`` where
+    the exposure is 1 for a whole-final unit (it is only ever trained inside
+    the merging context) and the affected-context fraction for a shared coda
+    unit.  The weight is then rescaled from the pair's distance in the
+    separated ``models`` (the mean over its state pdfs), so that
+    ``blend_confusions`` leaves the pair ``(1 - nominal) *
+    reference_distance`` apart regardless of where the random draws landed,
+    which keeps flip rates comparable across model seeds.
     """
+    labels = {pdf.rpartition("#")[0] for pdf in models.labels}
     entries = []
     for a, b, exposure in _confusable_pairs(inv, scheme, labels, rules):
         blend = base + (1.0 - base) * p * exposure
-        if pair_distance is not None and reference_distance:
-            target_margin = (1.0 - blend) * reference_distance
-            actual = pair_distance(a, b)
-            if actual > 0:
-                blend = min(max(1.0 - target_margin / actual, 0.0), 1.0)
+        target_margin = (1.0 - blend) * reference_distance
+        gaps = [
+            float(np.linalg.norm(models.means[pa] - models.means[pb]))
+            for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b))
+        ]
+        actual = sum(gaps) / len(gaps)
+        if actual > 0:
+            blend = min(max(1.0 - target_margin / actual, 0.0), 1.0)
         entries.append((a, b, blend))
     return tuple(entries)
 
@@ -243,43 +250,29 @@ class SchemeSystem:
 
 
 def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSystem:
+    """Compile the scheme's lexicon and graph, then build its state models once:
+    separate every pair, derive the confusion weights from those means and blend."""
     lex = compile_lexicon(entries, scheme, inv)
     graph = build_graph(lex, lm)
-    rules = MergeRuleSet.parse(cfg.merge_rules)
-
-    def sim_config(confusion):
-        return SimConfig(
-            seed=cfg.seed,
-            frames_per_state=cfg.frames_per_state,
-            feature_dim=cfg.feature_dim,
-            noise_sigma=cfg.noise_sigma,
-            mean_scale=cfg.mean_scale,
-            confusion=confusion,
-        )
-
-    # first pass: independent means, to read off actual pair distances
-    clean = build_state_models(set(graph.pdf_labels), sim_config(()))
-
-    def pair_distance(a, b):
-        gaps = [
-            float(np.linalg.norm(clean.means[pa] - clean.means[pb]))
-            for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b))
-        ]
-        return sum(gaps) / len(gaps)
-
+    sim_cfg = SimConfig(
+        seed=cfg.seed,
+        frames_per_state=cfg.frames_per_state,
+        feature_dim=cfg.feature_dim,
+        noise_sigma=cfg.noise_sigma,
+        mean_scale=cfg.mean_scale,
+    )
+    separated = build_state_models(set(graph.pdf_labels), sim_cfg)
     confusion = derive_confusions(
         inv,
         scheme,
-        set(lex.labels),
-        rules,
+        separated,
+        MergeRuleSet.parse(cfg.merge_rules),
         cfg.confusion_p,
         cfg.base_similarity,
-        pair_distance=pair_distance,
+        # the expected distance of two independent means
         reference_distance=cfg.mean_scale * math.sqrt(2.0 * cfg.feature_dim),
     )
-    sim_cfg = sim_config(confusion)
-    models = build_state_models(set(graph.pdf_labels), sim_cfg)
-    return SchemeSystem(scheme, lex, graph, models, sim_cfg)
+    return SchemeSystem(scheme, lex, graph, blend_confusions(separated, confusion), sim_cfg)
 
 
 def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[tuple[str, ...]]:

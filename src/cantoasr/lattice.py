@@ -303,6 +303,26 @@ def rescore_external(
     return rescored
 
 
+def read_external_scores(path: str | Path) -> dict[tuple[str, ...], float]:
+    """``rescore_external``'s scores: one ``words<TAB>log prob`` line per hypothesis."""
+    scores = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text, tab, lp = line.strip().rpartition("\t")
+            if not lp:
+                continue
+            try:
+                if not tab:
+                    raise ValueError("expected 'words<TAB>log prob'")
+                score = float(lp)
+                if not score < math.inf:  # -inf is a zero probability, NaN compares false
+                    raise ValueError("NaN or +inf score")
+            except ValueError as exc:
+                raise LatticeFormatError(f"{path}:{lineno}: {exc} in {line.strip()!r}") from None
+            scores[tuple(text.split())] = score
+    return scores
+
+
 def write_lattice(lat: Lattice, path: str | Path) -> None:
     lines = ["LATTICE v1"]
     for node in sorted(lat.nodes):

@@ -7,10 +7,11 @@ the Gaussian log density of each drawn frame under every state's model.
 Scoring uses a fixed model variance so the zero-noise case stays
 well-defined; ``noise_sigma`` only controls the generation noise.
 
-Confusion entries blend one unit's mean toward another's, which is how
-coda-merge sound change is injected: the blend happens in the emission
-space, so schemes that share the underlying units experience the same
-degradation geometry.
+The state models are made in two steps.  ``build_state_models`` draws
+every pdf's mean and keeps every pair apart; ``blend_confusions`` then
+moves one unit's means toward another's, which is how coda-merge sound
+change is injected: the blend happens in the emission space, so schemes
+that share the underlying units experience the same degradation geometry.
 """
 
 import zlib
@@ -18,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoder import HMM_STATES_PER_PHONE, MatrixScorer, pdf_labels_for
+from .decoder import MatrixScorer, pdf_labels_for
 
-FRAME_SHIFT_SECONDS = 0.01
 MODEL_VARIANCE = 1.0
 
 
@@ -35,7 +35,6 @@ class SimConfig:
     feature_dim: int = 8
     noise_sigma: float = 0.3
     mean_scale: float = 1.0
-    confusion: tuple[tuple[str, str, float], ...] = ()
 
     def __post_init__(self):
         lo, hi = self.frames_per_state
@@ -43,11 +42,6 @@ class SimConfig:
             raise SimulationError(f"bad frames_per_state range {self.frames_per_state}")
         if self.noise_sigma < 0:
             raise SimulationError("noise_sigma must be >= 0")
-        for a, b, p in self.confusion:
-            if not 0.0 <= p <= 1.0:
-                raise SimulationError(f"confusion probability {p} outside [0, 1]")
-            if a == b:
-                raise SimulationError(f"confusion pair must differ, got {a!r}")
 
 
 @dataclass
@@ -68,32 +62,14 @@ def _label_rng(seed: int, label: str) -> np.random.Generator:
     )
 
 
-def _expand_confusion(
-    entry: tuple[str, str, float], labels: set[str]
-) -> list[tuple[str, str, float]]:
-    """Phone-label entries apply to all three state pdfs; pdf-label entries
-    apply directly."""
-    a, b, p = entry
-    if a in labels and b in labels:
-        return [(a, b, p)]
-    expanded = []
-    for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b)):
-        if pa not in labels or pb not in labels:
-            raise SimulationError(f"confusion names unknown label {a!r}/{b!r}")
-        expanded.append((pa, pb, p))
-    return expanded
-
-
 def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> StateModel:
-    """Deterministic seed-derived means with separation enforcement.
+    """Deterministic seed-derived means, every pair at least ``4 * noise_sigma`` apart.
 
-    Non-confused label pairs are kept at least ``4 * noise_sigma`` apart by
-    redrawing the lexicographically later mean (separation is enforced on
-    the independent draws; the confusion blend is applied afterwards).  The
-    conflicting pairs are those of the first draws, taken in row-major
-    order; each redraw overwrites its label's row of one (labels x dim)
-    matrix in place, and is checked against the current rows of every label
-    it is not confused with.
+    Separation redraws the lexicographically later mean of each pair that
+    is too close.  The conflicting pairs are those of the first draws, taken
+    in row-major order; each redraw overwrites its label's row of one
+    (labels x dim) matrix in place, and is checked against the current rows
+    of every other label.
     """
     labels = sorted(set(labels))
     if not labels:
@@ -101,27 +77,13 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
     rngs = [_label_rng(cfg.seed, lab) for lab in labels]
     mat = np.stack([rng.normal(0.0, cfg.mean_scale, cfg.feature_dim) for rng in rngs])
 
-    expanded: list[tuple[str, str, float]] = []
-    for entry in cfg.confusion:
-        expanded.extend(_expand_confusion(entry, set(labels)))
-    index = {lab: k for k, lab in enumerate(labels)}
-    exempt: list[list[int]] = [[] for _ in labels]
-    for a, b, _ in expanded:
-        exempt[index[a]].append(index[b])
-        exempt[index[b]].append(index[a])
-
     floor = 4.0 * cfg.noise_sigma
     if floor > 0.0 and len(labels) > 1:
         dist = np.sqrt(np.sum((mat[:, None] - mat[None, :]) ** 2, axis=2))
         upper = np.triu(np.ones_like(dist, dtype=bool), 1)
-        for i, j in np.argwhere((dist < floor) & upper):
-            if i in exempt[j]:
-                continue
-            # redraw the later label until it clears every non-exempt mean
-            others = np.ones(len(labels), dtype=bool)
-            others[j] = False
-            others[exempt[j]] = False
-            other_mat = mat[others]
+        for j in np.argwhere((dist < floor) & upper)[:, 1]:
+            # redraw the later label until it clears every other mean
+            other_mat = np.delete(mat, j, axis=0)
             for tries in range(101):
                 gaps = np.sqrt(np.sum((other_mat - mat[j]) ** 2, axis=1))
                 if gaps.min() >= floor:
@@ -132,11 +94,40 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
                         f"lower noise_sigma"
                     )
                 mat[j] = rngs[j].normal(0.0, cfg.mean_scale, cfg.feature_dim)
+    return StateModel(means=dict(zip(labels, mat)), variance=MODEL_VARIANCE)
 
-    means = dict(zip(labels, mat))
-    for a, b, p in expanded:
-        means[b] = p * means[a] + (1.0 - p) * means[b]
-    return StateModel(means=means, variance=MODEL_VARIANCE)
+
+def blend_confusions(
+    models: StateModel, entries: tuple[tuple[str, str, float], ...]
+) -> StateModel:
+    """``models`` with each entry ``(a, b, p)`` blending phone ``b`` toward ``a``.
+
+    For each of the two phones' state pdfs in turn, ``means[b] = p *
+    means[a] + (1 - p) * means[b]``; the entries apply in order.
+    """
+    means = dict(models.means)
+    for a, b, p in entries:
+        if not 0.0 <= p <= 1.0:
+            raise SimulationError(f"confusion probability {p} outside [0, 1]")
+        if a == b:
+            raise SimulationError(f"confusion pair must differ, got {a!r}")
+        for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b)):
+            if pa not in means or pb not in means:
+                raise SimulationError(f"confusion names unknown label {a!r}/{b!r}")
+            means[pb] = p * means[pa] + (1.0 - p) * means[pb]
+    return StateModel(means=means, variance=models.variance)
+
+
+def _state_draws(phone_seq, models: StateModel, cfg: SimConfig, salt: int):
+    """``(pdf, duration, noise)`` for each HMM state of ``phone_seq``, in draw order."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
+    lo, hi = cfg.frames_per_state
+    for phone in phone_seq:
+        for pdf in pdf_labels_for(phone):
+            if pdf not in models.means:
+                raise SimulationError(f"phone {phone!r} has no model for {pdf!r}")
+            duration = int(rng.integers(lo, hi + 1))
+            yield pdf, duration, rng.standard_normal((duration, cfg.feature_dim))
 
 
 def simulate_utterance(
@@ -152,23 +143,11 @@ def simulate_utterance(
     The returned scorer covers every label in ``models`` and carries the
     10 ms-per-frame audio-duration annotation.
     """
-    state_labels = []
-    for phone in phone_seq:
-        for pdf in pdf_labels_for(phone):
-            if pdf not in models.means:
-                raise SimulationError(f"phone {phone!r} has no model for {pdf!r}")
-            state_labels.append(pdf)
-    if not state_labels:
-        raise SimulationError("empty phone sequence")
-
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
-    lo, hi = cfg.frames_per_state
     frames = []
-    for pdf in state_labels:
-        duration = int(rng.integers(lo, hi + 1))
-        mean = models.means[pdf]
-        noise = rng.standard_normal((duration, cfg.feature_dim))
-        frames.append(mean + cfg.noise_sigma * noise)
+    for pdf, _, noise in _state_draws(phone_seq, models, cfg, salt):
+        frames.append(models.means[pdf] + cfg.noise_sigma * noise)
+    if not frames:
+        raise SimulationError("empty phone sequence")
     feats = np.concatenate(frames, axis=0)
 
     labels = models.labels
@@ -182,20 +161,13 @@ def simulate_utterance(
         + np.sum(mean_mat**2, axis=1)[None, :]
     )
     matrix = -0.5 * d * np.log(2.0 * np.pi * v) - sq / (2.0 * v)
-    return MatrixScorer(matrix, labels, FRAME_SHIFT_SECONDS)
+    return MatrixScorer(matrix, labels)
 
 
 def true_label_sequence(
     phone_seq: list[str], models: StateModel, cfg: SimConfig, salt: int = 0
 ) -> list[str]:
-    """The generating pdf label of every frame, for diagnostics (replays the
-    duration draws of ``simulate_utterance``)."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
-    lo, hi = cfg.frames_per_state
-    out = []
-    for phone in phone_seq:
-        for pdf in pdf_labels_for(phone):
-            duration = int(rng.integers(lo, hi + 1))
-            rng.standard_normal((duration, cfg.feature_dim))
-            out.extend([pdf] * duration)
-    return out
+    """The generating pdf label of every frame, for diagnostics (the same
+    draws as ``simulate_utterance``)."""
+    draws = _state_draws(phone_seq, models, cfg, salt)
+    return [pdf for pdf, duration, _ in draws for _ in range(duration)]

@@ -214,6 +214,22 @@ def test_rescore_external_cli(tmp_path, capsys):
     assert json.loads(out)[0]["text"] == "合共九千九百萬元"
 
 
+@pytest.mark.parametrize(
+    "bad, why",
+    [("合 共 九 千 九 百 萬 元\tnan", "NaN or +inf score"), ("合 共 九 千 九 百 萬 元 -2.0", "TAB")],
+    ids=["nan", "no_tab"],
+)
+def test_rescore_external_bad_scores_name_the_line(tmp_path, capsys, bad, why):
+    ext = tmp_path / "scores.tsv"
+    ext.write_text(f"合 共 九 千 九 百 萬 圓\t-1.0\n\n{bad}\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--json", "rescore", "--lattice", str(demo_lattice_path()),
+        "--external", str(ext), "--n", "1",
+    )
+    assert code == 2 and out == ""
+    assert "scores.tsv:3: " in err and why in err
+
+
 def test_score_wer_identical_files(tmp_path, capsys):
     ref = tmp_path / "r.txt"
     hyp = tmp_path / "h.txt"

@@ -1,17 +1,22 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cantoasr import experiment
 from cantoasr.experiment import (
     ExperimentConfig,
     ExperimentError,
-    derive_confusions,
+    _build_system,
+    _confusable_pairs,
     load_experiment_config,
     merge_dilution,
     run_experiment,
 )
-from cantoasr.lexicon import compile_lexicon, demo_lexicon_path, read_lexicon
+from cantoasr.lexicon import read_lexicon
+from cantoasr.ngram import read_corpus, train_ngram
 from cantoasr.phonology import MergeRuleSet, default_inventory
 
 DEMO_CFG = Path(__file__).parent.parent / "src/cantoasr/data/demo_experiment.cfg"
@@ -37,24 +42,59 @@ def test_merge_dilution_counts():
     assert merge_dilution(inv, rules.rules[1]) == pytest.approx(3 / 7)
 
 
-def test_derive_confusions_asymmetry():
+def post_blend_gaps(scheme, cfg):
+    """Per confused pair of the scheme's system: its blend exposure, its
+    nominal blend weight and the mean gap of its three blended pdf means."""
     inv = default_inventory()
-    entries = read_lexicon(demo_lexicon_path())
-    rules = MergeRuleSet.parse("t>k@aa,a,o")
-    p, base = 0.5, 0.8
-    labels_if = set(compile_lexicon(entries, "if", inv).labels)
-    labels_onc = set(compile_lexicon(entries, "onc", inv).labels)
-    conf_if = derive_confusions(inv, "if", labels_if, rules, p, base)
-    conf_onc = derive_confusions(inv, "onc", labels_onc, rules, p, base)
-    assert all(a.endswith(tuple("123456")) and not a.startswith("_") for a, _, _ in conf_if)
-    assert all(a.startswith("_k") and b.startswith("_t") for a, b, _ in conf_onc)
+    lm = train_ngram(read_corpus(cfg.corpus_path), order=2, smoothing="witten_bell")
+    system = _build_system(scheme, read_lexicon(cfg.lexicon_path), inv, lm, cfg)
+    means = system.models.means
+    rules = MergeRuleSet.parse(cfg.merge_rules)
+    out = {}
+    for a, b, exposure in _confusable_pairs(inv, scheme, set(system.lex.labels), rules):
+        nominal = cfg.base_similarity + (1 - cfg.base_similarity) * cfg.confusion_p * exposure
+        gaps = [np.linalg.norm(means[f"{a}#{k}"] - means[f"{b}#{k}"]) for k in range(3)]
+        out[a, b] = (exposure, nominal, sum(gaps) / 3)
+    return out
+
+
+def test_derive_confusions_asymmetry(tmp_path):
+    cfg = small_config(tmp_path, merge_rules="t>k@aa,a,o", confusion_p=0.5, base_similarity=0.8)
+    reference = cfg.mean_scale * math.sqrt(2 * cfg.feature_dim)
+    gaps_if = post_blend_gaps("if", cfg)
+    gaps_onc = post_blend_gaps("onc", cfg)
+    assert gaps_if and gaps_onc
+    assert all(a.endswith(tuple("123456")) and not a.startswith("_") for a, _ in gaps_if)
+    assert all(a.startswith("_k") and b.startswith("_t") for a, b in gaps_onc)
     # the whole-final units absorb the full merge strength, the shared coda
-    # units only the diluted share
-    w_if = conf_if[0][2]
-    w_onc = conf_onc[0][2]
-    assert w_if == pytest.approx(base + (1 - base) * p)
-    assert w_onc == pytest.approx(base + (1 - base) * p * (3 / 7))
-    assert w_onc < w_if
+    # units only the diluted share, so the coda pairs stay further apart
+    for _, _, gap in gaps_if.values():
+        assert gap == pytest.approx((1 - (0.8 + 0.2 * 0.5)) * reference, abs=1e-9)
+    for _, _, gap in gaps_onc.values():
+        assert gap == pytest.approx((1 - (0.8 + 0.2 * 0.5 * 3 / 7)) * reference, abs=1e-9)
+    assert max(g for *_, g in gaps_if.values()) < min(g for *_, g in gaps_onc.values())
+
+
+# at these seeds a confused pair of the parent design's clean build (read
+# for the pair distances) and of its blended build drew different means
+@pytest.mark.parametrize("scheme, seed", [("if", 81), ("if", 169), ("onc", 71), ("onc", 180)])
+def test_blend_hits_the_target_margin(tmp_path, scheme, seed):
+    cfg = load_experiment_config(DEMO_CFG, seed=seed, out_dir=tmp_path)
+    reference = cfg.mean_scale * math.sqrt(2 * cfg.feature_dim)
+    gaps = post_blend_gaps(scheme, cfg)
+    assert gaps
+    for _, nominal, gap in gaps.values():
+        assert gap == pytest.approx((1 - nominal) * reference, abs=1e-9)
+
+
+def test_one_state_model_build_per_scheme(tmp_path, monkeypatch):
+    calls = []
+    build = experiment.build_state_models
+    monkeypatch.setattr(
+        experiment, "build_state_models", lambda *args: calls.append(args) or build(*args)
+    )
+    run_experiment(small_config(tmp_path / "out", num_seeds=1, num_utterances=2))
+    assert len(calls) == 2
 
 
 def test_config_file_round_trip(tmp_path):
