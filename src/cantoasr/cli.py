@@ -31,6 +31,8 @@ from .evaluate import (
 )
 from .experiment import ExperimentError, load_experiment_config, run_experiment
 from .lattice import (
+    DEFAULT_LM_WEIGHT,
+    DEFAULT_NBEST,
     best_path,
     nbest,
     read_external_scores,
@@ -48,6 +50,7 @@ from .lexicon import (
     write_phone_lexicon,
 )
 from .ngram import (
+    DEFAULT_SMOOTHING,
     ArpaFormatError,
     interpolate,
     perplexity,
@@ -362,10 +365,10 @@ def _add_lexicon_args(parser):
 
 
 def _add_decode_args(parser):
-    parser.add_argument("--beam", type=float, default=15.0)
-    parser.add_argument("--max-active", type=int, default=7000)
-    parser.add_argument("--lm-weight", type=float, default=10.0)
-    parser.add_argument("--lattice-width", type=int, default=10)
+    parser.add_argument("--beam", type=float, default=DecodeParams.beam)
+    parser.add_argument("--max-active", type=int, default=DecodeParams.max_active)
+    parser.add_argument("--lm-weight", type=float, default=DecodeParams.lm_weight)
+    parser.add_argument("--lattice-width", type=int, default=DecodeParams.lattice_width)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = lm_sub.add_parser("train")
     pt.add_argument("--corpus", required=True)
     pt.add_argument("--order", type=int, default=2)
-    pt.add_argument("--smoothing", choices=["none", "witten_bell"], default="witten_bell")
+    pt.add_argument("--smoothing", choices=["none", "witten_bell"], default=DEFAULT_SMOOTHING)
     pt.add_argument("--out", required=True)
     pt.set_defaults(func=cmd_lm_train)
     pi = lm_sub.add_parser("interpolate")
@@ -432,15 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", default=None, help="higher-order ARPA model")
     p.add_argument("--external", default=None, help="TSV of 'words<TAB>logprob'")
     p.add_argument("--interpolation", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--lm-weight", type=float, default=10.0)
+    p.add_argument("--n", type=int, default=DEFAULT_NBEST)
+    p.add_argument("--lm-weight", type=float, default=DEFAULT_LM_WEIGHT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rescore)
 
     p = sub.add_parser("nbest", help="n best lattice hypotheses")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--lm-weight", type=float, default=10.0)
+    p.add_argument("--n", type=int, default=DEFAULT_NBEST)
+    p.add_argument("--lm-weight", type=float, default=DEFAULT_LM_WEIGHT)
     p.set_defaults(func=cmd_nbest)
 
     p = sub.add_parser("score", help="error rates and error classification")
@@ -460,17 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--beams", default="15")
-    p.add_argument("--max-actives", default="7000")
-    p.add_argument("--lm-weight", type=float, default=10.0)
+    p.add_argument("--beams", default=str(DecodeParams.beam))
+    p.add_argument("--max-actives", default=str(DecodeParams.max_active))
+    p.add_argument("--lm-weight", type=float, default=DecodeParams.lm_weight)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="synthesize a score matrix for words")
     _add_lexicon_args(p)
     p.add_argument("--text", required=True, help="space-separated lexicon words")
     p.add_argument("--out", required=True)
-    p.add_argument("--noise-sigma", type=float, default=0.3)
-    p.add_argument("--frames-per-state", default="2:5")
+    p.add_argument("--noise-sigma", type=float, default=SimConfig.noise_sigma)
+    p.add_argument("--frames-per-state", default="%d:%d" % SimConfig.frames_per_state)
     p.add_argument("--salt", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 

@@ -22,12 +22,12 @@ of its record.
 
 Pronunciations are laid out as consecutive state ids (entry state, chain,
 junction), so every emitting state ``s`` has exactly two arcs, ``s -> s``
-and ``s -> s + 1``, both emitting ``state_pdf[s]`` with one of two global
-log weights; the graph stores that topology, not an arc list.  The
-emitting step is shifted arithmetic over the active states: self-loop
-scores land on ``s`` and forward scores on ``s + 1``, and where the two
-tie the forward arc wins (it has the lower id in the global arc order that
-``emitting_arcs`` yields).
+and ``s -> s + 1``, both emitting ``state_pdf[s]`` with the one log
+weight ``TRANSITION_LOG_PROB``; the graph stores that topology, not an arc
+list.  Both arcs of a state carry the same score, so the emitting step
+computes it once per active state and lands it on ``s`` and on ``s + 1``;
+where a self-loop and a forward arc tie the forward arc wins (it has the
+lower id in the global arc order that ``emitting_arcs`` yields).
 
 Decoding is frame-synchronous token passing with at most one surviving
 token per graph state, beam pruning, and a hard cap on surviving tokens
@@ -39,15 +39,14 @@ The beam is measured from the best token that can still end on a word
 boundary: a token at emitting position ``k`` of an ``L``-state chain needs
 ``L - k`` more frames (``frames_to_word_end``), so near the end of the
 utterance a token that cannot finish in the frames left does not set the
-reference, though it is kept or pruned like any other.  With the default
-transition weights a wider beam never turns a successful decode into a
-failure (see ``decode``).  The combined score is not promised to rise with
-the beam: a wider beam can raise the reference and so prune a token that a
-narrower one kept, and the single hub keeps only one word-end token per
-frame.  The per-frame work is vectorized over the active set only, so
-tighter pruning genuinely reduces wall-clock time.  Transition weights are
-folded into the acoustic total so a hypothesis score is always
-``am_total + lm_weight * lm_total``.
+reference, though it is kept or pruned like any other.  A wider beam
+never turns a successful decode into a failure (see ``decode``).  The
+combined score is not promised to rise with the beam: a wider beam can
+raise the reference and so prune a token that a narrower one kept, and the
+single hub keeps only one word-end token per frame.  The per-frame work is
+vectorized over the active set only, so tighter pruning genuinely reduces
+wall-clock time.  Transition weights are folded into the acoustic total so
+a hypothesis score is always ``am_total + lm_weight * lm_total``.
 """
 
 import logging
@@ -68,7 +67,8 @@ log = logging.getLogger(__name__)
 NEG_INF = -np.inf
 HMM_STATES_PER_PHONE = 3
 FRAME_SHIFT_SECONDS = 0.01
-DEFAULT_LATTICE_WIDTH = 10
+# every emitting state's self-loop and forward arc are equally likely
+TRANSITION_LOG_PROB = math.log(0.5)
 
 
 class GraphError(ValueError):
@@ -79,12 +79,16 @@ class DecodeError(RuntimeError):
     pass
 
 
+class ScoreFormatError(ValueError):
+    """A malformed FSCR score file; the message names the file."""
+
+
 @dataclass(frozen=True)
 class DecodeParams:
     beam: float = 15.0
     max_active: int = 7000
     lm_weight: float = 10.0
-    lattice_width: int = DEFAULT_LATTICE_WIDTH
+    lattice_width: int = 10
 
     def __post_init__(self):
         if self.beam <= 0 or self.max_active <= 0 or self.lm_weight <= 0:
@@ -166,29 +170,30 @@ def write_scores(path: str | Path, scorer: MatrixScorer) -> None:
 
 
 def read_scores(path: str | Path) -> MatrixScorer:
+    """Read an FSCR file and its ``.labels`` sidecar."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FSCR_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected FSCR")
+            raise ScoreFormatError(f"{path}: bad magic {magic!r}, expected FSCR")
         header = fh.read(8)
         if len(header) != 8:
-            raise ValueError(f"{path}: truncated FSCR header")
+            raise ScoreFormatError(f"{path}: truncated FSCR header")
         frames, n_labels = struct.unpack("<II", header)
         data = np.frombuffer(fh.read(frames * n_labels * 4), dtype="<f4")
     if data.size != frames * n_labels:
-        raise ValueError(f"{path}: truncated score matrix")
+        raise ScoreFormatError(f"{path}: truncated score matrix")
     sidecar = Path(str(path) + ".labels")
     if not sidecar.exists():
-        raise ValueError(f"{path}: no {sidecar.name} sidecar")
+        raise ScoreFormatError(f"{path}: no {sidecar.name} sidecar")
     labels = tuple(sidecar.read_text(encoding="utf-8").split())
     if len(labels) != n_labels:
-        raise ValueError(f"{path}: {n_labels} columns but {len(labels)} labels")
+        raise ScoreFormatError(f"{path}: {n_labels} columns but {len(labels)} labels")
     matrix = data.reshape(frames, n_labels).astype(np.float64)
     try:
         return MatrixScorer(matrix, labels)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ScoreFormatError(f"{path}: {exc}") from None
 
 
 def pdf_labels_for(phone_label: str) -> tuple[str, ...]:
@@ -199,16 +204,11 @@ def pdf_labels_for(phone_label: str) -> tuple[str, ...]:
 class SearchGraph:
     """Compiled word-loop graph with flat arrays for fast decoding."""
 
-    def __init__(self, lex: PhoneLexicon, lm: NGramModel, self_loop_prob: float):
+    def __init__(self, lex: PhoneLexicon, lm: NGramModel):
         if not lex.entries:
             raise GraphError("empty lexicon")
         if lm.order != 2:
             raise GraphError(f"decoding LM must be a bigram, got order {lm.order}")
-        if not 0.0 < self_loop_prob < 1.0:
-            raise GraphError("self_loop_prob must be in (0, 1)")
-        self.scheme = lex.scheme
-        self.lm = lm
-        self.self_loop_prob = self_loop_prob
 
         self.pdf_labels = tuple(
             sorted({p for lab in lex.labels for p in pdf_labels_for(lab)})
@@ -233,8 +233,6 @@ class SearchGraph:
         # every emitting state s has a self-loop and a forward arc to s + 1,
         # both emitting state_pdf[s]; the last state of a chain moves to its
         # junction, which with the hub emits nothing (state_pdf -1)
-        self.w_self = math.log(self_loop_prob)
-        self.w_fwd = math.log(1.0 - self_loop_prob)
         state_pdf: list[int] = [-1]
         entry_states: list[int] = []
         j_states: list[int] = []
@@ -271,9 +269,9 @@ class SearchGraph:
         # and the junctions, L - k at position k of a length-L chain
         self.frames_to_word_end = np.asarray(to_end, dtype=np.int32)
 
-        self._build_lm_tables()
+        self._build_lm_tables(lm)
 
-    def _build_lm_tables(self) -> None:
+    def _build_lm_tables(self, lm: NGramModel) -> None:
         """Per-word LM costs factored as first-char-given-context + inner.
 
         ``pron_lm[c, p]`` is the LM cost of pronunciation ``p``'s word after
@@ -292,12 +290,12 @@ class SearchGraph:
             firsts.append(toks[0])
             total = 0.0
             for prev, tok in zip(toks, toks[1:]):
-                total += ln10 * self.lm.logprob10(tok, (prev,))
+                total += ln10 * lm.logprob10(tok, (prev,))
             inner[w] = total
-        word_lm = ln10 * self.lm.bigram_log10_table(ctx_tokens, firsts) + inner
+        word_lm = ln10 * lm.bigram_log10_table(ctx_tokens, firsts) + inner
         self.pron_lm = word_lm[:, self.j_words]
         self.end_lm = np.array(
-            [ln10 * self.lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
+            [ln10 * lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
         )
         self.word_end_ctx = np.array(
             [self.ctx_ids[self.word_tokens[w][-1]] for w in self.words],
@@ -309,8 +307,8 @@ class SearchGraph:
         state in ascending order, its self-loop, then its forward arc."""
         for s, pdf in enumerate(self.state_pdf.tolist()):
             if pdf >= 0:
-                yield (s, s, pdf, self.w_self)
-                yield (s, s + 1, pdf, self.w_fwd)
+                yield (s, s, pdf, TRANSITION_LOG_PROB)
+                yield (s, s + 1, pdf, TRANSITION_LOG_PROB)
 
     def entry_word_pairs(self):
         """(entry state, word) per pronunciation, in construction order."""
@@ -327,10 +325,8 @@ class SearchGraph:
         }
 
 
-def build_graph(
-    lex: PhoneLexicon, lm: NGramModel, self_loop_prob: float = 0.5
-) -> SearchGraph:
-    return SearchGraph(lex, lm, self_loop_prob)
+def build_graph(lex: PhoneLexicon, lm: NGramModel) -> SearchGraph:
+    return SearchGraph(lex, lm)
 
 
 def _score_matrix(graph: SearchGraph, scorer: MatrixScorer) -> np.ndarray:
@@ -370,15 +366,15 @@ def decode(
     Raises ``DecodeError`` when the scorer lacks a graph pdf label or has no
     frames, when no token is left to expand or to keep at some frame, or
     when no surviving token is at a word boundary after the final frame.
-    With finite scores, ``self_loop_prob >= 0.5`` (the default) and a
-    ``max_active`` that never binds, the last two happen only when the
-    utterance is shorter than every pronunciation: a chain's last state then
-    scores at least as high as its word end, so the best viable token can be
-    taken in a chain, where it survives the beam and has a viable successor
-    (its self-loop, or its forward arc when it must move on).  So every
-    beam succeeds exactly when the unpruned search does, and a wider beam
-    never turns a success into a failure.  A binding ``max_active`` can drop
-    every token that could still finish, since it ranks by score alone.
+    With finite scores and a ``max_active`` that never binds, the last two
+    happen only when the utterance is shorter than every pronunciation: a
+    chain's last state scores at least as high as its word end (its
+    self-loop weighs what its forward arc weighs), so the best viable token
+    can be taken in a chain, where it survives the beam and has a viable
+    successor (its self-loop, or its forward arc when it must move on).  So
+    every beam succeeds exactly when the unpruned search does, and a wider
+    beam never turns a success into a failure.  A binding ``max_active`` can
+    drop every token that could still finish, since it ranks by score alone.
     """
     params = params or DecodeParams()
     am = _score_matrix(graph, scorer)
@@ -421,7 +417,6 @@ def decode(
     active_total = 0
     state_pdf = graph.state_pdf
     emitting = state_pdf >= 0
-    w_self, w_fwd = graph.w_self, graph.w_fwd
     to_end = graph.frames_to_word_end
     horizon = int(to_end.max())
     hub = graph.hub
@@ -435,24 +430,23 @@ def decode(
         em = act[is_em]
         if em.size == 0:
             raise DecodeError(f"no surviving tokens to expand at frame {t}")
-        # self-loops into em, then forward arcs into em + 1; a forward arc
-        # wins a tie (it has the lower arc id).  Every sum runs (v + w) + am:
+        # both arcs of a state score the same: the self-loop lands it on em,
+        # the forward arc on em + 1 where it ties or beats the self-loop
+        # there (it has the lower arc id).  Every sum runs (v + w) + am:
         # another order moves scores in their last bits.
         e = am[t].take(state_pdf.take(em))
-        ve = vals[is_em]
+        sc = vals[is_em] + TRANSITION_LOG_PROB + e
         nv.fill(NEG_INF)
-        nv[em] = ve + w_self + e
-        fc = ve + w_fwd + e
-        win = (fc >= nv[em + 1]).nonzero()[0]
+        nv[em] = sc
+        win = (sc >= nv[em + 1]).nonzero()[0]
         src = em[win]
         dst = src + 1
-        nv[dst] = fc[win]
+        nv[dst] = sc[win]
         # a self-loop keeps its state's record, so only forward winners copy
-        # it; every gather below reads the previous frame's values before
-        # its scatter writes
-        am_prev = v_am[em]
-        v_am[em] = am_prev + w_self + e
-        v_am[dst] = am_prev[win] + w_fwd + e[win]
+        # it; the gather of v_am reads the previous frame's values
+        em_am = v_am[em] + TRANSITION_LOG_PROB + e
+        v_am[em] = em_am
+        v_am[dst] = em_am[win]
         rec[dst] = rec[src]
 
         # epsilon closure: word-end arcs into the hub, then word entries

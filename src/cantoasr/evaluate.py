@@ -187,17 +187,15 @@ def format_classification(
 class SweepCell:
     beam: float
     max_active: int
-    wer: WerResult | None = None
-    rtf: float = 0.0
-    failed: str | None = None
+    wer: WerResult
+    rtf: float
 
     def to_json(self) -> dict:
         return {
             "beam": self.beam,
             "max_active": self.max_active,
-            "wer": self.wer.to_json() if self.wer else None,
+            "wer": self.wer.to_json(),
             "rtf": self.rtf,
-            "failed": self.failed,
         }
 
 
@@ -207,16 +205,19 @@ def sweep(
     beams: list[float],
     max_actives: list[int],
     refs: list[str],
-    lm_weight: float = 10.0,
-    lattice_width: int = 10,
+    lm_weight: float = DecodeParams.lm_weight,
+    lattice_width: int = DecodeParams.lattice_width,
 ) -> list[SweepCell]:
     """One batch decode per (beam, max_active) grid point.
 
-    Cells where the whole batch fails are marked failed rather than
-    aborting the sweep.  Rows come back sorted by (beam, max_active).
+    ``refs[i]`` is the reference of ``scorers[i]``.  An utterance that fails
+    to decode scores as an empty hypothesis.  Rows come back sorted by
+    (beam, max_active).
     """
     if not beams or not max_actives:
         raise ValueError("empty sweep grid")
+    if len(refs) != len(scorers):
+        raise ValueError(f"{len(refs)} references for {len(scorers)} score matrices")
     cells = []
     for beam in sorted(beams):
         for max_active in sorted(max_actives):
@@ -226,33 +227,22 @@ def sweep(
                 lm_weight=lm_weight,
                 lattice_width=lattice_width,
             )
-            cell = SweepCell(beam=beam, max_active=max_active)
-            try:
-                batch = batch_decode(graph, scorers, params)
-                pairs = []
-                for ref, result in zip(refs, batch.results):
-                    hyp = result.hypothesis.text if result.hypothesis else ""
-                    pairs.append((ref, hyp))
-                cell.wer = corpus_wer(pairs)
-                cell.rtf = batch.rtf
-            except (ValueError, RuntimeError) as exc:
-                cell.failed = str(exc)
-            cells.append(cell)
+            batch = batch_decode(graph, scorers, params)
+            pairs = []
+            for ref, result in zip(refs, batch.results):
+                hyp = result.hypothesis.text if result.hypothesis else ""
+                pairs.append((ref, hyp))
+            cells.append(SweepCell(beam, max_active, corpus_wer(pairs), batch.rtf))
     return cells
 
 
 def format_sweep_table(cells: list[SweepCell]) -> str:
     lines = [f"{'beam':>8} {'max_active':>11} {'WER':>8} {'RTF':>9}"]
     for cell in cells:
-        if cell.failed:
-            lines.append(
-                f"{cell.beam:>8.1f} {cell.max_active:>11} {'failed':>8} {'-':>9}"
-            )
-        else:
-            lines.append(
-                f"{cell.beam:>8.1f} {cell.max_active:>11} "
-                f"{cell.wer.percent:>8} {cell.rtf:>9.5f}"
-            )
+        lines.append(
+            f"{cell.beam:>8.1f} {cell.max_active:>11} "
+            f"{cell.wer.percent:>8} {cell.rtf:>9.5f}"
+        )
     return "\n".join(lines)
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .decoder import BatchResult, DecodeParams, batch_decode, build_graph, pdf_labels_for
 from .evaluate import (
+    WerResult,
     classify_errors,
     corpus_wer,
     format_classification,
@@ -225,12 +226,13 @@ def derive_confusions(
     which keeps flip rates comparable across model seeds.
     """
     labels = {pdf.rpartition("#")[0] for pdf in models.labels}
+    row, means = models.index, models.means
     entries = []
     for a, b, exposure in _confusable_pairs(inv, scheme, labels, rules):
         blend = base + (1.0 - base) * p * exposure
         target_margin = (1.0 - blend) * reference_distance
         gaps = [
-            float(np.linalg.norm(models.means[pa] - models.means[pb]))
+            float(np.linalg.norm(means[row[pa]] - means[row[pb]]))
             for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b))
         ]
         actual = sum(gaps) / len(gaps)
@@ -329,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     words = [e.word for e in entries]
 
     per_seed = []
-    pooled_pairs: dict[str, list[tuple[str, str]]] = {SCHEME_A: [], SCHEME_B: []}
+    pooled = {s: WerResult(0, 0, 0, 0) for s in systems}
     refs_all: list[str] = []
     hyps_all: dict[str, list[str]] = {SCHEME_A: [], SCHEME_B: []}
     # wall and audio seconds of every batch, pooled per scheme
@@ -350,10 +352,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 for r in batch.results
             ]
             failures[scheme] += len(batch.failures)
-            pairs = list(zip(refs, hyps))
-            pooled_pairs[scheme].extend(pairs)
             hyps_all[scheme].extend(hyps)
-            seed_rows[scheme] = corpus_wer(pairs)
+            seed_rows[scheme] = corpus_wer(list(zip(refs, hyps)))
+            pooled[scheme] += seed_rows[scheme]
             timing[scheme].wall_seconds += batch.wall_seconds
             timing[scheme].audio_seconds += batch.audio_seconds
         refs_all.extend(refs)
@@ -370,7 +371,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "seed %d: if %s onc %s", seed_idx, wer_if.percent, wer_onc.percent
         )
 
-    pooled = {s: corpus_wer(pooled_pairs[s]) for s in systems}
     onc_better = sum(
         1 for row in per_seed if row["wer_onc"]["rate"] < row["wer_if"]["rate"]
     )

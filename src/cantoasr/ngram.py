@@ -28,6 +28,9 @@ EOS = "</s>"
 UNK = "<unk>"
 
 LOG10_FLOOR = -99.0  # ARPA convention for "effectively zero"
+DEFAULT_SMOOTHING = "witten_bell"
+EM_TOL = 1e-6
+EM_MAX_ITER = 100
 MLE_UNK_FLOOR = 1e-7
 
 
@@ -175,7 +178,7 @@ def _collect_counts(corpus, order):
 
 
 def train_ngram(
-    corpus: list[list[str]], order: int, smoothing: str = "witten_bell"
+    corpus: list[list[str]], order: int, smoothing: str = DEFAULT_SMOOTHING
 ) -> NGramModel:
     """Estimate an order-``order`` model from tokenized sentences.
 
@@ -279,13 +282,7 @@ def _prediction_events(a: NGramModel, b: NGramModel, heldout):
     return events
 
 
-def tune_lambda(
-    a: NGramModel,
-    b: NGramModel,
-    heldout: list[list[str]],
-    tol: float = 1e-6,
-    max_iter: int = 100,
-) -> float:
+def tune_lambda(a: NGramModel, b: NGramModel, heldout: list[list[str]]) -> float:
     """EM for the two-component mixture weight on held-out sentences.
 
     The held-out log-likelihood is strictly concave in the weight, so EM
@@ -296,13 +293,13 @@ def tune_lambda(
         raise ValueError("empty held-out text")
     events = _prediction_events(a, b, heldout)
     lam = 0.5
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         post = 0.0
         for pa, pb in events:
             mixed = lam * pa + (1.0 - lam) * pb
             post += lam * pa / mixed if mixed > 0 else 0.5
         new_lam = post / len(events)
-        if abs(new_lam - lam) < tol:
+        if abs(new_lam - lam) < EM_TOL:
             lam = new_lam
             break
         lam = new_lam

@@ -1,11 +1,12 @@
 """Synthetic per-frame acoustic scores for phone sequences.
 
 Stands in for a real acoustic front-end and emission model: every HMM
-state gets a deterministic seed-derived mean vector, utterances sample a
-duration per state and draw noisy feature vectors, and the scorer exposes
-the Gaussian log density of each drawn frame under every state's model.
-Scoring uses a fixed model variance so the zero-noise case stays
-well-defined; ``noise_sigma`` only controls the generation noise.
+state gets a deterministic seed-derived mean vector, one row of a single
+means matrix in sorted label order, utterances sample a duration per state
+and draw noisy feature vectors, and the scorer's columns, in the same
+order, hold the Gaussian log density of each drawn frame under every
+state's model.  Scoring uses a fixed model variance so the zero-noise case
+stays well-defined; ``noise_sigma`` only controls the generation noise.
 
 The state models are made in two steps.  ``build_state_models`` draws
 every pdf's mean and keeps every pair apart; ``blend_confusions`` then
@@ -46,14 +47,19 @@ class SimConfig:
 
 @dataclass
 class StateModel:
-    """Isotropic Gaussian per pdf label: mean vectors, shared variance."""
+    """Isotropic Gaussian per pdf label, with one shared variance.
 
-    means: dict[str, np.ndarray]
+    ``labels`` is sorted and row ``i`` of the ``(len(labels), dim)`` array
+    ``means`` is the mean of ``labels[i]``; ``index`` maps a label to its row.
+    """
+
+    labels: tuple[str, ...]
+    means: np.ndarray
     variance: float
-    labels: tuple[str, ...] = field(init=False)
+    index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        self.labels = tuple(sorted(self.means))
+        self.index = {lab: i for i, lab in enumerate(self.labels)}
 
 
 def _label_rng(seed: int, label: str) -> np.random.Generator:
@@ -67,9 +73,9 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
 
     Separation redraws the lexicographically later mean of each pair that
     is too close.  The conflicting pairs are those of the first draws, taken
-    in row-major order; each redraw overwrites its label's row of one
-    (labels x dim) matrix in place, and is checked against the current rows
-    of every other label.
+    in row-major order; each redraw overwrites its label's row of the means
+    matrix in place, and is checked against the current rows of every other
+    label.
     """
     labels = sorted(set(labels))
     if not labels:
@@ -94,7 +100,7 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
                         f"lower noise_sigma"
                     )
                 mat[j] = rngs[j].normal(0.0, cfg.mean_scale, cfg.feature_dim)
-    return StateModel(means=dict(zip(labels, mat)), variance=MODEL_VARIANCE)
+    return StateModel(tuple(labels), mat, MODEL_VARIANCE)
 
 
 def blend_confusions(
@@ -105,29 +111,31 @@ def blend_confusions(
     For each of the two phones' state pdfs in turn, ``means[b] = p *
     means[a] + (1 - p) * means[b]``; the entries apply in order.
     """
-    means = dict(models.means)
+    means, row = models.means.copy(), models.index
     for a, b, p in entries:
         if not 0.0 <= p <= 1.0:
             raise SimulationError(f"confusion probability {p} outside [0, 1]")
         if a == b:
             raise SimulationError(f"confusion pair must differ, got {a!r}")
         for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b)):
-            if pa not in means or pb not in means:
+            if pa not in row or pb not in row:
                 raise SimulationError(f"confusion names unknown label {a!r}/{b!r}")
-            means[pb] = p * means[pa] + (1.0 - p) * means[pb]
-    return StateModel(means=means, variance=models.variance)
+            means[row[pb]] = p * means[row[pa]] + (1.0 - p) * means[row[pb]]
+    return StateModel(models.labels, means, models.variance)
 
 
 def _state_draws(phone_seq, models: StateModel, cfg: SimConfig, salt: int):
-    """``(pdf, duration, noise)`` for each HMM state of ``phone_seq``, in draw order."""
+    """``(row, duration, noise)`` for each HMM state of ``phone_seq``, in draw
+    order; ``row`` is the state's pdf row in ``models.means``."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
     lo, hi = cfg.frames_per_state
     for phone in phone_seq:
         for pdf in pdf_labels_for(phone):
-            if pdf not in models.means:
+            row = models.index.get(pdf)
+            if row is None:
                 raise SimulationError(f"phone {phone!r} has no model for {pdf!r}")
             duration = int(rng.integers(lo, hi + 1))
-            yield pdf, duration, rng.standard_normal((duration, cfg.feature_dim))
+            yield row, duration, rng.standard_normal((duration, cfg.feature_dim))
 
 
 def simulate_utterance(
@@ -143,15 +151,14 @@ def simulate_utterance(
     The returned scorer covers every label in ``models`` and carries the
     10 ms-per-frame audio-duration annotation.
     """
+    mean_mat = models.means
     frames = []
-    for pdf, _, noise in _state_draws(phone_seq, models, cfg, salt):
-        frames.append(models.means[pdf] + cfg.noise_sigma * noise)
+    for row, _, noise in _state_draws(phone_seq, models, cfg, salt):
+        frames.append(mean_mat[row] + cfg.noise_sigma * noise)
     if not frames:
         raise SimulationError("empty phone sequence")
     feats = np.concatenate(frames, axis=0)
 
-    labels = models.labels
-    mean_mat = np.stack([models.means[lab] for lab in labels])
     # log N(x; mu, v I) = -d/2 log(2 pi v) - |x - mu|^2 / (2v)
     v = models.variance
     d = cfg.feature_dim
@@ -161,7 +168,7 @@ def simulate_utterance(
         + np.sum(mean_mat**2, axis=1)[None, :]
     )
     matrix = -0.5 * d * np.log(2.0 * np.pi * v) - sq / (2.0 * v)
-    return MatrixScorer(matrix, labels)
+    return MatrixScorer(matrix, models.labels)
 
 
 def true_label_sequence(
@@ -170,4 +177,4 @@ def true_label_sequence(
     """The generating pdf label of every frame, for diagnostics (the same
     draws as ``simulate_utterance``)."""
     draws = _state_draws(phone_seq, models, cfg, salt)
-    return [pdf for pdf, duration, _ in draws for _ in range(duration)]
+    return [models.labels[row] for row, duration, _ in draws for _ in range(duration)]

@@ -12,6 +12,7 @@ from cantoasr.decoder import (
     DecodeStats,
     GraphError,
     MatrixScorer,
+    ScoreFormatError,
     _cap,
     _score_matrix,
     batch_decode,
@@ -406,13 +407,9 @@ def test_max_active_one_is_greedy_extension():
         return MatrixScorer(m, graph.pdf_labels)
 
     params = DecodeParams(beam=1e30, max_active=1, lm_weight=1.0)
-    stuck = build_graph(lex, lm, self_loop_prob=0.5)
+    stuck = build_graph(lex, lm)
     with pytest.raises(DecodeError):
         decode(stuck, scorer_for(stuck), params)
-    # with forward-favoring transitions the greedy token walks the chain
-    eager = build_graph(lex, lm, self_loop_prob=0.4)
-    hyp, _, _ = decode(eager, scorer_for(eager), params)
-    assert hyp.text == "哦"
 
 
 def lexsort_cap(ids, scores, k):
@@ -494,6 +491,37 @@ def test_fscr_nan_scores_name_the_file(tmp_path):
     (tmp_path / "nan.fscr.labels").write_text("a\nb\nc\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"nan\.fscr: score matrix holds NaN"):
         read_scores(p)
+
+
+def _fscr(frames, cols, bad=0.0):
+    """An FSCR file of zero scores but for ``bad`` in the last cell."""
+    data = np.zeros((frames, cols), dtype="<f4")
+    data[-1, -1] = bad
+    return b"FSCR" + struct.pack("<II", frames, cols) + data.tobytes()
+
+
+# (file bytes, sidecar text or None, message)
+MALFORMED_FSCR = {
+    "bad_magic": (b"NOPE" + b"\x00" * 8, "a\n", "bad magic"),
+    "truncated_header": (b"FSCR\x02\x00", "a\n", "truncated FSCR header"),
+    "truncated_matrix": (_fscr(2, 3)[:-4], "a\nb\nc\n", "truncated score matrix"),
+    "missing_sidecar": (_fscr(2, 3), None, "no m.fscr.labels sidecar"),
+    "label_count": (_fscr(2, 3), "a\nb\n", "3 columns but 2 labels"),
+    "nan": (_fscr(2, 3, np.nan), "a\nb\nc\n", r"NaN or \+inf"),
+    "pos_inf": (_fscr(2, 3, np.inf), "a\nb\nc\n", r"NaN or \+inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FSCR))
+def test_malformed_fscr_is_a_score_format_error(tmp_path, case):
+    data, sidecar, message = MALFORMED_FSCR[case]
+    path = tmp_path / "m.fscr"
+    path.write_bytes(data)
+    if sidecar is not None:
+        (tmp_path / "m.fscr.labels").write_text(sidecar, encoding="utf-8")
+    with pytest.raises(ScoreFormatError, match=message) as info:
+        read_scores(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_fscr_bad_magic(tmp_path):

@@ -184,8 +184,15 @@ def test_sweep_marks_failed_cells():
                   lm_weight=1.0)
     # batch decode collects the per-utterance error; the cell then scores
     # an empty hypothesis rather than failing outright
-    assert cells[0].failed is None
     assert cells[0].wer.rate == 1.0
+
+
+@pytest.mark.parametrize("refs", [["哦"], []], ids=["short", "empty"])
+def test_sweep_refs_must_match_the_scores(refs):
+    graph, scorer = beam_flip_fixture()
+    with pytest.raises(ValueError, match=f"{len(refs)} references for 2 score matrices"):
+        sweep(graph, [scorer, scorer], beams=[15.0], max_actives=[7000], refs=refs,
+              lm_weight=1.0)
 
 
 def test_wer_table_format():

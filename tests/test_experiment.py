@@ -48,12 +48,12 @@ def post_blend_gaps(scheme, cfg):
     inv = default_inventory()
     lm = train_ngram(read_corpus(cfg.corpus_path), order=2, smoothing="witten_bell")
     system = _build_system(scheme, read_lexicon(cfg.lexicon_path), inv, lm, cfg)
-    means = system.models.means
+    means, row = system.models.means, system.models.index
     rules = MergeRuleSet.parse(cfg.merge_rules)
     out = {}
     for a, b, exposure in _confusable_pairs(inv, scheme, set(system.lex.labels), rules):
         nominal = cfg.base_similarity + (1 - cfg.base_similarity) * cfg.confusion_p * exposure
-        gaps = [np.linalg.norm(means[f"{a}#{k}"] - means[f"{b}#{k}"]) for k in range(3)]
+        gaps = [np.linalg.norm(means[row[f"{a}#{k}"]] - means[row[f"{b}#{k}"]]) for k in range(3)]
         out[a, b] = (exposure, nominal, sum(gaps) / 3)
     return out
 

@@ -27,24 +27,26 @@ def test_same_seed_same_means():
     m1 = build_state_models(pdfs(LABELS), cfg)
     m2 = build_state_models(pdfs(LABELS), cfg)
     for lab in m1.labels:
-        np.testing.assert_array_equal(m1.means[lab], m2.means[lab])
+        np.testing.assert_array_equal(m1.means[m1.index[lab]], m2.means[m2.index[lab]])
 
 
 def test_confusion_blend_endpoints():
     base = build_state_models(pdfs(LABELS), SimConfig(seed=7))
     p0 = blend_confusions(base, (("_k3", "_t3", 0.0),))
     p1 = blend_confusions(base, (("_k3", "_t3", 1.0),))
+    row = base.index
     for k in range(3):
-        np.testing.assert_array_equal(p0.means[f"_t3#{k}"], base.means[f"_t3#{k}"])
-        np.testing.assert_array_equal(p1.means[f"_t3#{k}"], p1.means[f"_k3#{k}"])
+        np.testing.assert_array_equal(p0.means[row[f"_t3#{k}"]], base.means[row[f"_t3#{k}"]])
+        np.testing.assert_array_equal(p1.means[row[f"_t3#{k}"]], p1.means[row[f"_k3#{k}"]])
 
 
 def test_confusion_halfway_is_blend():
     base = build_state_models(pdfs(LABELS), SimConfig(seed=7))
     p5 = blend_confusions(base, (("_k3", "_t3", 0.5),))
+    row = base.index
     for k in range(3):
-        expected = 0.5 * base.means[f"_k3#{k}"] + 0.5 * base.means[f"_t3#{k}"]
-        np.testing.assert_allclose(p5.means[f"_t3#{k}"], expected, atol=1e-12)
+        expected = 0.5 * base.means[row[f"_k3#{k}"]] + 0.5 * base.means[row[f"_t3#{k}"]]
+        np.testing.assert_allclose(p5.means[row[f"_t3#{k}"]], expected, atol=1e-12)
 
 
 def test_confusion_unknown_label():
@@ -60,7 +62,7 @@ def test_separation_floor():
     labs = models.labels
     for i, a in enumerate(labs):
         for b in labs[i + 1:]:
-            gap = np.linalg.norm(models.means[a] - models.means[b])
+            gap = np.linalg.norm(models.means[models.index[a]] - models.means[models.index[b]])
             assert gap >= 4 * cfg.noise_sigma
 
 
@@ -107,7 +109,7 @@ def test_state_models_equal_the_per_pair_loop(seed):
     models = build_state_models(labels, cfg)
     assert models.labels == tuple(sorted(means))
     for lab in models.labels:
-        assert models.means[lab].tobytes() == means[lab].tobytes()
+        assert models.means[models.index[lab]].tobytes() == means[lab].tobytes()
 
 
 def test_noiseless_frames_argmax_true_label():
@@ -120,6 +122,24 @@ def test_noiseless_frames_argmax_true_label():
     for t, true_pdf in enumerate(truth):
         best = scorer.labels[int(np.argmax(scorer.matrix[t]))]
         assert best == true_pdf
+
+
+def test_noiseless_scores_are_mean_distances():
+    # pins the label <-> means row <-> scorer column order, with blended rows
+    cfg = SimConfig(seed=9, noise_sigma=0.0)
+    models = blend_confusions(
+        build_state_models(pdfs(LABELS), cfg), (("_k3", "_t3", 0.5),)
+    )
+    seq = ["b", "_t3", "aa1", "_k3"]
+    scorer = simulate_utterance(seq, models, cfg, salt=4)
+    truth = true_label_sequence(seq, models, cfg, salt=4)
+    labels = list(models.labels)
+    true_means = models.means[[labels.index(lab) for lab in truth]]
+    col_means = models.means[[labels.index(lab) for lab in scorer.labels]]
+    v, d = models.variance, cfg.feature_dim
+    sq = np.sum((true_means[:, None, :] - col_means[None, :, :]) ** 2, axis=2)
+    expected = -d / 2 * np.log(2 * np.pi * v) - sq / (2 * v)
+    np.testing.assert_allclose(scorer.matrix, expected, rtol=0, atol=1e-9)
 
 
 def test_fixed_seed_identical_matrix():
