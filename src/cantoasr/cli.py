@@ -61,6 +61,8 @@ from .ngram import (
     write_arpa,
 )
 from .phonology import (
+    SCHEME_ONC,
+    SCHEMES,
     InventoryError,
     JyutpingError,
     MergeRuleSet,
@@ -107,7 +109,7 @@ def _load_lexicon(args):
     inv = load_inventory(args.inventory)
     entries = read_lexicon(args.lexicon)
     merges = MergeRuleSet.parse(args.merge) if args.merge else None
-    return inv, compile_lexicon(entries, args.scheme, inv, merges)
+    return compile_lexicon(entries, args.scheme, inv, merges)
 
 
 def _read_lines(path):
@@ -132,7 +134,7 @@ def cmd_parse(args):
 
 
 def cmd_lexicon_compile(args):
-    _, lex = _load_lexicon(args)
+    lex = _load_lexicon(args)
     paths = write_phone_lexicon(lex, args.out)
     _emit(
         {"files": [str(p) for p in paths], "stats": vars(lexicon_stats(lex))},
@@ -143,7 +145,7 @@ def cmd_lexicon_compile(args):
 
 
 def cmd_lexicon_stats(args):
-    _, lex = _load_lexicon(args)
+    lex = _load_lexicon(args)
     stats = lexicon_stats(lex)
     _emit(vars(stats), args.json, str(stats))
     return 0
@@ -186,7 +188,7 @@ def cmd_lm_perplexity(args):
 
 
 def cmd_graph_build(args):
-    inv, lex = _load_lexicon(args)
+    lex = _load_lexicon(args)
     graph = build_graph(lex, read_arpa(args.lm))
     payload = {
         "states": graph.num_states,
@@ -199,20 +201,17 @@ def cmd_graph_build(args):
     return 0
 
 
-def _decode_params(args):
-    return DecodeParams(
+def cmd_decode(args):
+    params = DecodeParams(
         beam=args.beam,
         max_active=args.max_active,
         lm_weight=args.lm_weight,
         lattice_width=args.lattice_width,
     )
-
-
-def cmd_decode(args):
-    inv, lex = _load_lexicon(args)
+    lex = _load_lexicon(args)
     graph = build_graph(lex, read_arpa(args.lm))
     scorer = read_scores(args.scores)
-    hyp, lattice, stats = decode(graph, scorer, _decode_params(args))
+    hyp, lattice, stats = decode(graph, scorer, params)
     if args.lattice_out:
         write_lattice(lattice, args.lattice_out)
     payload = {
@@ -297,7 +296,7 @@ def cmd_score_classify(args):
 
 
 def cmd_sweep(args):
-    inv, lex = _load_lexicon(args)
+    lex = _load_lexicon(args)
     graph = build_graph(lex, read_arpa(args.lm))
     scorers = [read_scores(p) for p in args.scores]
     refs = _read_lines(args.refs)
@@ -314,7 +313,7 @@ def cmd_sweep(args):
 
 
 def cmd_simulate(args):
-    inv, lex = _load_lexicon(args)
+    lex = _load_lexicon(args)
     cfg = SimConfig(
         seed=args.seed if args.seed is not None else 0,
         noise_sigma=args.noise_sigma,
@@ -360,7 +359,7 @@ def cmd_experiment(args):
 
 def _add_lexicon_args(parser):
     parser.add_argument("--lexicon", default=str(demo_lexicon_path()))
-    parser.add_argument("--scheme", choices=["if", "onc"], default="onc")
+    parser.add_argument("--scheme", choices=SCHEMES, default=SCHEME_ONC)
     parser.add_argument("--merge", default="", help="coda merge rules, e.g. 't>k@aa,a,o'")
 
 

@@ -91,8 +91,11 @@ class DecodeParams:
     lattice_width: int = 10
 
     def __post_init__(self):
-        if self.beam <= 0 or self.max_active <= 0 or self.lm_weight <= 0:
-            raise ValueError("beam, max_active and lm_weight must be positive")
+        # written so that NaN fails; an infinite beam (no beam) stays valid
+        if not (self.beam > 0 and self.max_active > 0 and 0 < self.lm_weight < math.inf):
+            raise ValueError(f"{self}: beam, max_active, lm_weight must be positive, lm_weight finite")
+        if not self.lattice_width >= 1:
+            raise ValueError(f"{self}: lattice_width must be >= 1")
 
 
 @dataclass

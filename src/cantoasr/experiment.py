@@ -22,6 +22,10 @@ diluted by the fraction of affected finals: ``b + (1-b) * p * dilution``.
 stops and the two nasal codas are close even for careful speakers) and
 ``p`` is the merge strength.
 
+Each setting is one ``ExperimentConfig`` field: its name is the config-file
+key and the ``report.json`` params key, its type says how the file value is
+read, and ``validate`` checks it with the class that uses it before any work.
+
 Timing numbers go to a separate file so the main report is byte-identical
 across repeated runs with the same seed.
 """
@@ -30,8 +34,9 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -48,13 +53,10 @@ from .evaluate import (
 )
 from .lexicon import compile_lexicon, demo_lexicon_path, lexicon_stats, read_lexicon
 from .ngram import read_corpus, train_ngram
-from .phonology import JyutpingError, MergeRuleSet, default_inventory
+from .phonology import SCHEME_IF, SCHEME_ONC, JyutpingError, MergeRuleSet, default_inventory
 from .simulate import SimConfig, blend_confusions, build_state_models, simulate_utterance
 
 log = logging.getLogger(__name__)
-
-SCHEME_A = "if"
-SCHEME_B = "onc"
 
 
 class ExperimentError(ValueError):
@@ -65,8 +67,8 @@ class ExperimentError(ValueError):
 class ExperimentConfig:
     seed: int
     out_dir: Path
-    lexicon_path: Path = field(default_factory=demo_lexicon_path)
-    corpus_path: Path = field(
+    lexicon: Path = field(default_factory=demo_lexicon_path)
+    corpus: Path = field(
         default_factory=lambda: Path(__file__).parent / "data" / "demo_corpus.txt"
     )
     num_seeds: int = 20
@@ -86,8 +88,21 @@ class ExperimentConfig:
     sweep_beams: tuple[float, ...] = ()
     sweep_max_actives: tuple[int, ...] = ()
 
+    def sim_config(self) -> SimConfig:
+        # each SimConfig field is the setting of the same name
+        return SimConfig(**{f.name: getattr(self, f.name) for f in fields(SimConfig)})
+
+    def decode_params(self, beam: float, max_active: int) -> DecodeParams:
+        return DecodeParams(
+            beam=beam,
+            max_active=max_active,
+            lm_weight=self.lm_weight,
+            lattice_width=self.lattice_width,
+        )
+
     def validate(self) -> None:
-        for path in (self.lexicon_path, self.corpus_path):
+        """Check every setting, each with the class that uses it, before any work."""
+        for path in (self.lexicon, self.corpus):
             if not Path(path).exists():
                 raise ExperimentError(f"referenced path does not exist: {path}")
         if self.num_seeds < 1 or self.num_utterances < 1:
@@ -96,73 +111,71 @@ class ExperimentConfig:
             raise ExperimentError("confusion_p must be in [0, 1]")
         if not 0.0 <= self.base_similarity < 1.0:
             raise ExperimentError("base_similarity must be in [0, 1)")
+        try:
+            MergeRuleSet.parse(self.merge_rules)
+            self.sim_config()
+            # the main run's point and every sweep grid point
+            for beam in (self.beam, *self.sweep_beams):
+                for max_active in (self.max_active, *self.sweep_max_actives):
+                    self.decode_params(beam, max_active)
+        except ValueError as exc:
+            raise ExperimentError(str(exc)) from exc
 
 
-_CONFIG_TYPES = {
-    "seed": int,
-    "num_seeds": int,
-    "num_utterances": int,
-    "words_per_utterance": int,
-    "confusion_p": float,
-    "base_similarity": float,
-    "noise_sigma": float,
-    "feature_dim": int,
-    "mean_scale": float,
-    "beam": float,
-    "max_active": int,
-    "lm_weight": float,
-    "lattice_width": int,
-}
+def _convert(kind, value: str):
+    """A config-file value as the field type ``kind``."""
+    if get_origin(kind) is not tuple:
+        return kind(value)
+    item, rest = get_args(kind)
+    if rest is Ellipsis:
+        return tuple(item(v) for v in value.split(",") if v.strip())
+    lo, sep, hi = value.partition(":")
+    if not sep:
+        raise ValueError(f"expected lo:hi, got {value!r}")
+    return item(lo), item(hi)
 
 
 def load_experiment_config(
     path: str | Path, seed: int | None = None, out_dir: str | Path | None = None
 ) -> ExperimentConfig:
-    """Flat ``key = value`` config file; CLI seed/out_dir take precedence.
+    """Flat ``key = value`` config file whose keys are ``ExperimentConfig``
+    field names; CLI seed/out_dir take precedence.
 
-    Relative lexicon/corpus paths resolve against the config file location;
-    empty values keep the bundled defaults.
+    A value is read as its field's type: a pair is written ``lo:hi``, a
+    variable-length tuple as a comma list (empty for none).  Relative
+    lexicon/corpus paths resolve against the config file location, out_dir
+    against the working directory; an empty path keeps its default.  A value
+    that does not convert raises ``ExperimentError`` naming file, line and key.
     """
     path = Path(path)
-    raw: dict[str, str] = {}
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
+    values: dict = {"out_dir": Path(".")}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (part.strip() for part in line.partition("="))
             if not sep:
                 raise ExperimentError(f"{path}:{lineno}: expected 'key = value'")
-            raw[key.strip()] = value.strip()
-
-    cfg = ExperimentConfig(seed=0, out_dir=Path("."))
-    for key, value in raw.items():
-        if key in _CONFIG_TYPES:
-            setattr(cfg, key, _CONFIG_TYPES[key](value))
-        elif key in ("lexicon", "corpus"):
-            if value:
-                resolved = (path.parent / value).resolve()
-                setattr(cfg, f"{key}_path" if key == "lexicon" else "corpus_path", resolved)
-        elif key == "out_dir":
-            if value:
-                cfg.out_dir = Path(value)
-        elif key == "merge_rules":
-            cfg.merge_rules = value
-        elif key == "frames_per_state":
-            lo, _, hi = value.partition(":")
-            cfg.frames_per_state = (int(lo), int(hi))
-        elif key == "sweep_beams":
-            cfg.sweep_beams = tuple(float(v) for v in value.split(",") if v.strip())
-        elif key == "sweep_max_actives":
-            cfg.sweep_max_actives = tuple(int(v) for v in value.split(",") if v.strip())
-        else:
-            raise ExperimentError(f"{path}: unknown config key {key!r}")
+            if key not in kinds:
+                raise ExperimentError(f"{path}:{lineno}: unknown config key {key!r}")
+            if kinds[key] is Path and not value:
+                continue
+            try:
+                values[key] = _convert(kinds[key], value)
+            except ValueError as exc:
+                raise ExperimentError(f"{path}:{lineno}: {key}: {exc}") from exc
+            # out_dir, like --out, stays relative to the working directory
+            if kinds[key] is Path and key != "out_dir":
+                values[key] = (path.parent / value).resolve()
     if seed is not None:
-        cfg.seed = seed
+        values["seed"] = seed
     if out_dir is not None:
-        cfg.out_dir = Path(out_dir)
-    if "seed" not in raw and seed is None:
+        values["out_dir"] = Path(out_dir)
+    if "seed" not in values:
         raise ExperimentError("a seed is mandatory (config key or --seed)")
+    cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
@@ -182,7 +195,7 @@ def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
     """(target label, merging label, effective blend fraction) per pair."""
     pairs = []
     for rule in rules.rules:
-        if scheme == SCHEME_B:
+        if scheme == SCHEME_ONC:
             exposure = merge_dilution(inv, rule)
             for tone in range(1, 7):
                 a, b = f"_{rule.to_coda}{tone}", f"_{rule.from_coda}{tone}"
@@ -256,13 +269,7 @@ def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSyst
     separate every pair, derive the confusion weights from those means and blend."""
     lex = compile_lexicon(entries, scheme, inv)
     graph = build_graph(lex, lm)
-    sim_cfg = SimConfig(
-        seed=cfg.seed,
-        frames_per_state=cfg.frames_per_state,
-        feature_dim=cfg.feature_dim,
-        noise_sigma=cfg.noise_sigma,
-        mean_scale=cfg.mean_scale,
-    )
+    sim_cfg = cfg.sim_config()
     separated = build_state_models(set(graph.pdf_labels), sim_cfg)
     confusion = derive_confusions(
         inv,
@@ -314,26 +321,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     t_start = time.perf_counter()
     inv = default_inventory()
-    entries = read_lexicon(cfg.lexicon_path)
-    corpus = read_corpus(cfg.corpus_path)
+    entries = read_lexicon(cfg.lexicon)
+    corpus = read_corpus(cfg.corpus)
     lm = train_ngram(corpus, order=2, smoothing="witten_bell")
 
     systems = {
         scheme: _build_system(scheme, entries, inv, lm, cfg)
-        for scheme in (SCHEME_A, SCHEME_B)
+        for scheme in (SCHEME_IF, SCHEME_ONC)
     }
-    params = DecodeParams(
-        beam=cfg.beam,
-        max_active=cfg.max_active,
-        lm_weight=cfg.lm_weight,
-        lattice_width=cfg.lattice_width,
-    )
+    params = cfg.decode_params(cfg.beam, cfg.max_active)
     words = [e.word for e in entries]
 
     per_seed = []
     pooled = {s: WerResult(0, 0, 0, 0) for s in systems}
     refs_all: list[str] = []
-    hyps_all: dict[str, list[str]] = {SCHEME_A: [], SCHEME_B: []}
+    hyps_all: dict[str, list[str]] = {SCHEME_IF: [], SCHEME_ONC: []}
     # wall and audio seconds of every batch, pooled per scheme
     timing = {s: BatchResult() for s in systems}
     failures = {s: 0 for s in systems}
@@ -358,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             timing[scheme].wall_seconds += batch.wall_seconds
             timing[scheme].audio_seconds += batch.audio_seconds
         refs_all.extend(refs)
-        wer_if, wer_onc = seed_rows[SCHEME_A], seed_rows[SCHEME_B]
+        wer_if, wer_onc = seed_rows[SCHEME_IF], seed_rows[SCHEME_ONC]
         per_seed.append(
             {
                 "seed_index": seed_idx,
@@ -374,42 +376,30 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     onc_better = sum(
         1 for row in per_seed if row["wer_onc"]["rate"] < row["wer_if"]["rate"]
     )
-    classification = classify_errors(refs_all, hyps_all[SCHEME_A], hyps_all[SCHEME_B])
+    classification = classify_errors(refs_all, hyps_all[SCHEME_IF], hyps_all[SCHEME_ONC])
     mean_rel = sum(r["relative_improvement"] for r in per_seed) / len(per_seed)
 
     report = {
+        # left out: out_dir, so that reports written to two places compare equal,
+        # and the sweep grids, whose results go to sweep.json
         "params": {
-            "seed": cfg.seed,
-            "num_seeds": cfg.num_seeds,
-            "num_utterances": cfg.num_utterances,
-            "words_per_utterance": cfg.words_per_utterance,
-            "merge_rules": cfg.merge_rules,
-            "confusion_p": cfg.confusion_p,
-            "base_similarity": cfg.base_similarity,
-            "noise_sigma": cfg.noise_sigma,
-            "frames_per_state": list(cfg.frames_per_state),
-            "feature_dim": cfg.feature_dim,
-            "mean_scale": cfg.mean_scale,
-            "beam": cfg.beam,
-            "max_active": cfg.max_active,
-            "lm_weight": cfg.lm_weight,
-            "lattice_width": cfg.lattice_width,
-            "lexicon": str(cfg.lexicon_path),
-            "corpus": str(cfg.corpus_path),
+            k: str(v) if isinstance(v, Path) else v
+            for k, v in vars(cfg).items()
+            if k not in ("out_dir", "sweep_beams", "sweep_max_actives")
         },
         "lexicon_stats": {
             s: vars(lexicon_stats(systems[s].lex)) for s in systems
         },
         "per_seed": per_seed,
         "aggregate": {
-            "wer_if": pooled[SCHEME_A].to_json(),
-            "wer_onc": pooled[SCHEME_B].to_json(),
+            "wer_if": pooled[SCHEME_IF].to_json(),
+            "wer_onc": pooled[SCHEME_ONC].to_json(),
             "onc_better_seeds": onc_better,
             "num_seeds": cfg.num_seeds,
             "onc_better_fraction": onc_better / cfg.num_seeds,
             "mean_relative_improvement": mean_rel,
             "relative_improvement_pooled": _relative_improvement(
-                pooled[SCHEME_A], pooled[SCHEME_B]
+                pooled[SCHEME_IF], pooled[SCHEME_ONC]
             ),
             "decode_failures": failures,
         },
@@ -418,8 +408,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    report_path.write_text(
+    (out_dir / "report.json").write_text(
         json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
@@ -434,8 +423,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     )
 
     text_rows = [
-        (f"IF (simulated)", pooled[SCHEME_A], timing_out[SCHEME_A]["rtf"]),
-        (f"ONC (simulated)", pooled[SCHEME_B], timing_out[SCHEME_B]["rtf"]),
+        ("IF (simulated)", pooled[SCHEME_IF], timing_out[SCHEME_IF]["rtf"]),
+        ("ONC (simulated)", pooled[SCHEME_ONC], timing_out[SCHEME_ONC]["rtf"]),
     ]
     lines = [
         "Scheme comparison (pooled over seeds)",
@@ -462,8 +451,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 beams,
                 actives,
                 ["".join(t) for t in texts],
-                lm_weight=cfg.lm_weight,
-                lattice_width=cfg.lattice_width,
+                lm_weight=params.lm_weight,
+                lattice_width=params.lattice_width,
             )
             sweep_report[scheme] = [c.to_json() for c in cells]
             lines += ["", f"Sweep ({scheme})", format_sweep_table(cells)]

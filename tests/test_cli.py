@@ -143,6 +143,31 @@ def test_decode_truncated_fscr_header_is_data_error(tmp_path, capsys):
     assert "short.fscr: truncated FSCR header" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, why",
+    [
+        ("--lattice-width", "0", "lattice_width must be >= 1"),
+        ("--lattice-width", "-1", "lattice_width must be >= 1"),
+        ("--beam", "nan", "must be positive"),
+        ("--lm-weight", "nan", "lm_weight finite"),
+        ("--lm-weight", "inf", "lm_weight finite"),
+    ],
+)
+def test_decode_bad_params_are_data_errors(tmp_path, capsys, flag, value, why):
+    arpa = tmp_path / "lm.arpa"
+    run(capsys, "lm", "train", "--corpus", str(DATA / "demo_corpus.txt"),
+        "--order", "2", "--out", str(arpa))
+    scores = tmp_path / "utt.fscr"
+    run(capsys, "--seed", "5", "simulate", "--scheme", "onc", "--text", "香港 天氣 好",
+        "--out", str(scores))
+    code, out, err = run(
+        capsys, "decode", "--scheme", "onc", "--lm", str(arpa), "--scores", str(scores),
+        flag, value,
+    )
+    assert code == 2 and out == ""
+    assert why in err
+
+
 def test_simulate_rejects_unknown_word(tmp_path, capsys):
     code, _, err = run(
         capsys, "simulate", "--scheme", "onc", "--text", "不存在詞",

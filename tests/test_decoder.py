@@ -565,3 +565,25 @@ def test_batch_decode_empty_batch():
     lex, lm, graph = make_system([("天", "tin1")])
     with pytest.raises(ValueError, match="empty"):
         batch_decode(graph, [], UNPRUNED)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"beam": math.nan},
+        {"beam": 0.0},
+        {"max_active": 0},
+        {"lm_weight": math.nan},
+        {"lm_weight": math.inf},
+        {"lm_weight": 0.0},
+        {"lattice_width": 0},
+        {"lattice_width": -1},
+    ],
+)
+def test_decode_params_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        DecodeParams(**bad)
+
+
+def test_decode_params_accept_an_infinite_beam():
+    assert DecodeParams(beam=math.inf).beam == math.inf

@@ -1,5 +1,7 @@
 import json
 import math
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +48,8 @@ def post_blend_gaps(scheme, cfg):
     """Per confused pair of the scheme's system: its blend exposure, its
     nominal blend weight and the mean gap of its three blended pdf means."""
     inv = default_inventory()
-    lm = train_ngram(read_corpus(cfg.corpus_path), order=2, smoothing="witten_bell")
-    system = _build_system(scheme, read_lexicon(cfg.lexicon_path), inv, lm, cfg)
+    lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
+    system = _build_system(scheme, read_lexicon(cfg.lexicon), inv, lm, cfg)
     means, row = system.models.means, system.models.index
     rules = MergeRuleSet.parse(cfg.merge_rules)
     out = {}
@@ -103,7 +105,7 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.num_seeds == 20 and cfg.num_utterances == 50
     assert cfg.merge_rules.startswith("t>k")
     assert cfg.frames_per_state == (1, 3)
-    assert cfg.lexicon_path.exists() and cfg.corpus_path.exists()
+    assert cfg.lexicon.exists() and cfg.corpus.exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -126,6 +128,96 @@ def test_config_validates_paths(tmp_path):
     p.write_text("seed = 1\nlexicon = missing.txt\n", encoding="utf-8")
     with pytest.raises(ExperimentError, match="missing.txt"):
         load_experiment_config(p)
+
+
+# a non-default value of every setting but out_dir: as written in a file, as read
+NON_DEFAULTS = {
+    "seed": ("5", 5),
+    "lexicon": ("lex.txt", "lex.txt"),
+    "corpus": ("corpus.txt", "corpus.txt"),
+    "num_seeds": ("3", 3),
+    "num_utterances": ("4", 4),
+    "words_per_utterance": ("2", 2),
+    "merge_rules": ("t>k", "t>k"),
+    "confusion_p": ("0.25", 0.25),
+    "base_similarity": ("0.5", 0.5),
+    "noise_sigma": ("0.1", 0.1),
+    "frames_per_state": ("2:4", (2, 4)),
+    "feature_dim": ("6", 6),
+    "mean_scale": ("1.5", 1.5),
+    "beam": ("12.5", 12.5),
+    "max_active": ("300", 300),
+    "lm_weight": ("2", 2.0),
+    "lattice_width": ("3", 3),
+    "sweep_beams": ("10, 20", (10.0, 20.0)),
+    "sweep_max_actives": ("100,200", (100, 200)),
+}
+
+
+def test_every_setting_round_trips_from_a_one_line_file(tmp_path):
+    assert set(NON_DEFAULTS) == {f.name for f in fields(ExperimentConfig)} - {"out_dir"}
+    default = ExperimentConfig(seed=0, out_dir=Path("."))
+    shutil.copy(default.lexicon, tmp_path / "lex.txt")
+    shutil.copy(default.corpus, tmp_path / "corpus.txt")
+    for key, (text, value) in NON_DEFAULTS.items():
+        if key in ("lexicon", "corpus"):
+            value = (tmp_path / value).resolve()
+        p = tmp_path / f"{key}.cfg"
+        p.write_text(f"{key} = {text}\n", encoding="utf-8")
+        cfg = load_experiment_config(p, seed=None if key == "seed" else 1)
+        assert getattr(cfg, key) == value != getattr(default, key), key
+
+
+def test_config_paths_resolve_and_empty_values(tmp_path, monkeypatch):
+    default = ExperimentConfig(seed=0, out_dir=Path("."))
+    shutil.copy(default.lexicon, tmp_path / "lex.txt")
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    p = tmp_path / "cfg/x.cfg"
+    p.write_text("seed = 1\nlexicon = ../lex.txt\nout_dir = results\n", encoding="utf-8")
+    cfg = load_experiment_config(p)
+    assert cfg.lexicon == (tmp_path / "lex.txt").resolve()
+    assert cfg.out_dir == Path("results")
+    p.write_text(
+        "seed = 1\nlexicon =\ncorpus =\nout_dir =\nmerge_rules =\nsweep_beams =\n",
+        encoding="utf-8",
+    )
+    cfg = load_experiment_config(p)
+    assert (cfg.lexicon, cfg.corpus) == (default.lexicon, default.corpus)
+    assert cfg.out_dir == Path(".")
+    assert cfg.merge_rules == "" and cfg.sweep_beams == ()
+
+
+@pytest.mark.parametrize("line", ["num_seeds = abc", "frames_per_state = 3", "beam = x"])
+def test_config_value_errors_name_file_line_and_key(tmp_path, line):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"seed = 1\n# a comment\n{line}\n", encoding="utf-8")
+    with pytest.raises(ExperimentError, match=rf"bad\.cfg:3: {line.split()[0]}: "):
+        load_experiment_config(p)
+
+
+@pytest.mark.parametrize(
+    "key, text, value",
+    [("sweep_beams", "0", (0.0,)), ("lattice_width", "0", 0), ("merge_rules", "t>", "t>")],
+)
+def test_bad_settings_are_rejected_before_any_work(tmp_path, key, text, value):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"seed = 1\n{key} = {text}\n", encoding="utf-8")
+    with pytest.raises(ExperimentError):
+        load_experiment_config(p)
+    out = tmp_path / "out"
+    with pytest.raises(ExperimentError):
+        run_experiment(small_config(out, **{key: value}))
+    assert not out.exists()
+
+
+def test_report_params_are_the_settings(tmp_path):
+    cfg = small_config(tmp_path / "out", num_seeds=1, num_utterances=2)
+    params = run_experiment(cfg)["params"]
+    left_out = {"out_dir", "sweep_beams", "sweep_max_actives"}
+    assert set(params) == {f.name for f in fields(ExperimentConfig)} - left_out
+    assert params["lexicon"] == str(cfg.lexicon)
 
 
 def test_run_experiment_report_shape(tmp_path):
