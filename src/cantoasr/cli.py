@@ -1,8 +1,11 @@
 """Command-line entry point for every pipeline stage.
 
-Exit codes: 0 success, 1 usage error, 2 data error.  Machine-readable
-output goes to stdout as JSON when ``--json`` is given (the ``parse``
-subcommand always prints JSON); logs go to stderr only.
+Exit codes: 0 success; 1 a usage error, including an option value that
+does not parse; 2 a data error, which is a ``DataError`` (malformed or
+out-of-range input), an ``OSError`` or a file that is not UTF-8.  Any
+other exception is a bug and ends in a traceback.  Machine-readable output goes to stdout as JSON when
+``--json`` is given (the ``parse`` subcommand always prints JSON); logs go
+to stderr only.
 """
 
 import argparse
@@ -11,9 +14,8 @@ import logging
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import DataError, __version__
 from .decoder import (
-    DecodeError,
     DecodeParams,
     batch_decode,
     build_graph,
@@ -29,7 +31,7 @@ from .evaluate import (
     format_sweep_table,
     sweep,
 )
-from .experiment import ExperimentError, load_experiment_config, run_experiment
+from .experiment import convert, load_experiment_config, run_experiment
 from .lattice import (
     DEFAULT_LM_WEIGHT,
     DEFAULT_NBEST,
@@ -51,7 +53,6 @@ from .lexicon import (
 )
 from .ngram import (
     DEFAULT_SMOOTHING,
-    ArpaFormatError,
     interpolate,
     perplexity,
     read_arpa,
@@ -63,32 +64,17 @@ from .ngram import (
 from .phonology import (
     SCHEME_ONC,
     SCHEMES,
-    InventoryError,
-    JyutpingError,
     MergeRuleSet,
     default_inventory_path,
     load_inventory,
     parse_jyutping,
 )
-from .simulate import SimConfig, SimulationError, build_state_models, simulate_utterance
+from .simulate import SimConfig, build_state_models, simulate_utterance
 
 log = logging.getLogger("cantoasr")
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-DATA_ERRORS = (
-    InventoryError,
-    JyutpingError,
-    LexiconError,
-    ArpaFormatError,
-    DecodeError,
-    SimulationError,
-    ExperimentError,
-    OSError,
-    ValueError,
-    KeyError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +82,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _setting(kind):
+    """An option type that reads a value as the config file reads a ``kind`` setting."""
+
+    def read(value: str):
+        try:
+            return convert(kind, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
 
 
 def _emit(payload, as_json: bool, text: str | None = None):
@@ -165,11 +163,7 @@ def cmd_lm_train(args):
 
 def cmd_lm_interpolate(args):
     a, b = read_arpa(args.model_a), read_arpa(args.model_b)
-    lam = args.lam
-    if args.tune is not None:
-        lam = tune_lambda(a, b, read_corpus(args.tune))
-    if lam is None:
-        raise ExperimentError("give --lambda or --tune")
+    lam = args.lam if args.tune is None else tune_lambda(a, b, read_corpus(args.tune))
     mixed = interpolate(a, b, lam)
     write_arpa(mixed, args.out)
     _emit(
@@ -228,7 +222,7 @@ def cmd_decode(args):
 
 def cmd_rescore(args):
     lat = read_lattice(args.lattice)
-    if args.lm:
+    if args.lm is not None:
         rescored = rescore_ngram(lat, read_arpa(args.lm))
         if args.out:
             write_lattice(rescored, args.out)
@@ -239,16 +233,12 @@ def cmd_rescore(args):
             hyp.text,
         )
         return 0
-    if args.external:
-        scores = read_external_scores(args.external)
-        hyps = nbest(lat, args.n, args.lm_weight)
-        rescored_hyps = rescore_external(hyps, scores, args.interpolation)
-        payload = [
-            {"text": h.text, "combined": h.combined} for h in rescored_hyps
-        ]
-        _emit(payload, args.json, "\n".join(h.text for h in rescored_hyps))
-        return 0
-    raise ExperimentError("give --lm or --external")
+    scores = read_external_scores(args.external)
+    hyps = nbest(lat, args.n, args.lm_weight)
+    rescored_hyps = rescore_external(hyps, scores, args.interpolation)
+    payload = [{"text": h.text, "combined": h.combined} for h in rescored_hyps]
+    _emit(payload, args.json, "\n".join(h.text for h in rescored_hyps))
+    return 0
 
 
 def cmd_nbest(args):
@@ -274,9 +264,7 @@ def cmd_score_wer(args):
     refs = _read_lines(args.ref)
     hyps = _read_lines(args.hyp)
     if len(refs) != len(hyps):
-        raise ExperimentError(
-            f"{len(refs)} references but {len(hyps)} hypotheses"
-        )
+        raise DataError(f"{len(refs)} references but {len(hyps)} hypotheses")
     result = corpus_wer(list(zip(refs, hyps)))
     _emit(
         result.to_json(),
@@ -300,14 +288,7 @@ def cmd_sweep(args):
     graph = build_graph(lex, read_arpa(args.lm))
     scorers = [read_scores(p) for p in args.scores]
     refs = _read_lines(args.refs)
-    cells = sweep(
-        graph,
-        scorers,
-        [float(b) for b in args.beams.split(",")],
-        [int(m) for m in args.max_actives.split(",")],
-        refs,
-        lm_weight=args.lm_weight,
-    )
+    cells = sweep(graph, scorers, args.beams, args.max_actives, refs, lm_weight=args.lm_weight)
     _emit([c.to_json() for c in cells], args.json, format_sweep_table(cells))
     return 0
 
@@ -317,7 +298,7 @@ def cmd_simulate(args):
     cfg = SimConfig(
         seed=args.seed if args.seed is not None else 0,
         noise_sigma=args.noise_sigma,
-        frames_per_state=tuple(int(v) for v in args.frames_per_state.split(":")),
+        frames_per_state=args.frames_per_state,
     )
     words = args.text.split()
     unknown = [w for w in words if w not in lex.entries]
@@ -405,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     pi = lm_sub.add_parser("interpolate")
     pi.add_argument("--model-a", required=True)
     pi.add_argument("--model-b", required=True)
-    pi.add_argument("--lambda", dest="lam", type=float, default=None)
-    pi.add_argument("--tune", default=None, help="held-out text for EM tuning")
+    weight = pi.add_mutually_exclusive_group(required=True)
+    weight.add_argument("--lambda", dest="lam", type=float, help="mixture weight of model A")
+    weight.add_argument("--tune", help="held-out text for EM tuning")
     pi.add_argument("--out", required=True)
     pi.set_defaults(func=cmd_lm_interpolate)
     pp = lm_sub.add_parser("perplexity")
@@ -431,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rescore", help="second-pass rescoring")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--lm", default=None, help="higher-order ARPA model")
-    p.add_argument("--external", default=None, help="TSV of 'words<TAB>logprob'")
+    second = p.add_mutually_exclusive_group(required=True)
+    second.add_argument("--lm", help="higher-order ARPA model")
+    second.add_argument("--external", help="TSV of 'words<TAB>logprob'")
     p.add_argument("--interpolation", type=float, default=0.0)
     p.add_argument("--n", type=int, default=DEFAULT_NBEST)
     p.add_argument("--lm-weight", type=float, default=DEFAULT_LM_WEIGHT)
@@ -462,8 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--beams", default=str(DecodeParams.beam))
-    p.add_argument("--max-actives", default=str(DecodeParams.max_active))
+    p.add_argument("--beams", type=_setting(tuple[float, ...]), default=(DecodeParams.beam,))
+    p.add_argument(
+        "--max-actives", type=_setting(tuple[int, ...]), default=(DecodeParams.max_active,)
+    )
     p.add_argument("--lm-weight", type=float, default=DecodeParams.lm_weight)
     p.set_defaults(func=cmd_sweep)
 
@@ -472,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True, help="space-separated lexicon words")
     p.add_argument("--out", required=True)
     p.add_argument("--noise-sigma", type=float, default=SimConfig.noise_sigma)
-    p.add_argument("--frames-per-state", default="%d:%d" % SimConfig.frames_per_state)
+    p.add_argument(
+        "--frames-per-state", type=_setting(tuple[int, int]), default=SimConfig.frames_per_state
+    )
     p.add_argument("--salt", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
@@ -495,7 +482,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except DATA_ERRORS as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # a non-UTF-8 file is bad data
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -58,7 +58,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import Arc, Hypothesis, Lattice
+from . import DataError
+from .lattice import DEFAULT_LM_WEIGHT, Arc, Hypothesis, Lattice
 from .lexicon import PhoneLexicon
 from .ngram import EOS, SOS, UNK, NGramModel, tokenize_chars
 
@@ -71,15 +72,15 @@ FRAME_SHIFT_SECONDS = 0.01
 TRANSITION_LOG_PROB = math.log(0.5)
 
 
-class GraphError(ValueError):
+class GraphError(DataError):
     pass
 
 
-class DecodeError(RuntimeError):
+class DecodeError(DataError):
     pass
 
 
-class ScoreFormatError(ValueError):
+class ScoreFormatError(DataError):
     """A malformed FSCR score file; the message names the file."""
 
 
@@ -87,15 +88,15 @@ class ScoreFormatError(ValueError):
 class DecodeParams:
     beam: float = 15.0
     max_active: int = 7000
-    lm_weight: float = 10.0
+    lm_weight: float = DEFAULT_LM_WEIGHT
     lattice_width: int = 10
 
     def __post_init__(self):
         # written so that NaN fails; an infinite beam (no beam) stays valid
         if not (self.beam > 0 and self.max_active > 0 and 0 < self.lm_weight < math.inf):
-            raise ValueError(f"{self}: beam, max_active, lm_weight must be positive, lm_weight finite")
+            raise DataError(f"{self}: beam, max_active, lm_weight must be positive, lm_weight finite")
         if not self.lattice_width >= 1:
-            raise ValueError(f"{self}: lattice_width must be >= 1")
+            raise DataError(f"{self}: lattice_width must be >= 1")
 
 
 @dataclass
@@ -141,7 +142,7 @@ class MatrixScorer:
         # NaN compares false and +inf is no log likelihood; -inf (zero
         # likelihood) is a valid score
         if not (matrix < np.inf).all():
-            raise ValueError("score matrix holds NaN or +inf")
+            raise DataError("score matrix holds NaN or +inf")
         self.matrix = matrix
         self.labels = tuple(labels)
 
@@ -610,7 +611,7 @@ def batch_decode(
     real-time factor is never skewed by contention.
     """
     if not scorers:
-        raise ValueError("empty batch")
+        raise DataError("empty batch")
     params = params or DecodeParams()
     batch = BatchResult()
     for i, scorer in enumerate(scorers):

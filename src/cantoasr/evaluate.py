@@ -11,6 +11,7 @@ over total reference length).
 
 from dataclasses import dataclass
 
+from . import DataError
 from .decoder import DecodeParams, batch_decode
 
 
@@ -72,7 +73,7 @@ def wer(ref: str | list[str], hyp: str | list[str]) -> WerResult:
     if isinstance(hyp, str):
         hyp = list(normalize(hyp))
     if not ref:
-        raise ValueError("empty reference")
+        raise DataError("empty reference")
     n, m = len(ref), len(hyp)
     # dp[j] = (edits, ins+del) for ref[:i] vs hyp[:j]
     prev = [(j, j) for j in range(m + 1)]
@@ -99,7 +100,7 @@ def wer(ref: str | list[str], hyp: str | list[str]) -> WerResult:
 def corpus_wer(pairs: list[tuple]) -> WerResult:
     """Component-wise sums over sentence pairs (micro-average)."""
     if not pairs:
-        raise ValueError("no sentence pairs")
+        raise DataError("no sentence pairs")
     total = WerResult(0, 0, 0, 0)
     for ref, hyp in pairs:
         total = total + wer(ref, hyp)
@@ -140,7 +141,7 @@ def classify_errors(
 ) -> ErrorClassification:
     """Sentence-level comparison of two systems against shared references."""
     if not (len(refs) == len(hyps_a) == len(hyps_b)):
-        raise ValueError(
+        raise DataError(
             f"length mismatch: {len(refs)} refs, {len(hyps_a)} vs {len(hyps_b)} hyps"
         )
     correct_a = correct_b = a_only = b_only = shared = identical = 0
@@ -215,9 +216,9 @@ def sweep(
     (beam, max_active).
     """
     if not beams or not max_actives:
-        raise ValueError("empty sweep grid")
+        raise DataError("empty sweep grid")
     if len(refs) != len(scorers):
-        raise ValueError(f"{len(refs)} references for {len(scorers)} score matrices")
+        raise DataError(f"{len(refs)} references for {len(scorers)} score matrices")
     cells = []
     for beam in sorted(beams):
         for max_active in sorted(max_actives):

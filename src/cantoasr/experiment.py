@@ -40,6 +40,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
+from . import DataError
 from .decoder import BatchResult, DecodeParams, batch_decode, build_graph, pdf_labels_for
 from .evaluate import (
     WerResult,
@@ -59,7 +60,7 @@ from .simulate import SimConfig, blend_confusions, build_state_models, simulate_
 log = logging.getLogger(__name__)
 
 
-class ExperimentError(ValueError):
+class ExperimentError(DataError):
     pass
 
 
@@ -107,6 +108,8 @@ class ExperimentConfig:
                 raise ExperimentError(f"referenced path does not exist: {path}")
         if self.num_seeds < 1 or self.num_utterances < 1:
             raise ExperimentError("num_seeds and num_utterances must be >= 1")
+        if self.words_per_utterance < 1:
+            raise ExperimentError("words_per_utterance must be >= 1")
         if not 0.0 <= self.confusion_p <= 1.0:
             raise ExperimentError("confusion_p must be in [0, 1]")
         if not 0.0 <= self.base_similarity < 1.0:
@@ -118,11 +121,11 @@ class ExperimentConfig:
             for beam in (self.beam, *self.sweep_beams):
                 for max_active in (self.max_active, *self.sweep_max_actives):
                     self.decode_params(beam, max_active)
-        except ValueError as exc:
+        except DataError as exc:
             raise ExperimentError(str(exc)) from exc
 
 
-def _convert(kind, value: str):
+def convert(kind, value: str):
     """A config-file value as the field type ``kind``."""
     if get_origin(kind) is not tuple:
         return kind(value)
@@ -163,7 +166,7 @@ def load_experiment_config(
             if kinds[key] is Path and not value:
                 continue
             try:
-                values[key] = _convert(kinds[key], value)
+                values[key] = convert(kinds[key], value)
             except ValueError as exc:
                 raise ExperimentError(f"{path}:{lineno}: {key}: {exc}") from exc
             # out_dir, like --out, stays relative to the working directory

@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import DataError
 from .ngram import SOS, NGramModel, tokenize_chars
 
 DEFAULT_LM_WEIGHT = 10.0
 DEFAULT_NBEST = 200
 
 
-class LatticeFormatError(ValueError):
+class LatticeFormatError(DataError):
     pass
 
 
@@ -87,7 +88,7 @@ class Lattice:
                 )
             if arc.src == arc.dst:
                 raise LatticeFormatError(f"self arc on node {arc.src}")
-        self._topo_order()  # raises on cycles
+        self._order = self._topo_order()  # raises on cycles
         reachable = self._closure({self.start}, forward=True)
         co_reachable = self._closure(set(self.finals), forward=False)
         for node in self.nodes:
@@ -116,17 +117,18 @@ class Lattice:
         indeg = {n: 0 for n in self.nodes}
         for arc in self.arcs:
             indeg[arc.dst] += 1
-        ready = sorted(n for n, d in indeg.items() if d == 0)
+        # the smallest ready node id goes first
+        ready = [n for n, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
         out = self._out
         order = []
         while ready:
-            node = ready.pop(0)
+            node = heapq.heappop(ready)
             order.append(node)
             for arc in out.get(node, []):
                 indeg[arc.dst] -= 1
                 if indeg[arc.dst] == 0:
-                    ready.append(arc.dst)
-            ready.sort()
+                    heapq.heappush(ready, arc.dst)
         if len(order) != len(self.nodes):
             raise LatticeFormatError("lattice contains a cycle")
         return order
@@ -152,7 +154,7 @@ def _completion_scores(lat: Lattice, lm_weight: float) -> dict[int, float]:
     for n in lat.finals:
         best[n] = 0.0
     into = lat._in
-    for node in reversed(lat._topo_order()):
+    for node in reversed(lat._order):
         if best[node] == -math.inf:
             continue
         for arc in into.get(node, []):
@@ -171,7 +173,7 @@ def nbest(
     broken toward the lexicographically smallest node-id sequence.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise DataError(f"n must be >= 1, got {n}")
     completion = _completion_scores(lat, lm_weight)
     out = lat._out
     # heap items: (-upper bound, node path, g, node, words, am, lm)
@@ -183,7 +185,7 @@ def nbest(
         neg_bound, path, g, node, words, am, lm = heapq.heappop(heap)
         pops += 1
         if pops > 1_000_000:
-            raise RuntimeError("n-best search exceeded the pop budget")
+            raise DataError("n-best search exceeded the pop budget")
         if node in lat.finals and words not in seen:
             seen.add(words)
             results.append(
@@ -229,7 +231,7 @@ def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
     preserved.  Epsilon arcs pass the history through and carry LM score 0.
     """
     if lm.order < 2:
-        raise ValueError(f"rescoring needs order >= 2, got order {lm.order}")
+        raise DataError(f"rescoring needs order >= 2, got order {lm.order}")
     ctx_len = lm.order - 1
     sos_hist = (SOS,) * ctx_len
 
@@ -280,10 +282,10 @@ def rescore_external(
     ``interpolation`` weights the original LM total; 0 replaces it entirely.
     """
     if not 0.0 <= interpolation <= 1.0:
-        raise ValueError(f"interpolation must be in [0, 1], got {interpolation}")
+        raise DataError(f"interpolation must be in [0, 1], got {interpolation}")
     missing = [h.words for h in hyps if h.words not in scores]
     if missing:
-        raise KeyError(
+        raise DataError(
             "missing external scores for: "
             + "; ".join("".join(w) for w in missing)
         )

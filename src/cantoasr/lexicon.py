@@ -9,6 +9,7 @@ which downstream modules use to build the recognizer search graph.
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import DataError
 from .phonology import (
     Inventory,
     JyutpingError,
@@ -20,7 +21,7 @@ from .phonology import (
 )
 
 
-class LexiconError(ValueError):
+class LexiconError(DataError):
     pass
 
 

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DataError
+
 SOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
@@ -34,7 +36,7 @@ EM_MAX_ITER = 100
 MLE_UNK_FLOOR = 1e-7
 
 
-class ArpaFormatError(ValueError):
+class ArpaFormatError(DataError):
     pass
 
 
@@ -139,10 +141,6 @@ class NGramModel:
     def prob(self, word: str, history: tuple[str, ...] = ()) -> float:
         return 10.0 ** self.logprob10(word, history)
 
-    def sentence_logprob10(self, tokens: list[str]) -> float:
-        """Sum of conditional log10 probs including the end marker."""
-        return _sentence_logprob10(self, tokens)
-
     def predicted_tokens(self) -> list[str]:
         """All tokens a history can continue with (excludes the start marker)."""
         return sorted(self.vocab - {SOS})
@@ -151,13 +149,11 @@ class NGramModel:
         return sum(self.prob(w, history) for w in self.predicted_tokens())
 
 
-def _sentence_logprob10(model, tokens: list[str]) -> float:
-    padded = [SOS] * (model.order - 1) + list(tokens) + [EOS]
-    total = 0.0
-    for i in range(model.order - 1, len(padded)):
-        history = tuple(padded[max(0, i - model.order + 1):i])
-        total += model.logprob10(padded[i], history)
-    return total
+def _predictions(order: int, sentences):
+    """Per sentence, the list of predicted ``(token, history)`` pairs, end marker included."""
+    for sent in sentences:
+        padded = [SOS] * (order - 1) + list(sent) + [EOS]
+        yield [(padded[i], tuple(padded[max(0, i - order + 1):i])) for i in range(order - 1, len(padded))]
 
 
 def _collect_counts(corpus, order):
@@ -186,11 +182,11 @@ def train_ngram(
     """
     corpus = [s for s in corpus if s]
     if not corpus:
-        raise ValueError("empty corpus")
+        raise DataError("empty corpus")
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise DataError(f"order must be >= 1, got {order}")
     if smoothing not in ("none", "witten_bell"):
-        raise ValueError(f"unknown smoothing {smoothing!r}")
+        raise DataError(f"unknown smoothing {smoothing!r}")
 
     counts = _collect_counts(corpus, order)
     totals: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
@@ -241,12 +237,15 @@ def train_ngram(
 def perplexity(model, sentences: list[list[str]]) -> float:
     """10 ** (-mean log10 prob); token count includes the end markers."""
     if not sentences:
-        raise ValueError("empty evaluation text")
+        raise DataError("empty evaluation text")
     total = 0.0
     n = 0
-    for sent in sentences:
-        total += model.sentence_logprob10(sent)
-        n += len(sent) + 1
+    for walk in _predictions(model.order, sentences):
+        sentence = 0.0
+        for token, history in walk:
+            sentence += model.logprob10(token, history)
+        total += sentence
+        n += len(walk)
     return 10.0 ** (-total / n)
 
 
@@ -255,7 +254,7 @@ class MixtureModel:
 
     def __init__(self, a: NGramModel, b: NGramModel, lam: float):
         if a.order != b.order:
-            raise ValueError(f"order mismatch: {a.order} vs {b.order}")
+            raise DataError(f"order mismatch: {a.order} vs {b.order}")
         self.a, self.b, self.lam = a, b, lam
         self.order = a.order
 
@@ -267,20 +266,6 @@ class MixtureModel:
     def logprob10(self, word: str, history: tuple[str, ...] = ()) -> float:
         return math.log10(max(self.prob(word, history), 1e-300))
 
-    def sentence_logprob10(self, tokens: list[str]) -> float:
-        return _sentence_logprob10(self, tokens)
-
-
-def _prediction_events(a: NGramModel, b: NGramModel, heldout):
-    events = []
-    order = a.order
-    for sent in heldout:
-        padded = [SOS] * (order - 1) + list(sent) + [EOS]
-        for i in range(order - 1, len(padded)):
-            h = tuple(padded[max(0, i - order + 1):i])
-            events.append((a.prob(padded[i], h), b.prob(padded[i], h)))
-    return events
-
 
 def tune_lambda(a: NGramModel, b: NGramModel, heldout: list[list[str]]) -> float:
     """EM for the two-component mixture weight on held-out sentences.
@@ -290,8 +275,8 @@ def tune_lambda(a: NGramModel, b: NGramModel, heldout: list[list[str]]) -> float
     boundary optimum is returned exactly.
     """
     if not heldout:
-        raise ValueError("empty held-out text")
-    events = _prediction_events(a, b, heldout)
+        raise DataError("empty held-out text")
+    events = [(a.prob(w, h), b.prob(w, h)) for walk in _predictions(a.order, heldout) for w, h in walk]
     lam = 0.5
     for _ in range(EM_MAX_ITER):
         post = 0.0
@@ -323,9 +308,9 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
     of the raw mixture.
     """
     if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
+        raise DataError(f"order mismatch: {a.order} vs {b.order}")
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+        raise DataError(f"lambda must be in [0, 1], got {lam}")
     order = a.order
     model = NGramModel(order=order)
     support: list[list[tuple[str, ...]]] = [

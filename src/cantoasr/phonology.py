@@ -20,6 +20,8 @@ the null onset, 15 nuclei, 9 codas, 53 finals) and referential integrity.
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import DataError
+
 SCHEME_IF = "if"
 SCHEME_ONC = "onc"
 SCHEMES = (SCHEME_IF, SCHEME_ONC)
@@ -34,11 +36,11 @@ EXPECTED_CODAS = 9  # non-null codas
 EXPECTED_FINALS = 53
 
 
-class InventoryError(ValueError):
+class InventoryError(DataError):
     """Raised when an inventory file is malformed or violates cardinalities."""
 
 
-class JyutpingError(ValueError):
+class JyutpingError(DataError):
     """Raised when a syllable string cannot be parsed.
 
     ``reason`` is one of ``"unknown-syllable"``, ``"invalid-tone"``,
@@ -322,7 +324,7 @@ class MergeRule:
 
     def __post_init__(self):
         if self.from_coda == self.to_coda:
-            raise ValueError(f"merge rule must change the coda: {self.from_coda!r}")
+            raise DataError(f"merge rule must change the coda: {self.from_coda!r}")
 
     def matches(self, syl: Syllable) -> bool:
         if syl.coda != self.from_coda:
@@ -347,7 +349,7 @@ class MergeRuleSet:
             spec, _, filt = chunk.partition("@")
             src, sep, dst = spec.partition(">")
             if not sep or not src.strip() or not dst.strip():
-                raise ValueError(f"bad merge rule {chunk!r}, expected 'from>to[@n1,n2]'")
+                raise DataError(f"bad merge rule {chunk!r}, expected 'from>to[@n1,n2]'")
             nuclei = None
             if filt:
                 nuclei = frozenset(n.strip() for n in filt.split(",") if n.strip())

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DataError
 from .decoder import MatrixScorer, pdf_labels_for
 
 MODEL_VARIANCE = 1.0
 
 
-class SimulationError(ValueError):
+class SimulationError(DataError):
     pass
 
 
@@ -41,8 +42,15 @@ class SimConfig:
         lo, hi = self.frames_per_state
         if lo < 1 or hi < lo:
             raise SimulationError(f"bad frames_per_state range {self.frames_per_state}")
-        if self.noise_sigma < 0:
-            raise SimulationError("noise_sigma must be >= 0")
+        # each check written so that NaN fails it
+        if not self.seed >= 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
+        if not self.noise_sigma >= 0:
+            raise SimulationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not self.feature_dim >= 1:
+            raise SimulationError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if not 0 < self.mean_scale < np.inf:
+            raise SimulationError(f"mean_scale must be positive and finite, got {self.mean_scale}")
 
 
 @dataclass
@@ -127,6 +135,8 @@ def blend_confusions(
 def _state_draws(phone_seq, models: StateModel, cfg: SimConfig, salt: int):
     """``(row, duration, noise)`` for each HMM state of ``phone_seq``, in draw
     order; ``row`` is the state's pdf row in ``models.means``."""
+    if not salt >= 0:
+        raise SimulationError(f"salt must be >= 0, got {salt}")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
     lo, hi = cfg.frames_per_state
     for phone in phone_seq:

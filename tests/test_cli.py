@@ -1,8 +1,12 @@
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import cantoasr
+from cantoasr import DataError, cli
 from cantoasr.cli import main
 from cantoasr.lattice import demo_lattice_path
 
@@ -177,6 +181,18 @@ def test_simulate_rejects_unknown_word(tmp_path, capsys):
     assert "not in lexicon" in err
 
 
+@pytest.mark.parametrize(
+    "before, after, why",
+    [(["--seed", "-1"], [], "seed must be >= 0"), ([], ["--salt", "-1"], "salt must be >= 0")],
+    ids=["seed", "salt"],
+)
+def test_simulate_rejects_negative_seed_and_salt(tmp_path, capsys, before, after, why):
+    simulate = ["simulate", "--text", "香港", "--out", str(tmp_path / "x.fscr")]
+    code, out, err = run(capsys, *before, *simulate, *after)
+    assert code == 2 and out == ""
+    assert why in err
+
+
 def test_nbest_demo_lattice_prints_node_path(capsys):
     code, out, _ = run(
         capsys, "--json", "nbest", "--lattice", str(demo_lattice_path()),
@@ -300,3 +316,57 @@ def test_json_outputs_parse_and_logs_on_stderr(tmp_path, capsys):
     code, out, err = run(capsys, "--json", "lexicon", "stats")
     assert code == 0
     json.loads(out)
+
+
+def test_every_package_exception_is_a_data_error():
+    found = []
+    for info in pkgutil.iter_modules(cantoasr.__path__):
+        module = importlib.import_module(f"cantoasr.{info.name}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    assert len(found) >= 10  # the ten typed errors
+    assert [c.__name__ for c in found if not issubclass(c, DataError)] == []
+
+
+def test_a_bug_is_not_a_data_error(monkeypatch):
+    def bug(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "parse_jyutping", bug)
+    with pytest.raises(KeyError, match="bug"):
+        main(["parse", "ling4"])
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["simulate", "--text", "香港", "--out", "x.fscr", "--frames-per-state", "3"],
+         "--frames-per-state"),
+        (["sweep", "--lm", "lm.arpa", "--scores", "x.fscr", "--refs", "r.txt", "--beams", "x"],
+         "--beams"),
+        (["rescore", "--lattice", "x.lat"], "--external"),
+        (["lm", "interpolate", "--model-a", "a.arpa", "--model-b", "b.arpa", "--out", "m.arpa"],
+         "--tune"),
+    ],
+    ids=["frames_per_state", "beams", "rescore", "interpolate"],
+)
+def test_usage_errors_exit_1_naming_the_option(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("error: ") and option in last
+
+
+def test_non_utf8_file_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(
+        capsys, "lm", "train", "--corpus", str(corpus), "--out", str(tmp_path / "lm.arpa")
+    )
+    assert code == 2 and out == ""
+    assert "utf-8" in err

@@ -212,6 +212,25 @@ def test_bad_settings_are_rejected_before_any_work(tmp_path, key, text, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("noise_sigma", "nan"),
+        ("mean_scale", "0"),
+        ("mean_scale", "nan"),
+        ("mean_scale", "inf"),
+        ("feature_dim", "0"),
+        ("words_per_utterance", "0"),
+        ("seed", "-1"),
+    ],
+)
+def test_simulation_settings_are_checked_when_loaded(tmp_path, key, text):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"seed = 1\n{key} = {text}\n", encoding="utf-8")
+    with pytest.raises(ExperimentError, match=key):
+        load_experiment_config(p)
+
+
 def test_report_params_are_the_settings(tmp_path):
     cfg = small_config(tmp_path / "out", num_seeds=1, num_utterances=2)
     params = run_experiment(cfg)["params"]

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cantoasr import DataError
 from cantoasr.lattice import (
     Arc,
     Hypothesis,
@@ -284,5 +285,5 @@ def test_rescore_external_hand_arithmetic():
 
 def test_rescore_external_missing_scores(diamond):
     hyps = nbest(diamond, 3, lm_weight=1.0)
-    with pytest.raises(KeyError, match="甲丙"):
+    with pytest.raises(DataError, match="甲丙"):
         rescore_external(hyps, {}, 0.5)
