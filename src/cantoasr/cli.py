@@ -2,19 +2,18 @@
 
 Exit codes: 0 success; 1 a usage error, including an option value that
 does not parse; 2 a data error, which is a ``DataError`` (malformed or
-out-of-range input), an ``OSError`` or a file that is not UTF-8.  Any
-other exception is a bug and ends in a traceback.  Machine-readable output goes to stdout as JSON when
-``--json`` is given (the ``parse`` subcommand always prints JSON); logs go
-to stderr only.
+out-of-range input, a file that is not UTF-8 among them) or an ``OSError``.
+Any other exception is a bug and ends in a traceback.  Machine-readable
+output goes to stdout as JSON when ``--json`` is given (the ``parse``
+subcommand always prints JSON); logs go to stderr only.
 """
 
 import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
-from . import DataError, __version__
+from . import DataError, __version__, open_text
 from .decoder import (
     DecodeParams,
     batch_decode,
@@ -111,11 +110,8 @@ def _load_lexicon(args):
 
 
 def _read_lines(path):
-    return [
-        line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    with open_text(path) as fh:
+        return [line.strip() for line in fh.read().splitlines() if line.strip()]
 
 
 def cmd_parse(args):
@@ -482,7 +478,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (DataError, OSError, UnicodeDecodeError) as exc:  # a non-UTF-8 file is bad data
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

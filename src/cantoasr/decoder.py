@@ -12,13 +12,13 @@ comparable LM amounts, which is what makes beam comparisons meaningful.
 The end-of-sentence LM term is added when the best final token is
 selected.
 
-A token carries its score, its acoustic total and the word-boundary record
-it descends from, nothing more.  Inside a word its LM total and context
-never change, so both are derived from that record: each record keeps the
-LM total at its word end and the context after its word, and a token in
-pronunciation ``p`` entered from record ``r`` has LM total
-``rec_lm[r] + pron_lm[rec_ctx[r], p]``.  The hub's context is the context
-of its record.
+A token is its score and the word-boundary record it descends from.
+Inside a word its LM total and context never change, so both are derived
+from that record: each record keeps the LM total at its word end and the
+context after its word, and a token in pronunciation ``p`` entered from
+record ``r`` has LM total ``rec_lm[r] + pron_lm[rec_ctx[r], p]``.  The
+hub's context is the context of its record.  A record's acoustic total is
+derived too, as ``score - lm_weight * lm`` at its word end.
 
 Pronunciations are laid out as consecutive state ids (entry state, chain,
 junction), so every emitting state ``s`` has exactly two arcs, ``s -> s``
@@ -58,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import DataError
+from . import DataError, open_text
 from .lattice import DEFAULT_LM_WEIGHT, Arc, Hypothesis, Lattice
 from .lexicon import PhoneLexicon
 from .ngram import EOS, SOS, UNK, NGramModel, tokenize_chars
@@ -190,7 +190,8 @@ def read_scores(path: str | Path) -> MatrixScorer:
     sidecar = Path(str(path) + ".labels")
     if not sidecar.exists():
         raise ScoreFormatError(f"{path}: no {sidecar.name} sidecar")
-    labels = tuple(sidecar.read_text(encoding="utf-8").split())
+    with open_text(sidecar) as fh:
+        labels = tuple(fh.read().split())
     if len(labels) != n_labels:
         raise ScoreFormatError(f"{path}: {n_labels} columns but {len(labels)} labels")
     matrix = data.reshape(frames, n_labels).astype(np.float64)
@@ -388,10 +389,9 @@ def decode(
     started = time.perf_counter()
 
     # the surviving tokens are the ascending state ids ``act`` with scores
-    # ``vals``; each frame recombines into the dense ``nv``, ``v_am`` and
-    # ``rec``, which hold meaning only where ``nv`` is finite
+    # ``vals``; each frame recombines into the dense ``nv`` and ``rec``,
+    # which hold meaning only where ``nv`` is finite
     S = graph.num_states
-    v_am = np.zeros(S)
     rec = np.full(S, -1, dtype=np.int32)
     # per-record parallel lists: word id, previous record, end frame, am
     # total, lm total at the crossing, and the LM context after the word
@@ -402,13 +402,6 @@ def decode(
     rec_lm: list[float] = []
     rec_ctx: list[int] = []
     pron_lm = graph.pron_lm
-
-    def token_lm(r: int, p: int) -> float:
-        """LM total of a token in pronunciation ``p`` entered from record
-        ``r``: fixed on its entry arc, so derived, not carried."""
-        if r < 0:
-            return pron_lm.item(graph.sos_ctx, p)
-        return rec_lm[r] + pron_lm.item(rec_ctx[r], p)
 
     lm_weight = params.lm_weight
     nv = np.full(S, NEG_INF)
@@ -438,19 +431,14 @@ def decode(
         # the forward arc on em + 1 where it ties or beats the self-loop
         # there (it has the lower arc id).  Every sum runs (v + w) + am:
         # another order moves scores in their last bits.
-        e = am[t].take(state_pdf.take(em))
-        sc = vals[is_em] + TRANSITION_LOG_PROB + e
+        sc = vals[is_em] + TRANSITION_LOG_PROB + am[t].take(state_pdf.take(em))
         nv.fill(NEG_INF)
         nv[em] = sc
         win = (sc >= nv[em + 1]).nonzero()[0]
         src = em[win]
         dst = src + 1
         nv[dst] = sc[win]
-        # a self-loop keeps its state's record, so only forward winners copy
-        # it; the gather of v_am reads the previous frame's values
-        em_am = v_am[em] + TRANSITION_LOG_PROB + e
-        v_am[em] = em_am
-        v_am[dst] = em_am[win]
+        # a self-loop keeps its state's record, so only forward winners copy it
         rec[dst] = rec[src]
 
         # epsilon closure: word-end arcs into the hub, then word entries
@@ -464,25 +452,28 @@ def decode(
             keep = order[: params.lattice_width]
             first = len(rec_word)  # first appended = best
             ks = j_states[keep]
-            for p, r, a in zip(
-                j_prons[keep].tolist(), rec[ks].tolist(), v_am[ks].tolist()
+            for p, r, c in zip(
+                j_prons[keep].tolist(), rec[ks].tolist(), crossing[keep].tolist()
             ):
                 w = j_words[p]
+                # the word's LM total was fixed on its entry arc from record r
+                if r < 0:
+                    lm = pron_lm.item(graph.sos_ctx, p)
+                else:
+                    lm = rec_lm[r] + pron_lm.item(rec_ctx[r], p)
                 rec_word.append(w)
                 rec_prev.append(r)
                 rec_frame.append(t + 1)
-                rec_am.append(a)
-                rec_lm.append(token_lm(r, p))
+                rec_am.append(c - lm_weight * lm)
+                rec_lm.append(lm)
                 rec_ctx.append(word_end_ctx[w])
             hv = crossing[keep[0]]
             nv[hub] = hv
-            v_am[hub] = rec_am[first]
             rec[hub] = first
             cand_entry = hv + lm_weight * pron_lm[rec_ctx[first]]
             improve = cand_entry > nv[entries]
             targets = entries[improve]
             nv[targets] = cand_entry[improve]
-            v_am[targets] = v_am[hub]
             rec[targets] = first
 
         # the beam is measured from the best token that can still reach a
@@ -506,10 +497,8 @@ def decode(
             "no surviving token reaches a word boundary at the final frame"
         )
     r = int(rec[hub])
-    end = float(graph.end_lm[rec_ctx[r]])
-    combined = float(vals[0]) + lm_weight * end
-    am_total = float(v_am[hub])
-    lm_total = rec_lm[r] + end
+    am_total = rec_am[r]
+    lm_total = rec_lm[r] + float(graph.end_lm[rec_ctx[r]])
 
     words = []
     while r >= 0:

@@ -40,7 +40,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import DataError
+from . import DataError, open_text
 from .decoder import BatchResult, DecodeParams, batch_decode, build_graph, pdf_labels_for
 from .evaluate import (
     WerResult,
@@ -153,7 +153,7 @@ def load_experiment_config(
     path = Path(path)
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values: dict = {"out_dir": Path(".")}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

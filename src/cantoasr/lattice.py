@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import DataError
+from . import DataError, open_text
 from .ngram import SOS, NGramModel, tokenize_chars
 
 DEFAULT_LM_WEIGHT = 10.0
@@ -308,7 +308,7 @@ def rescore_external(
 def read_external_scores(path: str | Path) -> dict[tuple[str, ...], float]:
     """``rescore_external``'s scores: one ``words<TAB>log prob`` line per hypothesis."""
     scores = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             text, tab, lp = line.strip().rpartition("\t")
             if not lp:
@@ -348,7 +348,7 @@ def read_lattice(path: str | Path) -> Lattice:
     start: int | None = None
     finals: set[int] = set()
     arcs: list[Arc] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "LATTICE v1":
         raise LatticeFormatError(f"{path}:1: expected header 'LATTICE v1'")

@@ -9,7 +9,7 @@ which downstream modules use to build the recognizer search graph.
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import DataError
+from . import DataError, open_text
 from .phonology import (
     Inventory,
     JyutpingError,
@@ -66,7 +66,7 @@ def read_lexicon(path: str | Path) -> list[LexiconEntry]:
     path = Path(path)
     prons: dict[str, list[tuple[str, ...]]] = {}
     order: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):

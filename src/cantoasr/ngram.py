@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import DataError
+from . import DataError, open_text
 
 SOS = "<s>"
 EOS = "</s>"
@@ -65,7 +65,7 @@ def tokenize_chars(text: str) -> list[str]:
 def read_corpus(path: str | Path) -> list[list[str]]:
     """One sentence per line, character-tokenized, blank lines skipped."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             tokens = tokenize_chars(line)
             if tokens:
@@ -388,7 +388,7 @@ def read_arpa(path: str | Path) -> NGramModel:
     section = 0
     seen_in_section = 0
     state = "preamble"
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:

@@ -20,7 +20,7 @@ the null onset, 15 nuclei, 9 codas, 53 finals) and referential integrity.
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import DataError
+from . import DataError, open_text
 
 SCHEME_IF = "if"
 SCHEME_ONC = "onc"
@@ -199,7 +199,7 @@ def load_inventory(path: str | Path) -> Inventory:
     codas: list[str] = []
     finals: dict[str, tuple[str, str | None]] = {}
     headers = {"#onsets", "#nuclei", "#codas", "#finals"}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip():

@@ -40,7 +40,8 @@ class SimConfig:
 
     def __post_init__(self):
         lo, hi = self.frames_per_state
-        if lo < 1 or hi < lo:
+        # a duration is drawn from [lo, hi + 1), whose bound must fit an int64
+        if not 1 <= lo <= hi < np.iinfo(np.int64).max:
             raise SimulationError(f"bad frames_per_state range {self.frames_per_state}")
         # each check written so that NaN fails it
         if not self.seed >= 0:

@@ -227,6 +227,7 @@ def _rtf_trend_system():
     return words, lex, graph
 
 
+@pytest.mark.slow
 def test_c07_pruning_rtf_trend():
     words, lex, graph = _rtf_trend_system()
     assert graph.num_states > 4000  # the cap at 2000 must actually bite
@@ -269,6 +270,7 @@ def test_c07_pruning_rtf_trend():
     )
 
 
+@pytest.mark.slow
 def test_c08_onc_beats_if_directionally(tmp_path):
     cfg = ExperimentConfig(seed=7, out_dir=tmp_path / "exp")
     assert cfg.confusion_p == 0.5 and cfg.num_utterances == 50 and cfg.num_seeds == 20

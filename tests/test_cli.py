@@ -193,6 +193,16 @@ def test_simulate_rejects_negative_seed_and_salt(tmp_path, capsys, before, after
     assert why in err
 
 
+def test_simulate_rejects_a_frames_per_state_bound_it_cannot_draw(tmp_path, capsys):
+    # a duration is drawn below hi + 1, which must fit an int64
+    code, out, err = run(
+        capsys, "simulate", "--text", "香港", "--out", str(tmp_path / "x.fscr"),
+        "--frames-per-state", "1:99999999999999999999",
+    )
+    assert code == 2 and out == ""
+    assert "frames_per_state" in err
+
+
 def test_nbest_demo_lattice_prints_node_path(capsys):
     code, out, _ = run(
         capsys, "--json", "nbest", "--lattice", str(demo_lattice_path()),
@@ -369,4 +379,10 @@ def test_non_utf8_file_is_a_data_error(tmp_path, capsys):
         capsys, "lm", "train", "--corpus", str(corpus), "--out", str(tmp_path / "lm.arpa")
     )
     assert code == 2 and out == ""
-    assert "utf-8" in err
+    assert "utf-8" in err and str(corpus) in err
+    # a reader that holds the whole file, with the bad byte past a valid header
+    lat = tmp_path / "x.lat"
+    lat.write_bytes(b"LATTICE v1\nnode 0 0\nstart 0\n# \xe9t\xe9\n")
+    code, out, err = run(capsys, "nbest", "--lattice", str(lat))
+    assert code == 2 and out == ""
+    assert "utf-8" in err and str(lat) in err

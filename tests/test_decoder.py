@@ -365,6 +365,37 @@ def test_minus_inf_scores_never_reach_the_lattice():
     assert decoded >= 80
 
 
+def test_acoustic_totals_are_derived_at_word_ends():
+    # a record's am total is its crossing score minus lm_weight * lm, not a
+    # carried sum: it must match the oracle's carried sum, also where -inf
+    # scores kill paths, and the lattice's best path must add up to it
+    decoded = 0
+    for seed in range(1000, 1040):
+        rng = random.Random(seed)
+        dead = np.random.default_rng(seed)
+        for _ in range(6):
+            graph, lm, scorer, lm_weight = random_fixture(rng)
+            matrix = scorer.matrix.copy()
+            matrix[dead.random(matrix.shape) < 0.15] = -np.inf
+            scorer = MatrixScorer(matrix, scorer.labels)
+            params = DecodeParams(beam=1e30, max_active=10**9, lm_weight=lm_weight)
+            oracle = viterbi_reference(graph, _score_matrix(graph, scorer), lm, lm_weight)
+            try:
+                hyp, lattice, _ = decode(graph, scorer, params)
+            except DecodeError:
+                assert oracle is None or oracle[3] == -math.inf, (seed, oracle)
+                continue
+            words, am, _, combined = oracle
+            assert hyp.words == words, seed
+            assert hyp.am_total == pytest.approx(am, abs=1e-9)
+            assert hyp.combined == pytest.approx(combined, abs=1e-9)
+            lattice_best = best_path(lattice, lm_weight)
+            assert lattice_best.words == words, seed
+            assert lattice_best.am_total == pytest.approx(am, abs=1e-9)
+            decoded += 1
+    assert decoded >= 160
+
+
 def test_lm_total_is_the_character_bigram_total():
     # the decoder derives a token's LM total from its word-boundary record;
     # recompute it from the words, one bigram per character

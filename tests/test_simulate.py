@@ -183,6 +183,9 @@ def test_unknown_phone_rejected():
 def test_bad_config_rejected():
     with pytest.raises(SimulationError):
         SimConfig(seed=1, frames_per_state=(0, 3))
+    with pytest.raises(SimulationError, match="frames_per_state"):
+        SimConfig(seed=1, frames_per_state=(1, 2**63 - 1))
+    assert SimConfig(seed=1, frames_per_state=(1, 2**63 - 2)).frames_per_state[1] == 2**63 - 2
     models = build_state_models(pdfs(LABELS), SimConfig(seed=1))
     with pytest.raises(SimulationError, match="must differ"):
         blend_confusions(models, (("_k3", "_k3", 0.5),))
