@@ -4,7 +4,9 @@ A lattice is an acyclic word graph whose arcs carry separate acoustic and
 language-model scores (both natural log).  Paths are ranked by the combined
 score ``am + lm_weight * lm``.  Rescoring replaces the per-arc LM scores
 with a stronger character n-gram conditioned on the full in-lattice word
-history, splitting nodes where needed so every arc sees a unique history.
+history.  It splits a node once per LM state that reaches it: the longest
+suffix of the history the model stores, not the raw ``order - 1``
+characters, so histories the model backs off through alike share a node.
 """
 
 import heapq
@@ -226,24 +228,35 @@ def best_path(lat: Lattice, lm_weight: float = DEFAULT_LM_WEIGHT) -> Hypothesis:
 def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
     """Replace arc LM scores with ``lm`` conditioned on full word history.
 
-    Nodes are split so every arc sees a unique ``order - 1`` character
-    history; acoustic scores and the set of complete word sequences are
-    preserved.  Epsilon arcs pass the history through and carry LM score 0.
+    Nodes are split on the LM state: the longest suffix of the mapped
+    history (out-of-vocabulary tokens read as ``<unk>``) that ``lm``
+    stores.  Histories the model backs off through to the same scores
+    share a node, so the lattice grows by no more than ``lm`` has
+    contexts.  Every stored n-gram's context is stored too, so a dropped
+    token only ever added a zero back-off weight, and each arc's score
+    equals that under the raw ``order - 1`` character history.  Acoustic
+    scores and the set of complete word sequences are preserved.  Epsilon
+    arcs pass the state through and carry LM score 0.
     """
     if lm.order < 2:
         raise DataError(f"rescoring needs order >= 2, got order {lm.order}")
     ctx_len = lm.order - 1
-    sos_hist = (SOS,) * ctx_len
+    ln10 = math.log(10.0)
 
-    def word_score(word: str, hist: tuple[str, ...]) -> tuple[float, tuple[str, ...]]:
+    def lm_state(hist: tuple[str, ...]) -> tuple[str, ...]:
+        hist = hist[-ctx_len:]
+        while hist and hist not in lm.backoff and hist not in lm.logprob:
+            hist = hist[1:]
+        return hist
+
+    def word_score(word: str, state: tuple[str, ...]) -> tuple[float, tuple[str, ...]]:
         total = 0.0
-        h = hist
         for ch in tokenize_chars(word):
-            total += math.log(10.0) * lm.logprob10(ch, h)
-            h = (h + (ch,))[-ctx_len:]
-        return total, h
+            total += ln10 * lm.logprob10(ch, state)
+            state = lm_state(state + (lm.map_token(ch),))
+        return total, state
 
-    start_state = (lat.start, sos_hist)
+    start_state = (lat.start, lm_state((lm.map_token(SOS),) * ctx_len))
     ids: dict[tuple[int, tuple[str, ...]], int] = {start_state: 0}
     nodes = {0: lat.nodes[lat.start]}
     arcs: list[Arc] = []
@@ -252,8 +265,7 @@ def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
         finals.add(0)
     out = lat._out
     queue = [start_state]
-    while queue:
-        state = queue.pop(0)
+    for state in queue:  # the queue grows as new states are found
         base, hist = state
         src_id = ids[state]
         for arc in out.get(base, []):

@@ -75,7 +75,13 @@ def read_corpus(path: str | Path) -> list[list[str]]:
 
 @dataclass
 class NGramModel:
-    """Back-off model: stored log10 probs plus per-history back-off weights."""
+    """Back-off model: stored log10 probs plus per-history back-off weights.
+
+    The stored n-grams are prefix closed: every stored n-gram's context
+    (its first n - 1 tokens) is stored too.  ``train_ngram`` and
+    ``interpolate`` build models that way and ``read_arpa`` requires it;
+    ``lattice.rescore_ngram`` relies on it to merge histories.
+    """
 
     order: int
     logprob: dict[tuple[str, ...], float] = field(default_factory=dict)
@@ -85,14 +91,15 @@ class NGramModel:
     def vocab(self) -> frozenset[str]:
         return frozenset(g[0] for g in self.logprob if len(g) == 1)
 
-    def _map_token(self, token: str) -> str:
+    def map_token(self, token: str) -> str:
+        """The token as queries read it: ``<unk>`` for one outside the unigrams."""
         return token if (token,) in self.logprob else UNK
 
     def logprob10(self, word: str, history: tuple[str, ...] = ()) -> float:
         """log10 P(word | history) through the back-off recursion."""
-        word = self._map_token(word)
+        word = self.map_token(word)
         if self.order > 1:
-            history = tuple(self._map_token(t) for t in history[-(self.order - 1):])
+            history = tuple(self.map_token(t) for t in history[-(self.order - 1):])
         else:
             history = ()
         return self._backoff_logprob(history + (word,))
@@ -113,12 +120,12 @@ class NGramModel:
         and the stored bigrams are written over it; tokens are mapped as
         ``logprob10`` maps them.
         """
-        words = [self._map_token(w) for w in words]
+        words = [self.map_token(w) for w in words]
         # a word missing from the unigrams is <unk> without a unigram
         uni = np.array([self.logprob.get((w,), LOG10_FLOOR) for w in words])
         if self.order == 1:
             return np.tile(uni, (len(histories), 1))
-        histories = [self._map_token(h) for h in histories]
+        histories = [self.map_token(h) for h in histories]
         bow = np.array([self.backoff.get((h,), 0.0) for h in histories])
         table = bow[:, None] + uni
         rows: dict[str, list[int]] = {}
@@ -458,6 +465,11 @@ def read_arpa(path: str | Path) -> NGramModel:
                 if len(gram) != section:
                     fail(lineno, f"{len(gram)}-gram {gram!r} in section {section}")
                 assert model is not None
+                if gram in model.logprob:
+                    fail(lineno, f"repeated n-gram {fields[1]!r}")
+                if len(gram) > 1 and gram[:-1] not in model.logprob:
+                    # rescore_ngram's state merge needs every context stored
+                    fail(lineno, f"context {' '.join(gram[:-1])!r} of {fields[1]!r} not stored")
                 model.logprob[gram] = lp
                 if len(fields) == 3:
                     try:

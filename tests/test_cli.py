@@ -8,7 +8,7 @@ import pytest
 import cantoasr
 from cantoasr import DataError, cli
 from cantoasr.cli import main
-from cantoasr.lattice import demo_lattice_path
+from cantoasr.lattice import best_path, demo_lattice_path, read_lattice
 
 DATA = Path(__file__).parent.parent / "src/cantoasr/data"
 
@@ -246,12 +246,20 @@ def test_rescore_cli(tmp_path, capsys):
         "arc 2 3 魚塘 -2.000000 -2.100000\n",
         encoding="utf-8",
     )
+    rescored = tmp_path / "rescored.lat"
     code, out, _ = run(
         capsys, "--json", "rescore", "--lattice", str(lat), "--lm", str(lm4),
-        "--out", str(tmp_path / "rescored.lat"),
+        "--out", str(rescored),
     )
     assert code == 0
-    assert json.loads(out)["text"] == "奶有乳糖"
+    payload = json.loads(out)
+    assert payload["text"] == "奶有乳糖"
+    back = read_lattice(rescored)
+    assert back.word_sequences() == read_lattice(lat).word_sequences()
+    best = best_path(back)
+    assert best.text == payload["text"]
+    # the file keeps six decimals per arc score
+    assert best.combined == pytest.approx(payload["combined"], abs=1e-4)
 
 
 def test_rescore_external_cli(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from cantoasr.lattice import (
     rescore_ngram,
     write_lattice,
 )
-from cantoasr.ngram import train_ngram
+from cantoasr.ngram import SOS, UNK, read_arpa, tokenize_chars, train_ngram, write_arpa
 
 from oracles import enumerate_paths
 
@@ -247,6 +248,67 @@ def test_rescore_preserves_sequences_and_am(milk_lattice):
                 o for o in enumerate_paths(milk_lattice, 1.0) if o[0] == words
             ]
             assert match and am == pytest.approx(match[0][1], abs=1e-9)
+
+
+def raw_history_lm(lm, words):
+    """A path's LM total, each character conditioned on the raw ``order - 1`` before it."""
+    ctx_len = lm.order - 1
+    ln10 = math.log(10.0)
+    hist = (SOS,) * ctx_len
+    total = 0.0
+    for word in words:
+        arc_lm = 0.0
+        for ch in tokenize_chars(word):
+            arc_lm += ln10 * lm.logprob10(ch, hist)
+            hist = (hist + (ch,))[-ctx_len:]
+        total += arc_lm
+    return total
+
+
+def test_rescore_census_equals_raw_history_scores(tmp_path):
+    rng = random.Random(13)
+    chars = list("天氣好熱今日香港人奶有")
+    for case in range(48):
+        order = 2 + case % 4
+        corpus = [
+            [rng.choice(chars[:8] + ["ab", UNK]) for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(5, 25))
+        ]
+        lm = train_ngram(corpus, order, smoothing=rng.choice(["none", "witten_bell"]))
+        if case % 2:
+            write_arpa(lm, tmp_path / "lm.arpa")
+            lm = read_arpa(tmp_path / "lm.arpa")
+        # in-vocabulary, OOV (龍, 鳳, zz: read as <unk>, which the corpus
+        # also holds), ASCII-run and epsilon arcs
+        vocab = chars + ["龍", "天龍", "鳳", "ab", "zz", "ab天", None]
+        n = rng.randint(2, 5)
+        arcs = [Arc(i, i + 1, rng.choice(vocab[:-1]), -1.0, -0.5) for i in range(n)]
+        for _ in range(2 * n):
+            i = rng.randint(0, n - 1)
+            arcs.append(Arc(i, rng.randint(i + 1, n), rng.choice(vocab), rng.uniform(-5, 0), -0.5))
+        lat = make_lattice(arcs, start=0, finals=(n - 1, n))
+        rescored = rescore_ngram(lat, lm)
+        assert rescored.word_sequences() == lat.word_sequences()
+        paths = enumerate_paths(rescored, 1.0)
+        assert sorted((w, am) for w, am, *_ in paths) == sorted(
+            (w, am) for w, am, *_ in enumerate_paths(lat, 1.0)
+        )
+        for words, _, lm_total, _, _ in paths:
+            assert lm_total == raw_history_lm(lm, words)
+
+
+def test_rescore_merges_histories_the_lm_never_stored():
+    lm = train_ngram([list("天氣好"), list("天氣熱")], order=3)
+    # three OOV words in one slot: three raw histories, one LM state
+    arcs = [Arc(0, 1, w, -1.0, -0.5) for w in ("龍", "鳳", "zz")]
+    arcs += [Arc(1, 2, "天", -1.0, -0.5), Arc(2, 3, "氣", -1.0, -0.5)]
+    lat = make_lattice(arcs, finals=(3,))
+    raw_histories = 1 + 3 + 3 + 3
+    rescored = rescore_ngram(lat, lm)
+    assert len(rescored.nodes) == len(lat.nodes) < raw_histories
+    assert rescored.word_sequences() == lat.word_sequences()
+    for words, _, lm_total, _, _ in enumerate_paths(rescored, 1.0):
+        assert lm_total == raw_history_lm(lm, words)
 
 
 def test_rescore_external_orderings(diamond):

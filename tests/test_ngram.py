@@ -288,6 +288,38 @@ def test_arpa_accepts_neg_inf(tmp_path):
     assert read_arpa(path).logprob[("a",)] == -math.inf
 
 
+def test_arpa_rejects_unstored_context(tmp_path):
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=2\nngram 2=2\n\n\\1-grams:\n-0.3\ta\t-0.1\n-0.6\tb\n"
+        "\n\\2-grams:\n-0.1\ta b\n-0.2\tc a\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaFormatError, match=r"bad\.arpa:11: context 'c' of 'c a' not stored"):
+        read_arpa(path)
+
+
+def test_arpa_rejects_repeated_ngram(tmp_path):
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\ta\n-0.6\tb\n-0.5\ta\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaFormatError, match=r"bad\.arpa:7: repeated n-gram 'a'"):
+        read_arpa(path)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_arpa_round_trip_loads_every_model(tmp_path, order):
+    a = train_ngram(sents("a b c a", "c b", "b b a c"), order=order)
+    b = train_ngram(sents("a c c", "c b a"), order=order)
+    for name, m in [("trained", a), ("interpolated", interpolate(a, b, 0.3))]:
+        path = tmp_path / f"{name}.arpa"
+        write_arpa(m, path)
+        back = read_arpa(path)
+        assert back.order == order and set(back.logprob) == set(m.logprob)
+
+
 def test_prefixes_always_present():
     corpus = sents("a b c d", "d c b a", "a c")
     for order in (2, 3, 4):
