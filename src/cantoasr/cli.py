@@ -12,11 +12,11 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 
 from . import DataError, __version__, open_text
 from .decoder import (
     DecodeParams,
-    batch_decode,
     build_graph,
     decode,
     pdf_labels_for,
@@ -192,12 +192,7 @@ def cmd_graph_build(args):
 
 
 def cmd_decode(args):
-    params = DecodeParams(
-        beam=args.beam,
-        max_active=args.max_active,
-        lm_weight=args.lm_weight,
-        lattice_width=args.lattice_width,
-    )
+    params = DecodeParams(**{f.name: getattr(args, f.name) for f in fields(DecodeParams)})
     lex = _load_lexicon(args)
     graph = build_graph(lex, read_arpa(args.lm))
     scorer = read_scores(args.scores)
@@ -280,11 +275,12 @@ def cmd_score_classify(args):
 
 
 def cmd_sweep(args):
+    params = DecodeParams(lm_weight=args.lm_weight)
     lex = _load_lexicon(args)
     graph = build_graph(lex, read_arpa(args.lm))
     scorers = [read_scores(p) for p in args.scores]
     refs = _read_lines(args.refs)
-    cells = sweep(graph, scorers, args.beams, args.max_actives, refs, lm_weight=args.lm_weight)
+    cells = sweep(graph, scorers, args.beams, args.max_actives, refs, params)
     _emit([c.to_json() for c in cells], args.json, format_sweep_table(cells))
     return 0
 
@@ -341,10 +337,9 @@ def _add_lexicon_args(parser):
 
 
 def _add_decode_args(parser):
-    parser.add_argument("--beam", type=float, default=DecodeParams.beam)
-    parser.add_argument("--max-active", type=int, default=DecodeParams.max_active)
-    parser.add_argument("--lm-weight", type=float, default=DecodeParams.lm_weight)
-    parser.add_argument("--lattice-width", type=int, default=DecodeParams.lattice_width)
+    """One option per ``DecodeParams`` field, with the field's type and default."""
+    for f in fields(DecodeParams):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=f.type, default=f.default)
 
 
 def build_parser() -> argparse.ArgumentParser:

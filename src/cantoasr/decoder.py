@@ -5,10 +5,12 @@ each phone expands to a strict left-to-right 3-state HMM (self-loop plus
 forward transition, emitting its state's pdf on both), and a word-end
 epsilon arc returns to the hub carrying the word.  The bigram character LM
 is conditioned on the last character of the previous word, so the graph
-stays small.  The whole word's LM cost is charged on the entry arc (the
-context is already known there): path totals are unchanged versus charging
-it at the word end, but tokens inside competing words then carry
-comparable LM amounts, which is what makes beam comparisons meaningful.
+stays small; the LM maps and scores each word's tokens itself
+(``NGramModel.map_token`` and ``NGramModel.ln_score``).  The whole word's
+LM cost is charged on the entry arc (the context is already known there):
+path totals are unchanged versus charging it at the word end, but tokens
+inside competing words then carry comparable LM amounts, which is what
+makes beam comparisons meaningful.
 The end-of-sentence LM term is added when the best final token is
 selected.
 
@@ -51,6 +53,7 @@ a hypothesis score is always ``am_total + lm_weight * lm_total``.
 
 import logging
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -61,7 +64,7 @@ import numpy as np
 from . import DataError, open_text
 from .lattice import DEFAULT_LM_WEIGHT, Arc, Hypothesis, Lattice
 from .lexicon import PhoneLexicon
-from .ngram import EOS, SOS, UNK, NGramModel, tokenize_chars
+from .ngram import EOS, LN10, SOS, NGramModel, tokenize_chars
 
 log = logging.getLogger(__name__)
 
@@ -105,9 +108,7 @@ class DecodeStats:
     active_tokens_mean: float
     wall_seconds: float
     audio_seconds: float
-    beam: float
-    max_active: int
-    lm_weight: float
+    params: DecodeParams
     tokens_expanded: int
 
     @property
@@ -121,9 +122,9 @@ class DecodeStats:
             "wall_seconds": self.wall_seconds,
             "audio_seconds": self.audio_seconds,
             "rtf": self.rtf,
-            "beam": self.beam,
-            "max_active": self.max_active,
-            "lm_weight": self.lm_weight,
+            "beam": self.params.beam,
+            "max_active": self.params.max_active,
+            "lm_weight": self.params.lm_weight,
             "tokens_expanded": self.tokens_expanded,
         }
 
@@ -184,9 +185,10 @@ def read_scores(path: str | Path) -> MatrixScorer:
         if len(header) != 8:
             raise ScoreFormatError(f"{path}: truncated FSCR header")
         frames, n_labels = struct.unpack("<II", header)
+        # a header can declare more than the file holds; reading that would allocate it first
+        if os.fstat(fh.fileno()).st_size - fh.tell() < frames * n_labels * 4:
+            raise ScoreFormatError(f"{path}: truncated score matrix")
         data = np.frombuffer(fh.read(frames * n_labels * 4), dtype="<f4")
-    if data.size != frames * n_labels:
-        raise ScoreFormatError(f"{path}: truncated score matrix")
     sidecar = Path(str(path) + ".labels")
     if not sidecar.exists():
         raise ScoreFormatError(f"{path}: no {sidecar.name} sidecar")
@@ -222,16 +224,13 @@ class SearchGraph:
 
         self.words = tuple(sorted(lex.entries))
         word_index = {w: i for i, w in enumerate(self.words)}
-        vocab = lm.vocab
         self.word_tokens: dict[str, tuple[str, ...]] = {}
         for word in self.words:
-            tokens = []
-            for tok in tokenize_chars(word):
-                if tok not in vocab:
+            tokens = tokenize_chars(word)
+            self.word_tokens[word] = tuple(map(lm.map_token, tokens))
+            for tok, mapped in zip(tokens, self.word_tokens[word]):
+                if mapped != tok:
                     log.warning("word %r: token %r unknown to the LM", word, tok)
-                    tok = UNK
-                tokens.append(tok)
-            self.word_tokens[word] = tuple(tokens)
 
         self.hub = 0
         self.start = self.hub
@@ -282,7 +281,6 @@ class SearchGraph:
         ``pron_lm[c, p]`` is the LM cost of pronunciation ``p``'s word after
         context ``c``, one contiguous row per context.
         """
-        ln10 = math.log(10.0)
         ctx_chars = sorted({toks[-1] for toks in self.word_tokens.values()})
         self.ctx_ids = {c: i for i, c in enumerate(ctx_chars)}
         self.sos_ctx = len(ctx_chars)
@@ -293,14 +291,11 @@ class SearchGraph:
         for w, word in enumerate(self.words):
             toks = self.word_tokens[word]
             firsts.append(toks[0])
-            total = 0.0
-            for prev, tok in zip(toks, toks[1:]):
-                total += ln10 * lm.logprob10(tok, (prev,))
-            inner[w] = total
-        word_lm = ln10 * lm.bigram_log10_table(ctx_tokens, firsts) + inner
+            inner[w] = lm.ln_score(toks[1:], (toks[0],))[0]
+        word_lm = LN10 * lm.bigram_log10_table(ctx_tokens, firsts) + inner
         self.pron_lm = word_lm[:, self.j_words]
         self.end_lm = np.array(
-            [ln10 * lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
+            [LN10 * lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
         )
         self.word_end_ctx = np.array(
             [self.ctx_ids[self.word_tokens[w][-1]] for w in self.words],
@@ -521,9 +516,7 @@ def decode(
         active_tokens_mean=active_total / n_frames,
         wall_seconds=wall,
         audio_seconds=scorer.audio_seconds,
-        beam=params.beam,
-        max_active=params.max_active,
-        lm_weight=lm_weight,
+        params=params,
         tokens_expanded=expanded,
     )
     return hyp, lattice, stats

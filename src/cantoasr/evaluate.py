@@ -9,7 +9,7 @@ insertions and deletions.  Corpus rates are micro-averaged (total errors
 over total reference length).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import DataError
 from .decoder import DecodeParams, batch_decode
@@ -206,10 +206,9 @@ def sweep(
     beams: list[float],
     max_actives: list[int],
     refs: list[str],
-    lm_weight: float = DecodeParams.lm_weight,
-    lattice_width: int = DecodeParams.lattice_width,
+    params: DecodeParams = DecodeParams(),
 ) -> list[SweepCell]:
-    """One batch decode per (beam, max_active) grid point.
+    """One batch decode per (beam, max_active) grid point, ``params`` at that point.
 
     ``refs[i]`` is the reference of ``scorers[i]``.  An utterance that fails
     to decode scores as an empty hypothesis.  Rows come back sorted by
@@ -222,13 +221,7 @@ def sweep(
     cells = []
     for beam in sorted(beams):
         for max_active in sorted(max_actives):
-            params = DecodeParams(
-                beam=beam,
-                max_active=max_active,
-                lm_weight=lm_weight,
-                lattice_width=lattice_width,
-            )
-            batch = batch_decode(graph, scorers, params)
+            batch = batch_decode(graph, scorers, replace(params, beam=beam, max_active=max_active))
             pairs = []
             for ref, result in zip(refs, batch.results):
                 hyp = result.hypothesis.text if result.hypothesis else ""

@@ -34,7 +34,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -93,13 +93,9 @@ class ExperimentConfig:
         # each SimConfig field is the setting of the same name
         return SimConfig(**{f.name: getattr(self, f.name) for f in fields(SimConfig)})
 
-    def decode_params(self, beam: float, max_active: int) -> DecodeParams:
-        return DecodeParams(
-            beam=beam,
-            max_active=max_active,
-            lm_weight=self.lm_weight,
-            lattice_width=self.lattice_width,
-        )
+    def decode_params(self) -> DecodeParams:
+        # each DecodeParams field is the setting of the same name
+        return DecodeParams(**{f.name: getattr(self, f.name) for f in fields(DecodeParams)})
 
     def validate(self) -> None:
         """Check every setting, each with the class that uses it, before any work."""
@@ -117,10 +113,11 @@ class ExperimentConfig:
         try:
             MergeRuleSet.parse(self.merge_rules)
             self.sim_config()
+            params = self.decode_params()
             # the main run's point and every sweep grid point
             for beam in (self.beam, *self.sweep_beams):
                 for max_active in (self.max_active, *self.sweep_max_actives):
-                    self.decode_params(beam, max_active)
+                    replace(params, beam=beam, max_active=max_active)
         except DataError as exc:
             raise ExperimentError(str(exc)) from exc
 
@@ -332,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         scheme: _build_system(scheme, entries, inv, lm, cfg)
         for scheme in (SCHEME_IF, SCHEME_ONC)
     }
-    params = cfg.decode_params(cfg.beam, cfg.max_active)
+    params = cfg.decode_params()
     words = [e.word for e in entries]
 
     per_seed = []
@@ -454,8 +451,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 beams,
                 actives,
                 ["".join(t) for t in texts],
-                lm_weight=params.lm_weight,
-                lattice_width=params.lattice_width,
+                params,
             )
             sweep_report[scheme] = [c.to_json() for c in cells]
             lines += ["", f"Sweep ({scheme})", format_sweep_table(cells)]

@@ -2,11 +2,12 @@
 
 A lattice is an acyclic word graph whose arcs carry separate acoustic and
 language-model scores (both natural log).  Paths are ranked by the combined
-score ``am + lm_weight * lm``.  Rescoring replaces the per-arc LM scores
-with a stronger character n-gram conditioned on the full in-lattice word
-history.  It splits a node once per LM state that reaches it: the longest
-suffix of the history the model stores, not the raw ``order - 1``
-characters, so histories the model backs off through alike share a node.
+score ``am + lm_weight * lm``, and ``lm_weight`` must be finite.
+Rescoring replaces the per-arc LM scores with a stronger character n-gram
+conditioned on the full in-lattice word history.  It splits a node once
+per LM state that reaches it (``NGramModel.state``: the longest suffix of
+the history the model stores, not the raw ``order - 1`` characters), so
+histories the model backs off through alike share a node.
 """
 
 import heapq
@@ -176,6 +177,8 @@ def nbest(
     """
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
+    if not math.isfinite(lm_weight):
+        raise DataError(f"lm_weight must be finite, got {lm_weight}")
     completion = _completion_scores(lat, lm_weight)
     out = lat._out
     # heap items: (-upper bound, node path, g, node, words, am, lm)
@@ -228,35 +231,17 @@ def best_path(lat: Lattice, lm_weight: float = DEFAULT_LM_WEIGHT) -> Hypothesis:
 def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
     """Replace arc LM scores with ``lm`` conditioned on full word history.
 
-    Nodes are split on the LM state: the longest suffix of the mapped
-    history (out-of-vocabulary tokens read as ``<unk>``) that ``lm``
-    stores.  Histories the model backs off through to the same scores
-    share a node, so the lattice grows by no more than ``lm`` has
-    contexts.  Every stored n-gram's context is stored too, so a dropped
-    token only ever added a zero back-off weight, and each arc's score
-    equals that under the raw ``order - 1`` character history.  Acoustic
-    scores and the set of complete word sequences are preserved.  Epsilon
-    arcs pass the state through and carry LM score 0.
+    Nodes are split on the LM state (``NGramModel.state``) that the
+    history reaches, so histories the model backs off through to the same
+    scores share a node and the lattice grows by no more than ``lm`` has
+    contexts.  Each arc's score equals that under the raw ``order - 1``
+    character history.  Acoustic scores and the set of complete word
+    sequences are preserved.  Epsilon arcs pass the state through and carry
+    LM score 0.
     """
     if lm.order < 2:
         raise DataError(f"rescoring needs order >= 2, got order {lm.order}")
-    ctx_len = lm.order - 1
-    ln10 = math.log(10.0)
-
-    def lm_state(hist: tuple[str, ...]) -> tuple[str, ...]:
-        hist = hist[-ctx_len:]
-        while hist and hist not in lm.backoff and hist not in lm.logprob:
-            hist = hist[1:]
-        return hist
-
-    def word_score(word: str, state: tuple[str, ...]) -> tuple[float, tuple[str, ...]]:
-        total = 0.0
-        for ch in tokenize_chars(word):
-            total += ln10 * lm.logprob10(ch, state)
-            state = lm_state(state + (lm.map_token(ch),))
-        return total, state
-
-    start_state = (lat.start, lm_state((lm.map_token(SOS),) * ctx_len))
+    start_state = (lat.start, lm.state((lm.map_token(SOS),) * (lm.order - 1)))
     ids: dict[tuple[int, tuple[str, ...]], int] = {start_state: 0}
     nodes = {0: lat.nodes[lat.start]}
     arcs: list[Arc] = []
@@ -272,7 +257,7 @@ def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
             if arc.word is None:
                 new_lm, new_hist = 0.0, hist
             else:
-                new_lm, new_hist = word_score(arc.word, hist)
+                new_lm, new_hist = lm.ln_score(tokenize_chars(arc.word), hist)
             dst_state = (arc.dst, new_hist)
             if dst_state not in ids:
                 ids[dst_state] = len(ids)

@@ -3,8 +3,10 @@
 Supports maximum-likelihood and Witten-Bell estimation, linear
 interpolation of two equal-order models (with EM tuning of the mixture
 weight on held-out text), perplexity, and ARPA serialization.  Probabilities
-are stored as log10 per the ARPA convention; the decoder converts to
-natural log when building search graphs.
+are stored as log10 per the ARPA convention.  ``LN10`` is the one
+natural-log conversion, and ``NGramModel.ln_score`` scores a token sequence
+in natural log from an LM state (``NGramModel.state``) for both the search
+graph and the lattice rescorer.
 
 Witten-Bell here is the interpolated form: for a history ``h`` with total
 continuation count ``c(h)`` and ``T(h)`` distinct continuation types,
@@ -34,6 +36,7 @@ DEFAULT_SMOOTHING = "witten_bell"
 EM_TOL = 1e-6
 EM_MAX_ITER = 100
 MLE_UNK_FLOOR = 1e-7
+LN10 = math.log(10.0)  # natural log of a log10 score: LN10 * log10
 
 
 class ArpaFormatError(DataError):
@@ -80,7 +83,7 @@ class NGramModel:
     The stored n-grams are prefix closed: every stored n-gram's context
     (its first n - 1 tokens) is stored too.  ``train_ngram`` and
     ``interpolate`` build models that way and ``read_arpa`` requires it;
-    ``lattice.rescore_ngram`` relies on it to merge histories.
+    ``state`` relies on it to drop context that no score reads.
     """
 
     order: int
@@ -145,15 +148,34 @@ class NGramModel:
         table[at_rows, at_cols] = values
         return table
 
+    def state(self, history: tuple[str, ...]) -> tuple[str, ...]:
+        """The LM state after ``history``, tokens as ``map_token`` maps them.
+
+        It is the longest suffix of at most ``order - 1`` tokens that the
+        model stores.  Every stored n-gram's context is stored too, so a
+        dropped token could only have added a zero back-off weight: each
+        score read after the state equals the one read after ``history``.
+        """
+        history = history[1 - self.order:] if self.order > 1 else ()
+        while history and history not in self.backoff and history not in self.logprob:
+            history = history[1:]
+        return history
+
+    def ln_score(self, tokens, state: tuple[str, ...]) -> tuple[float, tuple[str, ...]]:
+        """Natural-log total of ``tokens`` after LM state ``state``, and the state after them."""
+        logprob10, map_token, next_state = self.logprob10, self.map_token, self.state
+        total = 0.0
+        for tok in tokens:
+            total += LN10 * logprob10(tok, state)
+            state = next_state(state + (map_token(tok),))
+        return total, state
+
     def prob(self, word: str, history: tuple[str, ...] = ()) -> float:
         return 10.0 ** self.logprob10(word, history)
 
     def predicted_tokens(self) -> list[str]:
         """All tokens a history can continue with (excludes the start marker)."""
         return sorted(self.vocab - {SOS})
-
-    def continuation_sum(self, history: tuple[str, ...]) -> float:
-        return sum(self.prob(w, history) for w in self.predicted_tokens())
 
 
 def _predictions(order: int, sentences):
@@ -164,19 +186,16 @@ def _predictions(order: int, sentences):
 
 
 def _collect_counts(corpus, order):
+    """``counts[k]``: each k-gram's count, over the k-gram ending at every prediction."""
     counts: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order + 1)]
-    for sent in corpus:
-        if not sent:
-            continue
-        padded = [SOS] * (order - 1) + list(sent) + [EOS]
-        n = len(padded)
-        for k in range(1, order + 1):
-            grams = counts[k]
-            for i in range(n - k + 1):
-                gram = tuple(padded[i:i + k])
-                if gram[-1] == SOS:
-                    continue  # the start marker is never predicted
-                grams[gram] = grams.get(gram, 0) + 1
+    for walk in _predictions(order, corpus):
+        for token, history in walk:
+            if token == SOS:
+                continue  # the start marker is never predicted
+            gram = history + (token,)
+            for k in range(1, order + 1):
+                grams, g = counts[k], gram[-k:]
+                grams[g] = grams.get(g, 0) + 1
     return counts
 
 
@@ -257,7 +276,7 @@ def perplexity(model, sentences: list[list[str]]) -> float:
 
 
 class MixtureModel:
-    """Exact linear mixture of two equal-order models, used for tuning."""
+    """Exact linear mixture of two equal-order models; ``interpolate`` stores its scores."""
 
     def __init__(self, a: NGramModel, b: NGramModel, lam: float):
         if a.order != b.order:
@@ -314,8 +333,7 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
     so the unknown-marker unigram is set to the leftover probability instead
     of the raw mixture.
     """
-    if a.order != b.order:
-        raise DataError(f"order mismatch: {a.order} vs {b.order}")
+    mixture = MixtureModel(a, b, lam)
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"lambda must be in [0, 1], got {lam}")
     order = a.order
@@ -332,10 +350,7 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
             if gram[-1] == SOS:
                 model.logprob[gram] = LOG10_FLOOR
                 continue
-            pa = a.prob(gram[-1], gram[:-1])
-            pb = b.prob(gram[-1], gram[:-1])
-            p = lam * pa + (1.0 - lam) * pb
-            model.logprob[gram] = math.log10(max(p, 1e-300))
+            model.logprob[gram] = mixture.logprob10(gram[-1], gram[:-1])
         if k_idx == 0:
             # the unknown marker takes whatever mass the real words leave
             leftover = 1.0 - sum(
@@ -468,7 +483,7 @@ def read_arpa(path: str | Path) -> NGramModel:
                 if gram in model.logprob:
                     fail(lineno, f"repeated n-gram {fields[1]!r}")
                 if len(gram) > 1 and gram[:-1] not in model.logprob:
-                    # rescore_ngram's state merge needs every context stored
+                    # NGramModel.state drops context only when every context is stored
                     fail(lineno, f"context {' '.join(gram[:-1])!r} of {fields[1]!r} not stored")
                 model.logprob[gram] = lp
                 if len(fields) == 3:

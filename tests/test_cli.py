@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import cantoasr
 from cantoasr import DataError, cli
 from cantoasr.cli import main
+from cantoasr.decoder import DecodeParams
 from cantoasr.lattice import best_path, demo_lattice_path, read_lattice
 
 DATA = Path(__file__).parent.parent / "src/cantoasr/data"
@@ -225,6 +227,29 @@ def test_nbest_nan_lattice_score_is_data_error(tmp_path, capsys):
         code, out, err = run(capsys, "--json", "nbest", "--lattice", str(lat), "--n", "3")
         assert code == 2 and out == ""
         assert f"{value}.lat:{k + 1}: " in err and f"{what} arc score" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nbest_non_finite_lm_weight_is_data_error(capsys, value):
+    code, out, err = run(
+        capsys, "--json", "nbest", "--lattice", str(demo_lattice_path()), "--n", "2",
+        f"--lm-weight={value}",
+    )
+    assert code == 2 and out == ""
+    assert "lm_weight must be finite" in err
+
+
+def test_decode_options_are_the_decode_params_fields():
+    parser = cli.build_parser()
+    required = ["decode", "--lm", "lm.arpa", "--scores", "x.fscr"]
+    args = vars(parser.parse_args(required))
+    others = {"json", "seed", "inventory", "command", "func", "lexicon", "scheme", "merge",
+              "lm", "scores", "lattice_out"}
+    settings = {k: v for k, v in args.items() if k not in others}
+    assert settings == {f.name: f.default for f in fields(DecodeParams)}
+    for f in fields(DecodeParams):
+        value = getattr(parser.parse_args(required + [f"--{f.name.replace('_', '-')}", "3"]), f.name)
+        assert type(value) is f.type and value == 3
 
 
 def test_rescore_cli(tmp_path, capsys):

@@ -175,7 +175,7 @@ def test_decode_defaults_logged_in_stats():
     models = build_state_models(set(graph.pdf_labels), cfg)
     scorer = simulate_utterance(["aa1"], models, cfg)
     _, _, stats = decode(graph, scorer, DecodeParams())
-    assert stats.beam == 15 and stats.max_active == 7000
+    assert stats.params.beam == 15 and stats.params.max_active == 7000
     payload = stats.to_json()
     for key in ("frames", "active_tokens_mean", "wall_seconds", "audio_seconds", "rtf"):
         assert key in payload
@@ -540,6 +540,10 @@ MALFORMED_FSCR = {
     "label_count": (_fscr(2, 3), "a\nb\n", "3 columns but 2 labels"),
     "nan": (_fscr(2, 3, np.nan), "a\nb\nc\n", r"NaN or \+inf"),
     "pos_inf": (_fscr(2, 3, np.inf), "a\nb\nc\n", r"NaN or \+inf"),
+    # read as is, this header would ask for 2**66 bytes before any check
+    "oversized_header": (
+        b"FSCR" + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF), "a\n", "truncated score matrix"
+    ),
 }
 
 
@@ -568,9 +572,7 @@ def test_rtf_arithmetic():
         active_tokens_mean=10.0,
         wall_seconds=2.5,
         audio_seconds=1.8,
-        beam=15.0,
-        max_active=7000,
-        lm_weight=10.0,
+        params=DecodeParams(),
         tokens_expanded=100,
     )
     assert stats.rtf == pytest.approx(2.5 / 1.8, abs=1e-4)

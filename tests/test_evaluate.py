@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cantoasr.decoder import MatrixScorer
+from cantoasr import evaluate
+from cantoasr.decoder import DecodeParams, MatrixScorer, batch_decode
 from cantoasr.ngram import tokenize_chars
 from cantoasr.evaluate import (
     ErrorClassification,
@@ -161,7 +163,7 @@ def test_sweep_single_cell_and_beam_flip():
     graph, scorer = beam_flip_fixture()
     refs = ["哦"]
     cells = sweep(graph, [scorer], beams=[13.0, 15.0, 17.0], max_actives=[7000],
-                  refs=refs, lm_weight=1.0)
+                  refs=refs, params=DecodeParams(lm_weight=1.0))
     assert [(c.beam, c.max_active) for c in cells] == [
         (13.0, 7000), (15.0, 7000), (17.0, 7000)
     ]
@@ -171,7 +173,7 @@ def test_sweep_single_cell_and_beam_flip():
     assert by_beam[15.0].wer.rate <= by_beam[13.0].wer.rate
 
     single = sweep(graph, [scorer], beams=[15.0], max_actives=[7000],
-                   refs=refs, lm_weight=1.0)
+                   refs=refs, params=DecodeParams(lm_weight=1.0))
     assert len(single) == 1 and single[0].wer.rate == 0.0
     table = format_sweep_table(cells)
     assert "beam" in table and "100.00%" in table
@@ -181,10 +183,26 @@ def test_sweep_marks_failed_cells():
     graph, scorer = beam_flip_fixture()
     dead = MatrixScorer(np.zeros((1, len(graph.pdf_labels))), graph.pdf_labels)
     cells = sweep(graph, [dead], beams=[15.0], max_actives=[100], refs=["哦"],
-                  lm_weight=1.0)
+                  params=DecodeParams(lm_weight=1.0))
     # batch decode collects the per-utterance error; the cell then scores
     # an empty hypothesis rather than failing outright
     assert cells[0].wer.rate == 1.0
+
+
+def test_sweep_decodes_each_cell_with_the_base_params(monkeypatch):
+    graph, scorer = beam_flip_fixture()
+    seen = []
+
+    def record(graph, scorers, params):
+        seen.append(params)
+        return batch_decode(graph, scorers, params)
+
+    monkeypatch.setattr(evaluate, "batch_decode", record)
+    base = DecodeParams(lm_weight=1.0, lattice_width=3)
+    sweep(graph, [scorer], beams=[17.0, 13.0], max_actives=[7000, 50], refs=["哦"], params=base)
+    assert seen == [
+        replace(base, beam=b, max_active=m) for b in (13.0, 17.0) for m in (50, 7000)
+    ]
 
 
 @pytest.mark.parametrize("refs", [["哦"], []], ids=["short", "empty"])
@@ -192,7 +210,7 @@ def test_sweep_refs_must_match_the_scores(refs):
     graph, scorer = beam_flip_fixture()
     with pytest.raises(ValueError, match=f"{len(refs)} references for 2 score matrices"):
         sweep(graph, [scorer, scorer], beams=[15.0], max_actives=[7000], refs=refs,
-              lm_weight=1.0)
+              params=DecodeParams(lm_weight=1.0))
 
 
 def test_wer_table_format():

@@ -59,7 +59,7 @@ def test_diamond_best_path(diamond):
 
 
 def test_nbest_matches_enumeration(diamond):
-    for lm_weight in (1.0, 10.0):
+    for lm_weight in (1.0, 10.0, 0.0, -2.0):  # any finite weight ranks exactly
         hyps = nbest(diamond, 5, lm_weight)
         oracle = enumerate_paths(diamond, lm_weight)
         assert len(hyps) == 3  # three distinct word sequences
@@ -84,6 +84,14 @@ def test_combined_monotone_in_lm_weight(diamond):
     # cannot hurt its combined score
     scores = [best_path(diamond, w).combined for w in (1.0, 2.0, 5.0, 10.0)]
     assert scores == sorted(scores, reverse=True)
+
+
+@pytest.mark.parametrize("lm_weight", [math.nan, math.inf, -math.inf])
+def test_nbest_rejects_a_non_finite_lm_weight(diamond, lm_weight):
+    with pytest.raises(DataError, match="lm_weight must be finite"):
+        nbest(diamond, 2, lm_weight)
+    with pytest.raises(DataError, match="lm_weight must be finite"):
+        best_path(diamond, lm_weight)
 
 
 def test_demo_lattice_best_path():

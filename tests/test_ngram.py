@@ -92,7 +92,7 @@ def test_normalization_mle_and_wb():
     for smoothing in ("none", "witten_bell"):
         m = train_ngram(corpus, order=2, smoothing=smoothing)
         for h in [(SOS,), ("a",), ("b",), ("c",)]:
-            assert m.continuation_sum(h) == pytest.approx(1.0, abs=1e-6)
+            assert sum(m.prob(w, h) for w in m.predicted_tokens()) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_normalization_trigram_wb():
@@ -100,7 +100,7 @@ def test_normalization_trigram_wb():
     m = train_ngram(corpus, order=3, smoothing="witten_bell")
     histories = [(SOS, SOS), (SOS, "a"), ("a", "b"), ("b", "c"), ("c", "z")]
     for h in histories:
-        assert m.continuation_sum(h) == pytest.approx(1.0, abs=1e-6)
+        assert sum(m.prob(w, h) for w in m.predicted_tokens()) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_monotone_under_pure_extension():
@@ -152,7 +152,7 @@ def test_interpolate_normalized():
     b = train_ngram(sents("b b d", "d a c"), order=2, smoothing="witten_bell")
     m = interpolate(a, b, 0.3)
     for h in [(SOS,), ("a",), ("b",), ("d",)]:
-        assert m.continuation_sum(h) == pytest.approx(1.0, abs=1e-6)
+        assert sum(m.prob(w, h) for w in m.predicted_tokens()) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_interpolate_order_mismatch():
@@ -338,4 +338,32 @@ def test_normalization_random_histories():
     vocab = sorted(m.vocab - {SOS, UNK})
     histories = [(rng.choice(vocab),) for _ in range(100)]
     for h in histories:
-        assert m.continuation_sum(h) == pytest.approx(1.0, abs=1e-6)
+        assert sum(m.prob(w, h) for w in m.predicted_tokens()) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_state_is_the_longest_stored_suffix():
+    m = train_ngram(sents("a b c", "b c a"), order=3)
+    assert m.state(("c", "a", "b", "c")) == ("b", "c")  # at most order - 1 tokens
+    assert m.state(("b", "a")) == ("a",)  # "b a" never occurs, so it is not stored
+    assert m.state((UNK, "a")) == ("a",)
+    assert m.state((SOS, SOS)) == (SOS, SOS)
+    assert m.state(()) == ()
+    assert train_ngram(sents("a b"), order=1).state(("a", "b")) == ()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_ln_score_equals_the_per_token_sum(order):
+    rng = random.Random(order)
+    corpus = [[rng.choice("abcdef") for _ in range(rng.randint(2, 8))] for _ in range(40)]
+    m = train_ngram(corpus, order=order)
+    for _ in range(300):
+        # "z" is unknown to the model
+        history = (SOS,) * rng.randint(0, order - 1) + tuple(rng.choices("abcdefz", k=rng.randint(0, 5)))
+        tokens = rng.choices("abcdefz", k=rng.randint(0, 6))
+        expected, raw = 0.0, history
+        for tok in tokens:
+            expected += math.log(10.0) * m.logprob10(tok, raw)
+            raw += (tok,)
+        total, state = m.ln_score(tokens, m.state(tuple(map(m.map_token, history))))
+        assert total == expected
+        assert state == m.state(tuple(map(m.map_token, raw)))
