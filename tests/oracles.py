@@ -112,3 +112,29 @@ def viterbi_reference(graph, am_matrix, lm, lm_weight):
     comb, am, lmtot, ctx, words = tok
     end = ln10 * lm.logprob10("</s>", (ctx,))
     return words, am, lmtot + end, comb + lm_weight * end
+
+
+def arpa_logprob10(model, word, history):
+    """log10 P(word | history) by the ARPA back-off definition, recursively.
+
+    Reads only ``model.order``, ``model.logprob`` and ``model.backoff``.  A
+    token outside the unigrams reads as ``<unk>``; the context is the last
+    ``order - 1`` tokens of the history.  ``P(w | c)`` is the stored value of
+    ``c + (w,)``, else ``bow(c) + P(w | c[1:])`` with an unstored weight
+    read as 0; with an empty context, the ``<unk>`` unigram, or -99 (the
+    ARPA floor) when there is none.
+    """
+    unk = "<unk>"
+    logprob, backoff = model.logprob, model.backoff
+    mapped = [tok if (tok,) in logprob else unk for tok in [*history, word]]
+    context, word = tuple(mapped[:-1]), mapped[-1]
+    context = context[max(0, len(context) - (model.order - 1)):]
+
+    def p(context):
+        if context + (word,) in logprob:
+            return logprob[context + (word,)]
+        if not context:
+            return logprob.get((unk,), -99.0)
+        return backoff.get(context, 0.0) + p(context[1:])
+
+    return p(context)

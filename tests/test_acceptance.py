@@ -54,6 +54,7 @@ from cantoasr.simulate import SimConfig, build_state_models, simulate_utterance
 from oracles import edit_distance, enumerate_paths, viterbi_reference
 from test_decoder import beam_flip_fixture, make_system, random_fixture
 from test_lattice import make_lattice, milk_corpus
+from test_ngram import predicted_tokens
 from cantoasr.lattice import Arc
 
 DATA_CORPUS = demo_lexicon_path().parent / "demo_corpus.txt"
@@ -136,7 +137,7 @@ def test_c04_language_model(tmp_path):
     # normalization on 100 sampled histories
     rng = random.Random(404)
     vocab = sorted(wb.vocab - {UNK})
-    predicted = wb.predicted_tokens()
+    predicted = predicted_tokens(wb)
     for _ in range(100):
         h = (rng.choice(vocab),)
         total = sum(wb.prob(w, h) for w in predicted)

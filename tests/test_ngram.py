@@ -6,6 +6,7 @@ import pytest
 
 from cantoasr.ngram import (
     EOS,
+    LOG10_FLOOR,
     SOS,
     UNK,
     ArpaFormatError,
@@ -21,9 +22,16 @@ from cantoasr.ngram import (
     write_arpa,
 )
 
+from oracles import arpa_logprob10
+
 
 def sents(*lines):
     return [line.split() for line in lines]
+
+
+def predicted_tokens(m):
+    """All tokens a history can continue with (excludes the start marker)."""
+    return sorted(m.vocab - {SOS})
 
 
 @pytest.fixture()
@@ -92,7 +100,7 @@ def test_normalization_mle_and_wb():
     for smoothing in ("none", "witten_bell"):
         m = train_ngram(corpus, order=2, smoothing=smoothing)
         for h in [(SOS,), ("a",), ("b",), ("c",)]:
-            assert sum(m.prob(w, h) for w in m.predicted_tokens()) == pytest.approx(1.0, abs=1e-6)
+            assert sum(m.prob(w, h) for w in predicted_tokens(m)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_normalization_trigram_wb():
@@ -100,7 +108,7 @@ def test_normalization_trigram_wb():
     m = train_ngram(corpus, order=3, smoothing="witten_bell")
     histories = [(SOS, SOS), (SOS, "a"), ("a", "b"), ("b", "c"), ("c", "z")]
     for h in histories:
-        assert sum(m.prob(w, h) for w in m.predicted_tokens()) == pytest.approx(1.0, abs=1e-6)
+        assert sum(m.prob(w, h) for w in predicted_tokens(m)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_monotone_under_pure_extension():
@@ -152,7 +160,7 @@ def test_interpolate_normalized():
     b = train_ngram(sents("b b d", "d a c"), order=2, smoothing="witten_bell")
     m = interpolate(a, b, 0.3)
     for h in [(SOS,), ("a",), ("b",), ("d",)]:
-        assert sum(m.prob(w, h) for w in m.predicted_tokens()) == pytest.approx(1.0, abs=1e-6)
+        assert sum(m.prob(w, h) for w in predicted_tokens(m)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_interpolate_order_mismatch():
@@ -338,7 +346,7 @@ def test_normalization_random_histories():
     vocab = sorted(m.vocab - {SOS, UNK})
     histories = [(rng.choice(vocab),) for _ in range(100)]
     for h in histories:
-        assert sum(m.prob(w, h) for w in m.predicted_tokens()) == pytest.approx(1.0, abs=1e-6)
+        assert sum(m.prob(w, h) for w in predicted_tokens(m)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_state_is_the_longest_stored_suffix():
@@ -367,3 +375,50 @@ def test_ln_score_equals_the_per_token_sum(order):
         total, state = m.ln_score(tokens, m.state(tuple(map(m.map_token, history))))
         assert total == expected
         assert state == m.state(tuple(map(m.map_token, raw)))
+
+
+def random_model(rng, order):
+    """A prefix-closed back-off model with random scores and weights.
+
+    Scores include -0.0, 0.0 and -inf; about half the models store no
+    ``<unk>`` unigram, and the others extend ``<unk>`` contexts too.
+    """
+    def score(low):
+        return rng.choice([-0.0, 0.0, -math.inf, low, rng.uniform(low, 0.0)])
+
+    tokens = rng.sample(["a", "b", "c", "d", SOS, EOS], rng.randint(1, 6))
+    if rng.random() < 0.5:
+        tokens.append(UNK)
+    m = NGramModel(order=order)
+    level = [(t,) for t in tokens]
+    for k in range(1, order + 1):
+        for gram in level:
+            m.logprob[gram] = score(-3.0)
+            if k < order and rng.random() < 0.7:
+                m.backoff[gram] = score(-1.0)
+        level = [g + (t,) for g in level for t in tokens if rng.random() < 0.4]
+    return m
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_logprob10_equals_the_arpa_recursion(tmp_path, order):
+    rng = random.Random(order)
+    models = [train_ngram(sents("a b c a", "b b d", "c a"), order, s) for s in ("none", "witten_bell")]
+    models += [random_model(rng, order) for _ in range(30)]
+    for k, m in enumerate(models[:6]):  # written with six decimals, -0.0 and -inf kept
+        write_arpa(m, tmp_path / f"{k}.arpa")
+        models.append(read_arpa(tmp_path / f"{k}.arpa"))
+    queried = ["a", "b", "c", "d", SOS, EOS, UNK, "z"]  # "z" is stored by no model
+    for m in models:
+        for _ in range(150):
+            # empty, shorter than order - 1, and longer than it
+            history = tuple(rng.choices(queried, k=rng.randint(0, order + 1)))
+            word = rng.choice(queried)
+            assert repr(m.logprob10(word, history)) == repr(arpa_logprob10(m, word, history))
+
+
+def test_negative_zero_reads_zero_after_a_back_off():
+    m = NGramModel(order=2, logprob={("a",): -0.0, ("b",): -1.0})
+    assert repr(m.logprob10("a")) == "-0.0"
+    assert repr(m.logprob10("a", ("b",))) == "0.0"  # -0.0 + the unstored weight 0.0
+    assert m.logprob10("z", ("b",)) == LOG10_FLOOR  # no <unk> unigram
