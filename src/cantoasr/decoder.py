@@ -16,11 +16,12 @@ selected.
 
 A token is its score and the word-boundary record it descends from.
 Inside a word its LM total and context never change, so both are derived
-from that record: each record keeps the LM total at its word end and the
-context after its word, and a token in pronunciation ``p`` entered from
-record ``r`` has LM total ``rec_lm[r] + pron_lm[rec_ctx[r], p]``.  The
-hub's context is the context of its record.  A record's acoustic total is
-derived too, as ``score - lm_weight * lm`` at its word end.
+from that record: each record keeps its word and the LM total at its word
+end, the context after it is ``word_end_ctx`` of its word, and a token in
+pronunciation ``p`` entered from record ``r`` has LM total
+``rec_lm[r] + pron_lm[word_end_ctx[rec_word[r]], p]``.  The hub's context
+is the context of its record.  A record's acoustic total is derived too,
+as ``score - lm_weight * lm`` at its word end.
 
 Pronunciations are laid out as consecutive state ids (entry state, chain,
 junction), so every emitting state ``s`` has exactly two arcs, ``s -> s``
@@ -28,8 +29,7 @@ and ``s -> s + 1``, both emitting ``state_pdf[s]`` with the one log
 weight ``TRANSITION_LOG_PROB``; the graph stores that topology, not an arc
 list.  Both arcs of a state carry the same score, so the emitting step
 computes it once per active state and lands it on ``s`` and on ``s + 1``;
-where a self-loop and a forward arc tie the forward arc wins (it has the
-lower id in the global arc order that ``emitting_arcs`` yields).
+where a self-loop and a forward arc tie, the forward arc wins.
 
 Decoding is frame-synchronous token passing with at most one surviving
 token per graph state, beam pruning, and a hard cap on surviving tokens
@@ -57,6 +57,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,9 @@ def read_scores(path: str | Path) -> MatrixScorer:
         labels = tuple(fh.read().split())
     if len(labels) != n_labels:
         raise ScoreFormatError(f"{path}: {n_labels} columns but {len(labels)} labels")
+    if len(set(labels)) != n_labels:
+        twice = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        raise ScoreFormatError(f"{path}: label {twice!r} names two columns")
     matrix = data.reshape(frames, n_labels).astype(np.float64)
     try:
         return MatrixScorer(matrix, labels)
@@ -233,7 +237,6 @@ class SearchGraph:
                     log.warning("word %r: token %r unknown to the LM", word, tok)
 
         self.hub = 0
-        self.start = self.hub
         # every emitting state s has a self-loop and a forward arc to s + 1,
         # both emitting state_pdf[s]; the last state of a chain moves to its
         # junction, which with the hub emits nothing (state_pdf -1)
@@ -259,16 +262,12 @@ class SearchGraph:
                 to_end.append(0)
                 self.num_prons += 1
         self.num_states = len(state_pdf)
-        self.num_emitting_states = self.num_states - 1 - self.num_prons
 
         # index arrays are intp: numpy casts any other dtype on every use
         self.state_pdf = np.asarray(state_pdf, dtype=np.intp)
         self.entry_states = np.asarray(entry_states, dtype=np.intp)
         self.j_states = np.asarray(j_states, dtype=np.intp)
         self.j_words = np.asarray(j_words, dtype=np.int32)
-        self.junction_words = {
-            int(s): self.words[w] for s, w in zip(j_states, j_words)
-        }
         # fewest frames from each state to a word boundary: 0 at the hub
         # and the junctions, L - k at position k of a length-L chain
         self.frames_to_word_end = np.asarray(to_end, dtype=np.int32)
@@ -282,7 +281,7 @@ class SearchGraph:
         context ``c``, one contiguous row per context.
         """
         ctx_chars = sorted({toks[-1] for toks in self.word_tokens.values()})
-        self.ctx_ids = {c: i for i, c in enumerate(ctx_chars)}
+        ctx_index = {c: i for i, c in enumerate(ctx_chars)}
         self.sos_ctx = len(ctx_chars)
         ctx_tokens = ctx_chars + [SOS]
 
@@ -298,28 +297,16 @@ class SearchGraph:
             [LN10 * lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
         )
         self.word_end_ctx = np.array(
-            [self.ctx_ids[self.word_tokens[w][-1]] for w in self.words],
+            [ctx_index[self.word_tokens[w][-1]] for w in self.words],
             dtype=np.int32,
         )
 
-    def emitting_arcs(self):
-        """(src, dst, pdf_index, weight) in global arc order: per emitting
-        state in ascending order, its self-loop, then its forward arc."""
-        for s, pdf in enumerate(self.state_pdf.tolist()):
-            if pdf >= 0:
-                yield (s, s, pdf, TRANSITION_LOG_PROB)
-                yield (s, s + 1, pdf, TRANSITION_LOG_PROB)
-
-    def entry_word_pairs(self):
-        """(entry state, word) per pronunciation, in construction order."""
-        for state, w in zip(self.entry_states, self.j_words):
-            yield int(state), self.words[int(w)]
-
     def arc_counts(self) -> dict:
+        emitting = self.num_states - 1 - self.num_prons  # all but the hub and the junctions
         return {
-            "emitting_states": self.num_emitting_states,
-            "self_loops": self.num_emitting_states,
-            "forward": self.num_emitting_states,
+            "emitting_states": emitting,
+            "self_loops": emitting,
+            "forward": emitting,
             "entry_eps": len(self.entry_states),
             "word_eps": len(self.j_states),
         }
@@ -389,13 +376,12 @@ def decode(
     S = graph.num_states
     rec = np.full(S, -1, dtype=np.int32)
     # per-record parallel lists: word id, previous record, end frame, am
-    # total, lm total at the crossing, and the LM context after the word
+    # total and lm total at the crossing
     rec_word: list[int] = []
     rec_prev: list[int] = []
     rec_frame: list[int] = []
     rec_am: list[float] = []
     rec_lm: list[float] = []
-    rec_ctx: list[int] = []
     pron_lm = graph.pron_lm
 
     lm_weight = params.lm_weight
@@ -455,17 +441,16 @@ def decode(
                 if r < 0:
                     lm = pron_lm.item(graph.sos_ctx, p)
                 else:
-                    lm = rec_lm[r] + pron_lm.item(rec_ctx[r], p)
+                    lm = rec_lm[r] + pron_lm.item(word_end_ctx[rec_word[r]], p)
                 rec_word.append(w)
                 rec_prev.append(r)
                 rec_frame.append(t + 1)
                 rec_am.append(c - lm_weight * lm)
                 rec_lm.append(lm)
-                rec_ctx.append(word_end_ctx[w])
             hv = crossing[keep[0]]
             nv[hub] = hv
             rec[hub] = first
-            cand_entry = hv + lm_weight * pron_lm[rec_ctx[first]]
+            cand_entry = hv + lm_weight * pron_lm[word_end_ctx[rec_word[first]]]
             improve = cand_entry > nv[entries]
             targets = entries[improve]
             nv[targets] = cand_entry[improve]
@@ -493,7 +478,7 @@ def decode(
         )
     r = int(rec[hub])
     am_total = rec_am[r]
-    lm_total = rec_lm[r] + float(graph.end_lm[rec_ctx[r]])
+    lm_total = rec_lm[r] + float(graph.end_lm[word_end_ctx[rec_word[r]]])
 
     words = []
     while r >= 0:
@@ -526,21 +511,17 @@ def _records_to_lattice(
     graph, rec_word, rec_prev, rec_frame, rec_am, rec_lm, n_frames
 ) -> Lattice:
     """Word-boundary records -> word lattice (kept chains only)."""
-    finals = [i for i, f in enumerate(rec_frame) if f == n_frames]
-    keep: set[int] = set()
-    stack = list(finals)
-    while stack:
-        r = stack.pop()
-        if r in keep:
-            continue
-        keep.add(r)
-        if rec_prev[r] >= 0:
-            stack.append(rec_prev[r])
-    node_of = {r: i + 1 for i, r in enumerate(sorted(keep))}
+    kept = [f == n_frames for f in rec_frame]
+    # a record's predecessor was appended before it, so one backward pass
+    # marks every chain that reaches a final record
+    for r in range(len(kept) - 1, -1, -1):
+        if kept[r] and rec_prev[r] >= 0:
+            kept[rec_prev[r]] = True
+    node_of = {}
     nodes = {0: 0}
     arcs = []
-    for r in sorted(keep):
-        node = node_of[r]
+    for r in compress(range(len(kept)), kept):
+        node = node_of[r] = len(node_of) + 1
         nodes[node] = rec_frame[r]
         prev = rec_prev[r]
         if prev >= 0:
@@ -555,7 +536,7 @@ def _records_to_lattice(
     return Lattice(
         nodes=nodes,
         start=0,
-        finals=frozenset(node_of[r] for r in finals),
+        finals=frozenset(node_of[r] for r, f in enumerate(rec_frame) if f == n_frames),
         arcs=tuple(arcs),
     )
 

@@ -120,10 +120,6 @@ class ErrorClassification:
     def shared_different(self) -> int:
         return self.shared_errors - self.shared_identical
 
-    @property
-    def total(self) -> int:
-        return self.correct_a + self.errors_a_only + self.shared_errors
-
     def to_json(self) -> dict:
         return {
             "correct_a": self.correct_a,

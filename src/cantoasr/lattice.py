@@ -100,9 +100,6 @@ class Lattice:
             if node not in co_reachable:
                 raise LatticeFormatError(f"node {node} cannot reach a final node")
 
-    def arcs_from(self, node: int) -> list[Arc]:
-        return self._out.get(node, [])
-
     def _closure(self, seeds: set[int], forward: bool) -> set[int]:
         seen = set(seeds)
         stack = list(seeds)
@@ -357,8 +354,13 @@ def read_lattice(path: str | Path) -> Lattice:
         kind = fields[0]
         try:
             if kind == "node" and len(fields) == 3:
-                nodes[int(fields[1])] = int(fields[2])
+                node = int(fields[1])
+                if node in nodes:
+                    fail(lineno, f"node {node} declared twice")
+                nodes[node] = int(fields[2])
             elif kind == "start" and len(fields) == 2:
+                if start is not None:
+                    fail(lineno, "second start declaration")
                 start = int(fields[1])
             elif kind == "final" and len(fields) == 2:
                 finals.add(int(fields[1]))

@@ -1,6 +1,12 @@
 """Independent reference implementations used to check the fast paths."""
 
 import math
+from types import SimpleNamespace
+
+import numpy as np
+
+from cantoasr.decoder import MatrixScorer, pdf_labels_for
+from cantoasr.ngram import tokenize_chars
 
 
 def enumerate_paths(lat, lm_weight):
@@ -10,13 +16,16 @@ def enumerate_paths(lat, lm_weight):
     ties by node path.
     """
     results = []
+    out = {}
+    for arc in lat.arcs:
+        out.setdefault(arc.src, []).append(arc)
 
     def walk(node, words, am, lm, path):
         if node in lat.finals:
             results.append(
                 (tuple(words), am, lm, am + lm_weight * lm, tuple(path))
             )
-        for arc in lat.arcs_from(node):
+        for arc in out.get(node, []):
             walk(
                 arc.dst,
                 words + ([arc.word] if arc.word else []),
@@ -45,73 +54,102 @@ def edit_distance(ref, hyp):
     return dp[n][m]
 
 
-def viterbi_reference(graph, am_matrix, lm, lm_weight):
-    """Unpruned Viterbi over the search graph, plain dict loops.
+def viterbi_reference(lex, lm, scorer, lm_weight):
+    """Unpruned Viterbi over the lexicon's word loop, plain dict loops.
 
-    Mirrors the decoder's semantics (per-state recombination, the whole
-    word's LM charged on the entry arc using the token's character context,
-    end-of-sentence LM term at finalization) without any of its vectorized
-    machinery.  ``am_matrix`` is indexed by the graph's pdf order.  Returns
-    (words, am_total, lm_total, combined) or None when no complete path
+    Builds its own chains and reads nothing of the decoder's graph.  Words
+    go in sorted order, each word's pronunciations in lexicon order.  A
+    pronunciation is a chain of its phones' states (``pdf_labels_for``),
+    and each state has a self-loop and a forward arc, each of weight
+    log 0.5, that both emit the state's label, read from ``scorer`` by
+    name.  The chain's last forward arc reaches the word end.  Word ends
+    join a hub with no cost, and the hub enters every pronunciation
+    charging the whole word's character-bigram LM score (``tokenize_chars``)
+    after the hub's context, the last character of the previous word.  The
+    end-of-sentence term is added at the final frame.  A state keeps one
+    token.  A forward arc wins a tie with a self-loop, the first word end
+    in that order wins a tie at the hub, and a token already in a chain's
+    first state wins a tie with the hub's entry.  Returns
+    (words, am_total, lm_total, combined), or None when no complete path
     exists.
+
+    ``perfbench/workloads.py`` still calls the earlier form
+    ``(graph, am_matrix, lm, lm_weight)``; ``_graph_form`` serves it.
     """
+    if isinstance(lm, np.ndarray):
+        lex, lm, scorer = _graph_form(lex, lm, scorer)
     ln10 = math.log(10.0)
-    n_frames = am_matrix.shape[0]
+    log_half = math.log(0.5)
+    column = {label: k for k, label in enumerate(scorer.labels)}
+    chars = {word: tokenize_chars(word) for word in lex.entries}
+    prons = [
+        (word, [column[pdf] for phone in pron for pdf in pdf_labels_for(phone.label)])
+        for word in sorted(lex.entries)
+        for pron in lex.entries[word]
+    ]
 
     def word_lm(word, ctx):
         total = 0.0
-        h = ctx
-        for ch in graph.word_tokens[word]:
-            total += ln10 * lm.logprob10(ch, (h,))
-            h = ch
+        for ch in chars[word]:
+            total += ln10 * lm.logprob10(ch, (ctx,))
+            ctx = ch
         return total
 
-    def closure(tokens):
-        # word-end arcs into the hub (no cost: the word's LM was charged on
-        # entry), then entries for the next word
-        hub_best = tokens.get(graph.hub)
-        for j_state in sorted(graph.junction_words):
-            tok = tokens.get(j_state)
-            if tok is None:
-                continue
-            word = graph.junction_words[j_state]
-            comb, am, lmtot, _, words = tok
-            cand = (comb, am, lmtot, graph.word_tokens[word][-1], words + (word,))
-            if hub_best is None or cand[0] > hub_best[0]:
-                hub_best = cand
-        if hub_best is not None:
-            tokens[graph.hub] = hub_best
-            comb, am, lmtot, ctx, words = hub_best
-            for entry, word in graph.entry_word_pairs():
+    def closure(tokens, hub):
+        # word ends into the hub, then the hub into every pronunciation
+        for p, (word, chain) in enumerate(prons):
+            tok = tokens.get((p, len(chain)))
+            if tok is not None and (hub is None or tok[0] > hub[0]):
+                comb, am, lmtot, _, words = tok
+                hub = (comb, am, lmtot, chars[word][-1], words + (word,))
+        if hub is not None:
+            comb, am, lmtot, ctx, words = hub
+            for p, (word, _) in enumerate(prons):
                 delta = word_lm(word, ctx)
                 cand = (comb + lm_weight * delta, am, lmtot + delta, ctx, words)
-                cur = tokens.get(entry)
+                cur = tokens.get((p, 0))
                 if cur is None or cand[0] > cur[0]:
-                    tokens[entry] = cand
-        return tokens
+                    tokens[p, 0] = cand
+        return tokens, hub
 
-    tokens = closure({graph.start: (0.0, 0.0, 0.0, "<s>", ())})
-    for t in range(n_frames):
-        new_tokens = {}
-        for src, dst, pdf_idx, weight in graph.emitting_arcs():
-            tok = tokens.get(src)
-            if tok is None:
-                continue
-            comb, am, lmtot, ctx, words = tok
-            delta = weight + am_matrix[t, pdf_idx]
-            cand = (comb + delta, am + delta, lmtot, ctx, words)
-            cur = new_tokens.get(dst)
-            if cur is None or cand[0] > cur[0]:
-                new_tokens[dst] = cand
-        tokens = closure(new_tokens)
+    # tokens are keyed (pronunciation, position); position len(chain) is the word end
+    tokens, hub = closure({}, (0.0, 0.0, 0.0, "<s>", ()))
+    for frame in scorer.matrix:
+        moved = {}
+        for p, (_, chain) in enumerate(prons):
+            for k in range(len(chain) + 1):
+                # the forward arc from k - 1 goes first, so it wins a tie with the self-loop
+                for src in (k - 1, k):
+                    tok = tokens.get((p, src)) if 0 <= src < len(chain) else None
+                    if tok is None:
+                        continue
+                    comb, am, lmtot, ctx, words = tok
+                    delta = log_half + frame[chain[src]]
+                    cand = (comb + delta, am + delta, lmtot, ctx, words)
+                    cur = moved.get((p, k))
+                    if cur is None or cand[0] > cur[0]:
+                        moved[p, k] = cand
+        tokens, hub = closure(moved, None)
         if not tokens:
             return None
-    tok = tokens.get(graph.hub)
-    if tok is None:
+    if hub is None:
         return None
-    comb, am, lmtot, ctx, words = tok
+    comb, am, lmtot, ctx, words = hub
     end = ln10 * lm.logprob10("</s>", (ctx,))
     return words, am, lmtot + end, comb + lm_weight * end
+
+
+def _graph_form(graph, am_matrix, lm):
+    """``(lex, lm, scorer)`` for a call that passes a search graph and its
+    pdf-ordered score matrix.  Each phone is read back from the label of its
+    first state in the graph's chains, so this form still checks the state
+    order within a phone but takes the phone sequences from the graph."""
+    entries = {}
+    for entry, junction, w in zip(graph.entry_states, graph.j_states, graph.j_words):
+        labels = [graph.pdf_labels[i] for i in graph.state_pdf[entry:junction:3]]
+        pron = tuple(SimpleNamespace(label=label.rsplit("#", 1)[0]) for label in labels)
+        entries.setdefault(graph.words[w], []).append(pron)
+    return SimpleNamespace(entries=entries), lm, MatrixScorer(am_matrix, graph.pdf_labels)
 
 
 def arpa_logprob10(model, word, history):

@@ -18,7 +18,6 @@ from cantoasr.decoder import (
     DecodeError,
     DecodeParams,
     MatrixScorer,
-    _score_matrix,
     batch_decode,
     build_graph,
     decode,
@@ -161,9 +160,9 @@ def test_c05_decoder_matches_viterbi_oracle():
     rng = random.Random(20240817)
     checked = 0
     for _ in range(60):
-        graph, lm, scorer, lm_weight = random_fixture(rng)
+        lex, graph, lm, scorer, lm_weight = random_fixture(rng)
         params = DecodeParams(beam=1e30, max_active=10**9, lm_weight=lm_weight)
-        oracle = viterbi_reference(graph, _score_matrix(graph, scorer), lm, lm_weight)
+        oracle = viterbi_reference(lex, lm, scorer, lm_weight)
         try:
             hyp, _, _ = decode(graph, scorer, params)
         except DecodeError:
@@ -182,7 +181,7 @@ def test_c06_beam_monotonicity_and_designed_flip():
     rng = random.Random(8)
     beams = (5.0, 10.0, 15.0, 1e30)
     for _ in range(12):
-        graph, lm, scorer, lm_weight = random_fixture(rng)
+        _, graph, lm, scorer, lm_weight = random_fixture(rng)
         scores = []
         for beam in beams:
             params = DecodeParams(beam=beam, max_active=10**9, lm_weight=lm_weight)

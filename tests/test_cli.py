@@ -149,6 +149,23 @@ def test_decode_truncated_fscr_header_is_data_error(tmp_path, capsys):
     assert "short.fscr: truncated FSCR header" in err
 
 
+def test_decode_repeated_fscr_label_is_data_error(tmp_path, capsys):
+    arpa = tmp_path / "lm.arpa"
+    run(capsys, "lm", "train", "--corpus", str(DATA / "demo_corpus.txt"),
+        "--order", "2", "--out", str(arpa))
+    scores = tmp_path / "utt.fscr"
+    run(capsys, "simulate", "--scheme", "onc", "--text", "香港", "--out", str(scores))
+    sidecar = tmp_path / "utt.fscr.labels"
+    labels = sidecar.read_text(encoding="utf-8").split()
+    labels[-1] = labels[0]
+    sidecar.write_text("\n".join(labels) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "decode", "--scheme", "onc", "--lm", str(arpa), "--scores", str(scores),
+    )
+    assert code == 2 and out == ""
+    assert f"utt.fscr: label {labels[0]!r} names two columns" in err
+
+
 @pytest.mark.parametrize(
     "flag, value, why",
     [
@@ -227,6 +244,15 @@ def test_nbest_nan_lattice_score_is_data_error(tmp_path, capsys):
         code, out, err = run(capsys, "--json", "nbest", "--lattice", str(lat), "--n", "3")
         assert code == 2 and out == ""
         assert f"{value}.lat:{k + 1}: " in err and f"{what} arc score" in err
+
+
+def test_nbest_repeated_node_is_data_error(tmp_path, capsys):
+    lines = demo_lattice_path().read_text(encoding="utf-8").splitlines()
+    lat = tmp_path / "twice.lat"
+    lat.write_text("\n".join(lines + ["node 1 9"]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--json", "nbest", "--lattice", str(lat), "--n", "3")
+    assert code == 2 and out == ""
+    assert f"twice.lat:{len(lines) + 1}: node 1 declared twice" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

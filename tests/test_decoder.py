@@ -14,7 +14,6 @@ from cantoasr.decoder import (
     MatrixScorer,
     ScoreFormatError,
     _cap,
-    _score_matrix,
     batch_decode,
     build_graph,
     decode,
@@ -57,19 +56,15 @@ def test_graph_counts_one_word_two_phones():
     }
 
 
-def test_graph_emitting_arcs_one_word_two_phones():
+def test_graph_chain_layout_one_word_two_phones():
     lex, lm, graph = make_system([("天", "tin1")], scheme="if")
     assert graph.pdf_labels == ("in1#0", "in1#1", "in1#2", "t#0", "t#1", "t#2")
-    h = math.log(0.5)
-    # states 1-6 emit t#0..2, in1#0..2; state 6 moves on to junction 7
-    assert list(graph.emitting_arcs()) == [
-        (1, 1, 3, h), (1, 2, 3, h),
-        (2, 2, 4, h), (2, 3, 4, h),
-        (3, 3, 5, h), (3, 4, 5, h),
-        (4, 4, 0, h), (4, 5, 0, h),
-        (5, 5, 1, h), (5, 6, 1, h),
-        (6, 6, 2, h), (6, 7, 2, h),
-    ]
+    # hub 0 emits nothing; states 1-6 emit t#0..2, in1#0..2; state 6 moves
+    # on to junction 7, which emits nothing either
+    assert graph.state_pdf.tolist() == [-1, 3, 4, 5, 0, 1, 2, -1]
+    assert graph.entry_states.tolist() == [1]
+    assert graph.j_states.tolist() == [7]
+    assert graph.j_words.tolist() == [0]
 
 
 def test_graph_frames_to_word_end_one_word_two_phones():
@@ -81,7 +76,11 @@ def test_graph_frames_to_word_end_one_word_two_phones():
 def test_graph_homophones_share_chains_structurally():
     lex, lm, graph = make_system([("天", "tin1"), ("田", "tin4")], scheme="if")
     assert graph.num_prons == 2
-    assert set(graph.junction_words.values()) == {"天", "田"}
+    assert graph.words == ("天", "田")
+    # one chain per word, each ending at its own junction
+    assert graph.entry_states.tolist() == [1, 8]
+    assert graph.j_states.tolist() == [7, 14]
+    assert graph.j_words.tolist() == [0, 1]
 
 
 def test_graph_if_vs_onc_differ_only_in_alphabet():
@@ -91,7 +90,7 @@ def test_graph_if_vs_onc_differ_only_in_alphabet():
     assert g_if.words == g_onc.words
     assert g_if.num_prons == g_onc.num_prons
     assert set(g_if.pdf_labels) != set(g_onc.pdf_labels)
-    assert g_onc.num_emitting_states > g_if.num_emitting_states
+    assert g_onc.arc_counts()["emitting_states"] > g_if.arc_counts()["emitting_states"]
 
 
 def test_graph_rejects_empty_and_wrong_order():
@@ -117,7 +116,8 @@ def test_graph_unknown_word_token_warns(caplog):
 def per_cell_lm_tables(graph, lm):
     """``pron_lm`` and ``end_lm`` built with one ``logprob10`` call per cell."""
     ln10 = math.log(10.0)
-    contexts = sorted(graph.ctx_ids, key=graph.ctx_ids.get) + [SOS]
+    # a context is a word's last token: one row each, in sorted order, then <s>
+    contexts = sorted({toks[-1] for toks in graph.word_tokens.values()}) + [SOS]
     word_lm = np.empty((len(contexts), len(graph.words)))
     for w, word in enumerate(graph.words):
         toks = graph.word_tokens[word]
@@ -219,16 +219,16 @@ def random_fixture(rng):
     )
     scorer = MatrixScorer(matrix, graph.pdf_labels)
     lm_weight = rng.choice([1.0, 5.0, 10.0])
-    return graph, lm, scorer, lm_weight
+    return lex, graph, lm, scorer, lm_weight
 
 
 def test_unpruned_decode_matches_viterbi_oracle():
     rng = random.Random(20240817)
     checked = 0
     for _ in range(60):
-        graph, lm, scorer, lm_weight = random_fixture(rng)
+        lex, graph, lm, scorer, lm_weight = random_fixture(rng)
         params = DecodeParams(beam=1e30, max_active=10**9, lm_weight=lm_weight)
-        oracle = viterbi_reference(graph, _score_matrix(graph, scorer), lm, lm_weight)
+        oracle = viterbi_reference(lex, lm, scorer, lm_weight)
         try:
             hyp, _, _ = decode(graph, scorer, params)
         except DecodeError:
@@ -250,7 +250,7 @@ def test_no_path_when_too_few_frames():
     scorer = MatrixScorer(matrix, graph.pdf_labels)
     with pytest.raises(DecodeError):
         decode(graph, scorer, UNPRUNED)
-    assert viterbi_reference(graph, _score_matrix(graph, scorer), lm, 1.0) is None
+    assert viterbi_reference(lex, lm, scorer, 1.0) is None
 
 
 def beam_flip_fixture():
@@ -288,7 +288,7 @@ def test_beam_flip_between_13_and_15():
 def test_beam_monotonicity_on_random_fixtures():
     rng = random.Random(7)
     for _ in range(10):
-        graph, lm, scorer, lm_weight = random_fixture(rng)
+        _, graph, lm, scorer, lm_weight = random_fixture(rng)
         scores = []
         for beam in (5.0, 10.0, 15.0, 1e30):
             params = DecodeParams(beam=beam, max_active=10**9, lm_weight=lm_weight)
@@ -306,7 +306,7 @@ def test_wider_beam_never_turns_success_into_failure():
     for seed in range(20):
         rng = random.Random(seed)
         for draw in range(12):
-            graph, lm, scorer, lm_weight = random_fixture(rng)
+            _, graph, lm, scorer, lm_weight = random_fixture(rng)
             ok = []
             for beam in beams:
                 params = DecodeParams(beam=beam, max_active=10**9, lm_weight=lm_weight)
@@ -319,7 +319,7 @@ def test_wider_beam_never_turns_success_into_failure():
 
     rng = random.Random(8)
     for _ in range(3):
-        graph, lm, scorer, lm_weight = random_fixture(rng)
+        _, graph, lm, scorer, lm_weight = random_fixture(rng)
     assert graph.words == ("甲",) and lm_weight == 10.0
     runs = [
         decode(graph, scorer, DecodeParams(beam=b, max_active=10**9, lm_weight=10.0))[0]
@@ -331,7 +331,7 @@ def test_wider_beam_never_turns_success_into_failure():
 
 def test_infinite_beam_counts_only_live_tokens():
     # beam=inf puts the cut at -inf: states no token reached must not count
-    graph, lm, scorer, lm_weight = random_fixture(random.Random(3))
+    _, graph, lm, scorer, lm_weight = random_fixture(random.Random(3))
     runs = [
         decode(graph, scorer, DecodeParams(beam=b, lm_weight=lm_weight))
         for b in (math.inf, 1e30)
@@ -349,7 +349,7 @@ def test_minus_inf_scores_never_reach_the_lattice():
         rng = random.Random(seed)
         dead = np.random.default_rng(seed)
         for _ in range(6):
-            graph, lm, scorer, lm_weight = random_fixture(rng)
+            _, graph, lm, scorer, lm_weight = random_fixture(rng)
             matrix = scorer.matrix.copy()
             matrix[dead.random(matrix.shape) < 0.15] = -np.inf
             scorer = MatrixScorer(matrix, scorer.labels)
@@ -374,12 +374,12 @@ def test_acoustic_totals_are_derived_at_word_ends():
         rng = random.Random(seed)
         dead = np.random.default_rng(seed)
         for _ in range(6):
-            graph, lm, scorer, lm_weight = random_fixture(rng)
+            lex, graph, lm, scorer, lm_weight = random_fixture(rng)
             matrix = scorer.matrix.copy()
             matrix[dead.random(matrix.shape) < 0.15] = -np.inf
             scorer = MatrixScorer(matrix, scorer.labels)
             params = DecodeParams(beam=1e30, max_active=10**9, lm_weight=lm_weight)
-            oracle = viterbi_reference(graph, _score_matrix(graph, scorer), lm, lm_weight)
+            oracle = viterbi_reference(lex, lm, scorer, lm_weight)
             try:
                 hyp, lattice, _ = decode(graph, scorer, params)
             except DecodeError:
@@ -404,7 +404,7 @@ def test_lm_total_is_the_character_bigram_total():
     for seed in range(60):
         rng = random.Random(seed)
         for _ in range(6):
-            graph, lm, scorer, lm_weight = random_fixture(rng)
+            _, graph, lm, scorer, lm_weight = random_fixture(rng)
             params = DecodeParams(beam=1e30, max_active=10**9, lm_weight=lm_weight)
             try:
                 hyp = decode(graph, scorer, params)[0]
@@ -467,7 +467,7 @@ def test_cap_keeps_the_lexsort_set():
 
 def test_decode_deterministic():
     rng = random.Random(99)
-    graph, lm, scorer, lm_weight = random_fixture(rng)
+    _, graph, lm, scorer, lm_weight = random_fixture(rng)
     params = DecodeParams(beam=20.0, max_active=50, lm_weight=lm_weight)
     runs = [decode(graph, scorer, params) for _ in range(2)]
     (h1, l1, s1), (h2, l2, s2) = runs
@@ -538,6 +538,8 @@ MALFORMED_FSCR = {
     "truncated_matrix": (_fscr(2, 3)[:-4], "a\nb\nc\n", "truncated score matrix"),
     "missing_sidecar": (_fscr(2, 3), None, "no m.fscr.labels sidecar"),
     "label_count": (_fscr(2, 3), "a\nb\n", "3 columns but 2 labels"),
+    # otherwise the decoder would silently read the last column named "a"
+    "repeated_label": (_fscr(2, 3), "a\nb\na\n", "label 'a' names two columns"),
     "nan": (_fscr(2, 3, np.nan), "a\nb\nc\n", r"NaN or \+inf"),
     "pos_inf": (_fscr(2, 3, np.inf), "a\nb\nc\n", r"NaN or \+inf"),
     # read as is, this header would ask for 2**66 bytes before any check

@@ -1,11 +1,14 @@
-"""No module of the package imports a name that it never uses."""
+"""No module of the package imports a name that it never uses, or defines
+a function, class or method that nothing in the package or the benchmark reads."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantoasr"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cantoasr"
 # the benchmark's tracer wraps experiment.wer by name (test_perfbench_hooks.py)
 ALLOWED = {("experiment", "wer")}
 
@@ -41,3 +44,76 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("module, name", sorted(ALLOWED))
 def test_allowed_imports_are_still_unused(module, name):
     assert name in unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+# definitions kept with no reader, each for a reason
+ALLOWED_UNREAD = {
+    ("phonology", "render"): "c02 checks it as the inverse of parse_jyutping",
+    ("simulate", "true_label_sequence"): "the reference for the frame aligner (ROADMAP item 2)",
+    ("lattice", "demo_lattice_path"): "locates the shipped sample lattice",
+}
+
+
+def names_read(tree) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def definitions(tree) -> list:
+    """Top-level functions and classes, and their classes' non-dunder methods."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                m for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+            ]
+    return out
+
+
+def unread_definitions(modules: dict, readers: list) -> list[tuple[str, str]]:
+    """(module, name) of each definition in ``modules`` (name -> source) whose
+    name no source in ``readers`` reads outside the definition itself."""
+    read = sum((names_read(ast.parse(source)) for source in readers), Counter())
+    return [
+        (module, node.name)
+        for module, source in modules.items()
+        for node in definitions(ast.parse(source))
+        if read[node.name] == names_read(node)[node.name]
+    ]
+
+
+def package_unread() -> list[tuple[str, str]]:
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [
+        p.read_text(encoding="utf-8")
+        for p in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    ]
+    return unread_definitions(modules, readers)
+
+
+def test_the_check_finds_an_unread_definition():
+    defining = (
+        "def f(n):\n    return f(n - 1)\n"  # read only by itself
+        "def g():\n    pass\n"
+        "class C:\n    def __init__(self):\n        pass\n"
+        "    def used(self):\n        pass\n    def unused(self):\n        pass\n"
+    )
+    reader = "g()\nC().used()\n"
+    assert unread_definitions({"m": defining}, [defining, reader]) == [("m", "f"), ("m", "unused")]
+
+
+def test_every_definition_is_read():
+    unread = [d for d in package_unread() if d not in ALLOWED_UNREAD]
+    assert unread == [], f"nothing in src/ or perfbench/ reads {unread}"
+
+
+@pytest.mark.parametrize("module, name", sorted(ALLOWED_UNREAD))
+def test_allowed_definitions_are_still_unread(module, name):
+    assert (module, name) in package_unread()

@@ -156,8 +156,13 @@ def test_lattice_neg_inf_score_is_valid(tmp_path):
 
 @pytest.mark.parametrize(
     "line, what",
-    [("arc 0 9 天 -1.000000 -0.100000", "undeclared node"), ("arcs 0 1", "unrecognized line")],
-    ids=["undeclared_node", "unrecognized"],
+    [
+        ("arc 0 9 天 -1.000000 -0.100000", "undeclared node"),
+        ("arcs 0 1", "unrecognized line"),
+        ("node 1 9", "node 1 declared twice"),
+        ("start 1", "second start declaration"),
+    ],
+    ids=["undeclared_node", "unrecognized", "repeated_node", "second_start"],
 )
 def test_lattice_error_names_the_file_once(tmp_path, line, what):
     p = tmp_path / "bad.lat"
