@@ -56,6 +56,7 @@ import math
 import os
 import struct
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -317,7 +318,13 @@ def build_graph(lex: PhoneLexicon, lm: NGramModel) -> SearchGraph:
 
 
 def _score_matrix(graph: SearchGraph, scorer: MatrixScorer) -> np.ndarray:
-    """(frames, graph pdf) score array, mapped from the scorer's labels."""
+    """(frames, graph pdf) score array, mapped from the scorer's labels.
+
+    A scorer whose labels are already the graph's, in order, is read in
+    place, with no copy of its columns; ``decode`` never writes the array.
+    """
+    if scorer.labels == graph.pdf_labels:
+        return np.ascontiguousarray(scorer.matrix)
     col = {lab: i for i, lab in enumerate(scorer.labels)}
     try:
         perm = np.array([col[lab] for lab in graph.pdf_labels])
@@ -566,15 +573,17 @@ class BatchResult:
 
 
 def batch_decode(
-    graph: SearchGraph, scorers: list, params: DecodeParams | None = None
+    graph: SearchGraph, scorers: Iterable[MatrixScorer], params: DecodeParams | None = None
 ) -> BatchResult:
     """Decode utterances independently; per-utterance errors are collected.
 
-    Utterances run sequentially so the timing that feeds the aggregate
-    real-time factor is never skewed by contention.
+    ``scorers`` may be any iterable; it is read once, in order.  A
+    generator's next scorer is made only after the current one is decoded,
+    and the current one is dropped when the next arrives, so a streamed
+    batch holds at most two utterances' scores.  An iterable that yields
+    nothing raises ``DataError``.  Utterances run sequentially so the timing
+    that feeds the aggregate real-time factor is never skewed by contention.
     """
-    if not scorers:
-        raise DataError("empty batch")
     params = params or DecodeParams()
     batch = BatchResult()
     for i, scorer in enumerate(scorers):
@@ -589,4 +598,6 @@ def batch_decode(
         )
         batch.wall_seconds += stats.wall_seconds
         batch.audio_seconds += stats.audio_seconds
+    if not batch.results:
+        raise DataError("empty batch")
     return batch

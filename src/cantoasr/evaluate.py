@@ -236,10 +236,11 @@ def format_sweep_table(cells: list[SweepCell]) -> str:
     return "\n".join(lines)
 
 
-def format_wer_table(rows: list[tuple[str, WerResult, float]]) -> str:
-    """(system name, wer, rtf) rows in the comparison-table layout."""
-    lines = [f"{'System':<24} {'WER':>8} {'RTF':>9}"]
-    for name, result, rtf in rows:
-        lines.append(f"{name:<24} {result.percent:>8} {rtf:>9.5f}")
+def format_wer_table(rows: list[tuple[str, WerResult, float, float]]) -> str:
+    """(system name, wer, rtf, wall ms per utterance) rows in the
+    comparison-table layout; each system's RTF is over its own audio."""
+    lines = [f"{'System':<24} {'WER':>8} {'RTF (own audio)':>16} {'wall ms/utt':>12}"]
+    for name, result, rtf, ms_per_utt in rows:
+        lines.append(f"{name:<24} {result.percent:>8} {rtf:>16.5f} {ms_per_utt:>12.2f}")
     return "\n".join(lines)
 

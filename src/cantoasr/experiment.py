@@ -34,6 +34,7 @@ import json
 import logging
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
@@ -41,7 +42,14 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import DataError, open_text
-from .decoder import BatchResult, DecodeParams, batch_decode, build_graph, pdf_labels_for
+from .decoder import (
+    BatchResult,
+    DecodeParams,
+    MatrixScorer,
+    batch_decode,
+    build_graph,
+    pdf_labels_for,
+)
 from .evaluate import (
     WerResult,
     classify_errors,
@@ -145,11 +153,13 @@ def load_experiment_config(
     variable-length tuple as a comma list (empty for none).  Relative
     lexicon/corpus paths resolve against the config file location, out_dir
     against the working directory; an empty path keeps its default.  A value
-    that does not convert raises ``ExperimentError`` naming file, line and key.
+    that does not convert, or a key given twice, raises ``ExperimentError``
+    naming file, line and key.
     """
     path = Path(path)
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values: dict = {"out_dir": Path(".")}
+    seen: dict[str, int] = {}  # key -> the line that set it
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -160,6 +170,11 @@ def load_experiment_config(
                 raise ExperimentError(f"{path}:{lineno}: expected 'key = value'")
             if key not in kinds:
                 raise ExperimentError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in seen:
+                raise ExperimentError(
+                    f"{path}:{lineno}: config key {key!r} repeated (first on line {seen[key]})"
+                )
+            seen[key] = lineno
             if kinds[key] is Path and not value:
                 continue
             try:
@@ -293,17 +308,22 @@ def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[t
     ]
 
 
-def _simulate(system: SchemeSystem, texts: list[tuple[str, ...]], first_salt: int) -> list:
-    """One simulated scorer per text; text ``i`` is salted ``first_salt + i``."""
-    return [
-        simulate_utterance(
+def _simulate(
+    system: SchemeSystem, texts: list[tuple[str, ...]], first_salt: int
+) -> Iterator[MatrixScorer]:
+    """Yield one simulated scorer per text; text ``i`` is salted ``first_salt + i``.
+
+    Each scorer is made only when it is asked for, so a consumer that
+    decodes each one before asking for the next, as ``batch_decode`` does,
+    holds one utterance's scores at a time.
+    """
+    for i, text in enumerate(texts):
+        yield simulate_utterance(
             [p.label for w in text for p in system.lex.entries[w][0]],
             system.models,
             system.sim_cfg,
             first_salt + i,
         )
-        for i, text in enumerate(texts)
-    ]
 
 
 def _relative_improvement(wer_if, wer_onc) -> float:
@@ -345,7 +365,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         refs = ["".join(t) for t in texts]
         seed_rows = {}
         for scheme, system in systems.items():
-            # no name holds the scorers, so one scheme's are freed before the next's are made
+            # streamed: batch_decode asks for each scorer when it is ready to
+            # decode it, so a seed holds one utterance's scores at a time
             batch = batch_decode(
                 system.graph, _simulate(system, texts, seed_idx * 1_000_000), params
             )
@@ -422,13 +443,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         json.dumps(timing_out, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
+    # a failed decode adds no wall time, so the mean is over the decoded utterances
+    decoded = {s: cfg.num_seeds * cfg.num_utterances - failures[s] for s in systems}
     text_rows = [
-        ("IF (simulated)", pooled[SCHEME_IF], timing_out[SCHEME_IF]["rtf"]),
-        ("ONC (simulated)", pooled[SCHEME_ONC], timing_out[SCHEME_ONC]["rtf"]),
+        (name, pooled[s], timing[s].rtf, 1000.0 * timing[s].wall_seconds / max(decoded[s], 1))
+        for name, s in (("IF (simulated)", SCHEME_IF), ("ONC (simulated)", SCHEME_ONC))
     ]
     lines = [
         "Scheme comparison (pooled over seeds)",
         format_wer_table(text_rows),
+        "Each scheme's RTF is over its own simulated audio; for the same texts ONC's",
+        "is longer (more HMM states per syllable).  wall ms/utt is over the same texts.",
         "",
         f"ONC better in {onc_better}/{cfg.num_seeds} seeds; "
         f"mean relative improvement {100 * mean_rel:.2f}%",
@@ -447,7 +472,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for scheme, system in systems.items():
             cells = sweep(
                 system.graph,
-                _simulate(system, texts, 9_000_000),
+                # a list: the sweep decodes each scorer once per grid cell
+                list(_simulate(system, texts, 9_000_000)),
                 beams,
                 actives,
                 ["".join(t) for t in texts],

@@ -84,7 +84,9 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
     is too close.  The conflicting pairs are those of the first draws, taken
     in row-major order; each redraw overwrites its label's row of the means
     matrix in place, and is checked against the current rows of every other
-    label.
+    label.  The first draws' distances are taken one row at a time, so the
+    check needs O(n * feature_dim) memory for n labels, not the (n, n,
+    feature_dim) difference tensor.
     """
     labels = sorted(set(labels))
     if not labels:
@@ -94,9 +96,12 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
 
     floor = 4.0 * cfg.noise_sigma
     if floor > 0.0 and len(labels) > 1:
-        dist = np.sqrt(np.sum((mat[:, None] - mat[None, :]) ** 2, axis=2))
-        upper = np.triu(np.ones_like(dist, dtype=bool), 1)
-        for j in np.argwhere((dist < floor) & upper)[:, 1]:
+        # the later label of every too-close pair of first draws, in row-major order
+        conflicts = []
+        for i in range(len(labels) - 1):
+            dist = np.sqrt(np.sum((mat[i] - mat[i + 1 :]) ** 2, axis=1))
+            conflicts.extend(i + 1 + np.flatnonzero(dist < floor))
+        for j in conflicts:
             # redraw the later label until it clears every other mean
             other_mat = np.delete(mat, j, axis=0)
             for tries in range(101):

@@ -7,6 +7,7 @@ import numpy as np
 
 from cantoasr.decoder import MatrixScorer, pdf_labels_for
 from cantoasr.ngram import tokenize_chars
+from cantoasr.simulate import MODEL_VARIANCE, SimulationError, StateModel, _label_rng
 
 
 def enumerate_paths(lat, lm_weight):
@@ -176,3 +177,37 @@ def arpa_logprob10(model, word, history):
         return backoff.get(context, 0.0) + p(context[1:])
 
     return p(context)
+
+
+def broadcast_state_models(labels, cfg):
+    """``simulate.build_state_models`` with its first-draw distances as one
+    (n, n, feature_dim) broadcast and ``np.argwhere`` over the upper triangle.
+
+    The same draws, the same float expression per pair and the same redraw
+    loop, so the means must equal the fast path's byte for byte.  Its
+    memory is quadratic in the label count.
+    """
+    labels = sorted(set(labels))
+    if not labels:
+        raise SimulationError("no labels")
+    rngs = [_label_rng(cfg.seed, lab) for lab in labels]
+    mat = np.stack([rng.normal(0.0, cfg.mean_scale, cfg.feature_dim) for rng in rngs])
+
+    floor = 4.0 * cfg.noise_sigma
+    if floor > 0.0 and len(labels) > 1:
+        dist = np.sqrt(np.sum((mat[:, None] - mat[None, :]) ** 2, axis=2))
+        upper = np.triu(np.ones_like(dist, dtype=bool), 1)
+        for j in np.argwhere((dist < floor) & upper)[:, 1]:
+            # redraw the later label until it clears every other mean
+            other_mat = np.delete(mat, j, axis=0)
+            for tries in range(101):
+                gaps = np.sqrt(np.sum((other_mat - mat[j]) ** 2, axis=1))
+                if gaps.min() >= floor:
+                    break
+                if tries == 100:
+                    raise SimulationError(
+                        f"cannot separate {labels[j]!r}; raise mean_scale or "
+                        f"lower noise_sigma"
+                    )
+                mat[j] = rngs[j].normal(0.0, cfg.mean_scale, cfg.feature_dim)
+    return StateModel(tuple(labels), mat, MODEL_VARIANCE)

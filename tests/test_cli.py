@@ -381,6 +381,18 @@ def test_experiment_cli_byte_identical(tmp_path, capsys):
     ).read_bytes()
 
 
+def test_experiment_repeated_config_key_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("num_seeds = 2\nnum_seeds = 3\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--seed", "7", "experiment", "onc-vs-if",
+        "--config", str(cfg), "--out", str(tmp_path / "out"),
+    )
+    assert code == 2 and out == ""
+    assert "twice.cfg:2: config key 'num_seeds' repeated (first on line 1)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_json_outputs_parse_and_logs_on_stderr(tmp_path, capsys):
     code, out, err = run(capsys, "--json", "lexicon", "stats")
     assert code == 0

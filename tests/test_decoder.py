@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from cantoasr import decoder
 from cantoasr.decoder import (
     BatchResult,
     DecodeError,
@@ -598,8 +599,33 @@ def test_batch_decode_collects_errors():
 
 def test_batch_decode_empty_batch():
     lex, lm, graph = make_system([("天", "tin1")])
-    with pytest.raises(ValueError, match="empty"):
-        batch_decode(graph, [], UNPRUNED)
+    for empty in ([], iter(())):
+        with pytest.raises(ValueError, match="empty"):
+            batch_decode(graph, empty, UNPRUNED)
+
+
+def test_batch_decode_streams_a_generator(monkeypatch):
+    lex, lm, graph = make_system([("天", "tin1"), ("地", "dei6")])
+    cfg = SimConfig(seed=2, noise_sigma=0.0)
+    models = build_state_models(set(graph.pdf_labels), cfg)
+    texts = ["天", "地", "天"]
+    made, log = [], []
+
+    def scorers():
+        for k, word in enumerate(texts):
+            made.append(simulate_utterance([p.label for p in lex.entries[word][0]], models, cfg, k))
+            log.append(("made", k))
+            yield made[-1]
+
+    def logged(graph, scorer, *args):
+        log.append(("decoded", next(k for k, s in enumerate(made) if s is scorer)))
+        return decode(graph, scorer, *args)
+
+    monkeypatch.setattr(decoder, "decode", logged)
+    batch = batch_decode(graph, scorers(), UNPRUNED)
+    assert [r.hypothesis.text for r in batch.results] == texts
+    # scorer k + 1 is made only after scorer k is decoded
+    assert log == [(event, k) for k in range(len(texts)) for event in ("made", "decoded")]
 
 
 @pytest.mark.parametrize(

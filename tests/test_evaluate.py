@@ -215,8 +215,10 @@ def test_sweep_refs_must_match_the_scores(refs):
 
 def test_wer_table_format():
     rows = [
-        ("IF (simulated)", wer("該罐裝奶含天然乳糖", "該罐裝奶含天然魚塘"), 2.53610),
-        ("ONC (simulated)", wer("該罐裝奶含天然乳糖", "該罐裝奶含天然乳糖"), 1.30221),
+        ("IF (simulated)", wer("該罐裝奶含天然乳糖", "該罐裝奶含天然魚塘"), 2.53610, 4.816),
+        ("ONC (simulated)", wer("該罐裝奶含天然乳糖", "該罐裝奶含天然乳糖"), 1.30221, 6.2),
     ]
     table = format_wer_table(rows)
     assert "22.22%" in table and "0.00%" in table and "1.30221" in table
+    assert "RTF (own audio)" in table and "wall ms/utt" in table
+    assert "4.82" in table and "6.20" in table

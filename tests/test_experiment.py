@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import shutil
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -87,6 +89,26 @@ def test_blend_hits_the_target_margin(tmp_path, scheme, seed):
     assert gaps
     for _, nominal, gap in gaps.values():
         assert gap == pytest.approx((1 - nominal) * reference, abs=1e-9)
+
+
+def test_seed_loop_holds_one_utterance_at_a_time(tmp_path, monkeypatch):
+    # every scorer the run simulates, held weakly: alive only while the run holds it
+    made = weakref.WeakSet()
+    alive_at_call = []
+    simulate = experiment.simulate_utterance
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive_at_call.append(len(made))
+        scorer = simulate(*args, **kwargs)
+        made.add(scorer)
+        return scorer
+
+    monkeypatch.setattr(experiment, "simulate_utterance", tracked)
+    run_experiment(small_config(tmp_path / "out", num_seeds=2, num_utterances=5))
+    assert len(alive_at_call) == 2 * 2 * 5
+    # the scorer being decoded may still be held while the next one is made
+    assert max(alive_at_call) <= 1
 
 
 def test_one_state_model_build_per_scheme(tmp_path, monkeypatch):
@@ -195,6 +217,21 @@ def test_config_value_errors_name_file_line_and_key(tmp_path, line):
     p.write_text(f"seed = 1\n# a comment\n{line}\n", encoding="utf-8")
     with pytest.raises(ExperimentError, match=rf"bad\.cfg:3: {line.split()[0]}: "):
         load_experiment_config(p)
+
+
+# the second value would load without the check; an empty path is a value too
+@pytest.mark.parametrize(
+    "first, second",
+    [("num_seeds = 2", "num_seeds = 3"), ("seed = 1", "seed = 1"), ("lexicon =", "lexicon =")],
+)
+def test_config_repeated_key_names_file_line_and_key(tmp_path, first, second):
+    key = first.split()[0]
+    p = tmp_path / "twice.cfg"
+    p.write_text(f"{first}\n# a comment\n{second}\n", encoding="utf-8")
+    with pytest.raises(
+        ExperimentError, match=rf"twice\.cfg:3: config key '{key}' repeated \(first on line 1\)"
+    ):
+        load_experiment_config(p, seed=1)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from cantoasr.simulate import (
     simulate_utterance,
     true_label_sequence,
 )
+
+from oracles import broadcast_state_models
 
 LABELS = {"aa1", "_k3", "_t3", "b"}
 
@@ -110,6 +114,53 @@ def test_state_models_equal_the_per_pair_loop(seed):
     assert models.labels == tuple(sorted(means))
     for lab in models.labels:
         assert models.means[models.index[lab]].tobytes() == means[lab].tobytes()
+
+
+# 40 labels against floors of 0 to 2.4: most builds redraw, and in one
+# dimension the means cannot all be separated at mean_scale 1
+@pytest.mark.parametrize("feature_dim", [1, 3, 8, 13])
+def test_state_models_equal_the_broadcast_reference(feature_dim):
+    labels = [f"s{k}#0" for k in range(40)]
+    redrawn = failed = 0
+    for seed in range(5):
+        for noise_sigma in (0.0, 0.1, 0.3, 0.6):
+            for mean_scale in (1.0, 4.0):
+                cfg = SimConfig(
+                    seed=seed, feature_dim=feature_dim, noise_sigma=noise_sigma,
+                    mean_scale=mean_scale,
+                )
+                try:
+                    expected = broadcast_state_models(labels, cfg)
+                except SimulationError as exc:
+                    with pytest.raises(SimulationError) as raised:
+                        build_state_models(labels, cfg)
+                    assert str(raised.value) == str(exc)
+                    failed += 1
+                    continue
+                models = build_state_models(labels, cfg)
+                assert models.labels == expected.labels
+                assert models.means.tobytes() == expected.means.tobytes()
+                first = np.stack([
+                    _label_rng(seed, lab).normal(0.0, mean_scale, feature_dim)
+                    for lab in models.labels
+                ])
+                redrawn += not np.array_equal(first, models.means)
+    assert redrawn > 0
+    assert failed > 0 or feature_dim > 1
+
+
+def test_state_models_memory_is_linear_in_the_labels():
+    labels = [f"s{k}#0" for k in range(1000)]
+    cfg = SimConfig(seed=1)
+    tracemalloc.start()
+    try:
+        models = build_state_models(labels, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(models.labels) == 1000
+    # the (n, n, feature_dim) float64 difference tensor alone would be 64 MB
+    assert peak < 4 * 2**20
 
 
 def test_noiseless_frames_argmax_true_label():
