@@ -222,10 +222,15 @@ class SearchGraph:
         if lm.order != 2:
             raise GraphError(f"decoding LM must be a bigram, got order {lm.order}")
 
+        # lex.labels rebuilds the phone set, so it is read once
+        phone_labels = lex.labels
         self.pdf_labels = tuple(
-            sorted({p for lab in lex.labels for p in pdf_labels_for(lab)})
+            sorted({p for lab in phone_labels for p in pdf_labels_for(lab)})
         )
         pdf_index = {lab: i for i, lab in enumerate(self.pdf_labels)}
+        phone_pdfs = {
+            lab: [pdf_index[p] for p in pdf_labels_for(lab)] for lab in phone_labels
+        }
 
         self.words = tuple(sorted(lex.entries))
         word_index = {w: i for i, w in enumerate(self.words)}
@@ -249,11 +254,7 @@ class SearchGraph:
         self.num_prons = 0
         for word in self.words:
             for pron in lex.entries[word]:
-                chain = [
-                    pdf_index[pdf]
-                    for phone in pron
-                    for pdf in pdf_labels_for(phone.label)
-                ]
+                chain = [i for phone in pron for i in phone_pdfs[phone.label]]
                 entry_states.append(len(state_pdf))
                 state_pdf.extend(chain)
                 j_states.append(len(state_pdf))

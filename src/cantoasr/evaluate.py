@@ -182,10 +182,14 @@ def format_classification(
 
 @dataclass
 class SweepCell:
+    """One grid point; ``tokens_expanded`` sums the decoded utterances'
+    counts, a deterministic measure of decode work, unlike ``rtf``."""
+
     beam: float
     max_active: int
     wer: WerResult
     rtf: float
+    tokens_expanded: int
 
     def to_json(self) -> dict:
         return {
@@ -193,6 +197,7 @@ class SweepCell:
             "max_active": self.max_active,
             "wer": self.wer.to_json(),
             "rtf": self.rtf,
+            "tokens_expanded": self.tokens_expanded,
         }
 
 
@@ -222,7 +227,8 @@ def sweep(
             for ref, result in zip(refs, batch.results):
                 hyp = result.hypothesis.text if result.hypothesis else ""
                 pairs.append((ref, hyp))
-            cells.append(SweepCell(beam, max_active, corpus_wer(pairs), batch.rtf))
+            expanded = sum(r.stats.tokens_expanded for r in batch.results if r.stats)
+            cells.append(SweepCell(beam, max_active, corpus_wer(pairs), batch.rtf, expanded))
     return cells
 
 

@@ -336,7 +336,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     Writes ``report.json`` (deterministic for a fixed seed), ``timing.json``
     (wall-clock dependent), and ``report.txt`` (human-readable tables) into
-    the output directory, and returns the report dictionary.
+    the output directory, and returns the report dictionary.  A config with
+    sweep grids also writes ``sweep.json`` (deterministic too: each cell's
+    WER and ``tokens_expanded``; its RTF goes to ``timing.json``).
     """
     cfg.validate()
     t_start = time.perf_counter()
@@ -439,9 +441,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for s, t in timing.items()
     }
     timing_out["total_wall_seconds"] = time.perf_counter() - t_start
-    (out_dir / "timing.json").write_text(
-        json.dumps(timing_out, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
 
     # a failed decode adds no wall time, so the mean is over the decoded utterances
     decoded = {s: cfg.num_seeds * cfg.num_utterances - failures[s] for s in systems}
@@ -468,7 +467,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         beams = list(cfg.sweep_beams) or [cfg.beam]
         actives = list(cfg.sweep_max_actives) or [cfg.max_active]
         texts = _draw_texts(words, cfg, 3)
-        sweep_report = {}
+        # the wall-clock RTF of each cell goes to timing.json, so that
+        # sweep.json is deterministic for a fixed seed
+        sweep_report, sweep_timing = {}, {}
         for scheme, system in systems.items():
             cells = sweep(
                 system.graph,
@@ -479,12 +480,22 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 ["".join(t) for t in texts],
                 params,
             )
-            sweep_report[scheme] = [c.to_json() for c in cells]
+            sweep_report[scheme] = [
+                {k: v for k, v in c.to_json().items() if k != "rtf"} for c in cells
+            ]
+            sweep_timing[scheme] = [
+                {"beam": c.beam, "max_active": c.max_active, "rtf": c.rtf} for c in cells
+            ]
             lines += ["", f"Sweep ({scheme})", format_sweep_table(cells)]
         (out_dir / "sweep.json").write_text(
             json.dumps(sweep_report, sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
+        timing_out["sweep"] = sweep_timing
+
+    (out_dir / "timing.json").write_text(
+        json.dumps(timing_out, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
 
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return report

@@ -320,6 +320,12 @@ def read_external_scores(path: str | Path) -> dict[tuple[str, ...], float]:
 
 
 def write_lattice(lat: Lattice, path: str | Path) -> None:
+    """Write ``lat`` in the text format ``read_lattice`` reads.
+
+    An epsilon arc's word is written ``-``, so a word ``-``, or one that is
+    empty or holds whitespace, could not be read back as itself: such a
+    word raises ``LatticeFormatError`` and nothing is written.
+    """
     lines = ["LATTICE v1"]
     for node in sorted(lat.nodes):
         lines.append(f"node {node} {lat.nodes[node]}")
@@ -327,7 +333,13 @@ def write_lattice(lat: Lattice, path: str | Path) -> None:
     for node in sorted(lat.finals):
         lines.append(f"final {node}")
     for arc in lat.arcs:
-        word = arc.word if arc.word is not None else "-"
+        word = arc.word
+        if word is None:
+            word = "-"
+        elif word == "-" or word.split() != [word]:
+            raise LatticeFormatError(
+                f"{path}: arc {arc.src} -> {arc.dst}: cannot write word {word!r}"
+            )
         lines.append(f"arc {arc.src} {arc.dst} {word} {arc.am:.6f} {arc.lm:.6f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

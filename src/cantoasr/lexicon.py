@@ -95,24 +95,30 @@ def compile_lexicon(
 ) -> PhoneLexicon:
     """Expand every pronunciation into a phone sequence.
 
-    Syllables are parsed, optionally coda-merged, then decomposed under the
-    chosen scheme; duplicate phone sequences per word are dropped.
+    Each distinct syllable is parsed, optionally coda-merged, then
+    decomposed under the chosen scheme once, the first time a word uses it;
+    a bad syllable's error names that word.  Duplicate phone sequences per
+    word are dropped.
     """
     lex = PhoneLexicon(scheme=scheme)
+    syllable_phones: dict[str, tuple[Phone, ...]] = {}
     for entry in entries:
         seqs: list[tuple[Phone, ...]] = []
         for pron in entry.pronunciations:
             phones: list[Phone] = []
             for syl_text in pron:
-                try:
-                    syl = parse_jyutping(syl_text, inv)
-                except JyutpingError as exc:
-                    raise LexiconError(
-                        f"word {entry.word!r}: bad syllable {syl_text!r}: {exc}"
-                    ) from exc
-                if merges is not None:
-                    syl = apply_merge(syl, merges)
-                phones.extend(to_phones(syl, scheme, inv))
+                expanded = syllable_phones.get(syl_text)
+                if expanded is None:
+                    try:
+                        syl = parse_jyutping(syl_text, inv)
+                    except JyutpingError as exc:
+                        raise LexiconError(
+                            f"word {entry.word!r}: bad syllable {syl_text!r}: {exc}"
+                        ) from exc
+                    if merges is not None:
+                        syl = apply_merge(syl, merges)
+                    expanded = syllable_phones[syl_text] = to_phones(syl, scheme, inv)
+                phones.extend(expanded)
             seq = tuple(phones)
             if seq not in seqs:
                 seqs.append(seq)

@@ -29,7 +29,9 @@ perplexity stays finite.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -206,26 +208,17 @@ def _predictions(order: int, sentences):
         yield [(padded[i], tuple(padded[max(0, i - order + 1):i])) for i in range(order - 1, len(padded))]
 
 
-def _collect_counts(corpus, order):
-    """``counts[k]``: each k-gram's count, over the k-gram ending at every prediction."""
-    counts: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order + 1)]
-    for walk in _predictions(order, corpus):
-        for token, history in walk:
-            if token == SOS:
-                continue  # the start marker is never predicted
-            gram = history + (token,)
-            for k in range(1, order + 1):
-                grams, g = counts[k], gram[-k:]
-                grams[g] = grams.get(g, 0) + 1
-    return counts
-
-
 def train_ngram(
     corpus: list[list[str]], order: int, smoothing: str = DEFAULT_SMOOTHING
 ) -> NGramModel:
     """Estimate an order-``order`` model from tokenized sentences.
 
     ``smoothing`` is ``"none"`` (maximum likelihood) or ``"witten_bell"``.
+    Each order's counts and each history's total and type count are one
+    ``Counter`` each, over the n-gram of every prediction (its history,
+    padded with ``<s>``, plus the token).  Orders are stored one after
+    another, each in sorted order, so a Witten-Bell lower order is read
+    as its suffix's stored probability.
     """
     corpus = [s for s in corpus if s]
     if not corpus:
@@ -235,14 +228,21 @@ def train_ngram(
     if smoothing not in ("none", "witten_bell"):
         raise DataError(f"unknown smoothing {smoothing!r}")
 
-    counts = _collect_counts(corpus, order)
-    totals: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-    types: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-    for k in range(1, order + 1):
-        for gram, c in counts[k].items():
-            h = gram[:-1]
-            totals[k - 1][h] = totals[k - 1].get(h, 0) + c
-            types[k - 1][h] = types[k - 1].get(h, 0) + 1
+    pad = (SOS,) * (order - 1)
+    grams: list[tuple[str, ...]] = []
+    for sent in corpus:
+        padded = (*pad, *sent, EOS)
+        ngrams = zip(*[padded[i:] for i in range(order)])
+        if SOS in sent:
+            # the start marker is never predicted
+            ngrams = (g for g in ngrams if g[-1] != SOS)
+        grams.extend(ngrams)
+    # counts[k]: each k-gram's count; totals[k] and types[k]: each k-token
+    # history's count and its number of distinct continuations
+    counts = [Counter()]
+    counts += (Counter(map(itemgetter(slice(-k, None)), grams)) for k in range(1, order + 1))
+    totals = [Counter(map(itemgetter(slice(-k - 1, -1)), grams)) for k in range(order)]
+    types = [Counter(map(itemgetter(slice(None, -1)), counts[k + 1])) for k in range(order)]
 
     model = NGramModel(order=order)
     wb = smoothing == "witten_bell"
@@ -263,7 +263,9 @@ def train_ngram(
             if wb:
                 t = types[k - 1][h]
                 tot = totals[k - 1][h]
-                p_low = model.prob(gram[-1], h[1:])
+                # gram[1:] was stored at order k - 1 and its tokens are all
+                # unigrams, so this is prob(gram[-1], h[1:]) without the walk
+                p_low = 10.0 ** model.logprob[gram[1:]]
                 p = (c + t * p_low) / (tot + t)
             else:
                 p = c / totals[k - 1][h]

@@ -84,9 +84,11 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
     is too close.  The conflicting pairs are those of the first draws, taken
     in row-major order; each redraw overwrites its label's row of the means
     matrix in place, and is checked against the current rows of every other
-    label.  The first draws' distances are taken one row at a time, so the
-    check needs O(n * feature_dim) memory for n labels, not the (n, n,
-    feature_dim) difference tensor.
+    label.  The first draws' distances are taken one row at a time, row
+    ``i`` against the rows after it in one reduction, so the check needs
+    O(n * feature_dim) memory for n labels, not the (n, n, feature_dim)
+    difference tensor.  A redraw measures its gaps against the whole
+    matrix, with its own gap set to infinity.
     """
     labels = sorted(set(labels))
     if not labels:
@@ -99,13 +101,15 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
         # the later label of every too-close pair of first draws, in row-major order
         conflicts = []
         for i in range(len(labels) - 1):
-            dist = np.sqrt(np.sum((mat[i] - mat[i + 1 :]) ** 2, axis=1))
-            conflicts.extend(i + 1 + np.flatnonzero(dist < floor))
+            dist = np.sqrt(np.add.reduce((mat[i] - mat[i + 1 :]) ** 2, axis=1))
+            (close,) = (dist < floor).nonzero()
+            if len(close):
+                conflicts.extend(i + 1 + close)
         for j in conflicts:
             # redraw the later label until it clears every other mean
-            other_mat = np.delete(mat, j, axis=0)
             for tries in range(101):
-                gaps = np.sqrt(np.sum((other_mat - mat[j]) ** 2, axis=1))
+                gaps = np.sqrt(np.add.reduce((mat - mat[j]) ** 2, axis=1))
+                gaps[j] = np.inf
                 if gaps.min() >= floor:
                     break
                 if tries == 100:

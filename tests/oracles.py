@@ -6,7 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from cantoasr.decoder import MatrixScorer, pdf_labels_for
-from cantoasr.ngram import tokenize_chars
+from cantoasr.ngram import (
+    LOG10_FLOOR,
+    MLE_UNK_FLOOR,
+    SOS,
+    UNK,
+    NGramModel,
+    _predictions,
+    tokenize_chars,
+)
 from cantoasr.simulate import MODEL_VARIANCE, SimulationError, StateModel, _label_rng
 
 
@@ -211,3 +219,67 @@ def broadcast_state_models(labels, cfg):
                     )
                 mat[j] = rngs[j].normal(0.0, cfg.mean_scale, cfg.feature_dim)
     return StateModel(tuple(labels), mat, MODEL_VARIANCE)
+
+
+def counting_train_ngram(corpus, order, smoothing="witten_bell"):
+    """``ngram.train_ngram`` counting in plain dicts, one prediction at a time.
+
+    Each prediction adds one to every suffix of its n-gram, and each
+    history's total and type count are summed gram by gram; the Witten-Bell
+    lower order is read through ``model.prob``.  The same insertion order
+    and the same float expressions, so its ``logprob`` and ``backoff`` must
+    equal the fast path's item for item.
+    """
+    corpus = [s for s in corpus if s]
+    counts = [dict() for _ in range(order + 1)]
+    for walk in _predictions(order, corpus):
+        for token, history in walk:
+            if token == SOS:
+                continue  # the start marker is never predicted
+            gram = history + (token,)
+            for k in range(1, order + 1):
+                grams, g = counts[k], gram[-k:]
+                grams[g] = grams.get(g, 0) + 1
+    totals = [dict() for _ in range(order)]
+    types = [dict() for _ in range(order)]
+    for k in range(1, order + 1):
+        for gram, c in counts[k].items():
+            h = gram[:-1]
+            totals[k - 1][h] = totals[k - 1].get(h, 0) + c
+            types[k - 1][h] = types[k - 1].get(h, 0) + 1
+
+    model = NGramModel(order=order)
+    wb = smoothing == "witten_bell"
+
+    n_tokens = totals[0][()]
+    n_types = types[0][()]
+    for (tok,), c in sorted(counts[1].items()):
+        p = c / (n_tokens + n_types) if wb else c / n_tokens
+        model.logprob[(tok,)] = math.log10(p)
+    if wb:
+        model.logprob[(UNK,)] = math.log10(n_types / (n_tokens + n_types))
+    else:
+        model.logprob[(UNK,)] = math.log10(MLE_UNK_FLOOR)
+
+    for k in range(2, order + 1):
+        for gram, c in sorted(counts[k].items()):
+            h = gram[:-1]
+            if wb:
+                t = types[k - 1][h]
+                tot = totals[k - 1][h]
+                p_low = model.prob(gram[-1], h[1:])
+                p = (c + t * p_low) / (tot + t)
+            else:
+                p = c / totals[k - 1][h]
+            model.logprob[gram] = math.log10(p)
+        # histories need back-off weights; force-missing prefixes get -99
+        for h in sorted(totals[k - 1]):
+            if h not in model.logprob and len(h) >= 1:
+                model.logprob[h] = LOG10_FLOOR
+            if wb:
+                t = types[k - 1][h]
+                bow = t / (totals[k - 1][h] + t)
+                model.backoff[h] = math.log10(bow)
+            else:
+                model.backoff[h] = LOG10_FLOOR
+    return model

@@ -18,6 +18,7 @@ from cantoasr.decoder import (
     batch_decode,
     build_graph,
     decode,
+    pdf_labels_for,
     read_scores,
     write_scores,
 )
@@ -168,6 +169,23 @@ def test_pron_lm_equals_per_cell_logprob10(lexicon, scheme, lm_kind, tmp_path):
     pron_lm, end_lm = per_cell_lm_tables(graph, lm)
     assert graph.pron_lm.tobytes() == pron_lm.tobytes()
     assert graph.end_lm.tobytes() == end_lm.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["if", "onc"])
+def test_state_pdf_chains_are_the_phones_pdf_labels(scheme):
+    lex = compile_lexicon(read_lexicon(demo_lexicon_path()), scheme, default_inventory())
+    graph = build_graph(lex, train_ngram(read_corpus(demo_lexicon_path().parent / "demo_corpus.txt"), 2))
+    index = {lab: i for i, lab in enumerate(graph.pdf_labels)}
+    chains = [
+        [index[pdf] for phone in pron for pdf in pdf_labels_for(phone.label)]
+        for word in graph.words
+        for pron in lex.entries[word]
+    ]
+    state_pdf = graph.state_pdf.tolist()
+    assert len(chains) == len(graph.entry_states) == graph.num_prons
+    for chain, entry_state, junction in zip(chains, graph.entry_states, graph.j_states):
+        assert state_pdf[entry_state:junction] == chain
+    assert state_pdf == [-1] + [i for chain in chains for i in [*chain, -1]]
 
 
 def test_decode_defaults_logged_in_stats():

@@ -332,3 +332,21 @@ def test_sweep_grids_written(tmp_path):
     assert len(payload["if"]) == 2
     text = (tmp_path / "sweep/report.txt").read_text(encoding="utf-8")
     assert "Sweep (if)" in text and "Sweep (onc)" in text
+
+
+def test_sweep_json_is_deterministic(tmp_path):
+    for run in ("a", "b"):
+        run_experiment(
+            small_config(tmp_path / run, num_seeds=1, num_utterances=4, sweep_beams=(20.0, 40.0))
+        )
+    sweep_json = (tmp_path / "a/sweep.json").read_bytes()
+    assert sweep_json == (tmp_path / "b/sweep.json").read_bytes()
+    cells = json.loads(sweep_json)["if"]
+    assert [set(c) for c in cells] == [{"beam", "max_active", "wer", "tokens_expanded"}] * 2
+    assert all(c["tokens_expanded"] > 0 for c in cells)
+    # the wall-clock RTF of each cell is in timing.json
+    timing = json.loads((tmp_path / "a/timing.json").read_text())
+    assert [(c["beam"], c["max_active"]) for c in timing["sweep"]["if"]] == [
+        (20.0, 7000), (40.0, 7000)
+    ]
+    assert all(c["rtf"] > 0 for c in timing["sweep"]["onc"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -110,6 +111,24 @@ def test_lattice_round_trip(tmp_path, diamond):
     assert back.arcs == diamond.arcs
     write_lattice(back, tmp_path / "d2.lat")
     assert (tmp_path / "d.lat").read_bytes() == (tmp_path / "d2.lat").read_bytes()
+
+
+def test_lattice_round_trip_keeps_an_epsilon_arc(tmp_path):
+    lat = make_lattice([Arc(0, 1, None, -0.5, 0.0), Arc(1, 2, "好", -1.0, -0.2)], finals=(2,))
+    write_lattice(lat, tmp_path / "eps.lat")
+    assert read_lattice(tmp_path / "eps.lat").arcs == lat.arcs
+
+
+@pytest.mark.parametrize(
+    "word", ["-", "", "好 嘢", "\t"], ids=["epsilon-mark", "empty", "space", "tab"]
+)
+def test_write_lattice_rejects_a_word_it_cannot_read_back(tmp_path, word):
+    # "-" would read back as an epsilon arc, the others as an unrecognized line
+    lat = make_lattice([Arc(0, 1, word, -0.5, 0.0), Arc(1, 2, "好", -1.0, -0.2)], finals=(2,))
+    path = tmp_path / "w.lat"
+    with pytest.raises(LatticeFormatError, match=re.escape(f"cannot write word {word!r}")):
+        write_lattice(lat, path)
+    assert not path.exists()
 
 
 def test_lattice_undeclared_node(tmp_path):

@@ -9,7 +9,13 @@ from cantoasr.lexicon import (
     read_lexicon,
     write_phone_lexicon,
 )
-from cantoasr.phonology import MergeRuleSet, default_inventory
+from cantoasr.phonology import (
+    MergeRuleSet,
+    apply_merge,
+    default_inventory,
+    parse_jyutping,
+    to_phones,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +52,30 @@ def test_compile_empty(inv):
 def test_compile_bad_syllable(inv):
     with pytest.raises(LexiconError, match="zzz9"):
         compile_lexicon([entry("壞", "zzz9")], "onc", inv)
+    # a bad syllable shared by two words names the first word that uses it
+    shared = [entry("天", "tin1"), entry("壞", "zzz9"), entry("爛", "zzz9")]
+    with pytest.raises(LexiconError, match="word '壞': bad syllable 'zzz9'"):
+        compile_lexicon(shared, "onc", inv)
+
+
+@pytest.mark.parametrize("scheme", ["if", "onc"])
+@pytest.mark.parametrize("rules", [None, "t>k@aa,a,o;ng>n@aa,a,o"], ids=["plain", "merged"])
+def test_compile_equals_a_per_syllable_expansion(inv, demo_entries, scheme, rules):
+    merges = MergeRuleSet.parse(rules) if rules else None
+
+    def syllable_phones(text):
+        syl = parse_jyutping(text, inv)
+        return to_phones(apply_merge(syl, merges) if merges else syl, scheme, inv)
+
+    expected: dict[str, list] = {}
+    for e in demo_entries:
+        seqs = expected.setdefault(e.word, [])
+        for pron in e.pronunciations:
+            seq = tuple(p for text in pron for p in syllable_phones(text))
+            if seq not in seqs:
+                seqs.append(seq)
+    lex = compile_lexicon(demo_entries, scheme, inv, merges)
+    assert list(lex.entries.items()) == [(w, tuple(seqs)) for w, seqs in expected.items()]
 
 
 def test_entry_length_mismatch():

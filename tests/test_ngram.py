@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from cantoasr.lexicon import demo_lexicon_path
 from cantoasr.ngram import (
     EOS,
     LOG10_FLOOR,
@@ -22,7 +23,7 @@ from cantoasr.ngram import (
     write_arpa,
 )
 
-from oracles import arpa_logprob10
+from oracles import arpa_logprob10, counting_train_ngram
 
 
 def sents(*lines):
@@ -422,3 +423,25 @@ def test_negative_zero_reads_zero_after_a_back_off():
     assert repr(m.logprob10("a")) == "-0.0"
     assert repr(m.logprob10("a", ("b",))) == "0.0"  # -0.0 + the unstored weight 0.0
     assert m.logprob10("z", ("b",)) == LOG10_FLOOR  # no <unk> unigram
+
+
+def random_corpus(rng):
+    """Sentences over a small alphabet, including the literal markers and
+    empty sentences, which ``train_ngram`` drops; the last is never empty."""
+    vocab = [chr(0x4E00 + i) for i in range(rng.randint(1, 25))] + [SOS, EOS, UNK, "ab"]
+    corpus = [[rng.choice(vocab) for _ in range(rng.randint(0, 12))] for _ in range(rng.randint(0, 40))]
+    return corpus + [[rng.choice(vocab)]]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("smoothing", ["none", "witten_bell"])
+def test_train_equals_the_counting_reference(order, smoothing):
+    rng = random.Random(order)
+    corpora = [read_corpus(demo_lexicon_path().parent / "demo_corpus.txt")]
+    corpora += [random_corpus(rng) for _ in range(12)]
+    for corpus in corpora:
+        model = train_ngram(corpus, order, smoothing)
+        reference = counting_train_ngram(corpus, order, smoothing)
+        # items in insertion order, compared by repr so -0.0 and 0.0 differ
+        assert repr(list(model.logprob.items())) == repr(list(reference.logprob.items()))
+        assert repr(list(model.backoff.items())) == repr(list(reference.backoff.items()))
