@@ -60,7 +60,7 @@ from .evaluate import (
     sweep,
     wer,
 )
-from .lexicon import compile_lexicon, demo_lexicon_path, lexicon_stats, read_lexicon
+from .lexicon import check_merges, compile_lexicon, demo_lexicon_path, lexicon_stats, read_lexicon
 from .ngram import read_corpus, train_ngram
 from .phonology import SCHEME_IF, SCHEME_ONC, JyutpingError, MergeRuleSet, default_inventory
 from .simulate import SimConfig, blend_confusions, build_state_models, simulate_utterance
@@ -119,7 +119,7 @@ class ExperimentConfig:
         if not 0.0 <= self.base_similarity < 1.0:
             raise ExperimentError("base_similarity must be in [0, 1)")
         try:
-            MergeRuleSet.parse(self.merge_rules)
+            check_merges(MergeRuleSet.parse(self.merge_rules), default_inventory())
             self.sim_config()
             params = self.decode_params()
             # the main run's point and every sweep grid point

@@ -87,6 +87,17 @@ def read_lexicon(path: str | Path) -> list[LexiconEntry]:
     return [LexiconEntry(w, tuple(prons[w])) for w in order]
 
 
+def check_merges(merges: MergeRuleSet, inv: Inventory) -> None:
+    """Reject the first rule that names a coda or nucleus ``inv`` lacks."""
+    for rule in merges.rules:
+        unknown = [f"coda {c!r}" for c in (rule.from_coda, rule.to_coda) if c not in inv.codas]
+        unknown += [f"nucleus {n!r}" for n in sorted(rule.nuclei or ()) if n not in inv.nuclei]
+        if unknown:
+            raise LexiconError(
+                f"merge rule {str(rule)!r} names unknown {' and '.join(unknown)}"
+            )
+
+
 def compile_lexicon(
     entries: list[LexiconEntry],
     scheme: str,
@@ -98,8 +109,10 @@ def compile_lexicon(
     Each distinct syllable is parsed, optionally coda-merged, then
     decomposed under the chosen scheme once, the first time a word uses it;
     a bad syllable's error names that word.  Duplicate phone sequences per
-    word are dropped.
+    word are dropped.  Every merge rule is checked against ``inv`` first.
     """
+    if merges is not None:
+        check_merges(merges, inv)
     lex = PhoneLexicon(scheme=scheme)
     syllable_phones: dict[str, tuple[Phone, ...]] = {}
     for entry in entries:

@@ -326,6 +326,11 @@ class MergeRule:
         if self.from_coda == self.to_coda:
             raise DataError(f"merge rule must change the coda: {self.from_coda!r}")
 
+    def __str__(self) -> str:
+        """The rule as ``MergeRuleSet.parse`` reads it."""
+        text = f"{self.from_coda}>{self.to_coda}"
+        return text if self.nuclei is None else f"{text}@{','.join(sorted(self.nuclei))}"
+
     def matches(self, syl: Syllable) -> bool:
         if syl.coda != self.from_coda:
             return False

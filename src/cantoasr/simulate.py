@@ -72,9 +72,53 @@ class StateModel:
 
 
 def _label_rng(seed: int, label: str) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((seed, zlib.crc32(label.encode("utf-8"))))
-    )
+    """The stream of ``default_rng(SeedSequence((seed, crc32(label))))``.
+
+    ``SeedSequence`` turns that tuple into the seed's little-endian 32-bit
+    words followed by the crc; that word array is built here directly,
+    without ``default_rng`` or the tuple coercion.
+    """
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    entropy = np.array([*words, zlib.crc32(label.encode("utf-8"))], dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+def _close_pairs(mat: np.ndarray, floor: float) -> list:
+    """The later row of every pair of rows of ``mat`` closer than ``floor``,
+    in row-major order of the pairs, a row once per pair.
+
+    A pair ``(i, j)`` is close when ``np.sqrt(np.add.reduce((mat[i] -
+    mat[j]) ** 2)) < floor``.  A Gram screen finds the candidates:
+    ``feature_dim`` rows at a time, one matrix product against the later
+    rows gives every squared gap as ``|a|^2 + |b|^2 - 2 a.b``, so a block's
+    gaps hold no more elements than ``mat``.  Against the direct form, that
+    form loses under ``(2 * feature_dim + 4) * eps * (|a|^2 + |b|^2)`` to
+    rounding, whatever the product's summation order, plus about
+    ``2.5 * feature_dim`` subnormal units where squares underflow.  A pair
+    stays a candidate unless its Gram gap clears ``floor**2`` by twice
+    that, and each candidate is measured by the direct expression, so the
+    result is the row-by-row check's, bit for bit, in O(n * feature_dim)
+    memory.
+    """
+    n, d = mat.shape
+    sq = np.add.reduce(mat * mat, axis=1)
+    slack = 4.0 * (d + 4) * np.finfo(float).eps
+    bound = floor * floor + 4.0 * (d + 4) * np.finfo(float).smallest_subnormal
+    close = []
+    for i0 in range(0, n - 1, d):
+        i1 = min(i0 + d, n - 1)
+        norms = sq[i0:i1, None] + sq[None, i0 + 1 :]
+        gram = norms - 2.0 * (mat[i0:i1] @ mat[i0 + 1 :].T)
+        # column c is row i0 + 1 + c, so the upper triangle is j > i; a NaN
+        # gap (from an overflowed norm) stays a candidate
+        rows, cols = np.triu(~(gram >= bound + slack * norms)).nonzero()
+        if len(rows):
+            i, j = rows + i0, cols + (i0 + 1)
+            dist = np.sqrt(np.add.reduce((mat[i] - mat[j]) ** 2, axis=1))
+            close.extend(j[dist < floor])
+    return close
 
 
 def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> StateModel:
@@ -82,13 +126,12 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
 
     Separation redraws the lexicographically later mean of each pair that
     is too close.  The conflicting pairs are those of the first draws, taken
-    in row-major order; each redraw overwrites its label's row of the means
-    matrix in place, and is checked against the current rows of every other
-    label.  The first draws' distances are taken one row at a time, row
-    ``i`` against the rows after it in one reduction, so the check needs
-    O(n * feature_dim) memory for n labels, not the (n, n, feature_dim)
-    difference tensor.  A redraw measures its gaps against the whole
-    matrix, with its own gap set to infinity.
+    in row-major order (``_close_pairs``: a Gram screen confirmed by the
+    direct distance, in O(n * feature_dim) memory for n labels); each
+    redraw overwrites its label's row of the means matrix in place, and is
+    checked against the current rows of every other label.  A redraw
+    measures its gaps against the whole matrix, with its own gap set to
+    infinity.
     """
     labels = sorted(set(labels))
     if not labels:
@@ -98,14 +141,7 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
 
     floor = 4.0 * cfg.noise_sigma
     if floor > 0.0 and len(labels) > 1:
-        # the later label of every too-close pair of first draws, in row-major order
-        conflicts = []
-        for i in range(len(labels) - 1):
-            dist = np.sqrt(np.add.reduce((mat[i] - mat[i + 1 :]) ** 2, axis=1))
-            (close,) = (dist < floor).nonzero()
-            if len(close):
-                conflicts.extend(i + 1 + close)
-        for j in conflicts:
+        for j in _close_pairs(mat, floor):
             # redraw the later label until it clears every other mean
             for tries in range(101):
                 gaps = np.sqrt(np.add.reduce((mat - mat[j]) ** 2, axis=1))

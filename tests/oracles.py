@@ -1,6 +1,7 @@
 """Independent reference implementations used to check the fast paths."""
 
 import math
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from cantoasr.ngram import (
     _predictions,
     tokenize_chars,
 )
-from cantoasr.simulate import MODEL_VARIANCE, SimulationError, StateModel, _label_rng
+from cantoasr.simulate import MODEL_VARIANCE, SimulationError, StateModel
 
 
 def enumerate_paths(lat, lm_weight):
@@ -191,14 +192,20 @@ def broadcast_state_models(labels, cfg):
     """``simulate.build_state_models`` with its first-draw distances as one
     (n, n, feature_dim) broadcast and ``np.argwhere`` over the upper triangle.
 
-    The same draws, the same float expression per pair and the same redraw
-    loop, so the means must equal the fast path's byte for byte.  Its
-    memory is quadratic in the label count.
+    The same streams, seeded by ``default_rng`` from the ``(seed, crc32)``
+    tuple, the same float expression per pair and the same redraw loop, so
+    the means must equal the fast path's byte for byte.  Its memory is
+    quadratic in the label count.
     """
     labels = sorted(set(labels))
     if not labels:
         raise SimulationError("no labels")
-    rngs = [_label_rng(cfg.seed, lab) for lab in labels]
+    rngs = [
+        np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, zlib.crc32(lab.encode("utf-8"))))
+        )
+        for lab in labels
+    ]
     mat = np.stack([rng.normal(0.0, cfg.mean_scale, cfg.feature_dim) for rng in rngs])
 
     floor = 4.0 * cfg.noise_sigma

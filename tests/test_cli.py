@@ -393,6 +393,21 @@ def test_experiment_repeated_config_key_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_merge_rule_outside_the_inventory_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "merge.cfg"
+    cfg.write_text("merge_rules = t>k,n>ng\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--seed", "7", "experiment", "onc-vs-if",
+        "--config", str(cfg), "--out", str(tmp_path / "out"),
+    )
+    assert code == 2 and out == ""
+    assert "merge rule 't>k,n>ng' names unknown coda 'k,n>ng'" in err
+    assert not (tmp_path / "out").exists()
+    code, out, err = run(capsys, "lexicon", "stats", "--scheme", "if", "--merge", "t>k,n>ng")
+    assert code == 2 and out == ""
+    assert "merge rule 't>k,n>ng'" in err
+
+
 def test_json_outputs_parse_and_logs_on_stderr(tmp_path, capsys):
     code, out, err = run(capsys, "--json", "lexicon", "stats")
     assert code == 0

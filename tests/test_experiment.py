@@ -236,7 +236,12 @@ def test_config_repeated_key_names_file_line_and_key(tmp_path, first, second):
 
 @pytest.mark.parametrize(
     "key, text, value",
-    [("sweep_beams", "0", (0.0,)), ("lattice_width", "0", 0), ("merge_rules", "t>", "t>")],
+    [
+        ("sweep_beams", "0", (0.0,)),
+        ("lattice_width", "0", 0),
+        ("merge_rules", "t>", "t>"),
+        ("merge_rules", "t>k,n>ng", "t>k,n>ng"),
+    ],
 )
 def test_bad_settings_are_rejected_before_any_work(tmp_path, key, text, value):
     p = tmp_path / "bad.cfg"

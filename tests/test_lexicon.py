@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from cantoasr.lexicon import (
     LexiconEntry,
     LexiconError,
+    check_merges,
     compile_lexicon,
     demo_lexicon_path,
     lexicon_stats,
@@ -102,6 +105,30 @@ def test_merge_collision(inv):
             [entry("八", "baat3"), entry("百", "baak3")], scheme, inv, merges=rules
         )
         assert lex.entries["八"] == lex.entries["百"]
+
+
+@pytest.mark.parametrize("scheme", ["if", "onc"])
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        # a missing ';' makes one rule whose target is the rest of the text
+        ("t>k,n>ng", "merge rule 't>k,n>ng' names unknown coda 'k,n>ng'"),
+        ("x>k", "merge rule 'x>k' names unknown coda 'x'"),
+        ("t>k@aa,zz", "merge rule 't>k@aa,zz' names unknown nucleus 'zz'"),
+        ("ng>n;p>b@zz", "merge rule 'p>b@zz' names unknown coda 'b' and nucleus 'zz'"),
+    ],
+)
+def test_merge_rule_outside_the_inventory_is_rejected(inv, scheme, rules, message):
+    merges = MergeRuleSet.parse(rules)
+    # the rules are checked before any syllable: the bad one is never reached
+    entries = [entry("八", "baat3"), entry("壞", "zzz9")]
+    with pytest.raises(LexiconError, match=re.escape(message)):
+        compile_lexicon(entries, scheme, inv, merges=merges)
+
+
+@pytest.mark.parametrize("rules", ["t>k", "ng>n", "t>k@aa,a,o", "t>k@aa,a,o;ng>n@aa,a,o"])
+def test_merge_rules_in_use_are_legal(inv, rules):
+    check_merges(MergeRuleSet.parse(rules), inv)
 
 
 def test_merge_keeps_onc_structure(inv):

@@ -1,15 +1,17 @@
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from cantoasr.decoder import DecodeParams, decode, build_graph
-from cantoasr.lexicon import LexiconEntry, compile_lexicon
-from cantoasr.ngram import train_ngram
+from cantoasr.lexicon import LexiconEntry, compile_lexicon, demo_lexicon_path, read_lexicon
+from cantoasr.ngram import read_corpus, train_ngram
 from cantoasr.phonology import default_inventory
 from cantoasr.simulate import (
     SimConfig,
     SimulationError,
+    _close_pairs,
     _label_rng,
     blend_confusions,
     build_state_models,
@@ -161,6 +163,109 @@ def test_state_models_memory_is_linear_in_the_labels():
     assert len(models.labels) == 1000
     # the (n, n, feature_dim) float64 difference tensor alone would be 64 MB
     assert peak < 4 * 2**20
+
+
+def test_state_models_screen_memory_is_linear_in_the_labels():
+    labels = [f"s{k}#0" for k in range(4000)]
+    tracemalloc.start()
+    try:
+        models = build_state_models(labels, SimConfig(seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(models.labels) == 4000
+    # a full (n, n) float64 Gram matrix alone would be 128 MB
+    assert peak < 4 * 4 * 2**20
+
+
+def row_loop_close_pairs(mat, floor):
+    """The row-by-row separation check ``_close_pairs`` replaced."""
+    close = []
+    for i in range(len(mat) - 1):
+        dist = np.sqrt(np.add.reduce((mat[i] - mat[i + 1 :]) ** 2, axis=1))
+        close.extend(i + 1 + np.flatnonzero(dist < floor))
+    return close
+
+
+def edge_floors(mat):
+    """Floors at some pairs' exact distances and one ulp either side."""
+    dist = np.sqrt(np.add.reduce((mat[:, None] - mat[None, :]) ** 2, axis=2))
+    gaps = np.unique(dist[np.triu_indices(len(mat), 1)])
+    floors = []
+    for gap in gaps[:: max(1, len(gaps) // 4)]:
+        floors += [np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)]
+    return floors
+
+
+@pytest.mark.parametrize("feature_dim", [1, 3, 8, 64])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_close_pairs_equal_the_row_loop_at_the_edge(feature_dim, offset):
+    rng = np.random.default_rng(feature_dim)
+    checked = found = 0
+    # below feature_dim, equal to it, and not a multiple of it
+    for n in sorted({2, max(2, feature_dim - 1), feature_dim + 1, 2 * feature_dim + 3}):
+        # small integer coordinates: many pairs share exact squared gaps; and
+        # the same rows nudged by an ulp
+        grid = rng.integers(-2, 3, size=(n, feature_dim)).astype(float) + offset
+        nudged = grid.copy()
+        nudged[::2] = np.nextafter(nudged[::2], np.inf)
+        normal = offset + rng.normal(size=(n, feature_dim))
+        # squares that underflow
+        tiny = (grid - offset) * 1e-160
+        for mat in (grid, nudged, normal, tiny):
+            for floor in edge_floors(mat):
+                close = _close_pairs(mat, floor)
+                assert close == row_loop_close_pairs(mat, floor)
+                checked += 1
+                found += len(close)
+    assert checked > 0 and found > 0
+
+
+@pytest.fixture(scope="module")
+def demo_label_sets():
+    data = demo_lexicon_path().parent
+    entries = read_lexicon(data / "demo_lexicon.txt")
+    lm = train_ngram(read_corpus(data / "demo_corpus.txt"), 2, smoothing="witten_bell")
+    inv = default_inventory()
+    return {
+        scheme: set(build_graph(compile_lexicon(entries, scheme, inv), lm).pdf_labels)
+        for scheme in ("if", "onc")
+    }
+
+
+@pytest.mark.parametrize("scheme", ["if", "onc"])
+def test_state_models_equal_the_broadcast_reference_on_the_demo_labels(
+    demo_label_sets, scheme
+):
+    labels = demo_label_sets[scheme]
+    built = failed = 0
+    for seed in range(10):
+        for noise_sigma in (SimConfig(seed=seed).noise_sigma, 1.0):
+            cfg = SimConfig(seed=seed, noise_sigma=noise_sigma)
+            try:
+                expected = broadcast_state_models(labels, cfg)
+            except SimulationError as exc:
+                with pytest.raises(SimulationError) as raised:
+                    build_state_models(labels, cfg)
+                assert str(raised.value) == str(exc)
+                failed += 1
+                continue
+            models = build_state_models(labels, cfg)
+            assert models.labels == expected.labels
+            assert models.means.tobytes() == expected.means.tobytes()
+            built += 1
+    assert built >= 10 and failed > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+def test_label_stream_equals_default_rng_on_the_seed_tuple(seed):
+    for lab in ["aa1#0", "_k3#2", "b", "香港", "é#1", ""]:
+        rng = _label_rng(seed, lab)
+        ref = np.random.default_rng(
+            np.random.SeedSequence((seed, zlib.crc32(lab.encode("utf-8"))))
+        )
+        assert rng.normal(0.0, 1.0, 16).tobytes() == ref.normal(0.0, 1.0, 16).tobytes()
+        assert rng.integers(0, 2**63, 4).tolist() == ref.integers(0, 2**63, 4).tolist()
 
 
 def test_noiseless_frames_argmax_true_label():
