@@ -1,8 +1,10 @@
 """Word lattices: best path, n-best extraction, and second-pass rescoring.
 
 A lattice is an acyclic word graph whose arcs carry separate acoustic and
-language-model scores (both natural log).  Paths are ranked by the combined
-score ``am + lm_weight * lm``, and ``lm_weight`` must be finite.
+language-model scores (both natural log), stored once as each node's
+out-arcs; every walk follows the topological order.  Paths are ranked by
+the combined score a ``Hypothesis`` reports, its ``am_total + lm_weight *
+lm_total``, and ``lm_weight`` must be finite.
 Rescoring replaces the per-arc LM scores with a stronger character n-gram
 conditioned on the full in-lattice word history.  It splits a node once
 per LM state that reaches it (``NGramModel.state``: the longest suffix of
@@ -70,10 +72,8 @@ class Lattice:
     def __post_init__(self):
         self.finals = frozenset(self.finals)
         self._out: dict[int, list[Arc]] = {}
-        self._in: dict[int, list[Arc]] = {}
         for arc in self.arcs:
             self._out.setdefault(arc.src, []).append(arc)
-            self._in.setdefault(arc.dst, []).append(arc)
         self.validate()
 
     def validate(self) -> None:
@@ -91,27 +91,23 @@ class Lattice:
                 )
             if arc.src == arc.dst:
                 raise LatticeFormatError(f"self arc on node {arc.src}")
-        self._order = self._topo_order()  # raises on cycles
-        reachable = self._closure({self.start}, forward=True)
-        co_reachable = self._closure(set(self.finals), forward=False)
+        order = self._order = self._topo_order()  # raises on cycles
+        out = self._out
+        reachable, co_reachable = {self.start}, set(self.finals)
+        for node in order:
+            if node in reachable:
+                for arc in out.get(node, ()):
+                    reachable.add(arc.dst)
+        for node in reversed(order):
+            for arc in out.get(node, ()):
+                if arc.dst in co_reachable:
+                    co_reachable.add(node)
+                    break
         for node in self.nodes:
             if node not in reachable:
                 raise LatticeFormatError(f"node {node} unreachable from start")
             if node not in co_reachable:
                 raise LatticeFormatError(f"node {node} cannot reach a final node")
-
-    def _closure(self, seeds: set[int], forward: bool) -> set[int]:
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            node = stack.pop()
-            arcs = self._out.get(node, []) if forward else self._in.get(node, [])
-            for arc in arcs:
-                nxt = arc.dst if forward else arc.src
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
 
     def _topo_order(self) -> list[int]:
         indeg = {n: 0 for n in self.nodes}
@@ -153,14 +149,12 @@ def _completion_scores(lat: Lattice, lm_weight: float) -> dict[int, float]:
     best: dict[int, float] = {n: -math.inf for n in lat.nodes}
     for n in lat.finals:
         best[n] = 0.0
-    into = lat._in
+    out = lat._out
     for node in reversed(lat._order):
-        if best[node] == -math.inf:
-            continue
-        for arc in into.get(node, []):
-            score = arc.am + lm_weight * arc.lm + best[node]
-            if score > best[arc.src]:
-                best[arc.src] = score
+        for arc in out.get(node, ()):
+            score = arc.am + lm_weight * arc.lm + best[arc.dst]
+            if score > best[node]:
+                best[node] = score
     return best
 
 
@@ -169,8 +163,13 @@ def nbest(
 ) -> list[Hypothesis]:
     """The ``n`` best-scoring distinct word sequences, best first.
 
-    Exact best-first search with the completion-score heuristic; ties are
-    broken toward the lexicographically smallest node-id sequence.
+    A* search.  An open path's key is its ``am + lm_weight * lm`` plus its
+    node's best completion, the most any extension can score.  A path is
+    accepted only at its own ``combined``: at a final node whose completion
+    is 0 the key is that score, and at a final node with a better
+    continuation the path is pushed again as a closed entry keyed by it.
+    Each word sequence is reported at its best path.  The list is sorted
+    by ``(-combined, nodes)``, so paths that tie print in node-path order.
     """
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
@@ -178,46 +177,41 @@ def nbest(
         raise DataError(f"lm_weight must be finite, got {lm_weight}")
     completion = _completion_scores(lat, lm_weight)
     out = lat._out
-    # heap items: (-upper bound, node path, g, node, words, am, lm)
-    heap = [(-completion[lat.start], (lat.start,), 0.0, lat.start, (), 0.0, 0.0)]
+    # heap items: (-key, node path, words, am, lm, closed)
+    heap = [(-completion[lat.start], (lat.start,), (), 0.0, 0.0, False)]
     results: list[Hypothesis] = []
     seen: set[tuple[str, ...]] = set()
     pops = 0
     while heap and len(results) < n:
-        neg_bound, path, g, node, words, am, lm = heapq.heappop(heap)
+        _, path, words, am, lm, closed = heapq.heappop(heap)
         pops += 1
         if pops > 1_000_000:
             raise DataError("n-best search exceeded the pop budget")
+        node = path[-1]
         if node in lat.finals and words not in seen:
-            seen.add(words)
-            results.append(
-                Hypothesis(
-                    words=words,
-                    am_total=am,
-                    lm_total=lm,
-                    lm_weight=lm_weight,
-                    nodes=path,
+            if closed or completion[node] == 0.0:
+                seen.add(words)
+                results.append(
+                    Hypothesis(
+                        words=words,
+                        am_total=am,
+                        lm_total=lm,
+                        lm_weight=lm_weight,
+                        nodes=path,
+                    )
                 )
-            )
-        for arc in out.get(node, []):
-            arc_combined = arc.am + lm_weight * arc.lm
-            new_g = g + arc_combined
-            bound = new_g + completion[arc.dst]
-            if bound == -math.inf:
+            else:
+                heapq.heappush(heap, (-(am + lm_weight * lm), path, words, am, lm, True))
+        if closed:
+            continue
+        for arc in out.get(node, ()):
+            new_am, new_lm = am + arc.am, lm + arc.lm
+            key = new_am + lm_weight * new_lm + completion[arc.dst]
+            if key == -math.inf:
                 continue
             new_words = words + ((arc.word,) if arc.word else ())
-            heapq.heappush(
-                heap,
-                (
-                    -bound,
-                    path + (arc.dst,),
-                    new_g,
-                    arc.dst,
-                    new_words,
-                    am + arc.am,
-                    lm + arc.lm,
-                ),
-            )
+            heapq.heappush(heap, (-key, path + (arc.dst,), new_words, new_am, new_lm, False))
+    results.sort(key=lambda h: (-h.combined, h.nodes))
     return results
 
 

@@ -108,11 +108,14 @@ def compile_lexicon(
 
     Each distinct syllable is parsed, optionally coda-merged, then
     decomposed under the chosen scheme once, the first time a word uses it;
-    a bad syllable's error names that word.  Duplicate phone sequences per
-    word are dropped.  Every merge rule is checked against ``inv`` first.
+    a syllable that fails any of those steps raises ``LexiconError`` naming
+    that word, the syllable and the merge rules.  Duplicate phone sequences
+    per word are dropped.  Every merge rule is checked against ``inv`` first.
     """
+    rules_text = ""
     if merges is not None:
         check_merges(merges, inv)
+        rules_text = f" under merge rules {';'.join(map(str, merges.rules))!r}"
     lex = PhoneLexicon(scheme=scheme)
     syllable_phones: dict[str, tuple[Phone, ...]] = {}
     for entry in entries:
@@ -124,13 +127,13 @@ def compile_lexicon(
                 if expanded is None:
                     try:
                         syl = parse_jyutping(syl_text, inv)
+                        if merges is not None:
+                            syl = apply_merge(syl, merges)
+                        expanded = syllable_phones[syl_text] = to_phones(syl, scheme, inv)
                     except JyutpingError as exc:
                         raise LexiconError(
-                            f"word {entry.word!r}: bad syllable {syl_text!r}: {exc}"
+                            f"word {entry.word!r}: bad syllable {syl_text!r}{rules_text}: {exc}"
                         ) from exc
-                    if merges is not None:
-                        syl = apply_merge(syl, merges)
-                    expanded = syllable_phones[syl_text] = to_phones(syl, scheme, inv)
                 phones.extend(expanded)
             seq = tuple(phones)
             if seq not in seqs:

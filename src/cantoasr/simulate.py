@@ -178,22 +178,6 @@ def blend_confusions(
     return StateModel(models.labels, means, models.variance)
 
 
-def _state_draws(phone_seq, models: StateModel, cfg: SimConfig, salt: int):
-    """``(row, duration, noise)`` for each HMM state of ``phone_seq``, in draw
-    order; ``row`` is the state's pdf row in ``models.means``."""
-    if not salt >= 0:
-        raise SimulationError(f"salt must be >= 0, got {salt}")
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
-    lo, hi = cfg.frames_per_state
-    for phone in phone_seq:
-        for pdf in pdf_labels_for(phone):
-            row = models.index.get(pdf)
-            if row is None:
-                raise SimulationError(f"phone {phone!r} has no model for {pdf!r}")
-            duration = int(rng.integers(lo, hi + 1))
-            yield row, duration, rng.standard_normal((duration, cfg.feature_dim))
-
-
 def simulate_utterance(
     phone_seq: list[str] | tuple[str, ...],
     models: StateModel,
@@ -207,10 +191,20 @@ def simulate_utterance(
     The returned scorer covers every label in ``models`` and carries the
     10 ms-per-frame audio-duration annotation.
     """
+    if not salt >= 0:
+        raise SimulationError(f"salt must be >= 0, got {salt}")
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
+    lo, hi = cfg.frames_per_state
     mean_mat = models.means
     frames = []
-    for row, _, noise in _state_draws(phone_seq, models, cfg, salt):
-        frames.append(mean_mat[row] + cfg.noise_sigma * noise)
+    for phone in phone_seq:
+        for pdf in pdf_labels_for(phone):
+            row = models.index.get(pdf)
+            if row is None:
+                raise SimulationError(f"phone {phone!r} has no model for {pdf!r}")
+            duration = int(rng.integers(lo, hi + 1))
+            noise = rng.standard_normal((duration, cfg.feature_dim))
+            frames.append(mean_mat[row] + cfg.noise_sigma * noise)
     if not frames:
         raise SimulationError("empty phone sequence")
     feats = np.concatenate(frames, axis=0)
@@ -226,11 +220,3 @@ def simulate_utterance(
     matrix = -0.5 * d * np.log(2.0 * np.pi * v) - sq / (2.0 * v)
     return MatrixScorer(matrix, models.labels)
 
-
-def true_label_sequence(
-    phone_seq: list[str], models: StateModel, cfg: SimConfig, salt: int = 0
-) -> list[str]:
-    """The generating pdf label of every frame, for diagnostics (the same
-    draws as ``simulate_utterance``)."""
-    draws = _state_draws(phone_seq, models, cfg, salt)
-    return [models.labels[row] for row, duration, _ in draws for _ in range(duration)]

@@ -228,6 +228,26 @@ def broadcast_state_models(labels, cfg):
     return StateModel(tuple(labels), mat, MODEL_VARIANCE)
 
 
+def true_label_sequence(phone_seq, models, cfg, salt=0):
+    """The generating pdf label of every frame ``simulate.simulate_utterance``
+    draws, re-derived from its draw protocol.
+
+    One generator on ``SeedSequence((seed, 1, salt))``; for each HMM state
+    of each phone in turn (``pdf_labels_for``), one ``integers(lo, hi + 1)``
+    duration, then one ``(duration, feature_dim)`` ``standard_normal`` block,
+    drawn here only to keep the stream in step.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
+    lo, hi = cfg.frames_per_state
+    labels = []
+    for phone in phone_seq:
+        for pdf in pdf_labels_for(phone):
+            duration = int(rng.integers(lo, hi + 1))
+            rng.standard_normal((duration, cfg.feature_dim))
+            labels += [pdf] * duration
+    return labels
+
+
 def counting_train_ngram(corpus, order, smoothing="witten_bell"):
     """``ngram.train_ngram`` counting in plain dicts, one prediction at a time.
 

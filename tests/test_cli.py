@@ -408,6 +408,19 @@ def test_merge_rule_outside_the_inventory_is_data_error(tmp_path, capsys):
     assert "merge rule 't>k,n>ng'" in err
 
 
+def test_merge_to_a_final_the_scheme_lacks_names_the_word_and_rules(capsys):
+    # IF has no final yuk, so t>k fails on 月 jyut6; ONC splits nucleus and coda
+    code, out, err = run(capsys, "lexicon", "stats", "--scheme", "if", "--merge", "t>k")
+    assert code == 2 and out == ""
+    assert (
+        "word '月': bad syllable 'jyut6' under merge rules 't>k': "
+        "no final decomposes to nucleus 'yu' + coda 'k'"
+    ) in err
+    code, out, err = run(capsys, "--json", "lexicon", "stats", "--scheme", "onc", "--merge", "t>k")
+    assert code == 0
+    assert json.loads(out)["entries"] == 316
+
+
 def test_json_outputs_parse_and_logs_on_stderr(tmp_path, capsys):
     code, out, err = run(capsys, "--json", "lexicon", "stats")
     assert code == 0

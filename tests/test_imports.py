@@ -49,7 +49,6 @@ def test_allowed_imports_are_still_unused(module, name):
 # definitions kept with no reader, each for a reason
 ALLOWED_UNREAD = {
     ("phonology", "render"): "c02 checks it as the inverse of parse_jyutping",
-    ("simulate", "true_label_sequence"): "the reference for the frame aligner (ROADMAP item 2)",
     ("lattice", "demo_lattice_path"): "locates the shipped sample lattice",
 }
 

@@ -69,6 +69,60 @@ def test_nbest_matches_enumeration(diamond):
             assert h.combined == pytest.approx(o[3], abs=1e-9)
 
 
+def random_lattice(rng):
+    """2-7 nodes in topological id order; finals may have successors, scores
+    of either sign on a 0.5 grid (so exact ties are common), some epsilons."""
+    size = rng.randint(2, 7)
+    pairs = {(rng.randrange(j), j) for j in range(1, size)}  # reach every node
+    pairs |= {(i, rng.randint(i + 1, size - 1)) for i in range(size - 1)}  # reach the last
+    pairs |= {(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.3}
+    arcs = [
+        Arc(i, j, rng.choice("ab") if rng.random() < 0.9 else None,
+            rng.randint(-8, 8) / 2, rng.randint(-8, 8) / 2)
+        for i, j in sorted(pairs) for _ in range(rng.choice((1, 1, 2)))
+    ]
+    finals = {size - 1} | {i for i in range(size - 1) if rng.random() < 0.3}
+    return make_lattice(arcs, frames={i: i for i in range(size)}, finals=finals)
+
+
+def test_nbest_census_ranks_the_printed_score_against_enumeration():
+    rng = random.Random(20)
+    for _ in range(1000):
+        lat = random_lattice(rng)
+        lm_weight = rng.choice((0.5, 1.0, -2.0, 3.0))
+        best = {}
+        for words, _, _, combined, _ in enumerate_paths(lat, lm_weight):
+            best.setdefault(words, combined)  # best combined first
+        hyps = nbest(lat, len(best) + 1, lm_weight)
+        assert all(a.combined >= b.combined for a, b in zip(hyps, hyps[1:]))
+        assert all(abs(h.combined - best[h.words]) <= 1e-9 for h in hyps)
+        assert {h.words for h in hyps} == set(best)
+        assert best_path(lat, lm_weight) == hyps[0]
+
+
+def test_a_final_with_a_better_continuation_is_not_accepted_early():
+    lat = make_lattice(
+        [Arc(0, 1, "a", -1.0, 0.0), Arc(1, 2, "b", 5.0, 0.0)], finals=(1, 2)
+    )
+    hyp = best_path(lat, lm_weight=1.0)
+    assert (hyp.words, hyp.combined) == (("a", "b"), 4.0)
+    assert [(h.words, h.combined) for h in nbest(lat, 5, 1.0)] == [
+        (("a", "b"), 4.0), (("a",), -1.0)
+    ]
+
+
+def test_demo_nbest_at_a_negative_lm_weight_prints_in_order():
+    # exact-arithmetic ties sum differently along the path and in the totals
+    lat = read_lattice(demo_lattice_path())
+    oracle, seen = [], set()
+    for words, _, _, combined, path in enumerate_paths(lat, -2.0):
+        if words not in seen:
+            seen.add(words)
+            oracle.append((words, combined, path))
+    hyps = nbest(lat, len(oracle) + 1, -2.0)
+    assert [(h.words, h.combined, h.nodes) for h in hyps] == oracle
+
+
 def test_nbest_prefix_is_best_path(diamond):
     assert nbest(diamond, 1)[0] == best_path(diamond)
 
@@ -209,6 +263,15 @@ def test_lattice_rejects_unreachable():
             [Arc(0, 1, "a", 0, 0), Arc(2, 1, "b", 0, 0)],
             frames={0: 0, 1: 5, 2: 3},
         )
+
+
+def test_lattice_rejects_a_dead_end():
+    # node 2 follows the final node but reaches no final itself
+    with pytest.raises(LatticeFormatError, match="node 2 cannot reach a final node"):
+        make_lattice([Arc(0, 1, "a", 0, 0), Arc(1, 2, "b", 0, 0)])
+    # a node that is both is reported unreachable
+    with pytest.raises(LatticeFormatError, match="node 2 unreachable from start"):
+        make_lattice([Arc(0, 1, "a", 0, 0)], frames={0: 0, 1: 5, 2: 3})
 
 
 def test_rescore_same_model_keeps_best_path():

@@ -16,10 +16,9 @@ from cantoasr.simulate import (
     blend_confusions,
     build_state_models,
     simulate_utterance,
-    true_label_sequence,
 )
 
-from oracles import broadcast_state_models
+from oracles import broadcast_state_models, true_label_sequence
 
 LABELS = {"aa1", "_k3", "_t3", "b"}
 
