@@ -6,7 +6,9 @@ forward transition, emitting its state's pdf on both), and a word-end
 epsilon arc returns to the hub carrying the word.  The bigram character LM
 is conditioned on the last character of the previous word, so the graph
 stays small; the LM maps and scores each word's tokens itself
-(``NGramModel.map_token`` and ``NGramModel.ln_score``).  The whole word's
+(``NGramModel.map_token`` and ``NGramModel.ln_score``).  These word-level
+tables hold nothing of a unit set, so one ``WordLM`` is built per word list
+and LM and shared by every scheme's graph over them.  The whole word's
 LM cost is charged on the entry arc (the context is already known there):
 path totals are unchanged versus charging it at the word end, but tokens
 inside competing words then carry comparable LM amounts, which is what
@@ -213,27 +215,26 @@ def pdf_labels_for(phone_label: str) -> tuple[str, ...]:
     return tuple(f"{phone_label}#{k}" for k in range(HMM_STATES_PER_PHONE))
 
 
-class SearchGraph:
-    """Compiled word-loop graph with flat arrays for fast decoding."""
+class WordLM:
+    """The word-level bigram tables of one word list under one LM.
 
-    def __init__(self, lex: PhoneLexicon, lm: NGramModel):
-        if not lex.entries:
+    They hold no unit of any scheme, so every scheme's graph over the same
+    words and LM shares one.  ``words`` is the sorted word list and
+    ``word_tokens`` each word's LM tokens.  A context is a word's last
+    token, one per row in sorted order, then ``<s>`` at row ``sos_ctx``;
+    ``table[c, w]`` is the natural-log LM cost of word ``w`` after context
+    ``c``, factored as first-token-given-context plus the word's inner
+    cost.  ``end_lm[c]`` is the end-of-sentence cost after context ``c``,
+    and ``word_end_ctx[w]`` the context after word ``w``.
+    """
+
+    def __init__(self, words: Iterable[str], lm: NGramModel):
+        self.words = tuple(sorted(set(words)))
+        if not self.words:
             raise GraphError("empty lexicon")
         if lm.order != 2:
             raise GraphError(f"decoding LM must be a bigram, got order {lm.order}")
 
-        # lex.labels rebuilds the phone set, so it is read once
-        phone_labels = lex.labels
-        self.pdf_labels = tuple(
-            sorted({p for lab in phone_labels for p in pdf_labels_for(lab)})
-        )
-        pdf_index = {lab: i for i, lab in enumerate(self.pdf_labels)}
-        phone_pdfs = {
-            lab: [pdf_index[p] for p in pdf_labels_for(lab)] for lab in phone_labels
-        }
-
-        self.words = tuple(sorted(lex.entries))
-        word_index = {w: i for i, w in enumerate(self.words)}
         self.word_tokens: dict[str, tuple[str, ...]] = {}
         for word in self.words:
             tokens = tokenize_chars(word)
@@ -241,6 +242,54 @@ class SearchGraph:
             for tok, mapped in zip(tokens, self.word_tokens[word]):
                 if mapped != tok:
                     log.warning("word %r: token %r unknown to the LM", word, tok)
+
+        ctx_chars = sorted({toks[-1] for toks in self.word_tokens.values()})
+        ctx_index = {c: i for i, c in enumerate(ctx_chars)}
+        self.sos_ctx = len(ctx_chars)
+        ctx_tokens = ctx_chars + [SOS]
+
+        inner = np.zeros(len(self.words))
+        firsts = []
+        for w, word in enumerate(self.words):
+            toks = self.word_tokens[word]
+            firsts.append(toks[0])
+            inner[w] = lm.ln_score(toks[1:], (toks[0],))[0]
+        self.table = LN10 * lm.bigram_log10_table(ctx_tokens, firsts) + inner
+        self.end_lm = np.array(
+            [LN10 * lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
+        )
+        self.word_end_ctx = np.array(
+            [ctx_index[self.word_tokens[w][-1]] for w in self.words],
+            dtype=np.int32,
+        )
+
+
+class SearchGraph:
+    """Compiled word-loop graph with flat arrays for fast decoding.
+
+    The LM arrays come from ``word_lm``: ``words``, ``end_lm``,
+    ``word_end_ctx`` and ``sos_ctx`` are its own, and ``pron_lm[c, p]`` is
+    its table's column for pronunciation ``p``'s word, one contiguous row
+    per context.  The graph keeps no reference to ``word_lm`` itself.
+    """
+
+    def __init__(self, lex: PhoneLexicon, word_lm: WordLM):
+        # a WordLM is never empty, so neither is a lexicon with its words
+        self.words = tuple(sorted(lex.entries))
+        if self.words != word_lm.words:
+            raise GraphError("the lexicon's words are not the LM table's words")
+
+        # lex.labels rebuilds the phone set, so it is read once, and each
+        # phone's pdf labels are formed once
+        phone_pdf_labels = {lab: pdf_labels_for(lab) for lab in lex.labels}
+        self.pdf_labels = tuple(
+            sorted({p for pdfs in phone_pdf_labels.values() for p in pdfs})
+        )
+        pdf_index = {lab: i for i, lab in enumerate(self.pdf_labels)}
+        phone_pdfs = {
+            lab: [pdf_index[p] for p in pdfs] for lab, pdfs in phone_pdf_labels.items()
+        }
+        word_index = {w: i for i, w in enumerate(self.words)}
 
         self.hub = 0
         # every emitting state s has a self-loop and a forward arc to s + 1,
@@ -274,34 +323,10 @@ class SearchGraph:
         # and the junctions, L - k at position k of a length-L chain
         self.frames_to_word_end = np.asarray(to_end, dtype=np.int32)
 
-        self._build_lm_tables(lm)
-
-    def _build_lm_tables(self, lm: NGramModel) -> None:
-        """Per-word LM costs factored as first-char-given-context + inner.
-
-        ``pron_lm[c, p]`` is the LM cost of pronunciation ``p``'s word after
-        context ``c``, one contiguous row per context.
-        """
-        ctx_chars = sorted({toks[-1] for toks in self.word_tokens.values()})
-        ctx_index = {c: i for i, c in enumerate(ctx_chars)}
-        self.sos_ctx = len(ctx_chars)
-        ctx_tokens = ctx_chars + [SOS]
-
-        inner = np.zeros(len(self.words))
-        firsts = []
-        for w, word in enumerate(self.words):
-            toks = self.word_tokens[word]
-            firsts.append(toks[0])
-            inner[w] = lm.ln_score(toks[1:], (toks[0],))[0]
-        word_lm = LN10 * lm.bigram_log10_table(ctx_tokens, firsts) + inner
-        self.pron_lm = word_lm[:, self.j_words]
-        self.end_lm = np.array(
-            [LN10 * lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
-        )
-        self.word_end_ctx = np.array(
-            [ctx_index[self.word_tokens[w][-1]] for w in self.words],
-            dtype=np.int32,
-        )
+        self.pron_lm = word_lm.table[:, self.j_words]
+        self.end_lm = word_lm.end_lm
+        self.word_end_ctx = word_lm.word_end_ctx
+        self.sos_ctx = word_lm.sos_ctx
 
     def arc_counts(self) -> dict:
         emitting = self.num_states - 1 - self.num_prons  # all but the hub and the junctions
@@ -314,7 +339,10 @@ class SearchGraph:
         }
 
 
-def build_graph(lex: PhoneLexicon, lm: NGramModel) -> SearchGraph:
+def build_graph(lex: PhoneLexicon, lm: NGramModel | WordLM) -> SearchGraph:
+    """The graph of ``lex`` under ``lm``, or under a ``WordLM`` of its words."""
+    if not isinstance(lm, WordLM):
+        lm = WordLM(lex.entries, lm)
     return SearchGraph(lex, lm)
 
 

@@ -46,6 +46,7 @@ from .decoder import (
     BatchResult,
     DecodeParams,
     MatrixScorer,
+    WordLM,
     batch_decode,
     build_graph,
     pdf_labels_for,
@@ -279,9 +280,23 @@ class SchemeSystem:
     sim_cfg: SimConfig
 
 
+def _build_systems(entries, inv, lm, cfg: ExperimentConfig) -> dict[str, SchemeSystem]:
+    """Both schemes' systems, whose graphs share one word-level LM table.
+
+    The table lives only while the graphs are built; each graph keeps its
+    own gather of it (``pron_lm``).
+    """
+    word_lm = WordLM((e.word for e in entries), lm)
+    return {
+        scheme: _build_system(scheme, entries, inv, word_lm, cfg)
+        for scheme in (SCHEME_IF, SCHEME_ONC)
+    }
+
+
 def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSystem:
-    """Compile the scheme's lexicon and graph, then build its state models once:
-    separate every pair, derive the confusion weights from those means and blend."""
+    """Compile the scheme's lexicon and graph (``lm`` is what ``build_graph``
+    takes), then build its state models once: separate every pair, derive
+    the confusion weights from those means and blend."""
     lex = compile_lexicon(entries, scheme, inv)
     graph = build_graph(lex, lm)
     sim_cfg = cfg.sim_config()
@@ -347,10 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     corpus = read_corpus(cfg.corpus)
     lm = train_ngram(corpus, order=2, smoothing="witten_bell")
 
-    systems = {
-        scheme: _build_system(scheme, entries, inv, lm, cfg)
-        for scheme in (SCHEME_IF, SCHEME_ONC)
-    }
+    systems = _build_systems(entries, inv, lm, cfg)
     params = cfg.decode_params()
     words = [e.word for e in entries]
 

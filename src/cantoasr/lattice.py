@@ -170,12 +170,16 @@ def nbest(
     continuation the path is pushed again as a closed entry keyed by it.
     Each word sequence is reported at its best path.  The list is sorted
     by ``(-combined, nodes)``, so paths that tie print in node-path order.
+    A lattice with no path of finite score (an arc score of ``-inf`` on
+    every path) raises ``LatticeFormatError``.
     """
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
     if not math.isfinite(lm_weight):
         raise DataError(f"lm_weight must be finite, got {lm_weight}")
     completion = _completion_scores(lat, lm_weight)
+    if completion[lat.start] == -math.inf:
+        raise LatticeFormatError("no path through the lattice has a finite score")
     out = lat._out
     # heap items: (-key, node path, words, am, lm, closed)
     heap = [(-completion[lat.start], (lat.start,), (), 0.0, 0.0, False)]

@@ -249,7 +249,8 @@ def train_ngram(
 
     n_tokens = totals[0][()]
     n_types = types[0][()]
-    for (tok,), c in sorted(counts[1].items()):
+    # n-grams are unique keys, so sorting by the n-gram alone keeps the order
+    for (tok,), c in sorted(counts[1].items(), key=itemgetter(0)):
         p = c / (n_tokens + n_types) if wb else c / n_tokens
         model.logprob[(tok,)] = math.log10(p)
     if wb:
@@ -258,7 +259,7 @@ def train_ngram(
         model.logprob[(UNK,)] = math.log10(MLE_UNK_FLOOR)
 
     for k in range(2, order + 1):
-        for gram, c in sorted(counts[k].items()):
+        for gram, c in sorted(counts[k].items(), key=itemgetter(0)):
             h = gram[:-1]
             if wb:
                 t = types[k - 1][h]

@@ -17,7 +17,7 @@ validates the file against the expected cardinalities (20 onsets including
 the null onset, 15 nuclei, 9 codas, 53 finals) and referential integrity.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import DataError, open_text
@@ -75,13 +75,15 @@ class Phone:
     Initials and onsets are toneless; finals, nuclei and codas carry the
     syllable tone.  ``label`` gives the text encoding used in lexicon and
     scorer files: onsets/initials bare, nuclei and finals ``<base><tone>``,
-    codas ``_<base><tone>``.
+    codas ``_<base><tone>``.  It is fixed at construction, and equality,
+    hashing and ``repr`` leave it out, as they would a derived value.
     """
 
     scheme: str
     kind: str  # "initial" | "final" | "onset" | "nucleus" | "coda"
     base: str
     tone: int | None = None
+    label: str = field(init=False, compare=False, repr=False)
 
     _TONELESS = ("initial", "onset")
     _TONED = ("final", "nucleus", "coda")
@@ -92,19 +94,15 @@ class Phone:
         if self.kind in self._TONELESS:
             if self.tone is not None:
                 raise ValueError(f"{self.kind} phones carry no tone")
+            label = self.base
         elif self.kind in self._TONED:
             if self.tone not in TONES:
                 raise ValueError(f"{self.kind} phones need a tone in 1..6")
+            label = f"_{self.base}{self.tone}" if self.kind == "coda" else f"{self.base}{self.tone}"
         else:
             raise ValueError(f"unknown phone kind {self.kind!r}")
-
-    @property
-    def label(self) -> str:
-        if self.kind in self._TONELESS:
-            return self.base
-        if self.kind == "coda":
-            return f"_{self.base}{self.tone}"
-        return f"{self.base}{self.tone}"
+        # the dataclass is frozen
+        object.__setattr__(self, "label", label)
 
 
 class Inventory:

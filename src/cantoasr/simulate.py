@@ -24,6 +24,8 @@ from . import DataError
 from .decoder import MatrixScorer, pdf_labels_for
 
 MODEL_VARIANCE = 1.0
+# rows per block of the state models' separation screen (``_close_pairs``)
+SCREEN_BLOCK_ROWS = 32
 
 
 class SimulationError(DataError):
@@ -91,24 +93,25 @@ def _close_pairs(mat: np.ndarray, floor: float) -> list:
 
     A pair ``(i, j)`` is close when ``np.sqrt(np.add.reduce((mat[i] -
     mat[j]) ** 2)) < floor``.  A Gram screen finds the candidates:
-    ``feature_dim`` rows at a time, one matrix product against the later
-    rows gives every squared gap as ``|a|^2 + |b|^2 - 2 a.b``, so a block's
-    gaps hold no more elements than ``mat``.  Against the direct form, that
-    form loses under ``(2 * feature_dim + 4) * eps * (|a|^2 + |b|^2)`` to
-    rounding, whatever the product's summation order, plus about
-    ``2.5 * feature_dim`` subnormal units where squares underflow.  A pair
-    stays a candidate unless its Gram gap clears ``floor**2`` by twice
-    that, and each candidate is measured by the direct expression, so the
-    result is the row-by-row check's, bit for bit, in O(n * feature_dim)
-    memory.
+    ``SCREEN_BLOCK_ROWS`` rows at a time, one matrix product against the
+    later rows gives every squared gap as ``|a|^2 + |b|^2 - 2 a.b``, so a
+    block's temporaries hold at most ``SCREEN_BLOCK_ROWS * n`` floats.
+    Against the direct form, that form loses under ``(2 * feature_dim + 4)
+    * eps * (|a|^2 + |b|^2)`` to rounding, whatever the product's summation
+    order (so whatever the block's shape), plus about ``2.5 * feature_dim``
+    subnormal units where squares underflow.  A pair stays a candidate
+    unless its Gram gap clears ``floor**2`` by twice that, and each
+    candidate is measured by the direct expression, so the result is the
+    row-by-row check's, bit for bit, in O(n * (feature_dim +
+    SCREEN_BLOCK_ROWS)) memory.
     """
     n, d = mat.shape
     sq = np.add.reduce(mat * mat, axis=1)
     slack = 4.0 * (d + 4) * np.finfo(float).eps
     bound = floor * floor + 4.0 * (d + 4) * np.finfo(float).smallest_subnormal
     close = []
-    for i0 in range(0, n - 1, d):
-        i1 = min(i0 + d, n - 1)
+    for i0 in range(0, n - 1, SCREEN_BLOCK_ROWS):
+        i1 = min(i0 + SCREEN_BLOCK_ROWS, n - 1)
         norms = sq[i0:i1, None] + sq[None, i0 + 1 :]
         gram = norms - 2.0 * (mat[i0:i1] @ mat[i0 + 1 :].T)
         # column c is row i0 + 1 + c, so the upper triangle is j > i; a NaN
@@ -126,10 +129,11 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
 
     Separation redraws the lexicographically later mean of each pair that
     is too close.  The conflicting pairs are those of the first draws, taken
-    in row-major order (``_close_pairs``: a Gram screen confirmed by the
-    direct distance, in O(n * feature_dim) memory for n labels); each
-    redraw overwrites its label's row of the means matrix in place, and is
-    checked against the current rows of every other label.  A redraw
+    in row-major order (``_close_pairs``: a Gram screen in blocks of 32
+    rows, with temporaries of at most 32 * n floats for n labels, confirmed
+    by the direct distance); each redraw overwrites its label's row of the
+    means matrix in place, and is checked against the current rows of every
+    other label.  A redraw
     measures its gaps against the whole matrix, with its own gap set to
     infinity.
     """

@@ -246,6 +246,28 @@ def test_nbest_nan_lattice_score_is_data_error(tmp_path, capsys):
         assert f"{value}.lat:{k + 1}: " in err and f"{what} arc score" in err
 
 
+NO_FINITE_PATH_LATTICE = "LATTICE v1\nnode 0 0\nnode 1 10\nstart 0\nfinal 1\narc 0 1 天 -inf -0.5\n"
+
+
+def test_nbest_with_no_finite_path_is_data_error(tmp_path, capsys):
+    lat = tmp_path / "dead.lat"
+    lat.write_text(NO_FINITE_PATH_LATTICE, encoding="utf-8")
+    code, out, err = run(capsys, "nbest", "--lattice", str(lat))
+    assert code == 2 and out == ""
+    assert "no path through the lattice has a finite score" in err
+
+
+def test_rescore_with_no_finite_path_is_data_error(tmp_path, capsys):
+    lat = tmp_path / "dead.lat"
+    lat.write_text(NO_FINITE_PATH_LATTICE, encoding="utf-8")
+    lm = tmp_path / "lm.arpa"
+    assert run(capsys, "lm", "train", "--corpus", str(DATA / "demo_corpus.txt"),
+               "--order", "2", "--out", str(lm))[0] == 0
+    code, out, err = run(capsys, "rescore", "--lattice", str(lat), "--lm", str(lm))
+    assert code == 2 and out == ""
+    assert "no path through the lattice has a finite score" in err
+
+
 def test_nbest_repeated_node_is_data_error(tmp_path, capsys):
     lines = demo_lattice_path().read_text(encoding="utf-8").splitlines()
     lat = tmp_path / "twice.lat"

@@ -14,6 +14,7 @@ from cantoasr.decoder import (
     GraphError,
     MatrixScorer,
     ScoreFormatError,
+    WordLM,
     _cap,
     batch_decode,
     build_graph,
@@ -24,7 +25,16 @@ from cantoasr.decoder import (
 )
 from cantoasr.lattice import best_path
 from cantoasr.lexicon import LexiconEntry, compile_lexicon, demo_lexicon_path, read_lexicon
-from cantoasr.ngram import EOS, SOS, UNK, read_arpa, read_corpus, train_ngram, write_arpa
+from cantoasr.ngram import (
+    EOS,
+    SOS,
+    UNK,
+    read_arpa,
+    read_corpus,
+    tokenize_chars,
+    train_ngram,
+    write_arpa,
+)
 from cantoasr.phonology import default_inventory
 from cantoasr.simulate import SimConfig, build_state_models, simulate_utterance
 
@@ -115,14 +125,18 @@ def test_graph_unknown_word_token_warns(caplog):
     assert any("罕" in rec.message for rec in caplog.records)
 
 
+def lm_tokens(word, lm):
+    return [lm.map_token(tok) for tok in tokenize_chars(word)]
+
+
 def per_cell_lm_tables(graph, lm):
     """``pron_lm`` and ``end_lm`` built with one ``logprob10`` call per cell."""
     ln10 = math.log(10.0)
     # a context is a word's last token: one row each, in sorted order, then <s>
-    contexts = sorted({toks[-1] for toks in graph.word_tokens.values()}) + [SOS]
+    contexts = sorted({lm_tokens(word, lm)[-1] for word in graph.words}) + [SOS]
     word_lm = np.empty((len(contexts), len(graph.words)))
     for w, word in enumerate(graph.words):
-        toks = graph.word_tokens[word]
+        toks = lm_tokens(word, lm)
         inner = 0.0
         for prev, tok in zip(toks, toks[1:]):
             inner += ln10 * lm.logprob10(tok, (prev,))
@@ -143,6 +157,13 @@ SMALL_ENTRIES = [
 SMALL_CORPUS = [["天", "氣", "好"], ["好", "天"], ["氣"]]
 
 
+def entries_and_lm(lexicon):
+    if lexicon == "demo":
+        entries = read_lexicon(demo_lexicon_path())
+        return entries, train_ngram(read_corpus(demo_lexicon_path().parent / "demo_corpus.txt"), 2)
+    return SMALL_ENTRIES, train_ngram(SMALL_CORPUS, 2)
+
+
 @pytest.mark.parametrize(
     "lexicon, scheme, lm_kind",
     [
@@ -151,24 +172,69 @@ SMALL_CORPUS = [["天", "氣", "好"], ["好", "天"], ["氣"]]
         ("demo", "onc", "arpa"),
         ("small", "if", "trained"),
         ("small", "onc", "no_unk"),
+        ("demo", "if", "word_lm"),
+        ("demo", "onc", "word_lm"),
+        ("small", "onc", "word_lm"),
     ],
 )
 def test_pron_lm_equals_per_cell_logprob10(lexicon, scheme, lm_kind, tmp_path):
-    if lexicon == "demo":
-        entries = read_lexicon(demo_lexicon_path())
-        lm = train_ngram(read_corpus(demo_lexicon_path().parent / "demo_corpus.txt"), 2)
-    else:
-        entries = SMALL_ENTRIES
-        lm = train_ngram(SMALL_CORPUS, 2)
+    entries, lm = entries_and_lm(lexicon)
     if lm_kind == "arpa":
         write_arpa(lm, tmp_path / "lm.arpa")
         lm = read_arpa(tmp_path / "lm.arpa")
     elif lm_kind == "no_unk":
         del lm.logprob[(UNK,)]  # unknown characters score LOG10_FLOOR
-    graph = build_graph(compile_lexicon(entries, scheme, default_inventory()), lm)
+    lex = compile_lexicon(entries, scheme, default_inventory())
+    # "word_lm": the graph reads a word-level table built apart from it
+    graph = build_graph(lex, WordLM((e.word for e in entries), lm) if lm_kind == "word_lm" else lm)
     pron_lm, end_lm = per_cell_lm_tables(graph, lm)
     assert graph.pron_lm.tobytes() == pron_lm.tobytes()
     assert graph.end_lm.tobytes() == end_lm.tobytes()
+
+
+GRAPH_ARRAYS = (
+    "state_pdf",
+    "entry_states",
+    "j_states",
+    "j_words",
+    "frames_to_word_end",
+    "pron_lm",
+    "end_lm",
+    "word_end_ctx",
+)
+
+
+@pytest.mark.parametrize("lexicon", ["demo", "small"])
+def test_graphs_sharing_one_word_lm_equal_their_own_builds(lexicon):
+    entries, lm = entries_and_lm(lexicon)
+    inv = default_inventory()
+    word_lm = WordLM((e.word for e in entries), lm)
+    for scheme in ("if", "onc"):
+        lex = compile_lexicon(entries, scheme, inv)
+        shared, own = build_graph(lex, word_lm), build_graph(lex, lm)
+        for name in GRAPH_ARRAYS:
+            a, b = getattr(shared, name), getattr(own, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert (shared.words, shared.pdf_labels, shared.sos_ctx, shared.num_prons) == (
+            own.words,
+            own.pdf_labels,
+            own.sos_ctx,
+            own.num_prons,
+        )
+    # the graphs hold their own gather of the table, not the table
+    assert not any(v is word_lm or v is word_lm.table for v in vars(shared).values())
+
+
+def test_word_lm_of_other_words_is_rejected():
+    lex = compile_lexicon(SMALL_ENTRIES, "onc", default_inventory())
+    lm = train_ngram(SMALL_CORPUS, 2)
+    for words in (["天", "好"], [e.word for e in SMALL_ENTRIES] + ["氣"]):
+        with pytest.raises(GraphError, match="words"):
+            build_graph(lex, WordLM(words, lm))
+    with pytest.raises(GraphError, match="empty"):
+        WordLM([], lm)
+    with pytest.raises(GraphError, match="bigram"):
+        WordLM(["天"], train_ngram(SMALL_CORPUS, 3))
 
 
 @pytest.mark.parametrize("scheme", ["if", "onc"])
@@ -431,7 +497,7 @@ def test_lm_total_is_the_character_bigram_total():
                 continue
             if len(hyp.words) < 2:
                 continue
-            tokens = [tok for w in hyp.words for tok in graph.word_tokens[w]] + [EOS]
+            tokens = [tok for w in hyp.words for tok in lm_tokens(w, lm)] + [EOS]
             history = [SOS] + tokens[:-1]
             total = sum(lm.logprob10(tok, (h,)) for tok, h in zip(tokens, history))
             assert hyp.lm_total == pytest.approx(ln10 * total, abs=1e-9)

@@ -111,6 +111,17 @@ def test_a_final_with_a_better_continuation_is_not_accepted_early():
     ]
 
 
+def test_no_finite_path_is_a_format_error():
+    # -inf is a zero likelihood: a path through it has no finite score
+    dead = make_lattice([Arc(0, 1, "a", -math.inf, -0.5)])
+    for search in (lambda lat: nbest(lat, 3, 1.0), lambda lat: best_path(lat, 1.0)):
+        with pytest.raises(LatticeFormatError, match="no path .* finite score"):
+            search(dead)
+    # one finite path is enough
+    alive = make_lattice([Arc(0, 1, "a", -math.inf, 0.0), Arc(0, 1, "b", -2.0, 0.0)])
+    assert [(h.words, h.combined) for h in nbest(alive, 3, 1.0)] == [(("b",), -2.0)]
+
+
 def test_demo_nbest_at_a_negative_lm_weight_prints_in_order():
     # exact-arithmetic ties sum differently along the path and in the totals
     lat = read_lattice(demo_lattice_path())

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -155,6 +156,30 @@ def test_phone_tone_rules():
         Phone("onc", "nucleus", "aa")
     with pytest.raises(ValueError):
         Phone("onc", "coda", "k", 9)
+
+
+def test_phone_label_is_fixed_at_construction():
+    cases = [
+        (("if", "initial", "l"), "l"),
+        (("if", "final", "aak", 1), "aak1"),
+        (("onc", "onset", "gw"), "gw"),
+        (("onc", "nucleus", "aa", 6), "aa6"),
+        (("onc", "coda", "k", 3), "_k3"),
+    ]
+    for args, label in cases:
+        assert Phone(*args).label == label
+    phone = Phone("onc", "coda", "k", 3)
+    with pytest.raises(FrozenInstanceError):
+        phone.label = "_t3"
+    assert replace(phone, base="t").label == "_t3"
+
+
+def test_phone_equality_hash_and_repr_leave_the_label_out():
+    phone = Phone("onc", "coda", "k", 3)
+    assert [f.name for f in fields(phone) if f.compare] == ["scheme", "kind", "base", "tone"]
+    assert phone == Phone("onc", "coda", "k", 3) != Phone("onc", "coda", "k", 4)
+    assert hash(phone) == hash(("onc", "coda", "k", 3))
+    assert repr(phone) == "Phone(scheme='onc', kind='coda', base='k', tone=3)"
 
 
 def test_apply_merge(inv):

@@ -201,8 +201,9 @@ def edge_floors(mat):
 def test_close_pairs_equal_the_row_loop_at_the_edge(feature_dim, offset):
     rng = np.random.default_rng(feature_dim)
     checked = found = 0
-    # below feature_dim, equal to it, and not a multiple of it
-    for n in sorted({2, max(2, feature_dim - 1), feature_dim + 1, 2 * feature_dim + 3}):
+    # around feature_dim, and on both sides of one and two 32-row screen blocks
+    sizes = {2, max(2, feature_dim - 1), feature_dim + 1, 2 * feature_dim + 3, 31, 32, 33, 65}
+    for n in sorted(sizes):
         # small integer coordinates: many pairs share exact squared gaps; and
         # the same rows nudged by an ulp
         grid = rng.integers(-2, 3, size=(n, feature_dim)).astype(float) + offset
