@@ -8,14 +8,23 @@ natural-log conversion, and ``NGramModel.ln_score`` scores a token sequence
 in natural log from an LM state (``NGramModel.state``) for both the search
 graph and the lattice rescorer.
 
-A query, ``NGramModel.logprob10``, maps each token once (a token outside
-the unigrams reads as ``<unk>``), then walks the back-off chain in one
-loop: it finds the longest stored suffix of the n-gram and adds the
+A query, ``NGramModel.logprob10``, cuts the history to its last
+``order - 1`` tokens and answers from a bounded memo keyed by
+``(word, history)``.  On a miss, ``_query`` maps each token once (a token
+outside the unigrams reads as ``<unk>``), then walks the back-off chain in
+one loop: it finds the longest stored suffix of the n-gram and adds the
 back-off weight of each dropped context, innermost first, which is the
-ARPA recursion's own float sum (the lookup of KenLM and SRILM).  There is
-no query cache: a ``(word, history)`` memo holds one entry per distinct
-query, 166k in one ``rescore`` benchmark run (700 lattices, seed 1051), and
-it raised that run's peak RSS from 55.6 to 99.5 MB for a 23 % lower ``rtf``.
+ARPA recursion's own float sum (the lookup of KenLM and SRILM).  The memo
+is emptied when it holds ``QUERY_MEMO_SIZE`` entries: a 200-best list asks
+about 2,076 queries but only 116 distinct ones, so 94 % of queries repeat
+within one list, while a whole 700-lattice ``rescore`` benchmark run asks
+76k distinct queries of 1.45M, and an unbounded memo that held them all
+raised that run's peak RSS from 55.6 to 99.5 MB.  Emptied at 256
+entries, the memo still answers 93 % of that run's queries, in constant
+memory.  It cannot go stale: ``logprob`` and ``backoff`` are read-only
+views of dicts that only the model holds, and ``order`` cannot be rebound.
+Set-up queries (``interpolate``, ``tune_lambda``) hardly repeat, so they
+call ``_query`` and skip the memo.
 
 Witten-Bell here is the interpolated form: for a history ``h`` with total
 continuation count ``c(h)`` and ``T(h)`` distinct continuation types,
@@ -30,9 +39,11 @@ perplexity stays finite.
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,6 +59,7 @@ EM_TOL = 1e-6
 EM_MAX_ITER = 100
 MLE_UNK_FLOOR = 1e-7
 LN10 = math.log(10.0)  # natural log of a log10 score: LN10 * log10
+QUERY_MEMO_SIZE = 256  # entries; a full memo is emptied before the next insert
 
 
 class ArpaFormatError(DataError):
@@ -87,7 +99,7 @@ def read_corpus(path: str | Path) -> list[list[str]]:
     return sentences
 
 
-@dataclass
+@dataclass(frozen=True)
 class NGramModel:
     """Back-off model: stored log10 probs plus per-history back-off weights.
 
@@ -95,51 +107,80 @@ class NGramModel:
     (its first n - 1 tokens) is stored too.  ``train_ngram`` and
     ``interpolate`` build models that way and ``read_arpa`` requires it;
     ``state`` relies on it to drop context that no score reads.
+
+    A model never changes after construction: ``logprob`` and ``backoff``
+    are read-only views of dicts that only the model holds (the constructor
+    copies the mappings passed in), and ``order`` cannot be rebound, so
+    ``logprob10``'s memo always holds current answers.  The memo is not a
+    field: equality and ``repr`` ignore it.
     """
 
     order: int
-    logprob: dict[tuple[str, ...], float] = field(default_factory=dict)
-    backoff: dict[tuple[str, ...], float] = field(default_factory=dict)
+    logprob: Mapping[tuple[str, ...], float] = field(default_factory=dict)
+    backoff: Mapping[tuple[str, ...], float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._install(dict(self.logprob), dict(self.backoff))
+
+    @classmethod
+    def _adopt(cls, order: int, logprob: dict, backoff: dict) -> "NGramModel":
+        """A model over ``logprob`` and ``backoff`` themselves, not copies.
+
+        For ``train_ngram``, ``interpolate`` and ``read_arpa``, which build
+        the dicts and keep no reference to them.  A copy would leave the
+        freed first table resident: 0.5 MB (1 %) more ``rescore`` benchmark
+        peak RSS.
+        """
+        model = cls.__new__(cls)
+        object.__setattr__(model, "order", order)
+        model._install(logprob, backoff)
+        return model
+
+    def _install(self, logprob: dict, backoff: dict) -> None:
+        # a frozen dataclass sets attributes through object.__setattr__;
+        # reads inside the class use the plain dicts, a little faster
+        for name, value in (
+            ("_logprob", logprob),
+            ("_backoff", backoff),
+            ("logprob", MappingProxyType(logprob)),
+            ("backoff", MappingProxyType(backoff)),
+            # the last order - 1 tokens of a history; none for a unigram model
+            ("_context", slice(1 - self.order, None) if self.order > 1 else slice(0, 0)),
+            ("_memo", {}),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def vocab(self) -> frozenset[str]:
-        return frozenset(g[0] for g in self.logprob if len(g) == 1)
+        return frozenset(g[0] for g in self._logprob if len(g) == 1)
 
     def map_token(self, token: str) -> str:
         """The token as queries read it: ``<unk>`` for one outside the unigrams."""
-        return token if (token,) in self.logprob else UNK
+        return token if (token,) in self._logprob else UNK
 
     def logprob10(self, word: str, history: tuple[str, ...] = ()) -> float:
-        """log10 P(word | history): each token mapped once, then one back-off walk."""
-        logprob = self.logprob
+        """log10 P(word | history), from the memo when asked since it was last emptied."""
+        key = (word, tuple(history[self._context]))
+        memo = self._memo
+        value = memo.get(key)
+        if value is None:
+            if len(memo) >= QUERY_MEMO_SIZE:
+                memo.clear()
+            value = memo[key] = self._query(*key)
+        return value
+
+    def _query(self, word: str, history: tuple[str, ...] = ()) -> float:
+        """``logprob10`` without the memo: the same history cut, each token
+        mapped once, then one back-off walk."""
+        logprob = self._logprob
         if (word,) not in logprob:
             word = UNK
-        history = tuple(history[1 - self.order:]) if self.order > 1 else ()
+        history = tuple(history[self._context])
         for tok in history:
             if (tok,) not in logprob:
                 history = tuple(t if (t,) in logprob else UNK for t in history)
                 break
-        return self._backoff_logprob(history + (word,))
-
-    def _backoff_logprob(self, gram: tuple[str, ...]) -> float:
-        """The longest stored suffix's log prob plus each dropped context's back-off.
-
-        Weights are added innermost first, the float sum of the ARPA recursion
-        ``bow(gram[:-1]) + P(gram[1:])``; an unstored weight adds ``0.0``.
-        """
-        logprob = self.logprob
-        last = len(gram) - 1
-        start = 0
-        while start < last and gram[start:] not in logprob:
-            start += 1
-        total = logprob.get(gram[start:])
-        if total is None:
-            total = logprob.get((UNK,), LOG10_FLOOR)
-        backoff = self.backoff
-        while start:
-            start -= 1
-            total = backoff.get(gram[start:last], 0.0) + total
-        return total
+        return _backoff_logprob(logprob, self._backoff, history + (word,))
 
     def bigram_log10_table(self, histories: list[str], words: list[str]) -> np.ndarray:
         """``table[i, j] == logprob10(words[j], (histories[i],))``, bitwise.
@@ -151,11 +192,11 @@ class NGramModel:
         """
         words = [self.map_token(w) for w in words]
         # a word missing from the unigrams is <unk> without a unigram
-        uni = np.array([self.logprob.get((w,), LOG10_FLOOR) for w in words])
+        uni = np.array([self._logprob.get((w,), LOG10_FLOOR) for w in words])
         if self.order == 1:
             return np.tile(uni, (len(histories), 1))
         histories = [self.map_token(h) for h in histories]
-        bow = np.array([self.backoff.get((h,), 0.0) for h in histories])
+        bow = np.array([self._backoff.get((h,), 0.0) for h in histories])
         table = bow[:, None] + uni
         rows: dict[str, list[int]] = {}
         for i, h in enumerate(histories):
@@ -164,7 +205,7 @@ class NGramModel:
         for j, w in enumerate(words):
             cols.setdefault(w, []).append(j)
         at_rows, at_cols, values = [], [], []
-        for gram, lp in self.logprob.items():
+        for gram, lp in self._logprob.items():
             if len(gram) == 2 and gram[0] in rows and gram[1] in cols:
                 for i in rows[gram[0]]:
                     for j in cols[gram[1]]:
@@ -182,8 +223,8 @@ class NGramModel:
         dropped token could only have added a zero back-off weight: each
         score read after the state equals the one read after ``history``.
         """
-        history = history[1 - self.order:] if self.order > 1 else ()
-        while history and history not in self.backoff and history not in self.logprob:
+        history = history[self._context]
+        while history and history not in self._backoff and history not in self._logprob:
             history = history[1:]
         return history
 
@@ -199,6 +240,25 @@ class NGramModel:
 
     def prob(self, word: str, history: tuple[str, ...] = ()) -> float:
         return 10.0 ** self.logprob10(word, history)
+
+
+def _backoff_logprob(logprob, backoff, gram: tuple[str, ...]) -> float:
+    """The longest stored suffix's log prob plus each dropped context's back-off.
+
+    Weights are added innermost first, the float sum of the ARPA recursion
+    ``bow(gram[:-1]) + P(gram[1:])``; an unstored weight adds ``0.0``.
+    """
+    last = len(gram) - 1
+    start = 0
+    while start < last and gram[start:] not in logprob:
+        start += 1
+    total = logprob.get(gram[start:])
+    if total is None:
+        total = logprob.get((UNK,), LOG10_FLOOR)
+    while start:
+        start -= 1
+        total = backoff.get(gram[start:last], 0.0) + total
+    return total
 
 
 def _predictions(order: int, sentences):
@@ -244,7 +304,8 @@ def train_ngram(
     totals = [Counter(map(itemgetter(slice(-k - 1, -1)), grams)) for k in range(order)]
     types = [Counter(map(itemgetter(slice(None, -1)), counts[k + 1])) for k in range(order)]
 
-    model = NGramModel(order=order)
+    logprob: dict[tuple[str, ...], float] = {}
+    backoff: dict[tuple[str, ...], float] = {}
     wb = smoothing == "witten_bell"
 
     n_tokens = totals[0][()]
@@ -252,11 +313,11 @@ def train_ngram(
     # n-grams are unique keys, so sorting by the n-gram alone keeps the order
     for (tok,), c in sorted(counts[1].items(), key=itemgetter(0)):
         p = c / (n_tokens + n_types) if wb else c / n_tokens
-        model.logprob[(tok,)] = math.log10(p)
+        logprob[(tok,)] = math.log10(p)
     if wb:
-        model.logprob[(UNK,)] = math.log10(n_types / (n_tokens + n_types))
+        logprob[(UNK,)] = math.log10(n_types / (n_tokens + n_types))
     else:
-        model.logprob[(UNK,)] = math.log10(MLE_UNK_FLOOR)
+        logprob[(UNK,)] = math.log10(MLE_UNK_FLOOR)
 
     for k in range(2, order + 1):
         for gram, c in sorted(counts[k].items(), key=itemgetter(0)):
@@ -266,22 +327,26 @@ def train_ngram(
                 tot = totals[k - 1][h]
                 # gram[1:] was stored at order k - 1 and its tokens are all
                 # unigrams, so this is prob(gram[-1], h[1:]) without the walk
-                p_low = 10.0 ** model.logprob[gram[1:]]
+                p_low = 10.0 ** logprob[gram[1:]]
                 p = (c + t * p_low) / (tot + t)
             else:
                 p = c / totals[k - 1][h]
-            model.logprob[gram] = math.log10(p)
-        # histories need back-off weights; force-missing prefixes get -99
+            logprob[gram] = math.log10(p)
         for h in sorted(totals[k - 1]):
-            if h not in model.logprob and len(h) >= 1:
-                model.logprob[h] = LOG10_FLOOR
+            # a history needs a back-off weight; one never predicted (it ends
+            # in <s>) is stored at -99, and so is each missing prefix of it,
+            # which a literal "<s> <s>" in the text can leave unstored
+            j = len(h)
+            while j and h[:j] not in logprob:
+                logprob[h[:j]] = LOG10_FLOOR
+                j -= 1
             if wb:
                 t = types[k - 1][h]
                 bow = t / (totals[k - 1][h] + t)
-                model.backoff[h] = math.log10(bow)
+                backoff[h] = math.log10(bow)
             else:
-                model.backoff[h] = LOG10_FLOOR
-    return model
+                backoff[h] = LOG10_FLOOR
+    return NGramModel._adopt(order, logprob, backoff)
 
 
 def perplexity(model, sentences: list[list[str]]) -> float:
@@ -309,9 +374,10 @@ class MixtureModel:
         self.order = a.order
 
     def prob(self, word: str, history: tuple[str, ...] = ()) -> float:
-        return self.lam * self.a.prob(word, history) + (1.0 - self.lam) * self.b.prob(
-            word, history
-        )
+        # each component without its memo: a mixture's queries hardly repeat
+        pa = 10.0 ** self.a._query(word, history)
+        pb = 10.0 ** self.b._query(word, history)
+        return self.lam * pa + (1.0 - self.lam) * pb
 
     def logprob10(self, word: str, history: tuple[str, ...] = ()) -> float:
         return math.log10(max(self.prob(word, history), 1e-300))
@@ -326,7 +392,12 @@ def tune_lambda(a: NGramModel, b: NGramModel, heldout: list[list[str]]) -> float
     """
     if not heldout:
         raise DataError("empty held-out text")
-    events = [(a.prob(w, h), b.prob(w, h)) for walk in _predictions(a.order, heldout) for w, h in walk]
+    # held-out queries hardly repeat, so they skip the memo
+    events = [
+        (10.0 ** a._query(w, h), 10.0 ** b._query(w, h))
+        for walk in _predictions(a.order, heldout)
+        for w, h in walk
+    ]
     lam = 0.5
     for _ in range(EM_MAX_ITER):
         post = 0.0
@@ -361,7 +432,8 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"lambda must be in [0, 1], got {lam}")
     order = a.order
-    model = NGramModel(order=order)
+    logprob: dict[tuple[str, ...], float] = {}
+    backoff: dict[tuple[str, ...], float] = {}
     support: list[list[tuple[str, ...]]] = [
         sorted(
             {g for g in a.logprob if len(g) == k} | {g for g in b.logprob if len(g) == k}
@@ -372,19 +444,20 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
     for k_idx, grams in enumerate(support):
         for gram in grams:
             if gram[-1] == SOS:
-                model.logprob[gram] = LOG10_FLOOR
+                logprob[gram] = LOG10_FLOOR
                 continue
-            model.logprob[gram] = mixture.logprob10(gram[-1], gram[:-1])
+            logprob[gram] = mixture.logprob10(gram[-1], gram[:-1])
         if k_idx == 0:
             # the unknown marker takes whatever mass the real words leave
             leftover = 1.0 - sum(
                 10.0 ** lp
-                for g, lp in model.logprob.items()
+                for g, lp in logprob.items()
                 if len(g) == 1 and g[0] != UNK
             )
-            model.logprob[(UNK,)] = math.log10(max(leftover, 1e-12))
+            logprob[(UNK,)] = math.log10(max(leftover, 1e-12))
             continue
-        # back-off weights for the (k-1)-gram histories
+        # back-off weights for the (k-1)-gram histories, each lower order
+        # read through the same walk a query takes over the orders so far
         continuations: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for gram in grams:
             continuations.setdefault(gram[:-1], []).append(gram)
@@ -395,18 +468,19 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
             for gram in stored:
                 if gram[-1] == SOS:
                     continue
-                num -= 10.0 ** model.logprob[gram]
-                den -= 10.0 ** model._backoff_logprob(h[1:] + gram[-1:])
+                num -= 10.0 ** logprob[gram]
+                den -= 10.0 ** _backoff_logprob(logprob, backoff, h[1:] + gram[-1:])
             if num <= 1e-12 or den <= 1e-12:
-                model.backoff[h] = LOG10_FLOOR
+                backoff[h] = LOG10_FLOOR
             else:
-                model.backoff[h] = math.log10(num / den)
-    return model
+                backoff[h] = math.log10(num / den)
+    return NGramModel._adopt(order, logprob, backoff)
 
 
 def write_arpa(model: NGramModel, path: str | Path) -> None:
+    logprob, backoff = model._logprob, model._backoff
     grams_by_order: list[list[tuple[str, ...]]] = [
-        sorted(g for g in model.logprob if len(g) == k)
+        sorted(g for g in logprob if len(g) == k)
         for k in range(1, model.order + 1)
     ]
     with open(path, "w", encoding="utf-8") as fh:
@@ -416,9 +490,9 @@ def write_arpa(model: NGramModel, path: str | Path) -> None:
         for k, grams in enumerate(grams_by_order, 1):
             fh.write(f"\n\\{k}-grams:\n")
             for gram in grams:
-                line = f"{model.logprob[gram]:.6f}\t{' '.join(gram)}"
+                line = f"{logprob[gram]:.6f}\t{' '.join(gram)}"
                 if k < model.order:
-                    line += f"\t{model.backoff.get(gram, 0.0):.6f}"
+                    line += f"\t{backoff.get(gram, 0.0):.6f}"
                 fh.write(line + "\n")
         fh.write("\n\\end\\\n")
 
@@ -430,7 +504,8 @@ def read_arpa(path: str | Path) -> NGramModel:
         raise ArpaFormatError(f"{path}:{lineno}: {msg}")
 
     declared: dict[int, int] = {}
-    model: NGramModel | None = None
+    logprob: dict[tuple[str, ...], float] = {}
+    backoff: dict[tuple[str, ...], float] = {}
     section = 0
     seen_in_section = 0
     state = "preamble"
@@ -456,7 +531,6 @@ def read_arpa(path: str | Path) -> NGramModel:
                         fail(lineno, "no ngram counts declared")
                     if sorted(declared) != list(range(1, max(declared) + 1)):
                         fail(lineno, "non-contiguous ngram orders declared")
-                    model = NGramModel(order=max(declared))
                     state = "grams"
                     # fall through to section handling
                 else:
@@ -503,13 +577,12 @@ def read_arpa(path: str | Path) -> NGramModel:
                 gram = tuple(fields[1].split())
                 if len(gram) != section:
                     fail(lineno, f"{len(gram)}-gram {gram!r} in section {section}")
-                assert model is not None
-                if gram in model.logprob:
+                if gram in logprob:
                     fail(lineno, f"repeated n-gram {fields[1]!r}")
-                if len(gram) > 1 and gram[:-1] not in model.logprob:
+                if len(gram) > 1 and gram[:-1] not in logprob:
                     # NGramModel.state drops context only when every context is stored
                     fail(lineno, f"context {' '.join(gram[:-1])!r} of {fields[1]!r} not stored")
-                model.logprob[gram] = lp
+                logprob[gram] = lp
                 if len(fields) == 3:
                     try:
                         bow = float(fields[2])
@@ -518,8 +591,8 @@ def read_arpa(path: str | Path) -> NGramModel:
                     if not bow < math.inf:
                         kind = "NaN" if math.isnan(bow) else "+inf"
                         fail(lineno, f"{kind} back-off weight in {line!r}")
-                    model.backoff[gram] = bow
+                    backoff[gram] = bow
                 seen_in_section += 1
-    if state != "done" or model is None:
+    if state != "done":
         raise ArpaFormatError(f"{path}: truncated ARPA file (no \\end\\)")
-    return model
+    return NGramModel._adopt(max(declared), logprob, backoff)

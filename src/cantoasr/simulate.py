@@ -26,6 +26,8 @@ from .decoder import MatrixScorer, pdf_labels_for
 MODEL_VARIANCE = 1.0
 # rows per block of the state models' separation screen (``_close_pairs``)
 SCREEN_BLOCK_ROWS = 32
+# the largest duration an HMM state may draw: 10 s at the 10 ms frame shift
+MAX_FRAMES_PER_STATE = 1000
 
 
 class SimulationError(DataError):
@@ -42,9 +44,12 @@ class SimConfig:
 
     def __post_init__(self):
         lo, hi = self.frames_per_state
-        # a duration is drawn from [lo, hi + 1), whose bound must fit an int64
-        if not 1 <= lo <= hi < np.iinfo(np.int64).max:
-            raise SimulationError(f"bad frames_per_state range {self.frames_per_state}")
+        # each state draws up to hi frames of feature_dim floats
+        if not 1 <= lo <= hi <= MAX_FRAMES_PER_STATE:
+            raise SimulationError(
+                f"bad frames_per_state range {self.frames_per_state}: "
+                f"need 1 <= lo <= hi <= {MAX_FRAMES_PER_STATE}"
+            )
         # each check written so that NaN fails it
         if not self.seed >= 0:
             raise SimulationError(f"seed must be >= 0, got {self.seed}")

@@ -253,9 +253,10 @@ def counting_train_ngram(corpus, order, smoothing="witten_bell"):
 
     Each prediction adds one to every suffix of its n-gram, and each
     history's total and type count are summed gram by gram; the Witten-Bell
-    lower order is read through ``model.prob``.  The same insertion order
-    and the same float expressions, so its ``logprob`` and ``backoff`` must
-    equal the fast path's item for item.
+    lower order is read through ``arpa_logprob10`` over the orders stored so
+    far.  The same insertion order, the same storage rule for histories and
+    their prefixes, and the same float expressions, so its ``logprob`` and
+    ``backoff`` must equal the fast path's item for item.
     """
     corpus = [s for s in corpus if s]
     counts = [dict() for _ in range(order + 1)]
@@ -275,18 +276,20 @@ def counting_train_ngram(corpus, order, smoothing="witten_bell"):
             totals[k - 1][h] = totals[k - 1].get(h, 0) + c
             types[k - 1][h] = types[k - 1].get(h, 0) + 1
 
-    model = NGramModel(order=order)
+    logprob, backoff = {}, {}
+    # the orders stored so far, as arpa_logprob10 reads a model
+    so_far = SimpleNamespace(order=order, logprob=logprob, backoff=backoff)
     wb = smoothing == "witten_bell"
 
     n_tokens = totals[0][()]
     n_types = types[0][()]
     for (tok,), c in sorted(counts[1].items()):
         p = c / (n_tokens + n_types) if wb else c / n_tokens
-        model.logprob[(tok,)] = math.log10(p)
+        logprob[(tok,)] = math.log10(p)
     if wb:
-        model.logprob[(UNK,)] = math.log10(n_types / (n_tokens + n_types))
+        logprob[(UNK,)] = math.log10(n_types / (n_tokens + n_types))
     else:
-        model.logprob[(UNK,)] = math.log10(MLE_UNK_FLOOR)
+        logprob[(UNK,)] = math.log10(MLE_UNK_FLOOR)
 
     for k in range(2, order + 1):
         for gram, c in sorted(counts[k].items()):
@@ -294,19 +297,22 @@ def counting_train_ngram(corpus, order, smoothing="witten_bell"):
             if wb:
                 t = types[k - 1][h]
                 tot = totals[k - 1][h]
-                p_low = model.prob(gram[-1], h[1:])
+                p_low = 10.0 ** arpa_logprob10(so_far, gram[-1], h[1:])
                 p = (c + t * p_low) / (tot + t)
             else:
                 p = c / totals[k - 1][h]
-            model.logprob[gram] = math.log10(p)
-        # histories need back-off weights; force-missing prefixes get -99
+            logprob[gram] = math.log10(p)
+        # histories need back-off weights; a history that is not stored gets
+        # -99, and so does each of its prefixes that is not stored
         for h in sorted(totals[k - 1]):
-            if h not in model.logprob and len(h) >= 1:
-                model.logprob[h] = LOG10_FLOOR
+            for j in range(len(h), 0, -1):
+                if h[:j] in logprob:
+                    break
+                logprob[h[:j]] = LOG10_FLOOR
             if wb:
                 t = types[k - 1][h]
                 bow = t / (totals[k - 1][h] + t)
-                model.backoff[h] = math.log10(bow)
+                backoff[h] = math.log10(bow)
             else:
-                model.backoff[h] = LOG10_FLOOR
-    return model
+                backoff[h] = LOG10_FLOOR
+    return NGramModel(order, logprob, backoff)

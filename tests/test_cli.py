@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cantoasr
-from cantoasr import DataError, cli
+from cantoasr import DataError, cli, experiment
 from cantoasr.cli import main
 from cantoasr.decoder import DecodeParams
 from cantoasr.lattice import best_path, demo_lattice_path, read_lattice
@@ -213,13 +213,55 @@ def test_simulate_rejects_negative_seed_and_salt(tmp_path, capsys, before, after
 
 
 def test_simulate_rejects_a_frames_per_state_bound_it_cannot_draw(tmp_path, capsys):
-    # a duration is drawn below hi + 1, which must fit an int64
+    # a bound past what an int64 holds, far above simulate.MAX_FRAMES_PER_STATE
     code, out, err = run(
         capsys, "simulate", "--text", "香港", "--out", str(tmp_path / "x.fscr"),
         "--frames-per-state", "1:99999999999999999999",
     )
     assert code == 2 and out == ""
     assert "frames_per_state" in err
+
+
+def test_a_frames_per_state_bound_above_the_cap_exits_2_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulate_utterance reached")
+
+    for owner in (cli, experiment):
+        monkeypatch.setattr(owner, "simulate_utterance", no_draw)
+    code, out, err = run(
+        capsys, "simulate", "--text", "香港", "--out", str(tmp_path / "x.fscr"),
+        "--frames-per-state", "1:1000000000000",
+    )
+    assert code == 2 and out == ""
+    assert "frames_per_state" in err
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("frames_per_state = 1:1000000000000\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--seed", "7", "experiment", "onc-vs-if",
+        "--config", str(cfg), "--out", str(tmp_path / "out"),
+    )
+    assert code == 2 and out == ""
+    assert "frames_per_state" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lm_trained_on_repeated_literal_start_markers_reads_back(tmp_path, capsys):
+    # two literal <s> in a row force the history "a <s> <s>" into an order-4
+    # model; its context "a <s>" must be stored too for the reader
+    corpus = tmp_path / "markers.txt"
+    corpus.write_text("a <s> <s> b\nc b\n", encoding="utf-8")
+    arpa = tmp_path / "lm.arpa"
+    code, _, err = run(
+        capsys, "lm", "train", "--corpus", str(corpus), "--order", "4", "--out", str(arpa)
+    )
+    assert code == 0, err
+    code, out, err = run(
+        capsys, "--json", "lm", "perplexity", "--model", str(arpa), "--text", str(corpus)
+    )
+    assert code == 0, err
+    assert json.loads(out)["perplexity"] > 1.0
 
 
 def test_nbest_demo_lattice_prints_node_path(capsys):

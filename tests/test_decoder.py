@@ -29,6 +29,7 @@ from cantoasr.ngram import (
     EOS,
     SOS,
     UNK,
+    NGramModel,
     read_arpa,
     read_corpus,
     tokenize_chars,
@@ -183,7 +184,9 @@ def test_pron_lm_equals_per_cell_logprob10(lexicon, scheme, lm_kind, tmp_path):
         write_arpa(lm, tmp_path / "lm.arpa")
         lm = read_arpa(tmp_path / "lm.arpa")
     elif lm_kind == "no_unk":
-        del lm.logprob[(UNK,)]  # unknown characters score LOG10_FLOOR
+        # unknown characters score LOG10_FLOOR
+        no_unk = {g: lp for g, lp in lm.logprob.items() if g != (UNK,)}
+        lm = NGramModel(lm.order, no_unk, lm.backoff)
     lex = compile_lexicon(entries, scheme, default_inventory())
     # "word_lm": the graph reads a word-level table built apart from it
     graph = build_graph(lex, WordLM((e.word for e in entries), lm) if lm_kind == "word_lm" else lm)

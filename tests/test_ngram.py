@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cantoasr.lexicon import demo_lexicon_path
 from cantoasr.ngram import (
     EOS,
     LOG10_FLOOR,
+    QUERY_MEMO_SIZE,
     SOS,
     UNK,
     ArpaFormatError,
@@ -200,8 +202,7 @@ def test_tuned_lambda_beats_endpoints():
 def test_bigram_log10_table_equals_logprob10(order, smoothing):
     m = train_ngram(sents("a b c a", "b b a", "c a"), order=order, smoothing=smoothing)
     # unknown histories ("z") read the <unk> back-off and bigrams
-    m.backoff[(UNK,)] = -0.5
-    m.logprob[(UNK, "b")] = -0.25
+    m = NGramModel(order, {**m.logprob, (UNK, "b"): -0.25}, {**m.backoff, (UNK,): -0.5})
     histories = [SOS, "a", "b", "c", "z", "a", UNK]
     words = ["a", "b", EOS, "y", "c", "a"]
     table = m.bigram_log10_table(histories, words)
@@ -390,15 +391,15 @@ def random_model(rng, order):
     tokens = rng.sample(["a", "b", "c", "d", SOS, EOS], rng.randint(1, 6))
     if rng.random() < 0.5:
         tokens.append(UNK)
-    m = NGramModel(order=order)
+    logprob, backoff = {}, {}
     level = [(t,) for t in tokens]
     for k in range(1, order + 1):
         for gram in level:
-            m.logprob[gram] = score(-3.0)
+            logprob[gram] = score(-3.0)
             if k < order and rng.random() < 0.7:
-                m.backoff[gram] = score(-1.0)
+                backoff[gram] = score(-1.0)
         level = [g + (t,) for g in level for t in tokens if rng.random() < 0.4]
-    return m
+    return NGramModel(order, logprob, backoff)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -409,13 +410,51 @@ def test_logprob10_equals_the_arpa_recursion(tmp_path, order):
     for k, m in enumerate(models[:6]):  # written with six decimals, -0.0 and -inf kept
         write_arpa(m, tmp_path / f"{k}.arpa")
         models.append(read_arpa(tmp_path / f"{k}.arpa"))
-    queried = ["a", "b", "c", "d", SOS, EOS, UNK, "z"]  # "z" is stored by no model
+    # "z" and the "z<i>" are stored by no model; the "z<i>" alone give a
+    # unigram model more distinct queries than the memo holds
+    queried = ["a", "b", "c", "d", SOS, EOS, UNK, "z"]
+    unknown = [f"z{i}" for i in range(QUERY_MEMO_SIZE)]
     for m in models:
-        for _ in range(150):
-            # empty, shorter than order - 1, and longer than it
-            history = tuple(rng.choices(queried, k=rng.randint(0, order + 1)))
-            word = rng.choice(queried)
+        distinct = {}
+        while len(distinct) <= QUERY_MEMO_SIZE:
+            # empty, shorter than order - 1, and longer than it; a tuple or a list
+            history = rng.choices(queried, k=rng.randint(0, order + 1))
+            word = rng.choice(queried if rng.random() < 0.5 else unknown)
+            context = tuple(history[len(history) - order + 1:]) if order > 1 else ()
+            if (word, context) not in distinct:
+                distinct[word, context] = (word, history if rng.random() < 0.5 else tuple(history))
+        queries = list(distinct.values()) * 2  # each key asked twice
+        rng.shuffle(queries)
+        for word, history in queries:
             assert repr(m.logprob10(word, history)) == repr(arpa_logprob10(m, word, history))
+        assert len(m._memo) <= QUERY_MEMO_SIZE
+
+
+def test_tables_and_order_cannot_change():
+    m = train_ngram(sents("a b c a", "b b a"), order=2)
+    for table in (m.logprob, m.backoff):
+        with pytest.raises(TypeError):
+            table[("a",)] = 0.0
+        with pytest.raises(TypeError):
+            del table[("a",)]
+    with pytest.raises(FrozenInstanceError):
+        m.order = 3
+
+
+def test_a_model_keeps_its_answers_when_its_source_dicts_change():
+    logprob = {("a",): -0.5, ("b",): -0.75, ("a", "b"): -0.125}
+    backoff = {("a",): -0.25}
+    m = NGramModel(2, logprob, backoff)
+    assert m.logprob10("b", ("a",)) == -0.125  # now in the memo
+    logprob[("a", "b")] = -3.0
+    logprob[("a", "a")] = -2.0
+    del logprob[("b",)]
+    backoff[("a",)] = -1.0
+    assert m.logprob10("b", ("a",)) == -0.125
+    # asked for the first time, so read from the model's own copy
+    assert m.logprob10("a", ("a",)) == -0.25 + -0.5
+    assert m.logprob10("b", ("b",)) == -0.75
+    assert m == NGramModel(2, {("a",): -0.5, ("b",): -0.75, ("a", "b"): -0.125}, {("a",): -0.25})
 
 
 def test_negative_zero_reads_zero_after_a_back_off():
@@ -431,6 +470,30 @@ def random_corpus(rng):
     vocab = [chr(0x4E00 + i) for i in range(rng.randint(1, 25))] + [SOS, EOS, UNK, "ab"]
     corpus = [[rng.choice(vocab) for _ in range(rng.randint(0, 12))] for _ in range(rng.randint(0, 40))]
     return corpus + [[rng.choice(vocab)]]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("smoothing", ["none", "witten_bell"])
+def test_text_with_literal_markers_trains_a_prefix_closed_model(tmp_path, order, smoothing):
+    # "<s> <s>" in the text forces histories such as "a <s> <s>"; their
+    # prefixes must be stored, or state() drops context a score reads
+    rng = random.Random(order)
+    for k in range(12):
+        corpus = random_corpus(rng)
+        m = train_ngram(corpus, order, smoothing)
+        assert all(gram[:-1] in m.logprob for gram in m.logprob if len(gram) > 1)
+        write_arpa(m, tmp_path / f"{k}.arpa")
+        assert read_arpa(tmp_path / f"{k}.arpa").logprob.keys() == m.logprob.keys()
+        start = (SOS,) * (order - 1)
+        for sent in corpus:
+            tokens = sent + [EOS]
+            expected, raw = 0.0, start
+            for tok in tokens:
+                expected += math.log(10.0) * m.logprob10(tok, raw)
+                raw += (tok,)
+            total, state = m.ln_score(tokens, m.state(start))
+            assert total == expected
+            assert state == m.state(tuple(map(m.map_token, raw)))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

@@ -9,6 +9,7 @@ from cantoasr.lexicon import LexiconEntry, compile_lexicon, demo_lexicon_path, r
 from cantoasr.ngram import read_corpus, train_ngram
 from cantoasr.phonology import default_inventory
 from cantoasr.simulate import (
+    MAX_FRAMES_PER_STATE,
     SimConfig,
     SimulationError,
     _close_pairs,
@@ -339,9 +340,12 @@ def test_unknown_phone_rejected():
 def test_bad_config_rejected():
     with pytest.raises(SimulationError):
         SimConfig(seed=1, frames_per_state=(0, 3))
+    # constructed only: a draw at such a bound would ask for that many frames
     with pytest.raises(SimulationError, match="frames_per_state"):
-        SimConfig(seed=1, frames_per_state=(1, 2**63 - 1))
-    assert SimConfig(seed=1, frames_per_state=(1, 2**63 - 2)).frames_per_state[1] == 2**63 - 2
+        SimConfig(seed=1, frames_per_state=(1, MAX_FRAMES_PER_STATE + 1))
+    with pytest.raises(SimulationError, match="frames_per_state"):
+        SimConfig(seed=1, frames_per_state=(1, 2**63 - 2))
+    assert SimConfig(seed=1, frames_per_state=(1, 1000)).frames_per_state[1] == MAX_FRAMES_PER_STATE
     models = build_state_models(pdfs(LABELS), SimConfig(seed=1))
     with pytest.raises(SimulationError, match="must differ"):
         blend_confusions(models, (("_k3", "_k3", 0.5),))
