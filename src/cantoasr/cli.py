@@ -5,12 +5,14 @@ does not parse; 2 a data error, which is a ``DataError`` (malformed or
 out-of-range input, a file that is not UTF-8 among them) or an ``OSError``.
 Any other exception is a bug and ends in a traceback.  Machine-readable
 output goes to stdout as JSON when ``--json`` is given (the ``parse``
-subcommand always prints JSON); logs go to stderr only.
+subcommand always prints JSON), with an infinite number written as the
+string ``"inf"`` or ``"-inf"``; logs go to stderr only.
 """
 
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import fields
 
@@ -95,9 +97,24 @@ def _setting(kind):
     return read
 
 
+def _finite_json(value):
+    """``value`` with each non-finite float written as its string, such as ``"-inf"``.
+
+    JSON has no infinities; an RFC 8259 parser rejects Python's ``Infinity``.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def _emit(payload, as_json: bool, text: str | None = None):
     if as_json:
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
+        payload = _finite_json(payload)
+        print(json.dumps(payload, ensure_ascii=False, sort_keys=True, allow_nan=False))
     else:
         print(text if text is not None else json.dumps(payload, ensure_ascii=False))
 

@@ -31,7 +31,13 @@ and ``s -> s + 1``, both emitting ``state_pdf[s]`` with the one log
 weight ``TRANSITION_LOG_PROB``; the graph stores that topology, not an arc
 list.  Both arcs of a state carry the same score, so the emitting step
 computes it once per active state and lands it on ``s`` and on ``s + 1``;
-where a self-loop and a forward arc tie, the forward arc wins.
+where a self-loop and a forward arc tie, the forward arc wins.  The step
+expands every surviving token without picking out the emitting ones: the
+score array has one ``-inf`` column past the graph's pdfs, which
+``state_pdf`` -1 of the hub and the junctions reads, so their arcs land
+only ``-inf`` scores, and a state's record is read only where its score is
+finite.  The dense per-state arrays have one sentinel slot past the last
+junction, so ``s + 1`` exists for every state.
 
 Decoding is frame-synchronous token passing with at most one surviving
 token per graph state, beam pruning, and a hard cap on surviving tokens
@@ -43,7 +49,9 @@ The beam is measured from the best token that can still end on a word
 boundary: a token at emitting position ``k`` of an ``L``-state chain needs
 ``L - k`` more frames (``frames_to_word_end``), so near the end of the
 utterance a token that cannot finish in the frames left does not set the
-reference, though it is kept or pruned like any other.  A wider beam
+reference, though it is kept or pruned like any other.  The states that
+can finish in ``f`` frames are a prefix of one per-graph order
+(``by_word_end``), so the reference reads only them.  A wider beam
 never turns a successful decode into a failure (see ``decode``).  The
 combined score is not promised to rise with the beam: a wider beam can
 raise the reference and so prune a token that a narrower one kept, and the
@@ -55,6 +63,7 @@ a hypothesis score is always ``am_total + lm_weight * lm_total``.
 
 import logging
 import math
+import numbers
 import os
 import struct
 import time
@@ -99,6 +108,11 @@ class DecodeParams:
     lattice_width: int = 10
 
     def __post_init__(self):
+        # a bool is an int to Python, but True is no count
+        for name in ("max_active", "lattice_width"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(f"{self}: {name} must be an integer")
         # written so that NaN fails; an infinite beam (no beam) stays valid
         if not (self.beam > 0 and self.max_active > 0 and 0 < self.lm_weight < math.inf):
             raise DataError(f"{self}: beam, max_active, lm_weight must be positive, lm_weight finite")
@@ -322,6 +336,10 @@ class SearchGraph:
         # fewest frames from each state to a word boundary: 0 at the hub
         # and the junctions, L - k at position k of a length-L chain
         self.frames_to_word_end = np.asarray(to_end, dtype=np.int32)
+        # the states that can reach a word end in f frames are the first
+        # viable_count[f] of by_word_end, for f up to the longest chain
+        self.by_word_end = np.argsort(self.frames_to_word_end, kind="stable")
+        self.viable_count = np.cumsum(np.bincount(self.frames_to_word_end))
 
         self.pron_lm = word_lm.table[:, self.j_words]
         self.end_lm = word_lm.end_lm
@@ -347,19 +365,25 @@ def build_graph(lex: PhoneLexicon, lm: NGramModel | WordLM) -> SearchGraph:
 
 
 def _score_matrix(graph: SearchGraph, scorer: MatrixScorer) -> np.ndarray:
-    """(frames, graph pdf) score array, mapped from the scorer's labels.
+    """(frames, graph pdf + 1) score array, mapped from the scorer's labels.
 
-    A scorer whose labels are already the graph's, in order, is read in
-    place, with no copy of its columns; ``decode`` never writes the array.
+    Column ``k`` holds the scores of ``graph.pdf_labels[k]`` and the last
+    column is ``-inf``, which ``state_pdf`` -1 (the hub and the junctions)
+    reads.  The array is always a new copy, so the scorer's matrix is never
+    written.
     """
+    n_pdfs = len(graph.pdf_labels)
+    am = np.full((scorer.num_frames(), n_pdfs + 1), NEG_INF)
     if scorer.labels == graph.pdf_labels:
-        return np.ascontiguousarray(scorer.matrix)
+        am[:, :n_pdfs] = scorer.matrix
+        return am
     col = {lab: i for i, lab in enumerate(scorer.labels)}
     try:
         perm = np.array([col[lab] for lab in graph.pdf_labels])
     except KeyError as exc:
         raise DecodeError(f"scorer is missing pdf label {exc.args[0]!r}") from None
-    return np.ascontiguousarray(scorer.matrix[:, perm])
+    am[:, :n_pdfs] = scorer.matrix[:, perm]
+    return am
 
 
 def _cap(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
@@ -373,7 +397,7 @@ def _cap(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     keep = scores > cut
     ties = np.flatnonzero(scores == cut)
     keep[ties[: k - np.count_nonzero(keep)]] = True
-    return ids[keep]
+    return ids.take(np.flatnonzero(keep))
 
 
 def decode(
@@ -387,9 +411,9 @@ def decode(
     highest-scoring of those, viable or not.
 
     Raises ``DecodeError`` when the scorer lacks a graph pdf label or has no
-    frames, when no token is left to expand or to keep at some frame, or
-    when no surviving token is at a word boundary after the final frame.
-    With finite scores and a ``max_active`` that never binds, the last two
+    frames, when no token is left to keep at some frame, or when no
+    surviving token is at a word boundary after the final frame.  With
+    finite scores and a ``max_active`` that never binds, the last two
     happen only when the utterance is shorter than every pronunciation: a
     chain's last state scores at least as high as its word end (its
     self-loop weighs what its forward arc weighs), so the best viable token
@@ -398,6 +422,12 @@ def decode(
     every beam succeeds exactly when the unpruned search does, and a wider
     beam never turns a success into a failure.  A binding ``max_active`` can
     drop every token that could still finish, since it ranks by score alone.
+
+    No frame is left with only the hub and junctions, which emit nothing:
+    the best-ranked survivor other than the hub is never a junction (its
+    chain's last state scores at least as high and has the lower id), and
+    a cap of 1 never keeps the hub alone, since the single token's
+    self-loop ties its forward arc, so it never crosses a word end.
     """
     params = params or DecodeParams()
     am = _score_matrix(graph, scorer)
@@ -408,9 +438,10 @@ def decode(
 
     # the surviving tokens are the ascending state ids ``act`` with scores
     # ``vals``; each frame recombines into the dense ``nv`` and ``rec``,
-    # which hold meaning only where ``nv`` is finite
+    # which hold meaning only where ``nv`` is finite.  Both have one
+    # sentinel slot past the last junction, so ``act + 1`` always exists.
     S = graph.num_states
-    rec = np.full(S, -1, dtype=np.int32)
+    rec = np.full(S + 1, -1, dtype=np.int32)
     # per-record parallel lists: word id, previous record, end frame, am
     # total and lm total at the crossing
     rec_word: list[int] = []
@@ -421,7 +452,7 @@ def decode(
     pron_lm = graph.pron_lm
 
     lm_weight = params.lm_weight
-    nv = np.full(S, NEG_INF)
+    nv = np.full(S + 1, NEG_INF)
     nv[graph.hub] = 0.0
     nv[graph.entry_states] = lm_weight * pron_lm[graph.sos_ctx]
     act = (nv > NEG_INF).nonzero()[0]
@@ -430,9 +461,9 @@ def decode(
     expanded = 0
     active_total = 0
     state_pdf = graph.state_pdf
-    emitting = state_pdf >= 0
-    to_end = graph.frames_to_word_end
-    horizon = int(to_end.max())
+    horizon = len(graph.viable_count) - 1
+    by_word_end = graph.by_word_end
+    viable_count = graph.viable_count.tolist()
     hub = graph.hub
     entries = graph.entry_states
     j_words = graph.j_words.tolist()
@@ -440,21 +471,19 @@ def decode(
 
     for t in range(n_frames):
         expanded += act.size
-        is_em = emitting.take(act)
-        em = act[is_em]
-        if em.size == 0:
-            raise DecodeError(f"no surviving tokens to expand at frame {t}")
-        # both arcs of a state score the same: the self-loop lands it on em,
-        # the forward arc on em + 1 where it ties or beats the self-loop
-        # there (it has the lower arc id).  Every sum runs (v + w) + am:
-        # another order moves scores in their last bits.
-        sc = vals[is_em] + TRANSITION_LOG_PROB + am[t].take(state_pdf.take(em))
+        # both arcs of a state score the same: the self-loop lands it on act,
+        # the forward arc on act + 1 where it ties or beats the self-loop
+        # there (it has the lower arc id).  The hub and the junctions read
+        # the -inf column, so they land only -inf.  Every sum runs
+        # (v + w) + am: another order moves scores in their last bits.
+        vals += TRANSITION_LOG_PROB
+        vals += am[t].take(state_pdf.take(act))
         nv.fill(NEG_INF)
-        nv[em] = sc
-        win = (sc >= nv[em + 1]).nonzero()[0]
-        src = em[win]
+        nv[act] = vals
+        win = (vals >= nv[act + 1]).nonzero()[0]
+        src = act[win]
         dst = src + 1
-        nv[dst] = sc[win]
+        nv[dst] = vals[win]
         # a self-loop keeps its state's record, so only forward winners copy it
         rec[dst] = rec[src]
 
@@ -495,7 +524,10 @@ def decode(
         # the beam is measured from the best token that can still reach a
         # word boundary in the frames left; if none can, from the best token
         frames_left = n_frames - 1 - t
-        best = nv[to_end <= frames_left].max() if frames_left < horizon else NEG_INF
+        if frames_left < horizon:
+            best = nv.take(by_word_end[: viable_count[frames_left]]).max()
+        else:
+            best = NEG_INF
         if best == NEG_INF:
             best = nv.max()
         if best == NEG_INF:

@@ -388,6 +388,42 @@ def test_rescore_external_cli(tmp_path, capsys):
     assert json.loads(out)[0]["text"] == "合共九千九百萬元"
 
 
+def strict_json(text):
+    """``json.loads`` that refuses the non-standard ``NaN``, ``Infinity`` and ``-Infinity``."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_decode_json_writes_an_infinite_beam_as_a_string(tmp_path, capsys):
+    arpa, scores = tmp_path / "lm.arpa", tmp_path / "utt.fscr"
+    run(capsys, "lm", "train", "--corpus", str(DATA / "demo_corpus.txt"),
+        "--order", "2", "--out", str(arpa))
+    run(capsys, "--seed", "5", "simulate", "--scheme", "onc", "--text", "香港 好",
+        "--out", str(scores))
+    argv = ["decode", "--scheme", "onc", "--lm", str(arpa), "--scores", str(scores),
+            "--beam", "inf"]
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["stats"]["beam"] == "inf" and payload["text"] == "香港好"
+    code, text_out, _ = run(capsys, *argv)
+    assert code == 0 and text_out == "香港好\n"
+
+
+def test_rescore_external_json_writes_minus_inf_as_a_string(tmp_path, capsys):
+    ext = tmp_path / "scores.tsv"
+    ext.write_text("合 共 九 千 九 百 萬 元\t-inf\n", encoding="utf-8")
+    argv = ["rescore", "--lattice", str(demo_lattice_path()), "--external", str(ext), "--n", "1"]
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert strict_json(out) == [{"combined": "-inf", "text": "合共九千九百萬元"}]
+    code, text_out, _ = run(capsys, *argv)
+    assert code == 0 and text_out == "合共九千九百萬元\n"
+
+
 @pytest.mark.parametrize(
     "bad, why",
     [("合 共 九 千 九 百 萬 元\tnan", "NaN or +inf score"), ("合 共 九 千 九 百 萬 元 -2.0", "TAB")],

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from cantoasr import decoder
+from cantoasr import DataError, decoder
 from cantoasr.decoder import (
     BatchResult,
     DecodeError,
@@ -564,6 +564,69 @@ def test_decode_deterministic():
     assert s1.tokens_expanded == s2.tokens_expanded
 
 
+@pytest.mark.parametrize("permuted", [False, True], ids=["graph_order", "permuted"])
+def test_decode_leaves_the_scorer_matrix_unchanged(permuted):
+    # the decoder pads its own copy with a -inf column; the scorer's array,
+    # including a -inf entry, must come back bit for bit
+    _, graph, lm, scorer, lm_weight = random_fixture(random.Random(5))
+    matrix, labels = scorer.matrix.copy(), scorer.labels
+    matrix[1, 0] = -np.inf
+    if permuted:
+        matrix, labels = matrix[:, ::-1].copy(), labels[::-1]
+    scorer = MatrixScorer(matrix, labels)
+    before = scorer.matrix.tobytes()
+    decode(graph, scorer, DecodeParams(beam=1e30, max_active=10**9, lm_weight=lm_weight))
+    assert scorer.matrix.shape == (matrix.shape[0], len(labels))
+    assert scorer.matrix.tobytes() == before
+
+
+def demo_graph(scheme):
+    lex = compile_lexicon(read_lexicon(demo_lexicon_path()), scheme, default_inventory())
+    return build_graph(lex, train_ngram(read_corpus(demo_lexicon_path().parent / "demo_corpus.txt"), 2))
+
+
+@pytest.mark.parametrize("which", ["if", "onc", "c07"])
+def test_viable_prefix_is_the_states_that_can_finish(which):
+    if which == "c07":
+        from test_acceptance import _rtf_trend_system
+
+        graph = _rtf_trend_system()[2]
+    else:
+        graph = demo_graph(which)
+    to_end = graph.frames_to_word_end
+    assert sorted(graph.by_word_end.tolist()) == list(range(graph.num_states))
+    assert len(graph.viable_count) == to_end.max() + 1
+    for f in range(len(graph.viable_count)):
+        prefix = graph.by_word_end[: graph.viable_count[f]].tolist()
+        assert set(prefix) == set(np.flatnonzero(to_end <= f).tolist()), f
+
+
+def test_every_decode_error_at_tiny_caps_is_a_remaining_one():
+    # a frame always keeps an emitting token, so with ties and -inf scores
+    # at caps 1 to 3 a decode fails only for want of a token to keep or of
+    # one at a word boundary at the end
+    messages = {"beam pruned every token", "no surviving token reaches a word boundary"}
+    seen = set()
+    decoded = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        dead = np.random.default_rng(seed)
+        _, graph, lm, scorer, lm_weight = random_fixture(rng)
+        integral = np.round(scorer.matrix)
+        for matrix in (integral, np.where(dead.random(integral.shape) < 0.15, -np.inf, integral)):
+            scorer = MatrixScorer(matrix, scorer.labels)
+            for cap in (1, 2, 3):
+                for beam in (5.0, math.inf):
+                    params = DecodeParams(beam=beam, max_active=cap, lm_weight=lm_weight)
+                    try:
+                        decode(graph, scorer, params)
+                        decoded += 1
+                    except DecodeError as exc:
+                        seen.add(str(exc).split(" at ")[0])
+    assert decoded >= 50
+    assert seen == messages
+
+
 def test_decoder_lattice_agrees_with_decode():
     lex, lm, graph = make_system(
         [("天氣", "tin1 hei3"), ("香港", "hoeng1 gong2"), ("好", "hou2")],
@@ -731,6 +794,28 @@ def test_batch_decode_streams_a_generator(monkeypatch):
 def test_decode_params_reject_bad_values(bad):
     with pytest.raises(ValueError):
         DecodeParams(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_active": 2.5},
+        {"max_active": 7000.0},
+        {"max_active": True},
+        {"lattice_width": 1.5},
+        {"lattice_width": True},
+        {"lattice_width": None},
+    ],
+)
+def test_decode_params_reject_non_integral_counts(bad):
+    name = next(iter(bad))
+    with pytest.raises(DataError, match=f"{name} must be an integer"):
+        DecodeParams(**bad)
+
+
+def test_decode_params_accept_numpy_integers():
+    params = DecodeParams(max_active=np.int64(3), lattice_width=np.int32(2))
+    assert params.max_active == 3 and params.lattice_width == 2
 
 
 def test_decode_params_accept_an_infinite_beam():
