@@ -1,5 +1,7 @@
 """Cantonese syllable-scheme speech recognition experimentation toolkit."""
 
+import json
+import math
 from contextlib import contextmanager
 
 __version__ = "0.1.0"
@@ -17,3 +19,26 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not utf-8 text ({exc.reason})") from None
+
+
+def _finite(value):
+    """``value`` with each non-finite float written as its string, such as ``"-inf"``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def json_text(value, indent: int | None = None) -> str:
+    """``value`` as JSON with sorted keys and unescaped non-ASCII text.
+
+    Every JSON the package prints or saves comes from here.  JSON has no
+    infinities (an RFC 8259 parser rejects Python's ``Infinity``), so a
+    non-finite float is written as the string ``"inf"``, ``"-inf"`` or ``"nan"``.
+    """
+    return json.dumps(
+        _finite(value), ensure_ascii=False, sort_keys=True, indent=indent, allow_nan=False
+    )

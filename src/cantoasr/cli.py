@@ -5,18 +5,17 @@ does not parse; 2 a data error, which is a ``DataError`` (malformed or
 out-of-range input, a file that is not UTF-8 among them) or an ``OSError``.
 Any other exception is a bug and ends in a traceback.  Machine-readable
 output goes to stdout as JSON when ``--json`` is given (the ``parse``
-subcommand always prints JSON), with an infinite number written as the
-string ``"inf"`` or ``"-inf"``; logs go to stderr only.
+subcommand always prints JSON), written by ``json_text``: a non-finite
+number is the string ``"inf"``, ``"-inf"`` or ``"nan"``.  Logs go to
+stderr only.
 """
 
 import argparse
-import json
 import logging
-import math
 import sys
 from dataclasses import fields
 
-from . import DataError, __version__, open_text
+from . import DataError, __version__, json_text, open_text
 from .decoder import (
     DecodeParams,
     build_graph,
@@ -97,26 +96,8 @@ def _setting(kind):
     return read
 
 
-def _finite_json(value):
-    """``value`` with each non-finite float written as its string, such as ``"-inf"``.
-
-    JSON has no infinities; an RFC 8259 parser rejects Python's ``Infinity``.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _finite_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_json(v) for v in value]
-    return value
-
-
-def _emit(payload, as_json: bool, text: str | None = None):
-    if as_json:
-        payload = _finite_json(payload)
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True, allow_nan=False))
-    else:
-        print(text if text is not None else json.dumps(payload, ensure_ascii=False))
+def _emit(payload, as_json: bool, text: str):
+    print(json_text(payload) if as_json else text)
 
 
 def _load_lexicon(args):
@@ -140,7 +121,7 @@ def cmd_parse(args):
         "coda": syl.coda,
         "tone": syl.tone,
     }
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
+    print(json_text(payload))
     return 0
 
 
@@ -204,7 +185,7 @@ def cmd_graph_build(args):
         "pronunciations": graph.num_prons,
         **graph.arc_counts(),
     }
-    _emit(payload, args.json, json.dumps(payload, indent=2))
+    _emit(payload, args.json, json_text(payload, indent=2))
     return 0
 
 
@@ -335,7 +316,7 @@ def cmd_experiment(args):
     report = run_experiment(cfg)
     agg = report["aggregate"]
     _emit(
-        report if args.json else agg,
+        report,
         args.json,
         (
             f"IF  {100 * agg['wer_if']['rate']:.2f}%  "

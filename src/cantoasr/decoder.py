@@ -233,12 +233,11 @@ class WordLM:
     """The word-level bigram tables of one word list under one LM.
 
     They hold no unit of any scheme, so every scheme's graph over the same
-    words and LM shares one.  ``words`` is the sorted word list and
-    ``word_tokens`` each word's LM tokens.  A context is a word's last
-    token, one per row in sorted order, then ``<s>`` at row ``sos_ctx``;
-    ``table[c, w]`` is the natural-log LM cost of word ``w`` after context
-    ``c``, factored as first-token-given-context plus the word's inner
-    cost.  ``end_lm[c]`` is the end-of-sentence cost after context ``c``,
+    words and LM shares one.  ``words`` is the sorted word list.  A
+    context is a word's last LM token, one per row in sorted order, then
+    ``<s>`` at row ``sos_ctx``; ``table[c, w]`` is the natural-log LM cost
+    of word ``w`` after context ``c``, factored as first-token-given-context
+    plus the word's inner cost.  ``end_lm[c]`` is the end-of-sentence cost after context ``c``,
     and ``word_end_ctx[w]`` the context after word ``w``.
     """
 
@@ -249,15 +248,15 @@ class WordLM:
         if lm.order != 2:
             raise GraphError(f"decoding LM must be a bigram, got order {lm.order}")
 
-        self.word_tokens: dict[str, tuple[str, ...]] = {}
+        word_tokens: dict[str, tuple[str, ...]] = {}
         for word in self.words:
             tokens = tokenize_chars(word)
-            self.word_tokens[word] = tuple(map(lm.map_token, tokens))
-            for tok, mapped in zip(tokens, self.word_tokens[word]):
+            word_tokens[word] = tuple(map(lm.map_token, tokens))
+            for tok, mapped in zip(tokens, word_tokens[word]):
                 if mapped != tok:
                     log.warning("word %r: token %r unknown to the LM", word, tok)
 
-        ctx_chars = sorted({toks[-1] for toks in self.word_tokens.values()})
+        ctx_chars = sorted({toks[-1] for toks in word_tokens.values()})
         ctx_index = {c: i for i, c in enumerate(ctx_chars)}
         self.sos_ctx = len(ctx_chars)
         ctx_tokens = ctx_chars + [SOS]
@@ -265,7 +264,7 @@ class WordLM:
         inner = np.zeros(len(self.words))
         firsts = []
         for w, word in enumerate(self.words):
-            toks = self.word_tokens[word]
+            toks = word_tokens[word]
             firsts.append(toks[0])
             inner[w] = lm.ln_score(toks[1:], (toks[0],))[0]
         self.table = LN10 * lm.bigram_log10_table(ctx_tokens, firsts) + inner
@@ -273,7 +272,7 @@ class WordLM:
             [LN10 * lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
         )
         self.word_end_ctx = np.array(
-            [ctx_index[self.word_tokens[w][-1]] for w in self.words],
+            [ctx_index[word_tokens[w][-1]] for w in self.words],
             dtype=np.int32,
         )
 

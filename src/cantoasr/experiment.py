@@ -30,7 +30,6 @@ Timing numbers go to a separate file so the main report is byte-identical
 across repeated runs with the same seed.
 """
 
-import json
 import logging
 import math
 import time
@@ -41,7 +40,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import DataError, open_text
+from . import DataError, json_text, open_text
 from .decoder import (
     BatchResult,
     DecodeParams,
@@ -273,7 +272,6 @@ def derive_confusions(
 
 @dataclass
 class SchemeSystem:
-    scheme: str
     lex: object
     graph: object
     models: object
@@ -311,7 +309,7 @@ def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSyst
         # the expected distance of two independent means
         reference_distance=cfg.mean_scale * math.sqrt(2.0 * cfg.feature_dim),
     )
-    return SchemeSystem(scheme, lex, graph, blend_confusions(separated, confusion), sim_cfg)
+    return SchemeSystem(lex, graph, blend_confusions(separated, confusion), sim_cfg)
 
 
 def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[tuple[str, ...]]:
@@ -443,10 +441,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    (out_dir / "report.json").write_text(json_text(report, indent=2) + "\n", encoding="utf-8")
 
     timing_out = {
         s: {"wall_seconds": t.wall_seconds, "audio_seconds": t.audio_seconds, "rtf": t.rtf}
@@ -500,14 +495,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             ]
             lines += ["", f"Sweep ({scheme})", format_sweep_table(cells)]
         (out_dir / "sweep.json").write_text(
-            json.dumps(sweep_report, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
+            json_text(sweep_report, indent=2) + "\n", encoding="utf-8"
         )
         timing_out["sweep"] = sweep_timing
 
-    (out_dir / "timing.json").write_text(
-        json.dumps(timing_out, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out_dir / "timing.json").write_text(json_text(timing_out, indent=2) + "\n", encoding="utf-8")
 
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return report

@@ -272,6 +272,7 @@ def rescore_external(
     """Blend hypothesis LM totals with externally supplied scores and re-sort.
 
     ``interpolation`` weights the original LM total; 0 replaces it entirely.
+    A term whose weight is 0 is left out, so a ``-inf`` there gives no NaN.
     """
     if not 0.0 <= interpolation <= 1.0:
         raise DataError(f"interpolation must be in [0, 1], got {interpolation}")
@@ -283,7 +284,12 @@ def rescore_external(
         )
     rescored = []
     for h in hyps:
-        new_lm = interpolation * h.lm_total + (1.0 - interpolation) * scores[h.words]
+        if interpolation == 0.0:
+            new_lm = scores[h.words]
+        elif interpolation == 1.0:
+            new_lm = h.lm_total
+        else:
+            new_lm = interpolation * h.lm_total + (1.0 - interpolation) * scores[h.words]
         rescored.append(
             Hypothesis(
                 words=h.words,

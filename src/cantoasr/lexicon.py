@@ -47,7 +47,6 @@ class LexiconEntry:
 class PhoneLexicon:
     """Compiled lexicon: word -> phone sequences, plus the phone alphabet."""
 
-    scheme: str
     entries: dict[str, tuple[tuple[Phone, ...], ...]] = field(default_factory=dict)
 
     @property
@@ -116,7 +115,7 @@ def compile_lexicon(
     if merges is not None:
         check_merges(merges, inv)
         rules_text = f" under merge rules {';'.join(map(str, merges.rules))!r}"
-    lex = PhoneLexicon(scheme=scheme)
+    lex = PhoneLexicon()
     syllable_phones: dict[str, tuple[Phone, ...]] = {}
     for entry in entries:
         seqs: list[tuple[Phone, ...]] = []

@@ -70,7 +70,7 @@ class Syllable:
 
 @dataclass(frozen=True)
 class Phone:
-    """One acoustic-model unit under either scheme.
+    """One acoustic-model unit under either scheme, which its ``kind`` implies.
 
     Initials and onsets are toneless; finals, nuclei and codas carry the
     syllable tone.  ``label`` gives the text encoding used in lexicon and
@@ -79,8 +79,7 @@ class Phone:
     hashing and ``repr`` leave it out, as they would a derived value.
     """
 
-    scheme: str
-    kind: str  # "initial" | "final" | "onset" | "nucleus" | "coda"
+    kind: str  # "initial" | "final" (IF) | "onset" | "nucleus" | "coda" (ONC)
     base: str
     tone: int | None = None
     label: str = field(init=False, compare=False, repr=False)
@@ -89,8 +88,6 @@ class Phone:
     _TONED = ("final", "nucleus", "coda")
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.kind in self._TONELESS:
             if self.tone is not None:
                 raise ValueError(f"{self.kind} phones carry no tone")
@@ -288,8 +285,8 @@ def to_if(syl: Syllable, inv: Inventory) -> tuple[Phone, ...]:
     final = inv.final_for(syl.nucleus, syl.coda)
     phones = []
     if syl.onset is not None:
-        phones.append(Phone(SCHEME_IF, "initial", syl.onset))
-    phones.append(Phone(SCHEME_IF, "final", final, syl.tone))
+        phones.append(Phone("initial", syl.onset))
+    phones.append(Phone("final", final, syl.tone))
     return tuple(phones)
 
 
@@ -297,10 +294,10 @@ def to_onc(syl: Syllable) -> tuple[Phone, ...]:
     """Onset/nucleus/coda phones; nucleus and coda both carry the tone."""
     phones = []
     if syl.onset is not None:
-        phones.append(Phone(SCHEME_ONC, "onset", syl.onset))
-    phones.append(Phone(SCHEME_ONC, "nucleus", syl.nucleus, syl.tone))
+        phones.append(Phone("onset", syl.onset))
+    phones.append(Phone("nucleus", syl.nucleus, syl.tone))
     if syl.coda is not None:
-        phones.append(Phone(SCHEME_ONC, "coda", syl.coda, syl.tone))
+        phones.append(Phone("coda", syl.coda, syl.tone))
     return tuple(phones)
 
 

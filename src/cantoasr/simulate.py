@@ -63,7 +63,7 @@ class SimConfig:
 
 @dataclass
 class StateModel:
-    """Isotropic Gaussian per pdf label, with one shared variance.
+    """Isotropic Gaussian per pdf label, all with the variance ``MODEL_VARIANCE``.
 
     ``labels`` is sorted and row ``i`` of the ``(len(labels), dim)`` array
     ``means`` is the mean of ``labels[i]``; ``index`` maps a label to its row.
@@ -71,7 +71,6 @@ class StateModel:
 
     labels: tuple[str, ...]
     means: np.ndarray
-    variance: float
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -163,7 +162,7 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
                         f"lower noise_sigma"
                     )
                 mat[j] = rngs[j].normal(0.0, cfg.mean_scale, cfg.feature_dim)
-    return StateModel(tuple(labels), mat, MODEL_VARIANCE)
+    return StateModel(tuple(labels), mat)
 
 
 def blend_confusions(
@@ -184,7 +183,7 @@ def blend_confusions(
             if pa not in row or pb not in row:
                 raise SimulationError(f"confusion names unknown label {a!r}/{b!r}")
             means[row[pb]] = p * means[row[pa]] + (1.0 - p) * means[row[pb]]
-    return StateModel(models.labels, means, models.variance)
+    return StateModel(models.labels, means)
 
 
 def simulate_utterance(
@@ -219,7 +218,7 @@ def simulate_utterance(
     feats = np.concatenate(frames, axis=0)
 
     # log N(x; mu, v I) = -d/2 log(2 pi v) - |x - mu|^2 / (2v)
-    v = models.variance
+    v = MODEL_VARIANCE
     d = cfg.feature_dim
     sq = (
         np.sum(feats**2, axis=1)[:, None]

@@ -16,7 +16,7 @@ from cantoasr.ngram import (
     _predictions,
     tokenize_chars,
 )
-from cantoasr.simulate import MODEL_VARIANCE, SimulationError, StateModel
+from cantoasr.simulate import SimulationError, StateModel
 
 
 def enumerate_paths(lat, lm_weight):
@@ -225,7 +225,7 @@ def broadcast_state_models(labels, cfg):
                         f"lower noise_sigma"
                     )
                 mat[j] = rngs[j].normal(0.0, cfg.mean_scale, cfg.feature_dim)
-    return StateModel(tuple(labels), mat, MODEL_VARIANCE)
+    return StateModel(tuple(labels), mat)
 
 
 def true_label_sequence(phone_seq, models, cfg, salt=0):

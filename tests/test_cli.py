@@ -424,6 +424,23 @@ def test_rescore_external_json_writes_minus_inf_as_a_string(tmp_path, capsys):
     assert code == 0 and text_out == "合共九千九百萬元\n"
 
 
+def test_rescore_external_leaves_a_zero_weight_term_out(tmp_path, capsys):
+    # 0 * -inf is nan: at weight 1 the -inf external score must not reach the total
+    ext = tmp_path / "scores.tsv"
+    ext.write_text("合 共 九 千 九 百 萬 元\t-inf\n", encoding="utf-8")
+    lattice = ["--lattice", str(demo_lattice_path()), "--n", "1"]
+    code, out, _ = run(capsys, "--json", "nbest", *lattice)
+    assert code == 0
+    own = strict_json(out)[0]["combined"]
+    argv = ["--json", "rescore", *lattice, "--external", str(ext), "--interpolation"]
+    code, out, _ = run(capsys, *argv, "1.0")
+    assert code == 0
+    assert strict_json(out) == [{"combined": own, "text": "合共九千九百萬元"}] and own == -48.0
+    code, out, _ = run(capsys, *argv, "0.0")
+    assert code == 0
+    assert strict_json(out) == [{"combined": "-inf", "text": "合共九千九百萬元"}]
+
+
 @pytest.mark.parametrize(
     "bad, why",
     [("合 共 九 千 九 百 萬 元\tnan", "NaN or +inf score"), ("合 共 九 千 九 百 萬 元 -2.0", "TAB")],
@@ -479,6 +496,27 @@ def test_experiment_cli_byte_identical(tmp_path, capsys):
     assert (tmp_path / "run1/report.json").read_bytes() == (
         tmp_path / "run2/report.json"
     ).read_bytes()
+
+
+def test_experiment_files_write_an_infinite_beam_as_a_string(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(
+        "num_seeds = 1\nnum_utterances = 2\nwords_per_utterance = 2\n"
+        "beam = inf\nsweep_beams = inf\n",
+        encoding="utf-8",
+    )
+    code, _, err = run(
+        capsys, "--seed", "7", "experiment", "onc-vs-if",
+        "--config", str(cfg), "--out", str(tmp_path / "out"),
+    )
+    assert code == 0, err
+    report, sweep, timing = (
+        strict_json((tmp_path / "out" / name).read_text(encoding="utf-8"))
+        for name in ("report.json", "sweep.json", "timing.json")
+    )
+    assert report["params"]["beam"] == "inf"
+    assert [c["beam"] for cells in sweep.values() for c in cells] == ["inf", "inf"]
+    assert [c["beam"] for cells in timing["sweep"].values() for c in cells] == ["inf", "inf"]
 
 
 def test_experiment_repeated_config_key_is_data_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """No module of the package imports a name that it never uses, or defines
-a function, class or method that nothing in the package or the benchmark reads."""
+a function, class or method that nothing in the package or the benchmark reads;
+and one function writes every JSON text the package prints or saves."""
 
 import ast
 from collections import Counter
@@ -116,3 +117,42 @@ def test_every_definition_is_read():
 @pytest.mark.parametrize("module, name", sorted(ALLOWED_UNREAD))
 def test_allowed_definitions_are_still_unread(module, name):
     assert (module, name) in package_unread()
+
+
+def json_dumps_sites(source: str) -> list[str]:
+    """The innermost function around each ``json.dumps`` (or bare ``dumps``)
+    call in ``source``, ``"<module>"`` for a call outside every function."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Name) and func.id == "dumps") or (
+                isinstance(func, ast.Attribute) and func.attr == "dumps"
+                and isinstance(func.value, ast.Name) and func.value.id == "json"
+            ):
+                sites.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_the_check_finds_every_json_dumps_call():
+    source = (
+        "import json\nfrom json import dumps\nx = json.dumps(1)\n"
+        "def f():\n    def g():\n        return dumps(2)\n    return json.dumps(g())\n"
+    )
+    assert json_dumps_sites(source) == ["<module>", "g", "f"]
+
+
+def test_json_is_written_only_by_the_package_writer():
+    sites = [
+        (path.stem, site)
+        for path in sorted(SRC.glob("*.py"))
+        for site in json_dumps_sites(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == [("__init__", "json_text")]

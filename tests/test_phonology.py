@@ -151,35 +151,35 @@ def test_scheme_consistency(inv):
 
 def test_phone_tone_rules():
     with pytest.raises(ValueError):
-        Phone("if", "initial", "l", 3)
+        Phone("initial", "l", 3)
     with pytest.raises(ValueError):
-        Phone("onc", "nucleus", "aa")
+        Phone("nucleus", "aa")
     with pytest.raises(ValueError):
-        Phone("onc", "coda", "k", 9)
+        Phone("coda", "k", 9)
 
 
 def test_phone_label_is_fixed_at_construction():
     cases = [
-        (("if", "initial", "l"), "l"),
-        (("if", "final", "aak", 1), "aak1"),
-        (("onc", "onset", "gw"), "gw"),
-        (("onc", "nucleus", "aa", 6), "aa6"),
-        (("onc", "coda", "k", 3), "_k3"),
+        (("initial", "l"), "l"),
+        (("final", "aak", 1), "aak1"),
+        (("onset", "gw"), "gw"),
+        (("nucleus", "aa", 6), "aa6"),
+        (("coda", "k", 3), "_k3"),
     ]
     for args, label in cases:
         assert Phone(*args).label == label
-    phone = Phone("onc", "coda", "k", 3)
+    phone = Phone("coda", "k", 3)
     with pytest.raises(FrozenInstanceError):
         phone.label = "_t3"
     assert replace(phone, base="t").label == "_t3"
 
 
 def test_phone_equality_hash_and_repr_leave_the_label_out():
-    phone = Phone("onc", "coda", "k", 3)
-    assert [f.name for f in fields(phone) if f.compare] == ["scheme", "kind", "base", "tone"]
-    assert phone == Phone("onc", "coda", "k", 3) != Phone("onc", "coda", "k", 4)
-    assert hash(phone) == hash(("onc", "coda", "k", 3))
-    assert repr(phone) == "Phone(scheme='onc', kind='coda', base='k', tone=3)"
+    phone = Phone("coda", "k", 3)
+    assert [f.name for f in fields(phone) if f.compare] == ["kind", "base", "tone"]
+    assert phone == Phone("coda", "k", 3) != Phone("coda", "k", 4)
+    assert hash(phone) == hash(("coda", "k", 3))
+    assert repr(phone) == "Phone(kind='coda', base='k', tone=3)"
 
 
 def test_apply_merge(inv):
@@ -232,14 +232,14 @@ def test_tone_range():
 def test_phone_cardinality_bound(inv):
     # distinct if phones over all (final, tone) pairs vs onc phones
     if_phones = {
-        Phone("if", "final", f, t).label for f in inv.finals for t in range(1, 7)
+        Phone("final", f, t).label for f in inv.finals for t in range(1, 7)
     }
     onc_phones = set()
     for f, (nuc, coda) in inv.finals.items():
         for t in range(1, 7):
-            onc_phones.add(Phone("onc", "nucleus", nuc, t).label)
+            onc_phones.add(Phone("nucleus", nuc, t).label)
             if coda:
-                onc_phones.add(Phone("onc", "coda", coda, t).label)
+                onc_phones.add(Phone("coda", coda, t).label)
     assert len(if_phones) <= 53 * 6
     assert len(onc_phones) <= (15 + 9) * 6
     assert len(onc_phones) < len(if_phones)

@@ -10,6 +10,7 @@ from cantoasr.ngram import read_corpus, train_ngram
 from cantoasr.phonology import default_inventory
 from cantoasr.simulate import (
     MAX_FRAMES_PER_STATE,
+    MODEL_VARIANCE,
     SimConfig,
     SimulationError,
     _close_pairs,
@@ -293,7 +294,7 @@ def test_noiseless_scores_are_mean_distances():
     labels = list(models.labels)
     true_means = models.means[[labels.index(lab) for lab in truth]]
     col_means = models.means[[labels.index(lab) for lab in scorer.labels]]
-    v, d = models.variance, cfg.feature_dim
+    v, d = MODEL_VARIANCE, cfg.feature_dim
     sq = np.sum((true_means[:, None, :] - col_means[None, :, :]) ** 2, axis=2)
     expected = -d / 2 * np.log(2 * np.pi * v) - sq / (2 * v)
     np.testing.assert_allclose(scorer.matrix, expected, rtol=0, atol=1e-9)
