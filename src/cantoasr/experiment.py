@@ -275,7 +275,6 @@ class SchemeSystem:
     lex: object
     graph: object
     models: object
-    sim_cfg: SimConfig
 
 
 def _build_systems(entries, inv, lm, cfg: ExperimentConfig) -> dict[str, SchemeSystem]:
@@ -297,8 +296,7 @@ def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSyst
     the confusion weights from those means and blend."""
     lex = compile_lexicon(entries, scheme, inv)
     graph = build_graph(lex, lm)
-    sim_cfg = cfg.sim_config()
-    separated = build_state_models(set(graph.pdf_labels), sim_cfg)
+    separated = build_state_models(set(graph.pdf_labels), cfg.sim_config())
     confusion = derive_confusions(
         inv,
         scheme,
@@ -309,7 +307,7 @@ def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSyst
         # the expected distance of two independent means
         reference_distance=cfg.mean_scale * math.sqrt(2.0 * cfg.feature_dim),
     )
-    return SchemeSystem(lex, graph, blend_confusions(separated, confusion), sim_cfg)
+    return SchemeSystem(lex, graph, blend_confusions(separated, confusion))
 
 
 def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[tuple[str, ...]]:
@@ -322,7 +320,7 @@ def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[t
 
 
 def _simulate(
-    system: SchemeSystem, texts: list[tuple[str, ...]], first_salt: int
+    system: SchemeSystem, texts: list[tuple[str, ...]], sim_cfg: SimConfig, first_salt: int
 ) -> Iterator[MatrixScorer]:
     """Yield one simulated scorer per text; text ``i`` is salted ``first_salt + i``.
 
@@ -334,9 +332,19 @@ def _simulate(
         yield simulate_utterance(
             [p.label for w in text for p in system.lex.entries[w][0]],
             system.models,
-            system.sim_cfg,
+            sim_cfg,
             first_salt + i,
         )
+
+
+def _report_path(path: Path) -> str:
+    """``path`` relative to the package directory when it lies inside it, else
+    as given, so the bundled data files read the same from every checkout."""
+    package = Path(__file__).resolve().parent
+    resolved = Path(path).resolve()
+    if resolved.is_relative_to(package):
+        return resolved.relative_to(package).as_posix()
+    return str(path)
 
 
 def _relative_improvement(wer_if, wer_onc) -> float:
@@ -361,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     lm = train_ngram(corpus, order=2, smoothing="witten_bell")
 
     systems = _build_systems(entries, inv, lm, cfg)
-    params = cfg.decode_params()
+    sim_cfg, params = cfg.sim_config(), cfg.decode_params()
     words = [e.word for e in entries]
 
     per_seed = []
@@ -380,7 +388,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             # streamed: batch_decode asks for each scorer when it is ready to
             # decode it, so a seed holds one utterance's scores at a time
             batch = batch_decode(
-                system.graph, _simulate(system, texts, seed_idx * 1_000_000), params
+                system.graph, _simulate(system, texts, sim_cfg, seed_idx * 1_000_000), params
             )
             hyps = [
                 r.hypothesis.text if r.hypothesis is not None else ""
@@ -416,7 +424,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         # left out: out_dir, so that reports written to two places compare equal,
         # and the sweep grids, whose results go to sweep.json
         "params": {
-            k: str(v) if isinstance(v, Path) else v
+            k: _report_path(v) if isinstance(v, Path) else v
             for k, v in vars(cfg).items()
             if k not in ("out_dir", "sweep_beams", "sweep_max_actives")
         },
@@ -481,7 +489,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             cells = sweep(
                 system.graph,
                 # a list: the sweep decodes each scorer once per grid cell
-                list(_simulate(system, texts, 9_000_000)),
+                list(_simulate(system, texts, sim_cfg, 9_000_000)),
                 beams,
                 actives,
                 ["".join(t) for t in texts],

@@ -2,11 +2,14 @@
 
 Stands in for a real acoustic front-end and emission model: every HMM
 state gets a deterministic seed-derived mean vector, one row of a single
-means matrix in sorted label order, utterances sample a duration per state
-and draw noisy feature vectors, and the scorer's columns, in the same
-order, hold the Gaussian log density of each drawn frame under every
-state's model.  Scoring uses a fixed model variance so the zero-noise case
-stays well-defined; ``noise_sigma`` only controls the generation noise.
+means matrix in sorted label order.  ``draw_frames`` samples a duration per
+state and draws an utterance's noisy feature vectors; ``score_frames`` gives
+a scorer whose columns, in the same order, hold the Gaussian log density of
+each frame under every state's model.  The two halves need not share the
+models: frames drawn from one ``StateModel`` can be scored under another.
+``simulate_utterance`` is the two with one model.  Scoring uses a fixed
+model variance so the zero-noise case stays well-defined; ``noise_sigma``
+only controls the generation noise.
 
 The state models are made in two steps.  ``build_state_models`` draws
 every pdf's mean and keeps every pair apart; ``blend_confusions`` then
@@ -28,6 +31,8 @@ MODEL_VARIANCE = 1.0
 SCREEN_BLOCK_ROWS = 32
 # the largest duration an HMM state may draw: 10 s at the 10 ms frame shift
 MAX_FRAMES_PER_STATE = 1000
+# the largest feature dimension: every label's mean and every frame holds this many floats
+MAX_FEATURE_DIM = 1000
 
 
 class SimulationError(DataError):
@@ -55,8 +60,10 @@ class SimConfig:
             raise SimulationError(f"seed must be >= 0, got {self.seed}")
         if not self.noise_sigma >= 0:
             raise SimulationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not self.feature_dim >= 1:
-            raise SimulationError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
+            raise SimulationError(
+                f"feature_dim must be in [1, {MAX_FEATURE_DIM}], got {self.feature_dim}"
+            )
         if not 0 < self.mean_scale < np.inf:
             raise SimulationError(f"mean_scale must be positive and finite, got {self.mean_scale}")
 
@@ -186,18 +193,14 @@ def blend_confusions(
     return StateModel(models.labels, means)
 
 
-def simulate_utterance(
-    phone_seq: list[str] | tuple[str, ...],
-    models: StateModel,
-    cfg: SimConfig,
-    salt: int = 0,
-) -> MatrixScorer:
-    """Sample one utterance for ``phone_seq`` (phone labels, in order).
+def draw_frames(
+    phone_seq: list[str] | tuple[str, ...], models: StateModel, cfg: SimConfig, salt: int = 0
+) -> np.ndarray:
+    """The ``(frames, feature_dim)`` features of one utterance of ``phone_seq``
+    (phone labels, in order), drawn from ``models``.
 
     Each of a phone's three HMM states gets a uniform duration from
     ``frames_per_state``; each frame is the state mean plus isotropic noise.
-    The returned scorer covers every label in ``models`` and carries the
-    10 ms-per-frame audio-duration annotation.
     """
     if not salt >= 0:
         raise SimulationError(f"salt must be >= 0, got {salt}")
@@ -215,16 +218,30 @@ def simulate_utterance(
             frames.append(mean_mat[row] + cfg.noise_sigma * noise)
     if not frames:
         raise SimulationError("empty phone sequence")
-    feats = np.concatenate(frames, axis=0)
+    return np.concatenate(frames, axis=0)
 
+
+def score_frames(frames: np.ndarray, models: StateModel) -> MatrixScorer:
+    """The log density of every row of ``frames`` under every label in ``models``.
+
+    The scorer's columns are ``models.labels`` and it carries the
+    10 ms-per-frame audio-duration annotation.
+    """
     # log N(x; mu, v I) = -d/2 log(2 pi v) - |x - mu|^2 / (2v)
     v = MODEL_VARIANCE
-    d = cfg.feature_dim
+    d = frames.shape[1]
+    mean_mat = models.means
     sq = (
-        np.sum(feats**2, axis=1)[:, None]
-        - 2.0 * feats @ mean_mat.T
+        np.sum(frames**2, axis=1)[:, None]
+        - 2.0 * frames @ mean_mat.T
         + np.sum(mean_mat**2, axis=1)[None, :]
     )
     matrix = -0.5 * d * np.log(2.0 * np.pi * v) - sq / (2.0 * v)
     return MatrixScorer(matrix, models.labels)
 
+
+def simulate_utterance(
+    phone_seq: list[str] | tuple[str, ...], models: StateModel, cfg: SimConfig, salt: int = 0
+) -> MatrixScorer:
+    """One utterance of ``phone_seq`` drawn from ``models`` and scored under them."""
+    return score_frames(draw_frames(phone_seq, models, cfg, salt), models)

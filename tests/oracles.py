@@ -16,7 +16,7 @@ from cantoasr.ngram import (
     _predictions,
     tokenize_chars,
 )
-from cantoasr.simulate import SimulationError, StateModel
+from cantoasr.simulate import MODEL_VARIANCE, SimConfig, SimulationError, StateModel
 
 
 def enumerate_paths(lat, lm_weight):
@@ -229,8 +229,8 @@ def broadcast_state_models(labels, cfg):
 
 
 def true_label_sequence(phone_seq, models, cfg, salt=0):
-    """The generating pdf label of every frame ``simulate.simulate_utterance``
-    draws, re-derived from its draw protocol.
+    """The generating pdf label of every frame ``simulate.draw_frames`` draws,
+    re-derived from its draw protocol.
 
     One generator on ``SeedSequence((seed, 1, salt))``; for each HMM state
     of each phone in turn (``pdf_labels_for``), one ``integers(lo, hi + 1)``
@@ -246,6 +246,46 @@ def true_label_sequence(phone_seq, models, cfg, salt=0):
             rng.standard_normal((duration, cfg.feature_dim))
             labels += [pdf] * duration
     return labels
+
+
+def fused_simulate_utterance(
+    phone_seq: list[str] | tuple[str, ...],
+    models: StateModel,
+    cfg: SimConfig,
+    salt: int = 0,
+) -> MatrixScorer:
+    """``simulate.simulate_utterance`` as one function that draws the frames
+    and scores them against the same models, before it was split into
+    ``draw_frames`` and ``score_frames``; kept verbatim as their reference.
+    """
+    if not salt >= 0:
+        raise SimulationError(f"salt must be >= 0, got {salt}")
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
+    lo, hi = cfg.frames_per_state
+    mean_mat = models.means
+    frames = []
+    for phone in phone_seq:
+        for pdf in pdf_labels_for(phone):
+            row = models.index.get(pdf)
+            if row is None:
+                raise SimulationError(f"phone {phone!r} has no model for {pdf!r}")
+            duration = int(rng.integers(lo, hi + 1))
+            noise = rng.standard_normal((duration, cfg.feature_dim))
+            frames.append(mean_mat[row] + cfg.noise_sigma * noise)
+    if not frames:
+        raise SimulationError("empty phone sequence")
+    feats = np.concatenate(frames, axis=0)
+
+    # log N(x; mu, v I) = -d/2 log(2 pi v) - |x - mu|^2 / (2v)
+    v = MODEL_VARIANCE
+    d = cfg.feature_dim
+    sq = (
+        np.sum(feats**2, axis=1)[:, None]
+        - 2.0 * feats @ mean_mat.T
+        + np.sum(mean_mat**2, axis=1)[None, :]
+    )
+    matrix = -0.5 * d * np.log(2.0 * np.pi * v) - sq / (2.0 * v)
+    return MatrixScorer(matrix, models.labels)
 
 
 def counting_train_ngram(corpus, order, smoothing="witten_bell"):

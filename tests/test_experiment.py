@@ -3,7 +3,7 @@ import json
 import math
 import shutil
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +262,7 @@ def test_bad_settings_are_rejected_before_any_work(tmp_path, key, text, value):
         ("mean_scale", "nan"),
         ("mean_scale", "inf"),
         ("feature_dim", "0"),
+        ("feature_dim", "1000000000000"),
         ("words_per_utterance", "0"),
         ("seed", "-1"),
     ],
@@ -278,7 +279,15 @@ def test_report_params_are_the_settings(tmp_path):
     params = run_experiment(cfg)["params"]
     left_out = {"out_dir", "sweep_beams", "sweep_max_actives"}
     assert set(params) == {f.name for f in fields(ExperimentConfig)} - left_out
-    assert params["lexicon"] == str(cfg.lexicon)
+    # the bundled files read the same from every checkout
+    assert params["lexicon"] == "data/demo_lexicon.txt"
+    assert params["corpus"] == "data/demo_corpus.txt"
+    # a file outside the package is recorded as given
+    lexicon = tmp_path / "lexicon.txt"
+    shutil.copy(cfg.lexicon, lexicon)
+    params = run_experiment(replace(cfg, lexicon=lexicon))["params"]
+    assert params["lexicon"] == str(lexicon)
+    assert params["corpus"] == "data/demo_corpus.txt"
 
 
 def test_run_experiment_report_shape(tmp_path):

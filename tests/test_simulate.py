@@ -1,14 +1,17 @@
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cantoasr import experiment
 from cantoasr.decoder import DecodeParams, decode, build_graph
 from cantoasr.lexicon import LexiconEntry, compile_lexicon, demo_lexicon_path, read_lexicon
 from cantoasr.ngram import read_corpus, train_ngram
 from cantoasr.phonology import default_inventory
 from cantoasr.simulate import (
+    MAX_FEATURE_DIM,
     MAX_FRAMES_PER_STATE,
     MODEL_VARIANCE,
     SimConfig,
@@ -17,10 +20,12 @@ from cantoasr.simulate import (
     _label_rng,
     blend_confusions,
     build_state_models,
+    draw_frames,
+    score_frames,
     simulate_utterance,
 )
 
-from oracles import broadcast_state_models, true_label_sequence
+from oracles import broadcast_state_models, fused_simulate_utterance, true_label_sequence
 
 LABELS = {"aa1", "_k3", "_t3", "b"}
 
@@ -259,6 +264,75 @@ def test_state_models_equal_the_broadcast_reference_on_the_demo_labels(
     assert built >= 10 and failed > 0
 
 
+@pytest.fixture(scope="module")
+def demo_systems(tmp_path_factory):
+    """The demo experiment's config, both schemes' systems and its first seed's texts."""
+    cfg = experiment.load_experiment_config(
+        demo_lexicon_path().parent / "demo_experiment.cfg",
+        out_dir=tmp_path_factory.mktemp("demo"),
+    )
+    entries = read_lexicon(cfg.lexicon)
+    lm = train_ngram(read_corpus(cfg.corpus), 2, smoothing="witten_bell")
+    systems = experiment._build_systems(entries, default_inventory(), lm, cfg)
+    texts = experiment._draw_texts([e.word for e in entries], cfg, 2, 0)
+    return cfg, systems, texts
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.6])
+@pytest.mark.parametrize("scheme", ["if", "onc"])
+def test_drawn_then_scored_equals_the_fused_simulator(demo_systems, scheme, noise_sigma):
+    cfg, systems, texts = demo_systems
+    assert cfg.noise_sigma == 0.6
+    sim_cfg = replace(cfg.sim_config(), noise_sigma=noise_sigma)
+    system = systems[scheme]
+    for i, text in enumerate(texts):
+        phones = [p.label for w in text for p in system.lex.entries[w][0]]
+        for salt in (i, 1_000_000 + i, 9_000_000 + i, 2**40 + i):
+            split = score_frames(draw_frames(phones, system.models, sim_cfg, salt), system.models)
+            fused = fused_simulate_utterance(phones, system.models, sim_cfg, salt)
+            assert split.labels == fused.labels
+            assert split.matrix.tobytes() == fused.matrix.tobytes()
+            assert split.audio_seconds == fused.audio_seconds
+
+
+def test_draw_frames_raises_what_the_fused_simulator_raises():
+    cfg = SimConfig(seed=4)
+    models = build_state_models(pdfs(LABELS), cfg)
+    for seq, salt in ((["b", "aa1"], -1), (["zz9"], 0), ([], 0)):
+        with pytest.raises(SimulationError) as expected:
+            fused_simulate_utterance(seq, models, cfg, salt)
+        with pytest.raises(SimulationError) as raised:
+            draw_frames(seq, models, cfg, salt)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_frames_drawn_from_one_model_scored_under_another():
+    cfg = SimConfig(seed=9, noise_sigma=0.4)
+    drawn_from = build_state_models(pdfs(LABELS), cfg)
+    scored_by = build_state_models(pdfs({"aa1", "_k3", "m", "ng"}), replace(cfg, seed=21))
+    assert scored_by.labels != drawn_from.labels
+    frames = draw_frames(["b", "aa1", "_t3"], drawn_from, cfg, salt=3)
+    scorer = score_frames(frames, scored_by)
+    assert scorer.labels == scored_by.labels
+    assert scorer.num_frames() == len(frames)
+    v, d = MODEL_VARIANCE, frames.shape[1]
+    sq = np.sum((frames[:, None, :] - scored_by.means[None, :, :]) ** 2, axis=2)
+    expected = -d / 2 * np.log(2 * np.pi * v) - sq / (2 * v)
+    np.testing.assert_allclose(scorer.matrix, expected, rtol=0, atol=1e-9)
+    # the same frames under the model they were drawn from score differently
+    assert not np.array_equal(score_frames(frames, drawn_from).matrix, scorer.matrix)
+
+
+def test_noiseless_frames_are_the_generating_means():
+    cfg = SimConfig(seed=9, noise_sigma=0.0)
+    models = blend_confusions(build_state_models(pdfs(LABELS), cfg), (("_k3", "_t3", 0.5),))
+    for salt, seq in enumerate((["b", "aa1", "_k3"], ["_t3"], ["aa1", "b", "_t3", "_k3"])):
+        frames = draw_frames(seq, models, cfg, salt)
+        truth = true_label_sequence(seq, models, cfg, salt)
+        rows = [models.index[lab] for lab in truth]
+        assert frames.tobytes() == models.means[rows].tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
 def test_label_stream_equals_default_rng_on_the_seed_tuple(seed):
     for lab in ["aa1#0", "_k3#2", "b", "香港", "é#1", ""]:
@@ -347,6 +421,11 @@ def test_bad_config_rejected():
     with pytest.raises(SimulationError, match="frames_per_state"):
         SimConfig(seed=1, frames_per_state=(1, 2**63 - 2))
     assert SimConfig(seed=1, frames_per_state=(1, 1000)).frames_per_state[1] == MAX_FRAMES_PER_STATE
+    # constructed only: a model build at such a dimension would draw that many floats a label
+    assert SimConfig(seed=1, feature_dim=1000).feature_dim == MAX_FEATURE_DIM
+    for dim in (MAX_FEATURE_DIM + 1, 10**12):
+        with pytest.raises(SimulationError, match="feature_dim"):
+            SimConfig(seed=1, feature_dim=dim)
     models = build_state_models(pdfs(LABELS), SimConfig(seed=1))
     with pytest.raises(SimulationError, match="must differ"):
         blend_confusions(models, (("_k3", "_k3", 0.5),))
