@@ -12,7 +12,7 @@ over total reference length).
 from dataclasses import dataclass, replace
 
 from . import DataError
-from .decoder import DecodeParams, batch_decode
+from .decoder import BatchResult, DecodeParams, batch_decode
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,11 @@ def wer(ref: str | list[str], hyp: str | list[str]) -> WerResult:
     deletions = insdel - insertions
     substitutions = edits - insdel
     return WerResult(substitutions, insertions, deletions, n)
+
+
+def hypothesis_texts(batch: BatchResult) -> list[str]:
+    """Each utterance's text, in order; a failed decode scores as the empty hypothesis."""
+    return [r.hypothesis.text if r.hypothesis is not None else "" for r in batch.results]
 
 
 def corpus_wer(pairs: list[tuple]) -> WerResult:
@@ -211,8 +216,8 @@ def sweep(
 ) -> list[SweepCell]:
     """One batch decode per (beam, max_active) grid point, ``params`` at that point.
 
-    ``refs[i]`` is the reference of ``scorers[i]``.  An utterance that fails
-    to decode scores as an empty hypothesis.  Rows come back sorted by
+    ``refs[i]`` is the reference of ``scorers[i]``; each cell scores
+    ``hypothesis_texts`` of its batch.  Rows come back sorted by
     (beam, max_active).
     """
     if not beams or not max_actives:
@@ -223,10 +228,7 @@ def sweep(
     for beam in sorted(beams):
         for max_active in sorted(max_actives):
             batch = batch_decode(graph, scorers, replace(params, beam=beam, max_active=max_active))
-            pairs = []
-            for ref, result in zip(refs, batch.results):
-                hyp = result.hypothesis.text if result.hypothesis else ""
-                pairs.append((ref, hyp))
+            pairs = list(zip(refs, hypothesis_texts(batch)))
             expanded = sum(r.stats.tokens_expanded for r in batch.results if r.stats)
             cells.append(SweepCell(beam, max_active, corpus_wer(pairs), batch.rtf, expanded))
     return cells

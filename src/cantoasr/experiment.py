@@ -2,9 +2,12 @@
 
 The runner builds an initial/final system and an onset/nucleus/coda system
 from the same word list and the same character bigram LM, injects the
-configured coda-merge confusion into both acoustic simulators, decodes a
-shared utterance set under both schemes across a battery of seeds, and
-reports per-seed and pooled error rates, sentence-level error
+configured coda-merge confusion into both acoustic simulators, and decodes a
+shared utterance set under both schemes across a battery of seeds.  The seed
+loop only decodes and records: one table row per utterance, its reference
+and each scheme's hypothesis text (empty where the decode failed), plus the
+wall, audio and failure sums.  Every reported number is computed from that
+table after the loop: per-seed and pooled error rates, sentence-level error
 classification, and timing.  Each scheme's state models are built once:
 every pair of means is separated, each confused pair's blend weight is
 derived from its distance in those separated means, and the blend is
@@ -57,6 +60,7 @@ from .evaluate import (
     format_classification,
     format_sweep_table,
     format_wer_table,
+    hypothesis_texts,
     sweep,
     wer,
 )
@@ -66,6 +70,11 @@ from .phonology import SCHEME_IF, SCHEME_ONC, JyutpingError, MergeRuleSet, defau
 from .simulate import SimConfig, blend_confusions, build_state_models, simulate_utterance
 
 log = logging.getLogger(__name__)
+
+# the most words one utterance may draw
+MAX_WORDS_PER_UTTERANCE = 1000
+# the most utterances one run may decode (num_seeds * num_utterances)
+MAX_UTTERANCES = 1_000_000
 
 
 class ExperimentError(DataError):
@@ -112,8 +121,17 @@ class ExperimentConfig:
                 raise ExperimentError(f"referenced path does not exist: {path}")
         if self.num_seeds < 1 or self.num_utterances < 1:
             raise ExperimentError("num_seeds and num_utterances must be >= 1")
-        if self.words_per_utterance < 1:
-            raise ExperimentError("words_per_utterance must be >= 1")
+        # the run's table holds a reference and two hypotheses per utterance
+        if self.num_seeds * self.num_utterances > MAX_UTTERANCES:
+            raise ExperimentError(
+                f"num_seeds * num_utterances must be <= {MAX_UTTERANCES}, "
+                f"got {self.num_seeds * self.num_utterances}"
+            )
+        if not 1 <= self.words_per_utterance <= MAX_WORDS_PER_UTTERANCE:
+            raise ExperimentError(
+                f"words_per_utterance must be in [1, {MAX_WORDS_PER_UTTERANCE}], "
+                f"got {self.words_per_utterance}"
+            )
         if not 0.0 <= self.confusion_p <= 1.0:
             raise ExperimentError("confusion_p must be in [0, 1]")
         if not 0.0 <= self.base_similarity < 1.0:
@@ -372,36 +390,36 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     sim_cfg, params = cfg.sim_config(), cfg.decode_params()
     words = [e.word for e in entries]
 
-    per_seed = []
-    pooled = {s: WerResult(0, 0, 0, 0) for s in systems}
-    refs_all: list[str] = []
-    hyps_all: dict[str, list[str]] = {SCHEME_IF: [], SCHEME_ONC: []}
-    # wall and audio seconds of every batch, pooled per scheme
+    # the table: each utterance's reference and hypotheses, in seed order
+    refs: list[str] = []
+    hyps: dict[str, list[str]] = {s: [] for s in systems}
     timing = {s: BatchResult() for s in systems}
     failures = {s: 0 for s in systems}
 
     for seed_idx in range(cfg.num_seeds):
         texts = _draw_texts(words, cfg, 2, seed_idx)
-        refs = ["".join(t) for t in texts]
-        seed_rows = {}
+        refs.extend("".join(t) for t in texts)
         for scheme, system in systems.items():
             # streamed: batch_decode asks for each scorer when it is ready to
             # decode it, so a seed holds one utterance's scores at a time
             batch = batch_decode(
                 system.graph, _simulate(system, texts, sim_cfg, seed_idx * 1_000_000), params
             )
-            hyps = [
-                r.hypothesis.text if r.hypothesis is not None else ""
-                for r in batch.results
-            ]
+            hyps[scheme].extend(hypothesis_texts(batch))
             failures[scheme] += len(batch.failures)
-            hyps_all[scheme].extend(hyps)
-            seed_rows[scheme] = corpus_wer(list(zip(refs, hyps)))
-            pooled[scheme] += seed_rows[scheme]
             timing[scheme].wall_seconds += batch.wall_seconds
             timing[scheme].audio_seconds += batch.audio_seconds
-        refs_all.extend(refs)
-        wer_if, wer_onc = seed_rows[SCHEME_IF], seed_rows[SCHEME_ONC]
+
+    # every reported number comes from the table; seed k is its k-th slice of n
+    n = cfg.num_utterances
+    seed_wers = {
+        s: [corpus_wer(list(zip(refs[i : i + n], h[i : i + n]))) for i in range(0, len(refs), n)]
+        for s, h in hyps.items()
+    }
+    pooled = {s: sum(rows, WerResult(0, 0, 0, 0)) for s, rows in seed_wers.items()}
+    pairs = list(zip(seed_wers[SCHEME_IF], seed_wers[SCHEME_ONC]))
+    per_seed = []
+    for seed_idx, (wer_if, wer_onc) in enumerate(pairs):
         per_seed.append(
             {
                 "seed_index": seed_idx,
@@ -410,14 +428,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 "relative_improvement": _relative_improvement(wer_if, wer_onc),
             }
         )
-        log.info(
-            "seed %d: if %s onc %s", seed_idx, wer_if.percent, wer_onc.percent
-        )
-
-    onc_better = sum(
-        1 for row in per_seed if row["wer_onc"]["rate"] < row["wer_if"]["rate"]
-    )
-    classification = classify_errors(refs_all, hyps_all[SCHEME_IF], hyps_all[SCHEME_ONC])
+        log.info("seed %d: if %s onc %s", seed_idx, wer_if.percent, wer_onc.percent)
+    onc_better = sum(wer_onc.rate < wer_if.rate for wer_if, wer_onc in pairs)
+    classification = classify_errors(refs, hyps[SCHEME_IF], hyps[SCHEME_ONC])
     mean_rel = sum(r["relative_improvement"] for r in per_seed) / len(per_seed)
 
     report = {

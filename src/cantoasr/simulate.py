@@ -201,9 +201,15 @@ def draw_frames(
 
     Each of a phone's three HMM states gets a uniform duration from
     ``frames_per_state``; each frame is the state mean plus isotropic noise.
+    ``cfg.feature_dim`` must be the models' dimension.
     """
     if not salt >= 0:
         raise SimulationError(f"salt must be >= 0, got {salt}")
+    if cfg.feature_dim != models.means.shape[1]:
+        raise SimulationError(
+            f"feature_dim {cfg.feature_dim} does not match the models' dimension "
+            f"{models.means.shape[1]}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, salt)))
     lo, hi = cfg.frames_per_state
     mean_mat = models.means

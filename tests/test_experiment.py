@@ -264,6 +264,8 @@ def test_bad_settings_are_rejected_before_any_work(tmp_path, key, text, value):
         ("feature_dim", "0"),
         ("feature_dim", "1000000000000"),
         ("words_per_utterance", "0"),
+        ("words_per_utterance", "1000000000000"),
+        ("num_utterances", "1000000000000"),
         ("seed", "-1"),
     ],
 )
@@ -321,6 +323,52 @@ def test_run_experiment_deterministic_report(tmp_path):
     ).read_bytes()
 
 
+# the report of the demo settings at 2 seeds x 8 utterances x 4 words: a
+# change to how the run counts its errors must keep every one of these numbers
+PINNED = {
+    "per_seed": [
+        {
+            "seed_index": 0,
+            "wer_if": {"S": 1, "I": 0, "D": 0, "N": 48, "rate": 0.020833333333333332},
+            "wer_onc": {"S": 1, "I": 0, "D": 0, "N": 48, "rate": 0.020833333333333332},
+            "relative_improvement": 0.0,
+        },
+        {
+            "seed_index": 1,
+            "wer_if": {"S": 0, "I": 0, "D": 0, "N": 45, "rate": 0.0},
+            "wer_onc": {"S": 0, "I": 0, "D": 0, "N": 45, "rate": 0.0},
+            "relative_improvement": 0.0,
+        },
+    ],
+    "aggregate": {
+        "wer_if": {"S": 1, "I": 0, "D": 0, "N": 93, "rate": 0.010752688172043012},
+        "wer_onc": {"S": 1, "I": 0, "D": 0, "N": 93, "rate": 0.010752688172043012},
+        "onc_better_seeds": 0,
+        "num_seeds": 2,
+        "onc_better_fraction": 0.0,
+        "mean_relative_improvement": 0.0,
+        "relative_improvement_pooled": 0.0,
+        "decode_failures": {"if": 0, "onc": 0},
+    },
+    "classification": {
+        "correct_a": 15,
+        "correct_b": 15,
+        "errors_a_only": 0,
+        "errors_b_only": 0,
+        "shared_errors": 1,
+        "shared_identical": 1,
+        "shared_different": 0,
+    },
+}
+
+
+def test_small_demo_report_is_pinned(tmp_path):
+    cfg = load_experiment_config(DEMO_CFG, out_dir=tmp_path)
+    assert cfg.seed == 7
+    report = run_experiment(replace(cfg, num_seeds=2, num_utterances=8, words_per_utterance=4))
+    assert {k: report[k] for k in PINNED} == PINNED
+
+
 def test_noiseless_zero_confusion_is_exact(tmp_path):
     cfg = small_config(
         tmp_path / "clean", confusion_p=0.0, noise_sigma=0.0, num_seeds=1,
@@ -330,6 +378,28 @@ def test_noiseless_zero_confusion_is_exact(tmp_path):
     agg = report["aggregate"]
     assert agg["wer_if"]["rate"] == 0.0
     assert agg["wer_onc"]["rate"] == 0.0
+
+
+def test_every_failed_decode_scores_as_the_empty_hypothesis(tmp_path):
+    # a cap of one token never lets a word end survive to the final frame
+    cfg = small_config(tmp_path / "out", max_active=1)
+    report = run_experiment(cfg)
+    agg = report["aggregate"]
+    utterances = cfg.num_seeds * cfg.num_utterances
+    assert agg["decode_failures"] == {"if": utterances, "onc": utterances}
+    for key in ("wer_if", "wer_onc"):
+        pooled = agg[key]
+        assert pooled["S"] == pooled["I"] == 0
+        assert pooled["D"] == pooled["N"] > 0
+    assert report["classification"] == {
+        "correct_a": 0,
+        "correct_b": 0,
+        "errors_a_only": 0,
+        "errors_b_only": 0,
+        "shared_errors": utterances,
+        "shared_identical": utterances,
+        "shared_different": 0,
+    }
 
 
 def test_sweep_grids_written(tmp_path):

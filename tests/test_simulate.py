@@ -306,6 +306,17 @@ def test_draw_frames_raises_what_the_fused_simulator_raises():
         assert str(raised.value) == str(expected.value)
 
 
+# unchecked, 1 would broadcast one noise value across the models' four
+# dimensions, and 3 would raise numpy's shape error, which is no DataError
+@pytest.mark.parametrize("feature_dim", [1, 3])
+def test_draw_frames_rejects_a_dimension_the_models_lack(feature_dim):
+    cfg = SimConfig(seed=4, feature_dim=4)
+    models = build_state_models(pdfs(LABELS), cfg)
+    with pytest.raises(SimulationError, match=f"feature_dim {feature_dim} "):
+        draw_frames(["b", "aa1"], models, replace(cfg, feature_dim=feature_dim))
+    assert draw_frames(["b", "aa1"], models, cfg).shape[1] == 4
+
+
 def test_frames_drawn_from_one_model_scored_under_another():
     cfg = SimConfig(seed=9, noise_sigma=0.4)
     drawn_from = build_state_models(pdfs(LABELS), cfg)
