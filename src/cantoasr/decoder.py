@@ -204,9 +204,14 @@ def read_scores(path: str | Path) -> MatrixScorer:
             raise ScoreFormatError(f"{path}: truncated FSCR header")
         frames, n_labels = struct.unpack("<II", header)
         # a header can declare more than the file holds; reading that would allocate it first
-        if os.fstat(fh.fileno()).st_size - fh.tell() < frames * n_labels * 4:
+        held, wanted = os.fstat(fh.fileno()).st_size - fh.tell(), frames * n_labels * 4
+        if held < wanted:
             raise ScoreFormatError(f"{path}: truncated score matrix")
-        data = np.frombuffer(fh.read(frames * n_labels * 4), dtype="<f4")
+        if held > wanted:
+            raise ScoreFormatError(
+                f"{path}: {held - wanted} bytes after the {frames}x{n_labels} score matrix"
+            )
+        data = np.frombuffer(fh.read(wanted), dtype="<f4")
     sidecar = Path(str(path) + ".labels")
     if not sidecar.exists():
         raise ScoreFormatError(f"{path}: no {sidecar.name} sidecar")

@@ -35,6 +35,7 @@ across repeated runs with the same seed.
 
 import logging
 import math
+import os
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
@@ -117,7 +118,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check every setting, each with the class that uses it, before any work."""
         for path in (self.lexicon, self.corpus):
-            if not Path(path).exists():
+            if not os.path.exists(path):  # unlike Path.exists, False for a NUL byte
                 raise ExperimentError(f"referenced path does not exist: {path}")
         if self.num_seeds < 1 or self.num_utterances < 1:
             raise ExperimentError("num_seeds and num_utterances must be >= 1")
@@ -150,6 +151,8 @@ class ExperimentConfig:
 
 def convert(kind, value: str):
     """A config-file value as the field type ``kind``."""
+    if kind is Path and "\0" in value:
+        raise ValueError("a path cannot hold a NUL byte")
     if get_origin(kind) is not tuple:
         return kind(value)
     item, rest = get_args(kind)

@@ -16,6 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import DataError, open_text
 from .ngram import SOS, NGramModel, tokenize_chars
@@ -28,8 +29,7 @@ class LatticeFormatError(DataError):
     pass
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     src: int
     dst: int
     word: str | None  # None is an epsilon arc
@@ -37,12 +37,13 @@ class Arc:
     lm: float
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     """A word sequence with its score breakdown.
 
     ``nodes`` is the lattice node path when the hypothesis came from a
-    lattice search; decoder tracebacks leave it unset.
+    lattice search; decoder tracebacks leave it unset.  Like ``Arc`` it is
+    an immutable named tuple: it compares, hashes and unpacks as the tuple
+    of its fields.
     """
 
     words: tuple[str, ...]
@@ -169,7 +170,8 @@ def nbest(
     is 0 the key is that score, and at a final node with a better
     continuation the path is pushed again as a closed entry keyed by it.
     Each word sequence is reported at its best path.  The list is sorted
-    by ``(-combined, nodes)``, so paths that tie print in node-path order.
+    by ``(-combined, nodes)``, so paths that tie print in node-path order;
+    parallel arcs that tie on both print in word order, as they are popped.
     A lattice with no path of finite score (an arc score of ``-inf`` on
     every path) raises ``LatticeFormatError``.
     """
@@ -180,41 +182,42 @@ def nbest(
     completion = _completion_scores(lat, lm_weight)
     if completion[lat.start] == -math.inf:
         raise LatticeFormatError("no path through the lattice has a finite score")
-    out = lat._out
+    out, finals = lat._out, lat.finals
+    # node -> per out-arc (dst, words it adds, am, lm, dst's best completion),
+    # built at the node's first expansion, so once per call
+    successors: dict[int, list[tuple]] = {}
+    push, pop = heapq.heappush, heapq.heappop
     # heap items: (-key, node path, words, am, lm, closed)
     heap = [(-completion[lat.start], (lat.start,), (), 0.0, 0.0, False)]
     results: list[Hypothesis] = []
     seen: set[tuple[str, ...]] = set()
     pops = 0
     while heap and len(results) < n:
-        _, path, words, am, lm, closed = heapq.heappop(heap)
+        _, path, words, am, lm, closed = pop(heap)
         pops += 1
         if pops > 1_000_000:
             raise DataError("n-best search exceeded the pop budget")
         node = path[-1]
-        if node in lat.finals and words not in seen:
+        if node in finals and words not in seen:
             if closed or completion[node] == 0.0:
                 seen.add(words)
-                results.append(
-                    Hypothesis(
-                        words=words,
-                        am_total=am,
-                        lm_total=lm,
-                        lm_weight=lm_weight,
-                        nodes=path,
-                    )
-                )
+                results.append(Hypothesis(words, am, lm, lm_weight, path))
             else:
-                heapq.heappush(heap, (-(am + lm_weight * lm), path, words, am, lm, True))
+                push(heap, (-(am + lm_weight * lm), path, words, am, lm, True))
         if closed:
             continue
-        for arc in out.get(node, ()):
-            new_am, new_lm = am + arc.am, lm + arc.lm
-            key = new_am + lm_weight * new_lm + completion[arc.dst]
+        expand = successors.get(node)
+        if expand is None:
+            expand = successors[node] = [
+                (a.dst, (a.word,) if a.word else (), a.am, a.lm, completion[a.dst])
+                for a in out.get(node, ())
+            ]
+        for dst, added, arc_am, arc_lm, rest in expand:
+            new_am, new_lm = am + arc_am, lm + arc_lm
+            key = new_am + lm_weight * new_lm + rest
             if key == -math.inf:
                 continue
-            new_words = words + ((arc.word,) if arc.word else ())
-            heapq.heappush(heap, (-key, path + (arc.dst,), new_words, new_am, new_lm, False))
+            push(heap, (-key, path + (dst,), words + added, new_am, new_lm, False))
     results.sort(key=lambda h: (-h.combined, h.nodes))
     return results
 
@@ -244,15 +247,20 @@ def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
     if lat.start in lat.finals:
         finals.add(0)
     out = lat._out
+    tokens: dict[str, list[str]] = {}  # each arc word's tokens, once per call
     queue = [start_state]
     for state in queue:  # the queue grows as new states are found
         base, hist = state
         src_id = ids[state]
         for arc in out.get(base, []):
-            if arc.word is None:
+            word = arc.word
+            if word is None:
                 new_lm, new_hist = 0.0, hist
             else:
-                new_lm, new_hist = lm.ln_score(tokenize_chars(arc.word), hist)
+                word_tokens = tokens.get(word)
+                if word_tokens is None:
+                    word_tokens = tokens[word] = tokenize_chars(word)
+                new_lm, new_hist = lm.ln_score(word_tokens, hist)
             dst_state = (arc.dst, new_hist)
             if dst_state not in ids:
                 ids[dst_state] = len(ids)
@@ -260,7 +268,7 @@ def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
                 if arc.dst in lat.finals:
                     finals.add(ids[dst_state])
                 queue.append(dst_state)
-            arcs.append(Arc(src_id, ids[dst_state], arc.word, arc.am, new_lm))
+            arcs.append(Arc(src_id, ids[dst_state], word, arc.am, new_lm))
     return Lattice(nodes=nodes, start=0, finals=frozenset(finals), arcs=tuple(arcs))
 
 
@@ -290,15 +298,7 @@ def rescore_external(
             new_lm = h.lm_total
         else:
             new_lm = interpolation * h.lm_total + (1.0 - interpolation) * scores[h.words]
-        rescored.append(
-            Hypothesis(
-                words=h.words,
-                am_total=h.am_total,
-                lm_total=new_lm,
-                lm_weight=h.lm_weight,
-                nodes=h.nodes,
-            )
-        )
+        rescored.append(Hypothesis(h.words, h.am_total, new_lm, h.lm_weight, h.nodes))
     rescored.sort(key=lambda h: (-h.combined, h.words))
     return rescored
 

@@ -687,6 +687,8 @@ MALFORMED_FSCR = {
     "bad_magic": (b"NOPE" + b"\x00" * 8, "a\n", "bad magic"),
     "truncated_header": (b"FSCR\x02\x00", "a\n", "truncated FSCR header"),
     "truncated_matrix": (_fscr(2, 3)[:-4], "a\nb\nc\n", "truncated score matrix"),
+    # read as far as the header says, this would load as a 3x2 matrix
+    "trailing_bytes": (_fscr(3, 2) + bytes(12), "a\nb\n", "12 bytes after the 3x2 score matrix"),
     "missing_sidecar": (_fscr(2, 3), None, "no m.fscr.labels sidecar"),
     "label_count": (_fscr(2, 3), "a\nb\n", "3 columns but 2 labels"),
     # otherwise the decoder would silently read the last column named "a"

@@ -152,6 +152,17 @@ def test_config_validates_paths(tmp_path):
         load_experiment_config(p)
 
 
+@pytest.mark.parametrize("key", ["lexicon", "corpus", "out_dir"])
+def test_a_nul_byte_in_a_path_names_file_line_and_key(tmp_path, key):
+    p = tmp_path / "nul.cfg"
+    p.write_text(f"seed = 1\n{key} = a\0b.txt\n", encoding="utf-8")
+    with pytest.raises(ExperimentError, match=rf"nul\.cfg:2: {key}: .*NUL byte"):
+        load_experiment_config(p)
+    if key != "out_dir":
+        with pytest.raises(ExperimentError, match="does not exist"):
+            small_config(tmp_path, **{key: Path("a\0b.txt")}).validate()
+
+
 # a non-default value of every setting but out_dir: as written in a file, as read
 NON_DEFAULTS = {
     "seed": ("5", 5),

@@ -100,6 +100,23 @@ def test_nbest_census_ranks_the_printed_score_against_enumeration():
         assert best_path(lat, lm_weight) == hyps[0]
 
 
+def test_nbest_is_the_ranked_enumeration_cut_at_n():
+    # pins ties and truncation: each word sequence at its first path in
+    # (-combined, node path, words) order, the list cut after n sequences;
+    # parallel arcs can give two sequences one node path and one score
+    rng = random.Random(20)
+    for _ in range(3000):
+        lat = random_lattice(rng)
+        lm_weight = rng.choice((0.5, 1.0, -2.0, 3.0))
+        first_path = {}
+        paths = enumerate_paths(lat, lm_weight)
+        for words, _, _, _, path in sorted(paths, key=lambda p: (-p[3], p[4], p[0])):
+            first_path.setdefault(words, path)
+        ranked = list(first_path.items())
+        for n in (1, 2, len(ranked), len(ranked) + 1):
+            assert [(h.words, h.nodes) for h in nbest(lat, n, lm_weight)] == ranked[:n]
+
+
 def test_a_final_with_a_better_continuation_is_not_accepted_early():
     lat = make_lattice(
         [Arc(0, 1, "a", -1.0, 0.0), Arc(1, 2, "b", 5.0, 0.0)], finals=(1, 2)
