@@ -12,13 +12,16 @@ class DataError(ValueError):
 
 
 @contextmanager
-def open_text(path):
-    """A UTF-8 text file opened to read; bytes that do not decode raise a ``DataError`` naming it."""
+def open_text(path, error: type[DataError] = DataError):
+    """A UTF-8 text file opened to read; bytes that do not decode raise ``error`` naming it.
+
+    A reader of a format passes the format's own error type.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not utf-8 text ({exc.reason})") from None
+        raise error(f"{path}: not utf-8 text ({exc.reason})") from None
 
 
 def _finite(value):

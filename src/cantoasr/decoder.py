@@ -215,7 +215,7 @@ def read_scores(path: str | Path) -> MatrixScorer:
     sidecar = Path(str(path) + ".labels")
     if not sidecar.exists():
         raise ScoreFormatError(f"{path}: no {sidecar.name} sidecar")
-    with open_text(sidecar) as fh:
+    with open_text(sidecar, ScoreFormatError) as fh:
         labels = tuple(fh.read().split())
     if len(labels) != n_labels:
         raise ScoreFormatError(f"{path}: {n_labels} columns but {len(labels)} labels")

@@ -181,7 +181,7 @@ def load_experiment_config(
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values: dict = {"out_dir": Path(".")}
     seen: dict[str, int] = {}  # key -> the line that set it
-    with open_text(path) as fh:
+    with open_text(path, ExperimentError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

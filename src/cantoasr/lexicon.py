@@ -65,7 +65,7 @@ def read_lexicon(path: str | Path) -> list[LexiconEntry]:
     path = Path(path)
     prons: dict[str, list[tuple[str, ...]]] = {}
     order: list[str] = []
-    with open_text(path) as fh:
+    with open_text(path, LexiconError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):

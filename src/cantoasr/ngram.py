@@ -41,6 +41,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -478,26 +479,50 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
 
 
 def write_arpa(model: NGramModel, path: str | Path) -> None:
-    logprob, backoff = model._logprob, model._backoff
-    grams_by_order: list[list[tuple[str, ...]]] = [
-        sorted(g for g in logprob if len(g) == k)
-        for k in range(1, model.order + 1)
-    ]
+    """Write ``model`` as an ARPA file, each order's n-grams sorted.
+
+    The n-grams are sorted into orders in one pass over the model and each
+    section is written in one call.  A token that is empty or holds
+    whitespace could not be read back as itself: it raises
+    ``ArpaFormatError`` naming it, and nothing is written.
+    """
+    order, logprob, backoff = model.order, model._logprob, model._backoff
+    grams_by_order: list[list[tuple[str, ...]]] = [[] for _ in range(order + 1)]
+    for gram in logprob:
+        if len(gram) <= order:
+            grams_by_order[len(gram)].append(gram)
+    del grams_by_order[0]
+    for grams in grams_by_order:
+        grams.sort()
+    written = chain.from_iterable(chain.from_iterable(grams_by_order))
+    bad = {tok for tok in set(written) if tok.split() != [tok]}
+    if bad:
+        # name the first in the order the file would hold them
+        gram, tok = next((g, t) for grams in grams_by_order for g in grams for t in g if t in bad)
+        raise ArpaFormatError(f"{path}: cannot write token {tok!r} of n-gram {gram!r}")
+    bow = backoff.get
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
-        for k, grams in enumerate(grams_by_order, 1):
-            fh.write(f"ngram {k}={len(grams)}\n")
+        fh.write("".join(f"ngram {k}={len(grams)}\n" for k, grams in enumerate(grams_by_order, 1)))
         for k, grams in enumerate(grams_by_order, 1):
             fh.write(f"\n\\{k}-grams:\n")
-            for gram in grams:
-                line = f"{logprob[gram]:.6f}\t{' '.join(gram)}"
-                if k < model.order:
-                    line += f"\t{backoff.get(gram, 0.0):.6f}"
-                fh.write(line + "\n")
+            if k < order:
+                fh.write("".join(
+                    f"{logprob[g]:.6f}\t{' '.join(g)}\t{bow(g, 0.0):.6f}\n" for g in grams
+                ))
+            else:
+                fh.write("".join(f"{logprob[g]:.6f}\t{' '.join(g)}\n" for g in grams))
         fh.write("\n\\end\\\n")
 
 
 def read_arpa(path: str | Path) -> NGramModel:
+    """Read an ARPA file; malformed text raises ``ArpaFormatError`` naming its line.
+
+    The model holds each distinct token once, not once per position.  The
+    file is prefix closed, so an n-gram's context was stored in the section
+    before: its key is that stored key plus the last token, taken from a
+    per-read ``str -> str`` table, so each n-gram adds a tuple but no string.
+    """
     path = Path(path)
 
     def fail(lineno, msg):
@@ -508,8 +533,11 @@ def read_arpa(path: str | Path) -> NGramModel:
     backoff: dict[tuple[str, ...], float] = {}
     section = 0
     seen_in_section = 0
+    # the previous section's keys, each mapped to itself, and one object per token
+    contexts: dict[tuple[str, ...], tuple[str, ...]] = {(): ()}
+    tokens: dict[str, str] = {}
     state = "preamble"
-    with open_text(path) as fh:
+    with open_text(path, ArpaFormatError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -553,6 +581,9 @@ def read_arpa(path: str | Path) -> NGramModel:
                         fail(lineno, f"section {new_section} not declared in \\data\\")
                     if new_section != section + 1:
                         fail(lineno, f"section {new_section} out of order")
+                    if section:
+                        keys = list(islice(reversed(logprob), seen_in_section))
+                        contexts = dict(zip(keys, keys))
                     section = new_section
                     seen_in_section = 0
                     continue
@@ -574,14 +605,18 @@ def read_arpa(path: str | Path) -> NGramModel:
                 if not lp < math.inf:  # -inf is a zero probability, NaN compares false
                     kind = "NaN" if math.isnan(lp) else "+inf"
                     fail(lineno, f"{kind} log probability in {line!r}")
-                gram = tuple(fields[1].split())
-                if len(gram) != section:
-                    fail(lineno, f"{len(gram)}-gram {gram!r} in section {section}")
+                words = fields[1].split()
+                if len(words) != section:
+                    fail(lineno, f"{len(words)}-gram {tuple(words)!r} in section {section}")
+                word = words.pop()
+                context = contexts.get(tuple(words))
+                if context is None:
+                    # a stored n-gram's context is stored, so this one is not a repeat;
+                    # NGramModel.state drops context only when every context is stored
+                    fail(lineno, f"context {' '.join(words)!r} of {fields[1]!r} not stored")
+                gram = context + (tokens.setdefault(word, word),)
                 if gram in logprob:
                     fail(lineno, f"repeated n-gram {fields[1]!r}")
-                if len(gram) > 1 and gram[:-1] not in logprob:
-                    # NGramModel.state drops context only when every context is stored
-                    fail(lineno, f"context {' '.join(gram[:-1])!r} of {fields[1]!r} not stored")
                 logprob[gram] = lp
                 if len(fields) == 3:
                     try:

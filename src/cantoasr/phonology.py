@@ -194,7 +194,7 @@ def load_inventory(path: str | Path) -> Inventory:
     codas: list[str] = []
     finals: dict[str, tuple[str, str | None]] = {}
     headers = {"#onsets", "#nuclei", "#codas", "#finals"}
-    with open_text(path) as fh:
+    with open_text(path, InventoryError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip():

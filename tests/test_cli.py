@@ -4,13 +4,24 @@ import pkgutil
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cantoasr
 from cantoasr import DataError, cli, experiment
 from cantoasr.cli import main
-from cantoasr.decoder import DecodeParams
-from cantoasr.lattice import best_path, demo_lattice_path, read_lattice
+from cantoasr.decoder import DecodeParams, MatrixScorer, ScoreFormatError, read_scores, write_scores
+from cantoasr.experiment import ExperimentError, load_experiment_config
+from cantoasr.lattice import (
+    LatticeFormatError,
+    best_path,
+    demo_lattice_path,
+    read_external_scores,
+    read_lattice,
+)
+from cantoasr.lexicon import LexiconError, read_lexicon
+from cantoasr.ngram import ArpaFormatError, read_arpa
+from cantoasr.phonology import InventoryError, load_inventory
 
 DATA = Path(__file__).parent.parent / "src/cantoasr/data"
 
@@ -623,3 +634,29 @@ def test_non_utf8_file_is_a_data_error(tmp_path, capsys):
     code, out, err = run(capsys, "nbest", "--lattice", str(lat))
     assert code == 2 and out == ""
     assert "utf-8" in err and str(lat) in err
+
+
+# each reader with a file whose bytes after the first line are not UTF-8,
+# and its format's error type
+NON_UTF8_READERS = {
+    "arpa": (read_arpa, "m.arpa", b"\\data\\\n\xff\n", ArpaFormatError),
+    "lattice": (read_lattice, "m.lat", b"LATTICE v1\n# \xe9t\xe9\n", LatticeFormatError),
+    "external_scores": (read_external_scores, "s.txt", b"a\t-1.0\n\xff\n", LatticeFormatError),
+    "fscr_labels": (read_scores, "m.fscr", b"a\n\xffb\n", ScoreFormatError),
+    "lexicon": (read_lexicon, "lex.txt", b"a\tjat1\n\xff\n", LexiconError),
+    "inventory": (load_inventory, "inv.txt", b"#onsets\n\xff\n", InventoryError),
+    "experiment_config": (load_experiment_config, "e.cfg", b"seed = 1\n\xff\n", ExperimentError),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NON_UTF8_READERS))
+def test_non_utf8_input_raises_the_formats_own_error(tmp_path, reader):
+    read, name, data, error = NON_UTF8_READERS[reader]
+    path = bad = tmp_path / name
+    if reader == "fscr_labels":  # a valid matrix; its sidecar holds the bad bytes
+        write_scores(path, MatrixScorer(np.zeros((1, 2)), ("a", "b")))
+        bad = Path(f"{path}.labels")
+    bad.write_bytes(data)
+    with pytest.raises(error) as info:
+        read(path)
+    assert str(info.value).startswith(f"{bad}: not utf-8 text (")

@@ -85,7 +85,13 @@ def test_mutated_arpa_loads_or_raises_arpa_format_error(tmp_path):
     model = train_ngram([["a", "b", "c", "a"], ["b", "b", "d"], ["c", "a"]], 3)
     write_arpa(model, tmp_path / "valid.arpa")
     text = (tmp_path / "valid.arpa").read_text(encoding="utf-8")
-    check_reader(tmp_path, write_mutated_text(text), read_arpa, ArpaFormatError)
+
+    def writes_back(path, model):
+        # a model that loads writes a file that reads back with the same n-grams
+        write_arpa(model, tmp_path / "back.arpa")
+        assert read_arpa(tmp_path / "back.arpa").logprob.keys() == model.logprob.keys()
+
+    check_reader(tmp_path, write_mutated_text(text), read_arpa, ArpaFormatError, writes_back)
 
 
 def test_mutated_lattice_loads_or_raises_lattice_format_error(tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -317,6 +319,45 @@ def test_arpa_rejects_repeated_ngram(tmp_path):
     )
     with pytest.raises(ArpaFormatError, match=r"bad\.arpa:7: repeated n-gram 'a'"):
         read_arpa(path)
+
+
+def test_arpa_rejects_a_repeated_ngram_past_the_unigrams(tmp_path):
+    # its context is stored, so the repeat is what the reader names
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=2\nngram 2=2\n\n\\1-grams:\n-0.3\ta\t-0.1\n-0.6\tb\n"
+        "\n\\2-grams:\n-0.1\ta b\n-0.2\ta b\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaFormatError, match=r"bad\.arpa:11: repeated n-gram 'a b'"):
+        read_arpa(path)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_read_model_holds_each_token_once(tmp_path, order):
+    corpus = read_corpus(demo_lexicon_path().parent / "demo_corpus.txt")
+    write_arpa(train_ngram(corpus, order), tmp_path / "m.arpa")
+    m = read_arpa(tmp_path / "m.arpa")
+    tokens = [tok for table in (m.logprob, m.backoff) for gram in table for tok in gram]
+    assert len({id(tok) for tok in tokens}) == len(set(tokens))
+
+
+def test_write_arpa_bytes_are_pinned(tmp_path):
+    corpus = read_corpus(demo_lexicon_path().parent / "demo_corpus.txt")
+    write_arpa(train_ngram(corpus, 3), tmp_path / "m.arpa")
+    digest = hashlib.sha256((tmp_path / "m.arpa").read_bytes()).hexdigest()
+    assert digest == "738bb733d989aecd9df96e3a8e98010160954403018619450431f33c82abfb9b"
+
+
+@pytest.mark.parametrize(
+    "token", ["a b", "", "a\tb", "a\nb"], ids=["space", "empty", "tab", "newline"]
+)
+def test_write_arpa_rejects_a_token_it_cannot_read_back(tmp_path, token):
+    path = tmp_path / "m.arpa"
+    m = train_ngram([[token, "c"]], 2)
+    with pytest.raises(ArpaFormatError, match=rf"cannot write token {re.escape(repr(token))}"):
+        write_arpa(m, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
