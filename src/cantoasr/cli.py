@@ -107,9 +107,19 @@ def _load_lexicon(args):
     return compile_lexicon(entries, args.scheme, inv, merges)
 
 
-def _read_lines(path):
+def _read_lines(path) -> list[str]:
+    """Each line of ``path``, stripped; read as hypotheses, an empty line is
+    the empty hypothesis of a failed decode (``hypothesis_texts``'s rule)."""
     with open_text(path) as fh:
-        return [line.strip() for line in fh.read().splitlines() if line.strip()]
+        return [line.strip() for line in fh.read().splitlines()]
+
+
+def _read_references(path) -> list[str]:
+    """One reference per line; an empty line raises ``DataError`` naming it."""
+    refs = _read_lines(path)
+    if "" in refs:
+        raise DataError(f"{path}:{refs.index('') + 1}: empty reference line")
+    return refs
 
 
 def cmd_parse(args):
@@ -250,7 +260,7 @@ def cmd_nbest(args):
 
 
 def cmd_score_wer(args):
-    refs = _read_lines(args.ref)
+    refs = _read_references(args.ref)
     hyps = _read_lines(args.hyp)
     if len(refs) != len(hyps):
         raise DataError(f"{len(refs)} references but {len(hyps)} hypotheses")
@@ -266,7 +276,7 @@ def cmd_score_wer(args):
 
 
 def cmd_score_classify(args):
-    refs = _read_lines(args.ref)
+    refs = _read_references(args.ref)
     cls = classify_errors(refs, _read_lines(args.hyp_a), _read_lines(args.hyp_b))
     _emit(cls.to_json(), args.json, format_classification(cls))
     return 0
@@ -277,7 +287,7 @@ def cmd_sweep(args):
     lex = _load_lexicon(args)
     graph = build_graph(lex, read_arpa(args.lm))
     scorers = [read_scores(p) for p in args.scores]
-    refs = _read_lines(args.refs)
+    refs = _read_references(args.refs)
     cells = sweep(graph, scorers, args.beams, args.max_actives, refs, params)
     _emit([c.to_json() for c in cells], args.json, format_sweep_table(cells))
     return 0

@@ -482,16 +482,33 @@ def write_arpa(model: NGramModel, path: str | Path) -> None:
     """Write ``model`` as an ARPA file, each order's n-grams sorted.
 
     The n-grams are sorted into orders in one pass over the model and each
-    section is written in one call.  A token that is empty or holds
-    whitespace could not be read back as itself: it raises
-    ``ArpaFormatError`` naming it, and nothing is written.
+    section is written in one call.  A model that ``read_arpa`` would not
+    read back raises ``ArpaFormatError`` naming the n-gram, and nothing is
+    written: a token that is empty or holds whitespace, an n-gram of no
+    tokens or more than ``order``, one whose context is not stored, and a
+    NaN or +inf log probability or written back-off weight.
     """
     order, logprob, backoff = model.order, model._logprob, model._backoff
-    grams_by_order: list[list[tuple[str, ...]]] = [[] for _ in range(order + 1)]
-    for gram in logprob:
-        if len(gram) <= order:
-            grams_by_order[len(gram)].append(gram)
-    del grams_by_order[0]
+    if order < 1:
+        raise ArpaFormatError(f"{path}: cannot write an order-{order} model")
+    bow, inf = backoff.get, math.inf
+    grams_by_order: list[list[tuple[str, ...]]] = [[] for _ in range(order)]
+    for gram, lp in logprob.items():
+        n = len(gram)
+        if not 0 < n <= order:
+            raise ArpaFormatError(
+                f"{path}: cannot write {n}-gram {gram!r} of an order-{order} model"
+            )
+        if n > 1 and gram[:-1] not in logprob:
+            raise ArpaFormatError(f"{path}: context {gram[:-1]!r} of n-gram {gram!r} not stored")
+        # -inf is a zero probability; NaN compares false
+        if not lp < inf:
+            raise ArpaFormatError(f"{path}: cannot write log probability {lp} of n-gram {gram!r}")
+        if n < order and not bow(gram, 0.0) < inf:
+            raise ArpaFormatError(
+                f"{path}: cannot write back-off weight {bow(gram)} of n-gram {gram!r}"
+            )
+        grams_by_order[n - 1].append(gram)
     for grams in grams_by_order:
         grams.sort()
     written = chain.from_iterable(chain.from_iterable(grams_by_order))
@@ -500,7 +517,6 @@ def write_arpa(model: NGramModel, path: str | Path) -> None:
         # name the first in the order the file would hold them
         gram, tok = next((g, t) for grams in grams_by_order for g in grams for t in g if t in bad)
         raise ArpaFormatError(f"{path}: cannot write token {tok!r} of n-gram {gram!r}")
-    bow = backoff.get
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
         fh.write("".join(f"ngram {k}={len(grams)}\n" for k, grams in enumerate(grams_by_order, 1)))
@@ -549,10 +565,12 @@ def read_arpa(path: str | Path) -> NGramModel:
             if state == "counts":
                 if line.startswith("ngram "):
                     try:
-                        k, n = line[len("ngram "):].split("=")
-                        declared[int(k)] = int(n)
+                        k, n = map(int, line[len("ngram "):].split("="))
                     except ValueError:
                         fail(lineno, f"bad count line {line!r}")
+                    if k in declared:
+                        fail(lineno, f"repeated count line for order {k}: {line!r}")
+                    declared[k] = n
                     continue
                 if line.endswith("-grams:") and line.startswith("\\"):
                     if not declared:

@@ -16,6 +16,9 @@ every pdf's mean and keeps every pair apart; ``blend_confusions`` then
 moves one unit's means toward another's, which is how coda-merge sound
 change is injected: the blend happens in the emission space, so schemes
 that share the underlying units experience the same degradation geometry.
+
+``numpy.random`` is loaded at the first draw, not at import, so a process
+that only rescores never holds it (nor the ``hashlib`` it brings).
 """
 
 import zlib
@@ -84,7 +87,8 @@ class StateModel:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
 
 
-def _label_rng(seed: int, label: str) -> np.random.Generator:
+# the annotation is quoted: evaluated at import it would load numpy.random
+def _label_rng(seed: int, label: str) -> "np.random.Generator":
     """The stream of ``default_rng(SeedSequence((seed, crc32(label))))``.
 
     ``SeedSequence`` turns that tuple into the seed's little-endian 32-bit

@@ -491,6 +491,50 @@ def test_score_classify(tmp_path, capsys):
     assert payload["errors_a_only"] == 1 and payload["correct_b"] == 2
 
 
+def test_score_wer_reads_an_empty_line_as_the_empty_hypothesis(tmp_path, capsys):
+    # a failed decode is written as an empty line (evaluate.hypothesis_texts)
+    (tmp_path / "r.txt").write_text("甲\n乙\n丙\n", encoding="utf-8")
+    (tmp_path / "h.txt").write_text("甲\n\n丙\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys, "score", "wer", "--ref", str(tmp_path / "r.txt"), "--hyp", str(tmp_path / "h.txt")
+    )
+    assert code == 0
+    assert "S=0 I=0 D=1 N=3" in out
+
+
+def test_score_wer_counts_a_blank_hypothesis_line_as_an_utterance(tmp_path, capsys):
+    (tmp_path / "r.txt").write_text("甲\n乙\n丙\n", encoding="utf-8")
+    (tmp_path / "h.txt").write_text("甲\n\n乙\n丙\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "score", "wer", "--ref", str(tmp_path / "r.txt"), "--hyp", str(tmp_path / "h.txt")
+    )
+    assert code == 2 and out == ""
+    assert "3 references but 4 hypotheses" in err
+
+
+@pytest.mark.parametrize("command", ["wer", "classify", "sweep"])
+def test_an_empty_reference_line_is_a_data_error(tmp_path, capsys, command):
+    refs = tmp_path / "r.txt"
+    refs.write_text("香港\n\n", encoding="utf-8")
+    hyps = tmp_path / "h.txt"
+    hyps.write_text("香港\n\n", encoding="utf-8")
+    if command == "wer":
+        argv = ["score", "wer", "--ref", str(refs), "--hyp", str(hyps)]
+    elif command == "classify":
+        argv = ["score", "classify", "--ref", str(refs), "--hyp-a", str(hyps), "--hyp-b", str(hyps)]
+    else:
+        arpa = tmp_path / "lm.arpa"
+        run(capsys, "lm", "train", "--corpus", str(DATA / "demo_corpus.txt"),
+            "--order", "2", "--out", str(arpa))
+        scores = [str(tmp_path / f"{i}.fscr") for i in range(2)]
+        for path in scores:
+            run(capsys, "simulate", "--text", "香港", "--out", path)
+        argv = ["sweep", "--lm", str(arpa), "--scores", *scores, "--refs", str(refs)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{refs}:2: empty reference line" in err
+
+
 def test_experiment_cli_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(

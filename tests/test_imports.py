@@ -1,8 +1,12 @@
 """No module of the package imports a name that it never uses, or defines
 a function, class or method that nothing in the package or the benchmark reads;
-and one function writes every JSON text the package prints or saves."""
+one function writes every JSON text the package prints or saves; and the
+second pass runs without loading ``numpy.random``, ``hashlib`` or ``secrets``."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -156,3 +160,39 @@ def test_json_is_written_only_by_the_package_writer():
         for site in json_dumps_sites(path.read_text(encoding="utf-8"))
     ]
     assert sites == [("__init__", "json_text")]
+
+
+# loaded with numpy.random: about 6 MB of RSS that no second-pass call needs
+DEFERRED = ("numpy.random", "hashlib", "secrets")
+
+
+def loaded_after(code: str) -> list[str]:
+    """Which of ``DEFERRED`` a fresh interpreter holds after running ``code``;
+    a fresh one, since pytest's own process has loaded numpy.random."""
+    probe = f"{code}\nimport sys\nprint('loaded', *[m for m in {DEFERRED!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    return done.stdout.splitlines()[-1].split()[1:]
+
+
+def test_importing_the_package_loads_no_random_module():
+    assert loaded_after("import cantoasr.cli") == []
+
+
+def test_the_second_pass_loads_no_random_module():
+    code = (
+        "from cantoasr import cli, lattice\n"
+        "cli.main(['nbest', '--lattice', str(lattice.demo_lattice_path())])"
+    )
+    assert loaded_after(code) == []
+
+
+def test_building_state_models_loads_numpy_random():
+    # the load is deferred to the first draw, not removed
+    code = (
+        "from cantoasr.simulate import SimConfig, build_state_models\n"
+        "build_state_models({'a', 'b'}, SimConfig(seed=0))"
+    )
+    assert "numpy.random" in loaded_after(code)

@@ -264,6 +264,16 @@ def test_arpa_count_mismatch(tmp_path):
         read_arpa(path)
 
 
+def test_arpa_rejects_a_repeated_count_line(tmp_path):
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=9\nngram 1=2\n\n\\1-grams:\n-0.3\ta\n-0.6\tb\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaFormatError, match=r"bad\.arpa:3: repeated count line for order 1"):
+        read_arpa(path)
+
+
 def test_arpa_truncated(tmp_path):
     path = tmp_path / "bad.arpa"
     path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\ta\n", encoding="utf-8")
@@ -357,6 +367,59 @@ def test_write_arpa_rejects_a_token_it_cannot_read_back(tmp_path, token):
     m = train_ngram([[token, "c"]], 2)
     with pytest.raises(ArpaFormatError, match=rf"cannot write token {re.escape(repr(token))}"):
         write_arpa(m, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "logprob, backoff, what",
+    [
+        ({("a",): math.nan}, {}, "log probability nan of n-gram ('a',)"),
+        ({("a",): math.inf}, {}, "log probability inf of n-gram ('a',)"),
+        ({("a",): -0.5, ("a", "a"): -0.1}, {("a",): math.nan},
+         "back-off weight nan of n-gram ('a',)"),
+        ({("a",): -0.5, ("a", "a"): -0.1}, {("a",): math.inf},
+         "back-off weight inf of n-gram ('a',)"),
+    ],
+    ids=["logprob_nan", "logprob_inf", "backoff_nan", "backoff_inf"],
+)
+def test_write_arpa_rejects_a_value_it_cannot_read_back(tmp_path, logprob, backoff, what):
+    path = tmp_path / "m.arpa"
+    with pytest.raises(ArpaFormatError, match=re.escape(f"cannot write {what}")):
+        write_arpa(NGramModel(2, logprob, backoff), path)
+    assert not path.exists()
+
+
+def test_write_arpa_keeps_a_zero_probability(tmp_path):
+    m = NGramModel(2, {("a",): -math.inf, ("b",): -0.5, ("b", "a"): -math.inf},
+                   {("a",): -math.inf})
+    write_arpa(m, tmp_path / "m.arpa")
+    back = read_arpa(tmp_path / "m.arpa")
+    assert back.logprob == m.logprob and back.backoff[("a",)] == -math.inf
+
+
+def test_write_arpa_rejects_a_table_that_is_not_prefix_closed(tmp_path):
+    path = tmp_path / "m.arpa"
+    m = NGramModel(2, {("a",): -0.5, ("b", "c"): -0.1})
+    with pytest.raises(ArpaFormatError, match=re.escape("context ('b',) of n-gram ('b', 'c')")):
+        write_arpa(m, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "order, gram", [(1, ("a", "b")), (2, ())], ids=["longer_than_order", "empty"]
+)
+def test_write_arpa_rejects_an_ngram_of_the_wrong_length(tmp_path, order, gram):
+    path = tmp_path / "m.arpa"
+    m = NGramModel(order, {("a",): -0.5, ("b",): -0.3, gram: -0.1})
+    with pytest.raises(ArpaFormatError, match=re.escape(f"{len(gram)}-gram {gram!r}")):
+        write_arpa(m, path)
+    assert not path.exists()
+
+
+def test_write_arpa_rejects_an_order_below_one(tmp_path):
+    path = tmp_path / "m.arpa"
+    with pytest.raises(ArpaFormatError, match="order-0 model"):
+        write_arpa(NGramModel(0), path)
     assert not path.exists()
 
 
