@@ -110,6 +110,8 @@ def compile_lexicon(
     a syllable that fails any of those steps raises ``LexiconError`` naming
     that word, the syllable and the merge rules.  Duplicate phone sequences
     per word are dropped.  Every merge rule is checked against ``inv`` first.
+    Each word has one entry (``read_lexicon`` merges a word's lines); a
+    repeated word raises ``LexiconError``.
     """
     rules_text = ""
     if merges is not None:
@@ -118,6 +120,8 @@ def compile_lexicon(
     lex = PhoneLexicon()
     syllable_phones: dict[str, tuple[Phone, ...]] = {}
     for entry in entries:
+        if entry.word in lex.entries:
+            raise LexiconError(f"word {entry.word!r} has more than one entry")
         seqs: list[tuple[Phone, ...]] = []
         for pron in entry.pronunciations:
             phones: list[Phone] = []
@@ -137,12 +141,7 @@ def compile_lexicon(
             seq = tuple(phones)
             if seq not in seqs:
                 seqs.append(seq)
-        if entry.word in lex.entries:
-            merged = list(lex.entries[entry.word])
-            merged.extend(s for s in seqs if s not in merged)
-            lex.entries[entry.word] = tuple(merged)
-        else:
-            lex.entries[entry.word] = tuple(seqs)
+        lex.entries[entry.word] = tuple(seqs)
     return lex
 
 

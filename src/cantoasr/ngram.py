@@ -262,11 +262,14 @@ def _backoff_logprob(logprob, backoff, gram: tuple[str, ...]) -> float:
     return total
 
 
-def _predictions(order: int, sentences):
-    """Per sentence, the list of predicted ``(token, history)`` pairs, end marker included."""
-    for sent in sentences:
-        padded = [SOS] * (order - 1) + list(sent) + [EOS]
-        yield [(padded[i], tuple(padded[max(0, i - order + 1):i])) for i in range(order - 1, len(padded))]
+def _ngrams(order: int, sentence):
+    """The ``order``-grams ``sentence`` predicts, its end marker included: each
+    token after its history, padded with ``<s>``.  ``<s>`` is never predicted."""
+    padded = (SOS,) * (order - 1) + (*sentence, EOS)
+    grams = zip(*[padded[i:] for i in range(order)])
+    if SOS in sentence:
+        grams = (g for g in grams if g[-1] != SOS)
+    return grams
 
 
 def train_ngram(
@@ -276,10 +279,9 @@ def train_ngram(
 
     ``smoothing`` is ``"none"`` (maximum likelihood) or ``"witten_bell"``.
     Each order's counts and each history's total and type count are one
-    ``Counter`` each, over the n-gram of every prediction (its history,
-    padded with ``<s>``, plus the token).  Orders are stored one after
-    another, each in sorted order, so a Witten-Bell lower order is read
-    as its suffix's stored probability.
+    ``Counter`` each, over the n-grams ``_ngrams`` walks.  Orders are
+    stored one after another, each in sorted order, so a Witten-Bell lower
+    order is read as its suffix's stored probability.
     """
     corpus = [s for s in corpus if s]
     if not corpus:
@@ -289,15 +291,7 @@ def train_ngram(
     if smoothing not in ("none", "witten_bell"):
         raise DataError(f"unknown smoothing {smoothing!r}")
 
-    pad = (SOS,) * (order - 1)
-    grams: list[tuple[str, ...]] = []
-    for sent in corpus:
-        padded = (*pad, *sent, EOS)
-        ngrams = zip(*[padded[i:] for i in range(order)])
-        if SOS in sent:
-            # the start marker is never predicted
-            ngrams = (g for g in ngrams if g[-1] != SOS)
-        grams.extend(ngrams)
+    grams = [gram for sent in corpus for gram in _ngrams(order, sent)]
     # counts[k]: each k-gram's count; totals[k] and types[k]: each k-token
     # history's count and its number of distinct continuations
     counts = [Counter()]
@@ -351,17 +345,18 @@ def train_ngram(
 
 
 def perplexity(model, sentences: list[list[str]]) -> float:
-    """10 ** (-mean log10 prob); token count includes the end markers."""
+    """10 ** (-mean log10 prob); the token count includes the end markers
+    and leaves out a literal ``<s>``, which is never predicted."""
     if not sentences:
         raise DataError("empty evaluation text")
     total = 0.0
     n = 0
-    for walk in _predictions(model.order, sentences):
+    for sent in sentences:
         sentence = 0.0
-        for token, history in walk:
-            sentence += model.logprob10(token, history)
+        for gram in _ngrams(model.order, sent):
+            sentence += model.logprob10(gram[-1], gram[:-1])
+            n += 1
         total += sentence
-        n += len(walk)
     return 10.0 ** (-total / n)
 
 
@@ -395,9 +390,9 @@ def tune_lambda(a: NGramModel, b: NGramModel, heldout: list[list[str]]) -> float
         raise DataError("empty held-out text")
     # held-out queries hardly repeat, so they skip the memo
     events = [
-        (10.0 ** a._query(w, h), 10.0 ** b._query(w, h))
-        for walk in _predictions(a.order, heldout)
-        for w, h in walk
+        (10.0 ** a._query(g[-1], g[:-1]), 10.0 ** b._query(g[-1], g[:-1]))
+        for sent in heldout
+        for g in _ngrams(a.order, sent)
     ]
     lam = 0.5
     for _ in range(EM_MAX_ITER):
@@ -531,8 +526,24 @@ def write_arpa(model: NGramModel, path: str | Path) -> None:
         fh.write("\n\\end\\\n")
 
 
+def _arpa_lines(fh, path: Path):
+    """Each non-blank line of ``fh``, stripped, with its number.  An ARPA
+    file ends with ``\\end\\``, so running out of lines raises."""
+    for lineno, raw in enumerate(fh, 1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+    raise ArpaFormatError(f"{path}: truncated ARPA file (no \\end\\)")
+
+
 def read_arpa(path: str | Path) -> NGramModel:
     """Read an ARPA file; malformed text raises ``ArpaFormatError`` naming its line.
+
+    The file is read in the order it is written: text up to ``\\data\\``
+    is skipped, the ``ngram k=n`` counts follow, then each declared
+    section in turn, its count checked where it ends, then ``\\end\\``;
+    anything after that is ignored.  An n-gram line is tab-separated:
+    log probability, the n-gram's tokens, and an optional back-off weight.
 
     The model holds each distinct token once, not once per position.  The
     file is prefix closed, so an n-gram's context was stored in the section
@@ -544,85 +555,66 @@ def read_arpa(path: str | Path) -> NGramModel:
     def fail(lineno, msg):
         raise ArpaFormatError(f"{path}:{lineno}: {msg}")
 
-    declared: dict[int, int] = {}
+    def number(lineno, line, text, what):
+        try:
+            value = float(text)
+        except ValueError:
+            fail(lineno, f"bad {what} in {line!r}")
+        if not value < math.inf:  # -inf is a zero probability, NaN compares false
+            fail(lineno, f"{'NaN' if math.isnan(value) else '+inf'} {what} in {line!r}")
+        return value
+
     logprob: dict[tuple[str, ...], float] = {}
     backoff: dict[tuple[str, ...], float] = {}
-    section = 0
-    seen_in_section = 0
     # the previous section's keys, each mapped to itself, and one object per token
     contexts: dict[tuple[str, ...], tuple[str, ...]] = {(): ()}
     tokens: dict[str, str] = {}
-    state = "preamble"
     with open_text(path, ArpaFormatError) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if state == "preamble":
-                if line == "\\data\\":
-                    state = "counts"
-                continue
-            if state == "counts":
-                if line.startswith("ngram "):
-                    try:
-                        k, n = map(int, line[len("ngram "):].split("="))
-                    except ValueError:
-                        fail(lineno, f"bad count line {line!r}")
-                    if k in declared:
-                        fail(lineno, f"repeated count line for order {k}: {line!r}")
-                    declared[k] = n
-                    continue
-                if line.endswith("-grams:") and line.startswith("\\"):
-                    if not declared:
-                        fail(lineno, "no ngram counts declared")
-                    if sorted(declared) != list(range(1, max(declared) + 1)):
-                        fail(lineno, "non-contiguous ngram orders declared")
-                    state = "grams"
-                    # fall through to section handling
-                else:
-                    fail(lineno, f"unexpected line {line!r} in \\data\\ section")
-            if state == "grams":
-                header = line.startswith("\\") and line.endswith("-grams:")
-                ends_section = header or line == "\\end\\"
-                if ends_section and section and seen_in_section != declared[section]:
-                    fail(
-                        lineno,
-                        f"section {section} declared {declared[section]} "
-                        f"entries but has {seen_in_section}",
-                    )
-                if header:
-                    try:
-                        new_section = int(line[1:-len("-grams:")])
-                    except ValueError:
-                        fail(lineno, f"bad section header {line!r}")
-                    if new_section not in declared:
-                        fail(lineno, f"section {new_section} not declared in \\data\\")
-                    if new_section != section + 1:
-                        fail(lineno, f"section {new_section} out of order")
-                    if section:
-                        keys = list(islice(reversed(logprob), seen_in_section))
-                        contexts = dict(zip(keys, keys))
-                    section = new_section
-                    seen_in_section = 0
-                    continue
-                if line == "\\end\\":
-                    if section != max(declared):
-                        fail(lineno, f"missing sections after {section}")
-                    state = "done"
-                    continue
+        lines = _arpa_lines(fh, path)
+        for lineno, line in lines:
+            if line == "\\data\\":
+                break
+        declared: dict[int, int] = {}
+        for lineno, line in lines:
+            if not line.startswith("ngram "):
+                break
+            try:
+                k, n = map(int, line[len("ngram "):].split("="))
+            except ValueError:
+                fail(lineno, f"bad count line {line!r}")
+            if k in declared:
+                fail(lineno, f"repeated count line for order {k}: {line!r}")
+            declared[k] = n
+        if not (line.startswith("\\") and line.endswith("-grams:")):
+            fail(lineno, f"unexpected line {line!r} in \\data\\ section")
+        if not declared:
+            fail(lineno, "no ngram counts declared")
+        order = len(declared)
+        if sorted(declared) != list(range(1, order + 1)):
+            fail(lineno, "non-contiguous ngram orders declared")
+        section = 0
+        while line != "\\end\\":
+            section += 1
+            if not line.endswith("-grams:"):
+                fail(lineno, f"bad section header {line!r}")
+            try:
+                k = int(line[1:-len("-grams:")])
+            except ValueError:
+                fail(lineno, f"bad section header {line!r}")
+            if k not in declared:
+                fail(lineno, f"section {k} not declared in \\data\\")
+            if k != section:
+                fail(lineno, f"section {k} out of order")
+            start = len(logprob)
+            # a section runs to the next line that starts with a backslash,
+            # which no n-gram line does
+            for lineno, line in lines:
+                if line.startswith("\\"):
+                    break
                 fields = line.split("\t")
-                if len(fields) == 1:
-                    fields = line.split()
-                    fields = [fields[0], " ".join(fields[1:])]
-                if len(fields) < 2 or len(fields) > 3:
+                if not 2 <= len(fields) <= 3:
                     fail(lineno, f"bad n-gram line {line!r}")
-                try:
-                    lp = float(fields[0])
-                except ValueError:
-                    fail(lineno, f"bad log probability in {line!r}")
-                if not lp < math.inf:  # -inf is a zero probability, NaN compares false
-                    kind = "NaN" if math.isnan(lp) else "+inf"
-                    fail(lineno, f"{kind} log probability in {line!r}")
+                lp = number(lineno, line, fields[0], "log probability")
                 words = fields[1].split()
                 if len(words) != section:
                     fail(lineno, f"{len(words)}-gram {tuple(words)!r} in section {section}")
@@ -637,15 +629,14 @@ def read_arpa(path: str | Path) -> NGramModel:
                     fail(lineno, f"repeated n-gram {fields[1]!r}")
                 logprob[gram] = lp
                 if len(fields) == 3:
-                    try:
-                        bow = float(fields[2])
-                    except ValueError:
-                        fail(lineno, f"bad back-off weight in {line!r}")
-                    if not bow < math.inf:
-                        kind = "NaN" if math.isnan(bow) else "+inf"
-                        fail(lineno, f"{kind} back-off weight in {line!r}")
-                    backoff[gram] = bow
-                seen_in_section += 1
-    if state != "done":
-        raise ArpaFormatError(f"{path}: truncated ARPA file (no \\end\\)")
-    return NGramModel._adopt(max(declared), logprob, backoff)
+                    backoff[gram] = number(lineno, line, fields[2], "back-off weight")
+            seen = len(logprob) - start
+            if seen != declared[section]:
+                fail(
+                    lineno, f"section {section} declared {declared[section]} entries but has {seen}"
+                )
+            keys = list(islice(reversed(logprob), seen))
+            contexts = dict(zip(keys, keys))
+        if section != order:
+            fail(lineno, f"missing sections after {section}")
+    return NGramModel._adopt(order, logprob, backoff)

@@ -8,12 +8,12 @@ import numpy as np
 
 from cantoasr.decoder import MatrixScorer, pdf_labels_for
 from cantoasr.ngram import (
+    EOS,
     LOG10_FLOOR,
     MLE_UNK_FLOOR,
     SOS,
     UNK,
     NGramModel,
-    _predictions,
     tokenize_chars,
 )
 from cantoasr.simulate import MODEL_VARIANCE, SimConfig, SimulationError, StateModel
@@ -300,11 +300,12 @@ def counting_train_ngram(corpus, order, smoothing="witten_bell"):
     """
     corpus = [s for s in corpus if s]
     counts = [dict() for _ in range(order + 1)]
-    for walk in _predictions(order, corpus):
-        for token, history in walk:
-            if token == SOS:
+    for sent in corpus:
+        padded = [SOS] * (order - 1) + list(sent) + [EOS]
+        for i in range(order - 1, len(padded)):
+            if padded[i] == SOS:
                 continue  # the start marker is never predicted
-            gram = history + (token,)
+            gram = tuple(padded[i - order + 1 : i + 1])
             for k in range(1, order + 1):
                 grams, g = counts[k], gram[-k:]
                 grams[g] = grams.get(g, 0) + 1

@@ -88,8 +88,12 @@ def test_mutated_arpa_loads_or_raises_arpa_format_error(tmp_path):
 
     def writes_back(path, model):
         # a model that loads writes a file that reads back with the same n-grams
+        # and values: writing the read-back model gives the same bytes
         write_arpa(model, tmp_path / "back.arpa")
-        assert read_arpa(tmp_path / "back.arpa").logprob.keys() == model.logprob.keys()
+        back = read_arpa(tmp_path / "back.arpa")
+        assert back.logprob.keys() == model.logprob.keys()
+        write_arpa(back, tmp_path / "again.arpa")
+        assert (tmp_path / "again.arpa").read_bytes() == (tmp_path / "back.arpa").read_bytes()
 
     check_reader(tmp_path, write_mutated_text(text), read_arpa, ArpaFormatError, writes_back)
 

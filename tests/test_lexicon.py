@@ -61,6 +61,13 @@ def test_compile_bad_syllable(inv):
         compile_lexicon(shared, "onc", inv)
 
 
+def test_compile_rejects_a_repeated_word(inv):
+    # read_lexicon merges a word's lines; compile_lexicon takes one entry per word
+    entries = [entry("天", "tin1"), entry("地", "dei6"), entry("天", "tin2")]
+    with pytest.raises(LexiconError, match="word '天' has more than one entry"):
+        compile_lexicon(entries, "if", inv)
+
+
 @pytest.mark.parametrize("scheme", ["if", "onc"])
 @pytest.mark.parametrize("rules", [None, "t>k@aa,a,o;ng>n@aa,a,o"], ids=["plain", "merged"])
 def test_compile_equals_a_per_syllable_expansion(inv, demo_entries, scheme, rules):

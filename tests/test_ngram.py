@@ -88,6 +88,13 @@ def test_perplexity_hand_bigram(hand_bigram):
     assert perplexity(hand_bigram, sents("a b a")) == pytest.approx(expected, rel=1e-9)
 
 
+def test_perplexity_never_predicts_a_literal_start_marker():
+    m = train_ngram(sents("a b a b", "a <s> b"), order=2)
+    lp = m.logprob10
+    expected = 10 ** -((lp("a", (SOS,)) + lp("b", (SOS,)) + lp(EOS, ("b",))) / 3)
+    assert perplexity(m, sents("a <s> b")) == expected
+
+
 def test_perplexity_reorder_invariant():
     m = train_ngram(sents("a b c", "c b a", "a c b"), order=2)
     text = sents("a b", "c a", "b c")
@@ -271,6 +278,18 @@ def test_arpa_rejects_a_repeated_count_line(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ArpaFormatError, match=r"bad\.arpa:3: repeated count line for order 1"):
+        read_arpa(path)
+
+
+@pytest.mark.parametrize("line", ["-0.3 a", "-0.3 a -0.1"], ids=["plain", "backoff"])
+def test_arpa_rejects_an_ngram_line_without_a_tab(tmp_path, line):
+    # n-gram fields are tab-separated, as write_arpa, SRILM and KenLM write them
+    path = tmp_path / "bad.arpa"
+    path.write_text(
+        f"\\data\\\nngram 1=2\n\n\\1-grams:\n{line}\n-0.6 b\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaFormatError, match=rf"bad\.arpa:5: bad n-gram line '{line}'"):
         read_arpa(path)
 
 
