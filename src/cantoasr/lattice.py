@@ -247,7 +247,6 @@ def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
     if lat.start in lat.finals:
         finals.add(0)
     out = lat._out
-    tokens: dict[str, list[str]] = {}  # each arc word's tokens, once per call
     queue = [start_state]
     for state in queue:  # the queue grows as new states are found
         base, hist = state
@@ -257,10 +256,7 @@ def rescore_ngram(lat: Lattice, lm: NGramModel) -> Lattice:
             if word is None:
                 new_lm, new_hist = 0.0, hist
             else:
-                word_tokens = tokens.get(word)
-                if word_tokens is None:
-                    word_tokens = tokens[word] = tokenize_chars(word)
-                new_lm, new_hist = lm.ln_score(word_tokens, hist)
+                new_lm, new_hist = lm.ln_score(tokenize_chars(word), hist)
             dst_state = (arc.dst, new_hist)
             if dst_state not in ids:
                 ids[dst_state] = len(ids)

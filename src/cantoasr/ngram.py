@@ -20,11 +20,20 @@ about 2,076 queries but only 116 distinct ones, so 94 % of queries repeat
 within one list, while a whole 700-lattice ``rescore`` benchmark run asks
 76k distinct queries of 1.45M, and an unbounded memo that held them all
 raised that run's peak RSS from 55.6 to 99.5 MB.  Emptied at 256
-entries, the memo still answers 93 % of that run's queries, in constant
-memory.  It cannot go stale: ``logprob`` and ``backoff`` are read-only
-views of dicts that only the model holds, and ``order`` cannot be rebound.
-Set-up queries (``interpolate``, ``tune_lambda``) hardly repeat, so they
-call ``_query`` and skip the memo.
+entries, the memo answers 93 % of the n-best scorer's queries, in
+constant memory.  It cannot go stale: ``logprob`` and ``backoff`` are
+read-only views of dicts that only the model holds, and ``order`` cannot
+be rebound.  ``ln_score``, which ``rescore_ngram`` and the decoder's word
+tables call, skips the memo and walks once per token from the state it
+holds: 22 % of ``rescore_ngram``'s queries hit the memo, so for the other
+78 % it only added a key, an insert and a periodic clear.  Set-up queries
+(``interpolate``, ``tune_lambda``) hardly repeat, so they call ``_query``
+and skip the memo too.
+
+``tokenize_chars`` answers a text already in its table of token tuples
+from the table, and returns a new list each call.  The table is emptied
+when it holds ``TOKEN_TABLE_SIZE`` texts, as the memo is: scoring a 200-best list word by word tokenizes 1,600 words
+drawn from at most 32 distinct ones per ``rescore`` lattice.
 
 Witten-Bell here is the interpolated form: for a history ``h`` with total
 continuation count ``c(h)`` and ``T(h)`` distinct continuation types,
@@ -61,6 +70,8 @@ EM_MAX_ITER = 100
 MLE_UNK_FLOOR = 1e-7
 LN10 = math.log(10.0)  # natural log of a log10 score: LN10 * log10
 QUERY_MEMO_SIZE = 256  # entries; a full memo is emptied before the next insert
+TOKEN_TABLE_SIZE = 256  # texts; a full table is emptied before the next insert
+_token_table: dict[str, tuple[str, ...]] = {}  # tokenize_chars's answers
 
 
 class ArpaFormatError(DataError):
@@ -68,7 +79,20 @@ class ArpaFormatError(DataError):
 
 
 def tokenize_chars(text: str) -> list[str]:
-    """One token per code point, but keep runs of ASCII word chars whole."""
+    """One token per code point, but keep runs of ASCII word chars whole.
+
+    A recently seen text is answered from a table of token tuples, emptied
+    when it holds ``TOKEN_TABLE_SIZE`` texts; each call returns a new list.
+    """
+    tokens = _token_table.get(text)
+    if tokens is None:
+        if len(_token_table) >= TOKEN_TABLE_SIZE:
+            _token_table.clear()
+        tokens = _token_table[text] = tuple(_split_chars(text))
+    return list(tokens)
+
+
+def _split_chars(text: str) -> list[str]:
     tokens: list[str] = []
     ascii_run: list[str] = []
     for ch in text.strip():
@@ -176,12 +200,16 @@ class NGramModel:
         logprob = self._logprob
         if (word,) not in logprob:
             word = UNK
+        return _backoff_logprob(logprob, self._backoff, self._map_history(history) + (word,))
+
+    def _map_history(self, history) -> tuple[str, ...]:
+        """The last ``order - 1`` tokens of ``history``, each as ``map_token`` maps it."""
+        logprob = self._logprob
         history = tuple(history[self._context])
         for tok in history:
             if (tok,) not in logprob:
-                history = tuple(t if (t,) in logprob else UNK for t in history)
-                break
-        return _backoff_logprob(logprob, self._backoff, history + (word,))
+                return tuple(t if (t,) in logprob else UNK for t in history)
+        return history
 
     def bigram_log10_table(self, histories: list[str], words: list[str]) -> np.ndarray:
         """``table[i, j] == logprob10(words[j], (histories[i],))``, bitwise.
@@ -230,13 +258,23 @@ class NGramModel:
         return history
 
     def ln_score(self, tokens, state: tuple[str, ...]) -> tuple[float, tuple[str, ...]]:
-        """Natural-log total of ``tokens`` after LM state ``state``, and the state after them."""
-        logprob10, map_token, next_state = self.logprob10, self.map_token, self.state
+        """Natural-log total of ``tokens`` after LM state ``state``, and the state after them.
+
+        Each token is one back-off walk from the state, without the query
+        memo: an arc's state and token rarely repeat within the memo's
+        reach.  The total is the per-token sum of ``LN10 * logprob10``.
+        ``state`` may be any history: it is cut and mapped as a query's is,
+        which changes nothing that ``state()`` returns.
+        """
+        logprob, backoff, next_state = self._logprob, self._backoff, self.state
+        state = self._map_history(state)
         total = 0.0
         for tok in tokens:
-            tok = map_token(tok)
-            total += LN10 * logprob10(tok, state)
-            state = next_state(state + (tok,))
+            if (tok,) not in logprob:
+                tok = UNK
+            gram = state + (tok,)
+            total += LN10 * _backoff_logprob(logprob, backoff, gram)
+            state = next_state(gram)
         return total, state
 
     def prob(self, word: str, history: tuple[str, ...] = ()) -> float:
@@ -544,6 +582,8 @@ def read_arpa(path: str | Path) -> NGramModel:
     section in turn, its count checked where it ends, then ``\\end\\``;
     anything after that is ignored.  An n-gram line is tab-separated:
     log probability, the n-gram's tokens, and an optional back-off weight.
+    A highest-order n-gram's weight is checked but not stored: no query
+    reads it and ``write_arpa`` writes none.
 
     The model holds each distinct token once, not once per position.  The
     file is prefix closed, so an n-gram's context was stored in the section
@@ -629,7 +669,10 @@ def read_arpa(path: str | Path) -> NGramModel:
                     fail(lineno, f"repeated n-gram {fields[1]!r}")
                 logprob[gram] = lp
                 if len(fields) == 3:
-                    backoff[gram] = number(lineno, line, fields[2], "back-off weight")
+                    bow = number(lineno, line, fields[2], "back-off weight")
+                    # no query reads a highest-order n-gram's weight
+                    if section < order:
+                        backoff[gram] = bow
             seen = len(logprob) - start
             if seen != declared[section]:
                 fail(

@@ -234,7 +234,7 @@ def test_c07_pruning_rtf_trend():
     base_cfg = SimConfig(seed=1001, frames_per_state=(2, 3), noise_sigma=0.2)
     models = build_state_models(set(graph.pdf_labels), base_cfg)
     n_seeds, n_utts = 20, 200
-    faster = 0
+    faster = less_work = 0
     wers = {2000: [], 7000: []}
     for seed in range(n_seeds):
         scorers, refs = [], []
@@ -246,26 +246,31 @@ def test_c07_pruning_rtf_trend():
                 simulate_utterance(phones, models, base_cfg, salt=seed * 10**6 + i)
             )
             refs.append(entry.word)
-        rtf = {}
+        rtf, expanded = {}, {}
         for max_active in (7000, 2000):
             params = DecodeParams(
                 beam=1e30, max_active=max_active, lm_weight=1.0, lattice_width=2
             )
             batch = batch_decode(graph, scorers, params)
             rtf[max_active] = batch.rtf
+            expanded[max_active] = sum(r.stats.tokens_expanded for r in batch.results if r.stats)
             pairs = [
                 (ref, r.hypothesis.text if r.hypothesis else "")
                 for ref, r in zip(refs, batch.results)
             ]
             wers[max_active].append(corpus_wer(pairs).rate)
         faster += rtf[2000] <= rtf[7000]
+        less_work += expanded[2000] < expanded[7000]
     assert faster >= 16, f"tighter cap faster in only {faster}/20 runs"
+    # the work behind that trend, which no host contention moves
+    assert less_work == n_seeds, f"tighter cap expanded fewer tokens in only {less_work}/20 runs"
     wer_gap = abs(
         sum(wers[2000]) / n_seeds - sum(wers[7000]) / n_seeds
     )
     assert wer_gap <= 0.01, f"max_active changed WER by {wer_gap:.4f}"
     report(
         f"max_active 2000 at least as fast as 7000 in {faster}/20 runs, "
+        f"fewer tokens expanded in {less_work}/20, "
         f"WER gap {wer_gap:.4f}"
     )
 

@@ -6,13 +6,17 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cantoasr import ngram
 from cantoasr.lexicon import demo_lexicon_path
 from cantoasr.ngram import (
     EOS,
     LOG10_FLOOR,
     QUERY_MEMO_SIZE,
     SOS,
+    TOKEN_TABLE_SIZE,
     UNK,
     ArpaFormatError,
     MixtureModel,
@@ -49,6 +53,55 @@ def test_tokenize_chars():
     assert tokenize_chars("該罐裝奶") == ["該", "罐", "裝", "奶"]
     assert tokenize_chars("abc 該def") == ["abc", "該", "def"]
     assert tokenize_chars("  ") == []
+
+
+def split_reference(text):
+    """``tokenize_chars``'s rule as a plain loop: whitespace splits, a run of
+    other ASCII is one token, any other code point is a token of its own."""
+    tokens, run = [], ""
+    for ch in text:
+        if ch.isascii() and not ch.isspace():
+            run += ch
+            continue
+        if run:
+            tokens.append(run)
+            run = ""
+        if not ch.isspace():
+            tokens.append(ch)
+    if run:
+        tokens.append(run)
+    return tokens
+
+
+# ASCII runs, the ASCII separators \x1c-\x1f and the non-ASCII spaces U+00A0
+# and U+3000 (all four whitespace to str.isspace), CJK, and any code point
+TEXTS = st.text(
+    st.sampled_from("ab_Z09.- \t\n\x1c\x1d\x1e\x1f\xa0\u3000該罐裝奶乳糖") | st.characters(),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(TEXTS, min_size=1, max_size=8))
+def test_tokenize_chars_equals_the_loop_reference(texts):
+    # each drawn text again and again, between more distinct texts than the
+    # table holds: answers from a fresh split, from the table, and after it
+    # was emptied
+    for i in range(TOKEN_TABLE_SIZE + 1):
+        text = texts[i % len(texts)]
+        for asked in (text, f"{text}{i}", f"{i}\u3000{text}"):
+            assert tokenize_chars(asked) == split_reference(asked)
+    assert len(ngram._token_table) <= TOKEN_TABLE_SIZE
+
+
+def test_a_changed_token_list_changes_no_later_answer():
+    first = tokenize_chars("ab 該罐")
+    first[0] = "x"
+    first.append("y")
+    second = tokenize_chars("ab 該罐")
+    assert second == ["ab", "該", "罐"] and second is not first
+    second.clear()
+    assert tokenize_chars("ab 該罐") == ["ab", "該", "罐"]
 
 
 def test_hand_bigram_counts(hand_bigram):
@@ -321,6 +374,21 @@ def test_arpa_rejects_nan(tmp_path, line, what):
         read_arpa(path)
 
 
+def test_arpa_drops_a_highest_order_back_off_weight(tmp_path):
+    path = tmp_path / "top.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\ta\t-0.2\n\n\\end\\\n", encoding="utf-8"
+    )
+    m = read_arpa(path)
+    assert dict(m.logprob) == {("a",): -0.3} and dict(m.backoff) == {}
+    write_arpa(m, tmp_path / "back.arpa")
+    assert read_arpa(tmp_path / "back.arpa") == m
+    # the weight no query reads is still checked as a number
+    path.write_text(path.read_text(encoding="utf-8").replace("-0.2", "nan"), encoding="utf-8")
+    with pytest.raises(ArpaFormatError, match=r"top\.arpa:5: NaN back-off weight"):
+        read_arpa(path)
+
+
 def test_arpa_accepts_neg_inf(tmp_path):
     path = tmp_path / "zero.arpa"
     path.write_text(
@@ -484,22 +552,30 @@ def test_state_is_the_longest_stored_suffix():
     assert train_ngram(sents("a b"), order=1).state(("a", "b")) == ()
 
 
-@pytest.mark.parametrize("order", [2, 3, 4, 5])
-def test_ln_score_equals_the_per_token_sum(order):
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_ln_score_equals_the_per_token_sum(tmp_path, order):
     rng = random.Random(order)
     corpus = [[rng.choice("abcdef") for _ in range(rng.randint(2, 8))] for _ in range(40)]
-    m = train_ngram(corpus, order=order)
-    for _ in range(300):
-        # "z" is unknown to the model
-        history = (SOS,) * rng.randint(0, order - 1) + tuple(rng.choices("abcdefz", k=rng.randint(0, 5)))
-        tokens = rng.choices("abcdefz", k=rng.randint(0, 6))
-        expected, raw = 0.0, history
-        for tok in tokens:
-            expected += math.log(10.0) * m.logprob10(tok, raw)
-            raw += (tok,)
-        total, state = m.ln_score(tokens, m.state(tuple(map(m.map_token, history))))
-        assert total == expected
-        assert state == m.state(tuple(map(m.map_token, raw)))
+    models = [train_ngram(corpus, order=order)]
+    models += [random_model(rng, order) for _ in range(30)]  # no <unk>, -0.0, -inf
+    for k, m in enumerate(models[:6]):  # written with six decimals, -0.0 and -inf kept
+        write_arpa(m, tmp_path / f"{k}.arpa")
+        models.append(read_arpa(tmp_path / f"{k}.arpa"))
+    queried = ["a", "b", "c", "d", "e", "f", SOS, EOS, UNK, "z"]  # no model stores "z"
+    for m in models:
+        for _ in range(100):
+            history = (SOS,) * rng.randint(0, order - 1)
+            history += tuple(rng.choices(queried, k=rng.randint(0, 5)))
+            tokens = rng.choices(queried, k=rng.randint(0, 6))
+            expected, raw = 0.0, history
+            for tok in tokens:
+                expected += math.log(10.0) * m.logprob10(tok, raw)
+                raw += (tok,)
+            total, state = m.ln_score(tokens, m.state(tuple(map(m.map_token, history))))
+            assert repr(total) == repr(expected)
+            assert state == m.state(tuple(map(m.map_token, raw)))
+            # a raw history reads as the state it reaches
+            assert repr(m.ln_score(tokens, history)[0]) == repr(expected)
 
 
 def random_model(rng, order):
