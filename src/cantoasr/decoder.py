@@ -25,6 +25,13 @@ pronunciation ``p`` entered from record ``r`` has LM total
 is the context of its record.  A record's acoustic total is derived too,
 as ``score - lm_weight * lm`` at its word end.
 
+A frame records one word-end crossing, its best: the hub and every word
+entry it improves take that record, so every token descends from the best
+crossing of some earlier frame, and no other crossing could ever precede a
+later record.  Only the final frame records the ``lattice_width`` best
+crossings, which become the lattice's final nodes; the lattice is the
+chains of records that reach them.
+
 Pronunciations are laid out as consecutive state ids (entry state, chain,
 junction), so every emitting state ``s`` has exactly two arcs, ``s -> s``
 and ``s -> s + 1``, both emitting ``state_pdf[s]`` with the one log
@@ -51,13 +58,14 @@ boundary: a token at emitting position ``k`` of an ``L``-state chain needs
 utterance a token that cannot finish in the frames left does not set the
 reference, though it is kept or pruned like any other.  The states that
 can finish in ``f`` frames are a prefix of one per-graph order
-(``by_word_end``), so the reference reads only them.  A wider beam
-never turns a successful decode into a failure (see ``decode``).  The
-combined score is not promised to rise with the beam: a wider beam can
-raise the reference and so prune a token that a narrower one kept, and the
-single hub keeps only one word-end token per frame.  The per-frame work is
-vectorized over the active set only, so tighter pruning genuinely reduces
-wall-clock time.  Transition weights are folded into the acoustic total so
+(``by_word_end``), so the reference reads only them.  With finite scores
+and a ``max_active`` that never binds, a wider beam never turns a
+successful decode into a failure (see ``decode``); a ``-inf`` score can
+make it one.  The combined score is not promised to rise with the beam: a
+wider beam can raise the reference and so prune a token that a narrower
+one kept, and the single hub keeps only one word-end token per frame.  The
+per-frame work is vectorized over the active set only, so tighter pruning
+genuinely reduces wall-clock time.  Transition weights are folded into the acoustic total so
 a hypothesis score is always ``am_total + lm_weight * lm_total``.
 """
 
@@ -105,7 +113,7 @@ class DecodeParams:
     beam: float = 15.0
     max_active: int = 7000
     lm_weight: float = DEFAULT_LM_WEIGHT
-    lattice_width: int = 10
+    lattice_width: int = 10  # how many final nodes the lattice gets
 
     def __post_init__(self):
         # a bool is an int to Python, but True is no count
@@ -470,7 +478,9 @@ def decode(
     viable_count = graph.viable_count.tolist()
     hub = graph.hub
     entries = graph.entry_states
+    j_all = graph.j_states
     j_words = graph.j_words.tolist()
+    last = n_frames - 1
     word_end_ctx = graph.word_end_ctx.tolist()
 
     for t in range(n_frames):
@@ -492,31 +502,34 @@ def decode(
         rec[dst] = rec[src]
 
         # epsilon closure: word-end arcs into the hub, then word entries
-        # (each word's LM cost was already charged on its entry arc)
-        jv = nv.take(graph.j_states)
-        j_prons = (jv > NEG_INF).nonzero()[0]
-        if j_prons.size:
-            j_states = graph.j_states[j_prons]
-            crossing = jv[j_prons]
-            order = np.lexsort((j_states, -crossing))
-            keep = order[: params.lattice_width]
+        # (each word's LM cost was already charged on its entry arc).  A
+        # frame before the last records only its best crossing (argmax takes
+        # the first maximum, the lowest junction); the last frame records
+        # the lattice_width best, in (-score, junction) order.
+        jv = nv.take(j_all)
+        if t < last:
+            p = int(jv.argmax())
+            ends = [p] if jv.item(p) > NEG_INF else ()
+        else:
+            crossing = (jv > NEG_INF).nonzero()[0]
+            order = np.argsort(-jv[crossing], kind="stable")
+            ends = crossing[order[: params.lattice_width]].tolist()
+        if ends:
             first = len(rec_word)  # first appended = best
-            ks = j_states[keep]
-            for p, r, c in zip(
-                j_prons[keep].tolist(), rec[ks].tolist(), crossing[keep].tolist()
-            ):
-                w = j_words[p]
+            for p in ends:
+                c = jv.item(p)
+                r = rec.item(j_all.item(p))
                 # the word's LM total was fixed on its entry arc from record r
                 if r < 0:
                     lm = pron_lm.item(graph.sos_ctx, p)
                 else:
                     lm = rec_lm[r] + pron_lm.item(word_end_ctx[rec_word[r]], p)
-                rec_word.append(w)
+                rec_word.append(j_words[p])
                 rec_prev.append(r)
                 rec_frame.append(t + 1)
                 rec_am.append(c - lm_weight * lm)
                 rec_lm.append(lm)
-            hv = crossing[keep[0]]
+            hv = jv.item(ends[0])
             nv[hub] = hv
             rec[hub] = first
             cand_entry = hv + lm_weight * pron_lm[word_end_ctx[rec_word[first]]]

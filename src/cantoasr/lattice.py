@@ -300,11 +300,16 @@ def rescore_external(
 
 
 def read_external_scores(path: str | Path) -> dict[tuple[str, ...], float]:
-    """``rescore_external``'s scores: one ``words<TAB>log prob`` line per hypothesis."""
+    """``rescore_external``'s scores: one ``words<TAB>log prob`` line per hypothesis.
+
+    The empty word sequence is the line ``<TAB>log prob``, so only the line's
+    end is stripped before the split.
+    """
     scores = {}
     with open_text(path, LatticeFormatError) as fh:
         for lineno, line in enumerate(fh, 1):
-            text, tab, lp = line.strip().rpartition("\t")
+            line = line.rstrip()
+            text, tab, lp = line.rpartition("\t")
             if not lp:
                 continue
             try:
@@ -314,7 +319,7 @@ def read_external_scores(path: str | Path) -> dict[tuple[str, ...], float]:
                 if not score < math.inf:  # -inf is a zero probability, NaN compares false
                     raise ValueError("NaN or +inf score")
             except ValueError as exc:
-                raise LatticeFormatError(f"{path}:{lineno}: {exc} in {line.strip()!r}") from None
+                raise LatticeFormatError(f"{path}:{lineno}: {exc} in {line!r}") from None
             scores[tuple(text.split())] = score
     return scores
 

@@ -399,6 +399,22 @@ def test_rescore_external_cli(tmp_path, capsys):
     assert json.loads(out)[0]["text"] == "合共九千九百萬元"
 
 
+def test_rescore_external_scores_the_empty_hypothesis(tmp_path, capsys):
+    lat, ext = tmp_path / "eps.lat", tmp_path / "scores.tsv"
+    lat.write_text(
+        "LATTICE v1\nnode 0 0\nnode 1 5\nstart 0\nfinal 1\n"
+        "arc 0 1 - -0.5 0.0\narc 0 1 好 -1.0 -0.2\n",
+        encoding="utf-8",
+    )
+    ext.write_text("\t-9.0\n好\t-1.0\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--json", "rescore", "--lattice", str(lat),
+        "--external", str(ext), "--n", "2", "--interpolation", "0.0",
+    )
+    assert code == 0, err
+    assert [h["text"] for h in json.loads(out)] == ["好", ""]
+
+
 def strict_json(text):
     """``json.loads`` that refuses the non-standard ``NaN``, ``Infinity`` and ``-Infinity``."""
 

@@ -641,6 +641,89 @@ def test_decoder_lattice_agrees_with_decode():
     assert best_path(lattice, 2.0).words == hyp.words
 
 
+def _finals(lattice, lm_weight):
+    """Each final node's incoming arc as (src frame, word, am, lm), and its
+    path score, in node order; a record lattice has one arc into each node."""
+    into = {a.dst: a for a in lattice.arcs}
+    arcs, scores = [], []
+    for node in sorted(lattice.finals):
+        arc = into[node]
+        arcs.append((lattice.nodes[arc.src], arc.word, arc.am, arc.lm))
+        am = lm = 0.0
+        while node != lattice.start:
+            am, lm, node = am + into[node].am, lm + into[node].lm, into[node].src
+        scores.append(am + lm_weight * lm)
+    return arcs, scores
+
+
+def _check_lattice_widths(graph, scorer, beam, lm_weight):
+    """Decode at several lattice widths; the final frame's crossings, 0 on failure.
+
+    Every token descends from the best word-end crossing of some frame, so
+    the width changes only the final frame's records: the lattice's final
+    nodes are that frame's best crossings, and every other node is the one
+    best crossing of its frame.
+    """
+    widths = (1, 2, 5, 50, graph.num_prons)  # the last one keeps every crossing
+    runs = []
+    for width in widths:
+        params = DecodeParams(beam=beam, max_active=10**9, lm_weight=lm_weight, lattice_width=width)
+        try:
+            runs.append(decode(graph, scorer, params))
+        except DecodeError as exc:
+            runs.append(str(exc))
+    if isinstance(runs[0], str):
+        assert runs == runs[:1] * len(runs)
+        return 0
+    hyp, narrow, stats = runs[0]
+    full, scores = _finals(runs[-1][1], lm_weight)
+    assert all(a >= b - 1e-9 * (1 + abs(b)) for a, b in zip(scores, scores[1:])), scores
+
+    def arc_set(lat):
+        return {(lat.nodes[a.src], lat.nodes[a.dst], a.word, a.am, a.lm) for a in lat.arcs}
+
+    for width, (h, lat, st) in zip(widths, runs):
+        assert h == hyp
+        assert (st.frames, st.active_tokens_mean, st.tokens_expanded) == (
+            stats.frames, stats.active_tokens_mean, stats.tokens_expanded
+        )
+        inner = [f for n, f in lat.nodes.items() if n not in lat.finals]
+        assert len(inner) == len(set(inner)), width
+        assert best_path(lat, lm_weight).words == hyp.words
+        assert arc_set(narrow) <= arc_set(lat), width
+        assert _finals(lat, lm_weight)[0] == full[:width], width
+    return len(full)
+
+
+def test_lattice_width_changes_only_the_final_frame():
+    crossings = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        dead = np.random.default_rng(seed)
+        for _ in range(3):
+            _, graph, lm, scorer, lm_weight = random_fixture(rng)
+            holed = scorer.matrix.copy()
+            holed[dead.random(holed.shape) < 0.15] = -np.inf
+            for s in (scorer, MatrixScorer(holed, scorer.labels)):
+                for beam in (1e30, 10.0):
+                    crossings.append(_check_lattice_widths(graph, s, beam, lm_weight))
+    # decodes that succeed, and ones whose final frame has alternatives to keep
+    assert sum(n > 0 for n in crossings) >= 200
+    assert sum(n > 1 for n in crossings) >= 50, crossings
+
+    for scheme in ("if", "onc"):
+        graph = demo_graph(scheme)
+        lex = compile_lexicon(read_lexicon(demo_lexicon_path()), scheme, default_inventory())
+        # the demo experiment's simulator and search settings
+        cfg = SimConfig(seed=34, frames_per_state=(1, 3), noise_sigma=0.6, mean_scale=2.0)
+        models = build_state_models(set(graph.pdf_labels), cfg)
+        texts = [("合共", "九", "千", "萬元"), ("奶", "含", "乳糖"), ("新", "生", "冷", "八")]
+        for salt, text in enumerate(texts):
+            phones = [p.label for w in text for p in lex.entries[w][0]]
+            scorer = simulate_utterance(phones, models, cfg, salt=salt)
+            assert _check_lattice_widths(graph, scorer, 40.0, 0.5), (scheme, text)
+
+
 def test_fscr_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(17, 6))

@@ -13,6 +13,7 @@ from cantoasr.lattice import (
     best_path,
     demo_lattice_path,
     nbest,
+    read_external_scores,
     read_lattice,
     rescore_external,
     rescore_ngram,
@@ -466,6 +467,22 @@ def test_rescore_external_hand_arithmetic():
             0.25 * dict((x.words, x.lm_total) for x in hyps)[h.words]
             + 0.75 * scores[h.words]
         )
+
+
+def test_read_external_scores_reads_the_empty_word_sequence(tmp_path):
+    # an all-epsilon path is the hypothesis with no words; its line starts with the TAB
+    p = tmp_path / "s.tsv"
+    p.write_text("\t-1.0\n \n好\t-2.0\n", encoding="utf-8")
+    scores = read_external_scores(p)
+    assert scores == {(): -1.0, ("好",): -2.0}
+    lat = make_lattice([Arc(0, 1, None, -0.5, 0.0), Arc(0, 1, "好", -1.0, -0.2)])
+    hyps = nbest(lat, 2, lm_weight=1.0)
+    assert [h.words for h in hyps] == [(), ("好",)]
+    out = rescore_external(hyps, scores, 0.5)
+    assert {h.words: h.combined for h in out} == {
+        (): pytest.approx(-0.5 + 0.5 * -1.0),
+        ("好",): pytest.approx(-1.0 + 0.5 * -0.2 + 0.5 * -2.0),
+    }
 
 
 def test_rescore_external_missing_scores(diamond):
