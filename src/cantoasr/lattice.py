@@ -303,9 +303,10 @@ def read_external_scores(path: str | Path) -> dict[tuple[str, ...], float]:
     """``rescore_external``'s scores: one ``words<TAB>log prob`` line per hypothesis.
 
     The empty word sequence is the line ``<TAB>log prob``, so only the line's
-    end is stripped before the split.
+    end is stripped before the split.  Words are split on whitespace, and a
+    word sequence scored on two lines raises ``LatticeFormatError``.
     """
-    scores = {}
+    scores, first_line = {}, {}
     with open_text(path, LatticeFormatError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip()
@@ -320,7 +321,13 @@ def read_external_scores(path: str | Path) -> dict[tuple[str, ...], float]:
                     raise ValueError("NaN or +inf score")
             except ValueError as exc:
                 raise LatticeFormatError(f"{path}:{lineno}: {exc} in {line!r}") from None
-            scores[tuple(text.split())] = score
+            words = tuple(text.split())
+            if words in first_line:
+                raise LatticeFormatError(
+                    f"{path}:{lineno}: words {text!r} repeated (first on line {first_line[words]})"
+                )
+            first_line[words] = lineno
+            scores[words] = score
     return scores
 
 

@@ -17,6 +17,13 @@ moves one unit's means toward another's, which is how coda-merge sound
 change is injected: the blend happens in the emission space, so schemes
 that share the underlying units experience the same degradation geometry.
 
+Each pdf label has its own stream, the one ``default_rng(SeedSequence((seed,
+crc32(label))))`` gives, and its mean is that stream's first draw.  The
+streams are not built one by one: ``_label_states`` runs numpy's seeding
+for every label at once on uint32 arrays, and one generator, set to each
+label's seeded state in turn, draws every mean.  A label that separation
+redraws continues its own stream.
+
 ``numpy.random`` is loaded at the first draw, not at import, so a process
 that only rescores never holds it (nor the ``hashlib`` it brings).
 """
@@ -36,6 +43,15 @@ SCREEN_BLOCK_ROWS = 32
 MAX_FRAMES_PER_STATE = 1000
 # the largest feature dimension: every label's mean and every frame holds this many floats
 MAX_FEATURE_DIM = 1000
+
+
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 seeding (pcg64.c) constants
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class SimulationError(DataError):
@@ -87,19 +103,73 @@ class StateModel:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
 
 
-# the annotation is quoted: evaluated at import it would load numpy.random
-def _label_rng(seed: int, label: str) -> "np.random.Generator":
-    """The stream of ``default_rng(SeedSequence((seed, crc32(label))))``.
+def _hash_constants(init: int, mult: int):
+    """``SeedSequence``'s hash constant before and after each step: it starts
+    at ``init`` and is multiplied by ``mult`` modulo 2**32 per step."""
+    while True:
+        yield init, (init := init * mult & _MASK32)
 
-    ``SeedSequence`` turns that tuple into the seed's little-endian 32-bit
-    words followed by the crc; that word array is built here directly,
-    without ``default_rng`` or the tuple coercion.
+
+def _hashmix(value: np.ndarray, step) -> np.ndarray:
+    """``SeedSequence``'s hash of every uint32 in ``value``, taking the next
+    hash constants from ``step``."""
+    before, after = next(step)
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of two uint32 arrays, element by element."""
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return value ^ (value >> 16)
+
+
+def _label_states(seed: int, labels: list[str]) -> list[dict]:
+    """The PCG64 state that ``default_rng(SeedSequence((seed, crc32(label))))``
+    starts from, for every label in ``labels``, as the dict a ``PCG64``'s
+    ``state`` attribute takes.
+
+    This is numpy's seeding (``SeedSequence`` and ``pcg64_set_seed``) run
+    over all labels at once: each label's entropy is the seed's
+    little-endian 32-bit words followed by the label's crc, and the hash
+    constant advances the same way for every label, so each step of the
+    pool mixing and of ``generate_state(4, uint64)`` is one uint32 array
+    operation.  Only arrays take the uint32 products, which wrap silently;
+    the 128-bit step is on Python ints.
     """
-    words = [seed & 0xFFFFFFFF]
+    words = [seed & _MASK32]
     while seed := seed >> 32:
-        words.append(seed & 0xFFFFFFFF)
-    entropy = np.array([*words, zlib.crc32(label.encode("utf-8"))], dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        words.append(seed & _MASK32)
+    crcs = np.array([zlib.crc32(lab.encode("utf-8")) for lab in labels], dtype=np.uint32)
+    entropy = [np.full_like(crcs, w) for w in words] + [crcs]
+    step = _hash_constants(_INIT_A, _MULT_A)
+    pool = [
+        _hashmix(entropy[i] if i < len(entropy) else np.zeros_like(crcs), step)
+        for i in range(4)
+    ]
+    # every pool word is mixed into every other, then each entropy word past the pool
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], step))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, step))
+
+    # generate_state(4, uint64): eight words cycling the pool, paired little-endian
+    step = _hash_constants(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[i % 4], step).astype(np.uint64) for i in range(8)]
+    u0, u1, u2, u3 = ((out[k] | out[k + 1] << 32).tolist() for k in range(0, 8, 2))
+    states = []
+    # pcg64_set_seed: initstate = u0:u1, initseq = u2:u3, two LCG steps from 0
+    for hi_state, lo_state, hi_seq, lo_seq in zip(u0, u1, u2, u3):
+        inc = (hi_seq << 65 | lo_seq << 1 | 1) & _MASK128
+        state = ((inc + (hi_state << 64 | lo_state)) * _PCG64_MULT + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        })
+    return states
 
 
 def _close_pairs(mat: np.ndarray, floor: float) -> list:
@@ -142,24 +212,40 @@ def _close_pairs(mat: np.ndarray, floor: float) -> list:
 def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> StateModel:
     """Deterministic seed-derived means, every pair at least ``4 * noise_sigma`` apart.
 
+    Label ``lab``'s mean is the first draw of its own stream, the one
+    ``np.random.default_rng(np.random.SeedSequence((cfg.seed,
+    crc32(lab))))`` gives.  ``_label_states`` seeds every label's stream in
+    one array pass, and one generator draws them all, set to each label's
+    state before its draw.
+
     Separation redraws the lexicographically later mean of each pair that
-    is too close.  The conflicting pairs are those of the first draws, taken
-    in row-major order (``_close_pairs``: a Gram screen in blocks of 32
-    rows, with temporaries of at most 32 * n floats for n labels, confirmed
-    by the direct distance); each redraw overwrites its label's row of the
-    means matrix in place, and is checked against the current rows of every
-    other label.  A redraw
-    measures its gaps against the whole matrix, with its own gap set to
-    infinity.
+    is too close.  A redrawn label continues its own stream, so its k-th
+    redraw is that stream's (k + 1)-th draw.  The conflicting pairs are
+    those of the first draws, taken in row-major order (``_close_pairs``:
+    a Gram screen in blocks of 32 rows, with temporaries of at most 32 * n
+    floats for n labels, confirmed by the direct distance); each redraw
+    overwrites its label's row of the means matrix in place, and is checked
+    against the current rows of every other label.  A redraw measures its
+    gaps against the whole matrix, with its own gap set to infinity.
     """
     labels = sorted(set(labels))
     if not labels:
         raise SimulationError("no labels")
-    rngs = [_label_rng(cfg.seed, lab) for lab in labels]
-    mat = np.stack([rng.normal(0.0, cfg.mean_scale, cfg.feature_dim) for rng in rngs])
+    states = _label_states(cfg.seed, labels)
+    # one generator for every stream: each draw first sets the label's state
+    gen = np.random.Generator(np.random.PCG64(0))
+    bitgen = gen.bit_generator
+    rows = []
+    for state in states:
+        bitgen.state = state
+        rows.append(gen.normal(0.0, cfg.mean_scale, cfg.feature_dim))
+    mat = np.stack(rows)
 
     floor = 4.0 * cfg.noise_sigma
     if floor > 0.0 and len(labels) > 1:
+        # a redrawn row's stream state after its latest draw; a row can be
+        # the later row of several close pairs, so it is kept between them
+        streams = {}
         for j in _close_pairs(mat, floor):
             # redraw the later label until it clears every other mean
             for tries in range(101):
@@ -172,7 +258,14 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
                         f"cannot separate {labels[j]!r}; raise mean_scale or "
                         f"lower noise_sigma"
                     )
-                mat[j] = rngs[j].normal(0.0, cfg.mean_scale, cfg.feature_dim)
+                if j in streams:
+                    bitgen.state = streams[j]
+                else:
+                    # replay the first draw, which is already row j
+                    bitgen.state = states[j]
+                    gen.normal(0.0, cfg.mean_scale, cfg.feature_dim)
+                mat[j] = gen.normal(0.0, cfg.mean_scale, cfg.feature_dim)
+                streams[j] = bitgen.state
     return StateModel(tuple(labels), mat)
 
 

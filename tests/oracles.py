@@ -188,6 +188,14 @@ def arpa_logprob10(model, word, history):
     return p(context)
 
 
+def label_rng(seed, label):
+    """The reference stream of pdf label ``label`` under model seed ``seed``:
+    ``default_rng`` on the ``(seed, crc32(label))`` tuple."""
+    return np.random.default_rng(
+        np.random.SeedSequence((seed, zlib.crc32(label.encode("utf-8"))))
+    )
+
+
 def broadcast_state_models(labels, cfg):
     """``simulate.build_state_models`` with its first-draw distances as one
     (n, n, feature_dim) broadcast and ``np.argwhere`` over the upper triangle.
@@ -200,12 +208,7 @@ def broadcast_state_models(labels, cfg):
     labels = sorted(set(labels))
     if not labels:
         raise SimulationError("no labels")
-    rngs = [
-        np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, zlib.crc32(lab.encode("utf-8"))))
-        )
-        for lab in labels
-    ]
+    rngs = [label_rng(cfg.seed, lab) for lab in labels]
     mat = np.stack([rng.normal(0.0, cfg.mean_scale, cfg.feature_dim) for rng in rngs])
 
     floor = 4.0 * cfg.noise_sigma

@@ -484,6 +484,21 @@ def test_rescore_external_bad_scores_name_the_line(tmp_path, capsys, bad, why):
     assert "scores.tsv:3: " in err and why in err
 
 
+def test_rescore_external_refuses_a_word_sequence_scored_twice(tmp_path, capsys):
+    ext = tmp_path / "scores.tsv"
+    ext.write_text(
+        "合 共 九 千 九 百 萬 元\t-1.0\n合 共 九 遷 九 百 萬 元\t-2.0\n"
+        "合 共 九 千 九 白 萬 元\t-3.0\n合  共 九 千 九 百 萬 元\t-40.0\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        capsys, "--json", "rescore", "--lattice", str(demo_lattice_path()), "--n", "3",
+        "--external", str(ext), "--interpolation", "0.0",
+    )
+    assert code == 2 and out == ""
+    assert "scores.tsv:4: " in err and "repeated (first on line 1)" in err
+
+
 def test_score_wer_identical_files(tmp_path, capsys):
     ref = tmp_path / "r.txt"
     hyp = tmp_path / "h.txt"

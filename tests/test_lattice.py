@@ -485,6 +485,14 @@ def test_read_external_scores_reads_the_empty_word_sequence(tmp_path):
     }
 
 
+def test_read_external_scores_rejects_a_repeated_word_sequence(tmp_path):
+    # whitespace is normalized before the words are a key, so line 3 repeats line 1
+    p = tmp_path / "s.tsv"
+    p.write_text("甲 乙\t-1.0\n甲\t-2.0\n甲  乙\t-3.0\n", encoding="utf-8")
+    with pytest.raises(LatticeFormatError, match=r"s\.tsv:3: .*repeated \(first on line 1\)"):
+        read_external_scores(p)
+
+
 def test_rescore_external_missing_scores(diamond):
     hyps = nbest(diamond, 3, lm_weight=1.0)
     with pytest.raises(DataError, match="甲丙"):

@@ -1,5 +1,4 @@
 import tracemalloc
-import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from cantoasr.simulate import (
     SimConfig,
     SimulationError,
     _close_pairs,
-    _label_rng,
+    _label_states,
     blend_confusions,
     build_state_models,
     draw_frames,
@@ -25,7 +24,12 @@ from cantoasr.simulate import (
     simulate_utterance,
 )
 
-from oracles import broadcast_state_models, fused_simulate_utterance, true_label_sequence
+from oracles import (
+    broadcast_state_models,
+    fused_simulate_utterance,
+    label_rng,
+    true_label_sequence,
+)
 
 LABELS = {"aa1", "_k3", "_t3", "b"}
 
@@ -84,7 +88,7 @@ def per_pair_state_models(labels, cfg):
     Returns the separated means and the number of redraws.
     """
     labels = sorted(set(labels))
-    rngs = {lab: _label_rng(cfg.seed, lab) for lab in labels}
+    rngs = {lab: label_rng(cfg.seed, lab) for lab in labels}
     means = {
         lab: rngs[lab].normal(0.0, cfg.mean_scale, cfg.feature_dim) for lab in labels
     }
@@ -149,7 +153,7 @@ def test_state_models_equal_the_broadcast_reference(feature_dim):
                 assert models.labels == expected.labels
                 assert models.means.tobytes() == expected.means.tobytes()
                 first = np.stack([
-                    _label_rng(seed, lab).normal(0.0, mean_scale, feature_dim)
+                    label_rng(seed, lab).normal(0.0, mean_scale, feature_dim)
                     for lab in models.labels
                 ])
                 redrawn += not np.array_equal(first, models.means)
@@ -344,15 +348,18 @@ def test_noiseless_frames_are_the_generating_means():
         assert frames.tobytes() == models.means[rows].tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+# 2**96 + 5 has four 32-bit words, so with the crc its entropy is longer
+# than SeedSequence's pool of four
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**200])
 def test_label_stream_equals_default_rng_on_the_seed_tuple(seed):
-    for lab in ["aa1#0", "_k3#2", "b", "香港", "é#1", ""]:
-        rng = _label_rng(seed, lab)
-        ref = np.random.default_rng(
-            np.random.SeedSequence((seed, zlib.crc32(lab.encode("utf-8"))))
-        )
-        assert rng.normal(0.0, 1.0, 16).tobytes() == ref.normal(0.0, 1.0, 16).tobytes()
-        assert rng.integers(0, 2**63, 4).tolist() == ref.integers(0, 2**63, 4).tolist()
+    gen = np.random.Generator(np.random.PCG64())
+    for labels in [""], ["香港"], ["é#1"], [f"s{k}#{k % 3}" for k in range(500)]:
+        for lab, state in zip(labels, _label_states(seed, labels), strict=True):
+            ref = label_rng(seed, lab)
+            assert ref.bit_generator.state == state
+            gen.bit_generator.state = state
+            assert gen.normal(0.0, 1.0, 16).tobytes() == ref.normal(0.0, 1.0, 16).tobytes()
+            assert gen.integers(0, 2**63, 4).tolist() == ref.integers(0, 2**63, 4).tolist()
 
 
 def test_noiseless_frames_argmax_true_label():
