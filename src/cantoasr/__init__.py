@@ -15,10 +15,11 @@ class DataError(ValueError):
 def open_text(path, error: type[DataError] = DataError):
     """A UTF-8 text file opened to read; bytes that do not decode raise ``error`` naming it.
 
-    A reader of a format passes the format's own error type.
+    A leading byte-order mark is read as nothing.  A reader of a format
+    passes the format's own error type.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not utf-8 text ({exc.reason})") from None

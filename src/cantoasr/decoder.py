@@ -16,21 +16,22 @@ makes beam comparisons meaningful.
 The end-of-sentence LM term is added when the best final token is
 selected.
 
-A token is its score and the word-boundary record it descends from.
-Inside a word its LM total and context never change, so both are derived
-from that record: each record keeps its word and the LM total at its word
-end, the context after it is ``word_end_ctx`` of its word, and a token in
-pronunciation ``p`` entered from record ``r`` has LM total
-``rec_lm[r] + pron_lm[word_end_ctx[rec_word[r]], p]``.  The hub's context
-is the context of its record.  A record's acoustic total is derived too,
-as ``score - lm_weight * lm`` at its word end.
+A token is its score and the word-boundary record it descends from, a
+``(word, prev, frame, am, lm)`` tuple: word id, previous record (-1 for
+none), end frame, and the acoustic and LM totals there.  Inside a word a
+token's LM total and context never change, so both are derived from its
+record: the context after it is ``word_end_ctx[word]``, and a token in
+pronunciation ``p`` entered from it has LM total
+``lm + pron_lm[word_end_ctx[word], p]``.  The hub's context is the context
+of its record.  A record's acoustic total is derived too, as
+``score - lm_weight * lm`` at its word end.
 
 A frame records one word-end crossing, its best: the hub and every word
 entry it improves take that record, so every token descends from the best
 crossing of some earlier frame, and no other crossing could ever precede a
 later record.  Only the final frame records the ``lattice_width`` best
 crossings, which become the lattice's final nodes; the lattice is the
-chains of records that reach them.
+chains of records that reach them, read back from those records.
 
 Pronunciations are laid out as consecutive state ids (entry state, chain,
 junction), so every emitting state ``s`` has exactly two arcs, ``s -> s``
@@ -77,7 +78,6 @@ import struct
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -454,13 +454,8 @@ def decode(
     # sentinel slot past the last junction, so ``act + 1`` always exists.
     S = graph.num_states
     rec = np.full(S + 1, -1, dtype=np.int32)
-    # per-record parallel lists: word id, previous record, end frame, am
-    # total and lm total at the crossing
-    rec_word: list[int] = []
-    rec_prev: list[int] = []
-    rec_frame: list[int] = []
-    rec_am: list[float] = []
-    rec_lm: list[float] = []
+    # one (word, prev, frame, am, lm) record per recorded crossing
+    recs: list[tuple[int, int, int, float, float]] = []
     pron_lm = graph.pron_lm
 
     lm_weight = params.lm_weight
@@ -515,24 +510,20 @@ def decode(
             order = np.argsort(-jv[crossing], kind="stable")
             ends = crossing[order[: params.lattice_width]].tolist()
         if ends:
-            first = len(rec_word)  # first appended = best
+            first = len(recs)  # first appended = best
             for p in ends:
-                c = jv.item(p)
                 r = rec.item(j_all.item(p))
                 # the word's LM total was fixed on its entry arc from record r
                 if r < 0:
                     lm = pron_lm.item(graph.sos_ctx, p)
                 else:
-                    lm = rec_lm[r] + pron_lm.item(word_end_ctx[rec_word[r]], p)
-                rec_word.append(j_words[p])
-                rec_prev.append(r)
-                rec_frame.append(t + 1)
-                rec_am.append(c - lm_weight * lm)
-                rec_lm.append(lm)
+                    r_word, _, _, _, r_lm = recs[r]
+                    lm = r_lm + pron_lm.item(word_end_ctx[r_word], p)
+                recs.append((j_words[p], r, t + 1, jv.item(p) - lm_weight * lm, lm))
             hv = jv.item(ends[0])
             nv[hub] = hv
             rec[hub] = first
-            cand_entry = hv + lm_weight * pron_lm[word_end_ctx[rec_word[first]]]
+            cand_entry = hv + lm_weight * pron_lm[word_end_ctx[j_words[ends[0]]]]
             improve = cand_entry > nv[entries]
             targets = entries[improve]
             nv[targets] = cand_entry[improve]
@@ -562,13 +553,13 @@ def decode(
             "no surviving token reaches a word boundary at the final frame"
         )
     r = int(rec[hub])
-    am_total = rec_am[r]
-    lm_total = rec_lm[r] + float(graph.end_lm[word_end_ctx[rec_word[r]]])
+    word, _, _, am_total, lm_total = recs[r]
+    lm_total += float(graph.end_lm[word_end_ctx[word]])
 
     words = []
     while r >= 0:
-        words.append(graph.words[rec_word[r]])
-        r = rec_prev[r]
+        word, r, _, _, _ = recs[r]
+        words.append(graph.words[word])
     words.reverse()
 
     wall = time.perf_counter() - started
@@ -578,9 +569,7 @@ def decode(
         lm_total=lm_total,
         lm_weight=lm_weight,
     )
-    lattice = _records_to_lattice(
-        graph, rec_word, rec_prev, rec_frame, rec_am, rec_lm, n_frames
-    )
+    lattice = _records_to_lattice(graph.words, recs, len(ends))
     stats = DecodeStats(
         frames=n_frames,
         active_tokens_mean=active_total / n_frames,
@@ -592,36 +581,33 @@ def decode(
     return hyp, lattice, stats
 
 
-def _records_to_lattice(
-    graph, rec_word, rec_prev, rec_frame, rec_am, rec_lm, n_frames
-) -> Lattice:
-    """Word-boundary records -> word lattice (kept chains only)."""
-    kept = [f == n_frames for f in rec_frame]
-    # a record's predecessor was appended before it, so one backward pass
-    # marks every chain that reaches a final record
-    for r in range(len(kept) - 1, -1, -1):
-        if kept[r] and rec_prev[r] >= 0:
-            kept[rec_prev[r]] = True
-    node_of = {}
+def _records_to_lattice(words, recs, n_final) -> Lattice:
+    """Word-boundary records -> word lattice of the chains that reach a final one.
+
+    The final frame appended the last ``n_final`` records.  Each chain is
+    walked back from them until it meets a kept record, and the kept
+    records become nodes 1, 2, ... in record order (node 0 is the start).
+    """
+    kept = set()
+    for r in range(len(recs) - n_final, len(recs)):
+        while r >= 0 and r not in kept:
+            kept.add(r)
+            r = recs[r][1]
+    node_of = {r: node for node, r in enumerate(sorted(kept), 1)}
     nodes = {0: 0}
     arcs = []
-    for r in compress(range(len(kept)), kept):
-        node = node_of[r] = len(node_of) + 1
-        nodes[node] = rec_frame[r]
-        prev = rec_prev[r]
+    for r, node in node_of.items():
+        word, prev, frame, am, lm = recs[r]
+        nodes[node] = frame
         if prev >= 0:
-            src = node_of[prev]
-            am_delta = rec_am[r] - rec_am[prev]
-            lm_delta = rec_lm[r] - rec_lm[prev]
-        else:
-            src = 0
-            am_delta = rec_am[r]
-            lm_delta = rec_lm[r]
-        arcs.append(Arc(src, node, graph.words[rec_word[r]], am_delta, lm_delta))
+            _, _, _, prev_am, prev_lm = recs[prev]
+            am -= prev_am
+            lm -= prev_lm
+        arcs.append(Arc(node_of.get(prev, 0), node, words[word], am, lm))
     return Lattice(
         nodes=nodes,
         start=0,
-        finals=frozenset(node_of[r] for r, f in enumerate(rec_frame) if f == n_frames),
+        finals=frozenset(range(len(kept) - n_final + 1, len(kept) + 1)),
         arcs=tuple(arcs),
     )
 

@@ -140,14 +140,22 @@ class ErrorClassification:
 def classify_errors(
     refs: list[str], hyps_a: list[str], hyps_b: list[str]
 ) -> ErrorClassification:
-    """Sentence-level comparison of two systems against shared references."""
+    """Sentence-level comparison of two systems against shared references.
+
+    Two sentences are the same when they are equal after ``normalize``, so a
+    sentence is correct exactly when ``wer`` finds no error in it.
+    """
     if not (len(refs) == len(hyps_a) == len(hyps_b)):
         raise DataError(
             f"length mismatch: {len(refs)} refs, {len(hyps_a)} vs {len(hyps_b)} hyps"
         )
+
+    def same(x, y):
+        return x == y or normalize(x) == normalize(y)
+
     correct_a = correct_b = a_only = b_only = shared = identical = 0
     for ref, ha, hb in zip(refs, hyps_a, hyps_b):
-        ok_a, ok_b = ha == ref, hb == ref
+        ok_a, ok_b = same(ha, ref), same(hb, ref)
         correct_a += ok_a
         correct_b += ok_b
         if ok_a and not ok_b:
@@ -156,7 +164,7 @@ def classify_errors(
             a_only += 1
         elif not ok_a and not ok_b:
             shared += 1
-            identical += ha == hb
+            identical += same(ha, hb)
     return ErrorClassification(correct_a, correct_b, a_only, b_only, shared, identical)
 
 

@@ -23,7 +23,13 @@ from cantoasr.decoder import (
     build_graph,
     decode,
 )
-from cantoasr.evaluate import classify_errors, corpus_wer, format_classification, wer
+from cantoasr.evaluate import (
+    classify_errors,
+    corpus_wer,
+    format_classification,
+    hypothesis_texts,
+    wer,
+)
 from cantoasr.experiment import ExperimentConfig, run_experiment
 from cantoasr.lattice import best_path, rescore_ngram
 from cantoasr.lexicon import LexiconEntry, compile_lexicon, read_lexicon, demo_lexicon_path
@@ -256,10 +262,7 @@ def test_c07_pruning_rtf_trend():
             batch = batch_decode(graph, scorers, params)
             rtf[max_active] = batch.rtf
             expanded[max_active] = sum(r.stats.tokens_expanded for r in batch.results if r.stats)
-            pairs = [
-                (ref, r.hypothesis.text if r.hypothesis else "")
-                for ref, r in zip(refs, batch.results)
-            ]
+            pairs = list(zip(refs, hypothesis_texts(batch)))
             wers[max_active].append(corpus_wer(pairs).rate)
         faster += rtf[2000] <= rtf[7000]
         ratios.append(rtf[2000] / rtf[7000])

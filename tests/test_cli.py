@@ -522,6 +522,48 @@ def test_score_classify(tmp_path, capsys):
     assert payload["errors_a_only"] == 1 and payload["correct_b"] == 2
 
 
+def test_score_classify_follows_score_wers_whitespace_rule(tmp_path, capsys):
+    # hypotheses spaced into words, as another recognizer writes them
+    (tmp_path / "r.txt").write_text("合共九千\n香港人\n", encoding="utf-8")
+    (tmp_path / "a.txt").write_text("合共 九千\n香港 人\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("合共九千\n香港仁\n", encoding="utf-8")
+    ref, hyp_a, hyp_b = (str(tmp_path / f"{n}.txt") for n in "rab")
+    code, out, _ = run(capsys, "score", "wer", "--ref", ref, "--hyp", hyp_a)
+    assert code == 0
+    assert out.startswith("rate 0.0000 ") and "N=7" in out
+    code, out, _ = run(capsys, "score", "classify", "--ref", ref, "--hyp-a", hyp_a, "--hyp-b", hyp_b)
+    assert code == 0
+    lines = [line.split() for line in out.splitlines()]
+    assert ["Correct", "sentences", "2", "1"] in lines
+    assert ["Errors", "in", "A", "only", "0"] in lines
+    assert ["Errors", "in", "B", "only", "1"] in lines
+
+
+BOM_TEXT = b"\xef\xbb\xbf" + "合共九千\n香港人\n".encode()
+
+
+def test_score_wer_reads_a_byte_order_mark_as_nothing(tmp_path, capsys):
+    ref = tmp_path / "r.txt"
+    ref.write_bytes(BOM_TEXT)
+    hyp = tmp_path / "h.txt"
+    hyp.write_text("合共九千\n香港人\n", encoding="utf-8")
+    code, out, _ = run(capsys, "score", "wer", "--ref", str(ref), "--hyp", str(hyp))
+    assert code == 0
+    assert "(0.00%)" in out and "N=7" in out
+
+
+def test_lm_train_reads_a_byte_order_mark_as_nothing(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(BOM_TEXT)
+    arpa = tmp_path / "lm.arpa"
+    code, _, _ = run(
+        capsys, "lm", "train", "--corpus", str(corpus), "--order", "2", "--out", str(arpa)
+    )
+    assert code == 0
+    text = arpa.read_text(encoding="utf-8")
+    assert "\ufeff" not in text and "<s> 合" in text
+
+
 def test_score_wer_reads_an_empty_line_as_the_empty_hypothesis(tmp_path, capsys):
     # a failed decode is written as an empty line (evaluate.hypothesis_texts)
     (tmp_path / "r.txt").write_text("甲\n乙\n丙\n", encoding="utf-8")

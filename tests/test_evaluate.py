@@ -145,6 +145,20 @@ def test_classify_accounting_identities_random():
         assert cls.correct_b + cls.errors_b_only + cls.shared_errors == n
 
 
+def test_classify_follows_wers_whitespace_rule():
+    # wer strips whitespace, so a hypothesis it finds no error in is correct,
+    # and two wrong hypotheses that differ only in spaces are identical
+    refs = ["合共九千", "香港人", "天氣好"]
+    hyps_a = ["合共 九千", "香港 人", "天 氣熱"]
+    hyps_b = ["合共九千", "香港仁", "天氣 熱"]
+    for ref, hyp in zip(refs[:2], hyps_a):
+        assert wer(ref, hyp).errors == 0
+    cls = classify_errors(refs, hyps_a, hyps_b)
+    assert (cls.correct_a, cls.correct_b) == (2, 1)
+    assert (cls.errors_a_only, cls.errors_b_only) == (0, 1)
+    assert cls.shared_errors == cls.shared_identical == 1
+
+
 def test_classify_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         classify_errors(["a"], ["a", "b"], ["a"])

@@ -1,7 +1,8 @@
 """No module of the package imports a name that it never uses, or defines
 a function, class or method that nothing in the package or the benchmark reads;
-one function writes every JSON text the package prints or saves; and the
-second pass runs without loading ``numpy.random``, ``hashlib`` or ``secrets``."""
+one function writes every JSON text the package prints or saves, and one opens
+every text file it reads; and the second pass runs without loading
+``numpy.random``, ``hashlib`` or ``secrets``."""
 
 import ast
 import os
@@ -123,9 +124,9 @@ def test_allowed_definitions_are_still_unread(module, name):
     assert (module, name) in package_unread()
 
 
-def json_dumps_sites(source: str) -> list[str]:
-    """The innermost function around each ``json.dumps`` (or bare ``dumps``)
-    call in ``source``, ``"<module>"`` for a call outside every function."""
+def call_sites(source: str, matches) -> list[str]:
+    """The innermost function around each call in ``source`` that ``matches``,
+    ``"<module>"`` for a call outside every function."""
     sites = []
 
     def visit(node, owner):
@@ -133,11 +134,7 @@ def json_dumps_sites(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            func = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Name) and func.id == "dumps") or (
-                isinstance(func, ast.Attribute) and func.attr == "dumps"
-                and isinstance(func.value, ast.Name) and func.value.id == "json"
-            ):
+            if isinstance(child, ast.Call) and matches(child):
                 sites.append(owner)
             visit(child, owner)
 
@@ -145,21 +142,74 @@ def json_dumps_sites(source: str) -> list[str]:
     return sites
 
 
+def is_json_dumps(call: ast.Call) -> bool:
+    """A ``json.dumps`` (or bare ``dumps``) call."""
+    func = call.func
+    return (isinstance(func, ast.Name) and func.id == "dumps") or (
+        isinstance(func, ast.Attribute) and func.attr == "dumps"
+        and isinstance(func.value, ast.Name) and func.value.id == "json"
+    )
+
+
 def test_the_check_finds_every_json_dumps_call():
     source = (
         "import json\nfrom json import dumps\nx = json.dumps(1)\n"
         "def f():\n    def g():\n        return dumps(2)\n    return json.dumps(g())\n"
     )
-    assert json_dumps_sites(source) == ["<module>", "g", "f"]
+    assert call_sites(source, is_json_dumps) == ["<module>", "g", "f"]
 
 
 def test_json_is_written_only_by_the_package_writer():
     sites = [
         (path.stem, site)
         for path in sorted(SRC.glob("*.py"))
-        for site in json_dumps_sites(path.read_text(encoding="utf-8"))
+        for site in call_sites(path.read_text(encoding="utf-8"), is_json_dumps)
     ]
     assert sites == [("__init__", "json_text")]
+
+
+def reads_text(call: ast.Call) -> bool:
+    """A call that opens a file to read it as text, or any ``read_text`` call.
+
+    The mode is ``open``'s second argument and a method ``open``'s first (as
+    ``Path.open`` takes it), or the ``mode`` keyword.
+    """
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "read_text":
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        at = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        at = 0
+    else:
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None and len(call.args) > at:
+        mode = call.args[at]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True  # no mode is "r"; a computed one counts as a read
+    return "b" not in mode.value and ("r" in mode.value or "+" in mode.value)
+
+
+def test_the_check_finds_every_text_read():
+    source = (
+        "from pathlib import Path\nopen('a')\nopen('a', 'rb')\nopen('a', 'w')\n"
+        "def f(m):\n    open('a', mode='r+')\n    open('a', m)\n    open('a', 'wb')\n"
+        "def g(p):\n    p.open()\n    p.open('rb')\n    return Path(p).read_text()\n"
+        "def h(p):\n    p.write_text('x')\n    return p.open('a', encoding='utf-8')\n"
+    )
+    assert call_sites(source, reads_text) == ["<module>", "f", "f", "g", "g"]
+
+
+def test_text_is_read_only_through_open_text():
+    # so every reader takes open_text's rules: UTF-8, a leading byte-order
+    # mark read as nothing, and bytes that do not decode a named DataError
+    sites = [
+        (path.stem, site)
+        for path in sorted(SRC.glob("*.py"))
+        for site in call_sites(path.read_text(encoding="utf-8"), reads_text)
+    ]
+    assert sites == [("__init__", "open_text")]
 
 
 # loaded with numpy.random: about 6 MB of RSS that no second-pass call needs
