@@ -305,7 +305,7 @@ class SearchGraph:
         if self.words != word_lm.words:
             raise GraphError("the lexicon's words are not the LM table's words")
 
-        # lex.labels rebuilds the phone set, so it is read once, and each
+        # lex.labels walks every pronunciation, so it is read once, and each
         # phone's pdf labels are formed once
         phone_pdf_labels = {lab: pdf_labels_for(lab) for lab in lex.labels}
         self.pdf_labels = tuple(

@@ -2,8 +2,8 @@
 
 The input lexicon maps a Chinese word to one or more Jyutping
 pronunciations, one syllable per character.  ``compile_lexicon`` turns it
-into a ``PhoneLexicon``: per-word phone label sequences plus the phone set,
-which downstream modules use to build the recognizer search graph.
+into a ``PhoneLexicon``: per-word phone sequences plus the sorted phone
+labels, which downstream modules use to build the recognizer search graph.
 """
 
 from dataclasses import dataclass, field
@@ -50,14 +50,10 @@ class PhoneLexicon:
     entries: dict[str, tuple[tuple[Phone, ...], ...]] = field(default_factory=dict)
 
     @property
-    def phone_set(self) -> frozenset[Phone]:
-        return frozenset(
-            p for prons in self.entries.values() for pron in prons for p in pron
-        )
-
-    @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(sorted({p.label for p in self.phone_set}))
+        return tuple(
+            sorted({p.label for prons in self.entries.values() for pron in prons for p in pron})
+        )
 
 
 def read_lexicon(path: str | Path) -> list[LexiconEntry]:
@@ -108,10 +104,11 @@ def compile_lexicon(
     Each distinct syllable is parsed, optionally coda-merged, then
     decomposed under the chosen scheme once, the first time a word uses it;
     a syllable that fails any of those steps raises ``LexiconError`` naming
-    that word, the syllable and the merge rules.  Duplicate phone sequences
-    per word are dropped.  Every merge rule is checked against ``inv`` first.
-    Each word has one entry (``read_lexicon`` merges a word's lines); a
-    repeated word raises ``LexiconError``.
+    that word, the syllable and the merge rules.  Equal phones are one
+    shared object, and duplicate phone sequences per word are dropped.
+    Every merge rule is checked against ``inv`` first.  Each word has one
+    entry (``read_lexicon`` merges a word's lines); a repeated word raises
+    ``LexiconError``.
     """
     rules_text = ""
     if merges is not None:

@@ -18,6 +18,7 @@ the null onset, 15 nuclei, 9 codas, 53 finals) and referential integrity.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 from . import DataError, open_text
@@ -77,6 +78,8 @@ class Phone:
     scorer files: onsets/initials bare, nuclei and finals ``<base><tone>``,
     codas ``_<base><tone>``.  It is fixed at construction, and equality,
     hashing and ``repr`` leave it out, as they would a derived value.
+    ``to_if`` and ``to_onc`` share one object per unit, so equal phones from
+    one compile are one object.
     """
 
     kind: str  # "initial" | "final" (IF) | "onset" | "nucleus" | "coda" (ONC)
@@ -122,10 +125,7 @@ class Inventory:
         self.finals = dict(finals)
         self._validate()
         self._by_parts = {parts: f for f, parts in self.finals.items()}
-        # longest-match candidates, longest first, then alphabetic
-        self._onsets_by_len = sorted(
-            (o for o in self.onsets if o != NULL_MARK), key=lambda o: (-len(o), o)
-        )
+        self._onset_lens = sorted({len(o) for o in self.onsets}, reverse=True)
 
     def _validate(self):
         if len(self.onsets) != EXPECTED_ONSETS:
@@ -247,8 +247,9 @@ def parse_jyutping(s: str, inv: Inventory) -> Syllable:
     """Parse one lowercase Jyutping syllable string ending in a tone digit.
 
     If the whole body is itself a final (the syllabic nasals ``m``/``ng``),
-    the syllable is onsetless; otherwise the longest onset prefix whose
-    remainder is a final wins.
+    the syllable is onsetless; otherwise each onset length is tried, longest
+    first, and the one onset prefix of that length whose remainder is a
+    final wins.
     """
     if not s:
         raise JyutpingError("empty syllable string", reason="empty-input")
@@ -264,9 +265,9 @@ def parse_jyutping(s: str, inv: Inventory) -> Syllable:
     if body in inv.finals:
         nucleus, coda = inv.finals[body]
         return Syllable(None, nucleus, coda, tone)
-    for onset in inv._onsets_by_len:
-        rest = body[len(onset):]
-        if rest and body.startswith(onset) and rest in inv.finals:
+    for n in inv._onset_lens:
+        onset, rest = body[:n], body[n:]
+        if rest and onset in inv.onsets and onset != NULL_MARK and rest in inv.finals:
             nucleus, coda = inv.finals[rest]
             return Syllable(onset, nucleus, coda, tone)
     raise JyutpingError(
@@ -280,24 +281,23 @@ def render(syl: Syllable, inv: Inventory) -> str:
     return f"{syl.onset or ''}{final}{syl.tone}"
 
 
+_phone = cache(Phone)  # one shared Phone per (kind, base, tone)
+
+
 def to_if(syl: Syllable, inv: Inventory) -> tuple[Phone, ...]:
     """Initial/final phones: optional initial, then one tone-carrying final."""
     final = inv.final_for(syl.nucleus, syl.coda)
-    phones = []
-    if syl.onset is not None:
-        phones.append(Phone("initial", syl.onset))
-    phones.append(Phone("final", final, syl.tone))
+    phones = [] if syl.onset is None else [_phone("initial", syl.onset)]
+    phones.append(_phone("final", final, syl.tone))
     return tuple(phones)
 
 
 def to_onc(syl: Syllable) -> tuple[Phone, ...]:
     """Onset/nucleus/coda phones; nucleus and coda both carry the tone."""
-    phones = []
-    if syl.onset is not None:
-        phones.append(Phone("onset", syl.onset))
-    phones.append(Phone("nucleus", syl.nucleus, syl.tone))
+    phones = [] if syl.onset is None else [_phone("onset", syl.onset)]
+    phones.append(_phone("nucleus", syl.nucleus, syl.tone))
     if syl.coda is not None:
-        phones.append(Phone("coda", syl.coda, syl.tone))
+        phones.append(_phone("coda", syl.coda, syl.tone))
     return tuple(phones)
 
 
@@ -320,6 +320,8 @@ class MergeRule:
     def __post_init__(self):
         if self.from_coda == self.to_coda:
             raise DataError(f"merge rule must change the coda: {self.from_coda!r}")
+        if self.nuclei == frozenset():
+            raise DataError(f"merge rule {str(self)!r} has an empty nucleus filter")
 
     def __str__(self) -> str:
         """The rule as ``MergeRuleSet.parse`` reads it."""
@@ -346,13 +348,11 @@ class MergeRuleSet:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            spec, _, filt = chunk.partition("@")
+            spec, at, filt = chunk.partition("@")
             src, sep, dst = spec.partition(">")
-            if not sep or not src.strip() or not dst.strip():
+            nuclei = frozenset(n.strip() for n in filt.split(",") if n.strip()) if at else None
+            if not sep or not src.strip() or not dst.strip() or nuclei == frozenset():
                 raise DataError(f"bad merge rule {chunk!r}, expected 'from>to[@n1,n2]'")
-            nuclei = None
-            if filt:
-                nuclei = frozenset(n.strip() for n in filt.split(",") if n.strip())
             rules.append(MergeRule(src.strip(), dst.strip(), nuclei))
         return cls(tuple(rules))
 

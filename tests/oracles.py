@@ -16,6 +16,7 @@ from cantoasr.ngram import (
     NGramModel,
     tokenize_chars,
 )
+from cantoasr.phonology import NULL_MARK, JyutpingError, Syllable
 from cantoasr.simulate import MODEL_VARIANCE, SimConfig, SimulationError, StateModel
 
 
@@ -360,3 +361,31 @@ def counting_train_ngram(corpus, order, smoothing="witten_bell"):
             else:
                 backoff[h] = LOG10_FLOOR
     return NGramModel(order, logprob, backoff)
+
+
+def parse_jyutping_reference(s, inv):
+    """``parse_jyutping`` by scanning every onset, longest first, then
+    alphabetic, for the first prefix whose remainder is a final."""
+    if not s:
+        raise JyutpingError("empty syllable string", reason="empty-input")
+    tone_char = s[-1]
+    if tone_char not in "123456":
+        raise JyutpingError(
+            f"syllable {s!r} must end in a tone digit 1..6", reason="invalid-tone"
+        )
+    tone = int(tone_char)
+    body = s[:-1]
+    if not body:
+        raise JyutpingError(f"syllable {s!r} has no segments", reason="unknown-syllable")
+    if body in inv.finals:
+        nucleus, coda = inv.finals[body]
+        return Syllable(None, nucleus, coda, tone)
+    onsets = sorted((o for o in inv.onsets if o != NULL_MARK), key=lambda o: (-len(o), o))
+    for onset in onsets:
+        rest = body[len(onset):]
+        if rest and body.startswith(onset) and rest in inv.finals:
+            nucleus, coda = inv.finals[rest]
+            return Syllable(onset, nucleus, coda, tone)
+    raise JyutpingError(
+        f"cannot segment {s!r} into onset + final", reason="unknown-syllable"
+    )

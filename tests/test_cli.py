@@ -674,6 +674,16 @@ def test_merge_rule_outside_the_inventory_is_data_error(tmp_path, capsys):
     assert "merge rule 't>k,n>ng'" in err
 
 
+def test_merge_rule_with_an_empty_nucleus_filter_is_data_error(tmp_path, capsys):
+    out_dir = tmp_path / "lex"
+    code, out, err = run(
+        capsys, "lexicon", "compile", "--scheme", "if", "--merge", "t>k@,", "--out", str(out_dir)
+    )
+    assert code == 2 and out == ""
+    assert "bad merge rule 't>k@,'" in err
+    assert not out_dir.exists()
+
+
 def test_merge_to_a_final_the_scheme_lacks_names_the_word_and_rules(capsys):
     # IF has no final yuk, so t>k fails on 月 jyut6; ONC splits nucleus and coda
     code, out, err = run(capsys, "lexicon", "stats", "--scheme", "if", "--merge", "t>k")

@@ -252,6 +252,8 @@ def test_config_repeated_key_names_file_line_and_key(tmp_path, first, second):
         ("lattice_width", "0", 0),
         ("merge_rules", "t>", "t>"),
         ("merge_rules", "t>k,n>ng", "t>k,n>ng"),
+        ("merge_rules", "t>k@", "t>k@"),
+        ("merge_rules", "t>k@,", "t>k@,"),
     ],
 )
 def test_bad_settings_are_rejected_before_any_work(tmp_path, key, text, value):

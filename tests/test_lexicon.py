@@ -49,7 +49,7 @@ def test_compile_if(inv):
 
 def test_compile_empty(inv):
     lex = compile_lexicon([], "onc", inv)
-    assert lex.entries == {} and not lex.phone_set
+    assert lex.entries == {} and lex.labels == ()
 
 
 def test_compile_bad_syllable(inv):
@@ -193,7 +193,17 @@ def test_onc_alphabet_smaller_on_demo(inv, demo_entries):
     lex_if = compile_lexicon(demo_entries, "if", inv)
     lex_onc = compile_lexicon(demo_entries, "onc", inv)
     # enough coverage for the base-alphabet saving to show up
-    finals = {p.base for p in lex_if.phone_set if p.kind == "final"}
-    final_tones = {(p.base, p.tone) for p in lex_if.phone_set if p.kind == "final"}
+    final_tones = {
+        (p.base, p.tone)
+        for prons in lex_if.entries.values() for pron in prons for p in pron if p.kind == "final"
+    }
+    finals = {base for base, _ in final_tones}
     assert len(final_tones) >= 25 and len(finals) >= 10
     assert len(lex_onc.labels) <= len(lex_if.labels)
+
+
+@pytest.mark.parametrize("scheme", ["if", "onc"])
+def test_equal_phones_are_one_object(inv, demo_entries, scheme):
+    lex = compile_lexicon(demo_entries, scheme, inv)
+    phones = [p for prons in lex.entries.values() for pron in prons for p in pron]
+    assert len({id(p) for p in phones}) == len(set(phones)) == len(lex.labels)

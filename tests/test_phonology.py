@@ -3,10 +3,12 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
+from cantoasr import DataError
 from cantoasr.phonology import (
     Inventory,
     InventoryError,
     JyutpingError,
+    MergeRule,
     MergeRuleSet,
     Phone,
     Syllable,
@@ -18,6 +20,8 @@ from cantoasr.phonology import (
     to_if,
     to_onc,
 )
+
+from oracles import parse_jyutping_reference
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +93,27 @@ def test_parse_errors(inv):
     with pytest.raises(JyutpingError) as e:
         parse_jyutping("ling", inv)
     assert e.value.reason == "invalid-tone"
+
+
+def parse_outcome(parse, text, inv):
+    try:
+        return parse(text, inv)
+    except JyutpingError as exc:
+        return str(exc), exc.reason
+
+
+def test_parse_matches_the_onset_scan_reference(inv):
+    texts = [
+        f"{'' if onset == '-' else onset}{final}{tone}"
+        for onset, final, tone in itertools.product(
+            sorted(inv.onsets), sorted(inv.finals), range(8)
+        )
+    ]
+    texts += ["", "m4", "ng5", "ngo5", "gwaa3", "-aa1", "xyz3"]
+    for text in texts:
+        assert parse_outcome(parse_jyutping, text, inv) == parse_outcome(
+            parse_jyutping_reference, text, inv
+        ), text
 
 
 def test_render_inverts_parse(inv):
@@ -222,6 +247,26 @@ def test_merge_preserves_tone_and_nucleus(inv):
 def test_merge_rules_reject_identity():
     with pytest.raises(ValueError):
         MergeRuleSet.parse("t>t")
+
+
+@pytest.mark.parametrize("text", ["t>k@", "t>k@,", "t>k@ , ", "ng>n@aa;t>k@"])
+def test_merge_rules_reject_an_empty_nucleus_filter(text):
+    with pytest.raises(DataError, match="bad merge rule"):
+        MergeRuleSet.parse(text)
+
+
+def test_merge_rule_rejects_an_empty_nucleus_set():
+    with pytest.raises(DataError, match="empty nucleus filter"):
+        MergeRule("t", "k", frozenset())
+
+
+# every rule text of the merge tests above, and one with spaces
+@pytest.mark.parametrize(
+    "text", ["t>k", "ng>n", "t>k@aa,a,o", "t>k@aa,a,o;ng>n@aa,a,o", " t > k @ o , aa "]
+)
+def test_merge_rule_text_parses_back_to_the_rule(text):
+    for rule in MergeRuleSet.parse(text).rules:
+        assert MergeRuleSet.parse(str(rule)).rules == (rule,)
 
 
 def test_tone_range():
