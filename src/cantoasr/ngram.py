@@ -8,6 +8,13 @@ natural-log conversion, and ``NGramModel.ln_score`` scores a token sequence
 in natural log from an LM state (``NGramModel.state``) for both the search
 graph and the lattice rescorer.
 
+``train_ngram`` puts the ``<s>``-padded sentences in one array of token
+ids, ranked so that id order is Python's string order, and counts each
+order with one sort of the id rows: a run of equal rows is one n-gram and
+its count, and the adjacent runs of one history give its total and type
+count.  Its floats are those of a plain per-n-gram count, so its tables
+equal a dict-counting trainer's item for item.
+
 A query, ``NGramModel.logprob10``, cuts the history to its last
 ``order - 1`` tokens and answers from a bounded memo keyed by
 ``(word, history)``.  On a miss, ``_query`` maps each token once (a token
@@ -47,11 +54,9 @@ perplexity stays finite.
 """
 
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -316,10 +321,14 @@ def train_ngram(
     """Estimate an order-``order`` model from tokenized sentences.
 
     ``smoothing`` is ``"none"`` (maximum likelihood) or ``"witten_bell"``.
-    Each order's counts and each history's total and type count are one
-    ``Counter`` each, over the n-grams ``_ngrams`` walks.  Orders are
-    stored one after another, each in sorted order, so a Witten-Bell lower
-    order is read as its suffix's stored probability.
+    Each order is one ``np.lexsort`` of the token-id rows that end at the
+    predicted positions, so its n-grams and their histories come out in
+    sorted order; orders are stored one after another, so a Witten-Bell
+    lower order is read as its suffix's stored probability.  ``+``, ``*``
+    and ``/`` on float64 arrays of exact counts give the values of the
+    per-n-gram Python expressions; ``math.log10`` and ``10.0 **`` stay
+    per-element calls, since numpy's SIMD ``log10`` and ``power`` can
+    differ from them in the last bit.
     """
     corpus = [s for s in corpus if s]
     if not corpus:
@@ -329,56 +338,74 @@ def train_ngram(
     if smoothing not in ("none", "witten_bell"):
         raise DataError(f"unknown smoothing {smoothing!r}")
 
-    grams = [gram for sent in corpus for gram in _ngrams(order, sent)]
-    # counts[k]: each k-gram's count; totals[k] and types[k]: each k-token
-    # history's count and its number of distinct continuations
-    counts = [Counter()]
-    counts += (Counter(map(itemgetter(slice(-k, None)), grams)) for k in range(1, order + 1))
-    totals = [Counter(map(itemgetter(slice(-k - 1, -1)), grams)) for k in range(order)]
-    types = [Counter(map(itemgetter(slice(None, -1)), counts[k + 1])) for k in range(order)]
+    # every sentence padded with <s>, as _ngrams pads it, in one list; a
+    # token's id is its rank, so id order is Python's string order
+    pad = [SOS] * (order - 1)
+    tokens = [tok for sent in corpus for tok in chain(pad, sent, (EOS,))]
+    vocab = sorted({SOS, *tokens})
+    rank = dict(zip(vocab, range(len(vocab))))
+    ids = np.fromiter(map(rank.__getitem__, tokens), np.intp, len(tokens))
+    words = np.array(vocab, dtype=object)
+    # the predicted positions: all but the pads and a literal <s>; each has
+    # order - 1 positions of its own sentence before it
+    sos = rank[SOS]
+    at = np.flatnonzero(ids != sos)
 
     logprob: dict[tuple[str, ...], float] = {}
     backoff: dict[tuple[str, ...], float] = {}
     wb = smoothing == "witten_bell"
-
-    n_tokens = totals[0][()]
-    n_types = types[0][()]
-    # n-grams are unique keys, so sorting by the n-gram alone keeps the order
-    for (tok,), c in sorted(counts[1].items(), key=itemgetter(0)):
-        p = c / (n_tokens + n_types) if wb else c / n_tokens
-        logprob[(tok,)] = math.log10(p)
-    if wb:
-        logprob[(UNK,)] = math.log10(n_types / (n_tokens + n_types))
-    else:
-        logprob[(UNK,)] = math.log10(MLE_UNK_FLOOR)
-
-    for k in range(2, order + 1):
-        for gram, c in sorted(counts[k].items(), key=itemgetter(0)):
-            h = gram[:-1]
+    # each position's lower-order probability: a unigram has none, and a
+    # k-gram's is its suffix's, order k - 1's gram at the same position
+    p_low = np.zeros(len(at))
+    for k in range(1, order + 1):
+        # the k-gram ending at each predicted position, one column per token,
+        # sorted as rows: equal k-grams are runs, equal histories adjacent runs
+        cols = [ids[at - j] for j in range(k - 1, -1, -1)]
+        rows = np.lexsort(cols[::-1])
+        cols = [c[rows] for c in cols]
+        new_hist = np.zeros(len(at), dtype=bool)
+        new_hist[0] = True
+        for c in cols[:-1]:
+            new_hist[1:] |= c[1:] != c[:-1]
+        new_gram = new_hist.copy()
+        new_gram[1:] |= cols[-1][1:] != cols[-1][:-1]
+        starts = np.flatnonzero(new_gram)
+        counts = np.diff(starts, append=len(at))
+        hist_starts = np.flatnonzero(new_hist[starts])
+        totals = np.add.reduceat(counts, hist_starts)
+        types = np.diff(hist_starts, append=len(starts))
+        tot = np.repeat(totals, types)
+        if wb:
+            t = np.repeat(types, types)
+            p = (counts + t * p_low[rows[starts]]) / (tot + t)
+        else:
+            p = counts / tot
+        grams = list(zip(*(words[c[starts]] for c in cols)))
+        logprob.update(zip(grams, map(math.log10, p.tolist())))
+        if k == 1:
+            n_tokens, n_types = int(totals[0]), int(types[0])
+            unk = n_types / (n_tokens + n_types) if wb else MLE_UNK_FLOOR
+            logprob[(UNK,)] = math.log10(unk)
+        else:
+            firsts = starts[hist_starts]
+            histories = list(zip(*(words[c[firsts]] for c in cols[:-1])))
+            # any other history was stored as a k - 1-gram; one that ends in
+            # <s> is never predicted, so it is stored at -99, and so is each
+            # missing prefix of it, which a literal "<s> <s>" can leave unstored
+            for i in np.flatnonzero(cols[-2][firsts] == sos).tolist():
+                h = histories[i]
+                j = len(h)
+                while j and h[:j] not in logprob:
+                    logprob[h[:j]] = LOG10_FLOOR
+                    j -= 1
             if wb:
-                t = types[k - 1][h]
-                tot = totals[k - 1][h]
-                # gram[1:] was stored at order k - 1 and its tokens are all
-                # unigrams, so this is prob(gram[-1], h[1:]) without the walk
-                p_low = 10.0 ** logprob[gram[1:]]
-                p = (c + t * p_low) / (tot + t)
+                bows = (types / (totals + types)).tolist()
+                backoff.update(zip(histories, map(math.log10, bows)))
             else:
-                p = c / totals[k - 1][h]
-            logprob[gram] = math.log10(p)
-        for h in sorted(totals[k - 1]):
-            # a history needs a back-off weight; one never predicted (it ends
-            # in <s>) is stored at -99, and so is each missing prefix of it,
-            # which a literal "<s> <s>" in the text can leave unstored
-            j = len(h)
-            while j and h[:j] not in logprob:
-                logprob[h[:j]] = LOG10_FLOOR
-                j -= 1
-            if wb:
-                t = types[k - 1][h]
-                bow = t / (totals[k - 1][h] + t)
-                backoff[h] = math.log10(bow)
-            else:
-                backoff[h] = LOG10_FLOOR
+                backoff.update(dict.fromkeys(histories, LOG10_FLOOR))
+        if wb and k < order:
+            # read back from the dict, which holds the <unk> overwrite
+            p_low[rows] = np.repeat([10.0 ** logprob[g] for g in grams], counts)
     return NGramModel._adopt(order, logprob, backoff)
 
 

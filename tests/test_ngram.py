@@ -695,15 +695,51 @@ def test_text_with_literal_markers_trains_a_prefix_closed_model(tmp_path, order,
             assert state == m.state(tuple(map(m.map_token, raw)))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def assert_same_tables(model, reference):
+    # items in insertion order, compared by repr so -0.0 and 0.0 differ
+    assert repr(list(model.logprob.items())) == repr(list(reference.logprob.items()))
+    assert repr(list(model.backoff.items())) == repr(list(reference.backoff.items()))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("smoothing", ["none", "witten_bell"])
 def test_train_equals_the_counting_reference(order, smoothing):
     rng = random.Random(order)
     corpora = [read_corpus(demo_lexicon_path().parent / "demo_corpus.txt")]
     corpora += [random_corpus(rng) for _ in range(12)]
+    # more distinct tokens than an int16 holds, and a text of markers alone
+    corpora.append([[f"w{i}" for i in range(j, j + 10)] for j in range(0, 40000, 10)])
+    corpora.append([[SOS], [EOS, UNK], [SOS, SOS]])
     for corpus in corpora:
-        model = train_ngram(corpus, order, smoothing)
-        reference = counting_train_ngram(corpus, order, smoothing)
-        # items in insertion order, compared by repr so -0.0 and 0.0 differ
-        assert repr(list(model.logprob.items())) == repr(list(reference.logprob.items()))
-        assert repr(list(model.backoff.items())) == repr(list(reference.backoff.items()))
+        assert_same_tables(
+            train_ngram(corpus, order, smoothing), counting_train_ngram(corpus, order, smoothing)
+        )
+
+
+# "a\x00" and "a" differ, though a numpy string array drops trailing NULs
+TOKENS = st.sampled_from(["", "a", "a\x00", "a\x00\x00", "\x00", "b", SOS, EOS, UNK]) | st.text(
+    max_size=3
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.lists(TOKENS, max_size=6), max_size=6), st.lists(TOKENS, min_size=1, max_size=6))
+def test_train_equals_the_counting_reference_on_any_tokens(sentences, last):
+    corpus = sentences + [last]
+    for order in (1, 2, 3, 4):
+        for smoothing in ("none", "witten_bell"):
+            assert_same_tables(
+                train_ngram(corpus, order, smoothing),
+                counting_train_ngram(corpus, order, smoothing),
+            )
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("smoothing", ["none", "witten_bell"])
+def test_sentence_order_changes_no_table(order, smoothing):
+    rng = random.Random(order)
+    corpora = [read_corpus(demo_lexicon_path().parent / "demo_corpus.txt")]
+    corpora += [random_corpus(rng) for _ in range(6)]
+    for corpus in corpora:
+        shuffled = rng.sample(corpus, len(corpus))
+        assert_same_tables(train_ngram(shuffled, order, smoothing), train_ngram(corpus, order, smoothing))
