@@ -14,16 +14,18 @@ derived from its distance in those separated means, and the blend is
 applied to them.
 
 Confusion derivation is where the scheme asymmetry lives.  A merge rule
-such as ``t>k@aa,a,o`` blends the affected units toward their merge
-targets.  Under the initial/final scheme each affected whole final
-(``aat``/``aak``, ...) is blended with weight ``b + (1-b) * p``: the unit
-is only ever trained inside the merging context.  Under the
-onset/nucleus/coda scheme the coda unit is shared across every final using
-that coda, most of which the merge never touches, so its blend exposure is
-diluted by the fraction of affected finals: ``b + (1-b) * p * dilution``.
-``b`` is the baseline acoustic similarity of the merging pair (unreleased
-stops and the two nasal codas are close even for careful speakers) and
-``p`` is the merge strength.
+such as ``t>k@aa,a,o`` blends the units it rewrites toward their merge
+targets; which rule rewrites a final is ``MergeRuleSet.rule_for``'s answer
+(the first matching rule), as in the lexicon.  Under the initial/final
+scheme each rewritten whole final (``aat``/``aak``, ...) is blended with
+weight ``b + (1-b) * p``: the unit is only ever trained inside the merging
+context.  Under the onset/nucleus/coda scheme the coda unit is shared
+across every final using that coda, most of which the merge never touches,
+so its blend exposure is diluted to the share of the coda's finals that the
+rule rewrites: ``b + (1-b) * p * dilution``.  A rule that rewrites no final
+is a config error.  ``b`` is the baseline acoustic similarity of the
+merging pair (unreleased stops and the two nasal codas are close even for
+careful speakers) and ``p`` is the merge strength.
 
 Each setting is one ``ExperimentConfig`` field: its name is the config-file
 key and the ``report.json`` params key, its type says how the file value is
@@ -67,7 +69,8 @@ from .evaluate import (
 )
 from .lexicon import check_merges, compile_lexicon, demo_lexicon_path, lexicon_stats, read_lexicon
 from .ngram import read_corpus, train_ngram
-from .phonology import SCHEME_IF, SCHEME_ONC, JyutpingError, MergeRuleSet, default_inventory
+from .phonology import SCHEME_IF, SCHEME_ONC, TONES, JyutpingError, MergeRuleSet, Phone
+from .phonology import default_inventory
 from .simulate import SimConfig, blend_confusions, build_state_models, simulate_utterance
 
 log = logging.getLogger(__name__)
@@ -216,47 +219,41 @@ def load_experiment_config(
     return cfg
 
 
-def merge_dilution(inv, rule) -> float:
-    """Fraction of the source coda's finals that the merge rule touches."""
-    with_coda = [f for f, (n, c) in inv.finals.items() if c == rule.from_coda]
-    affected = [
-        f
-        for f in with_coda
-        if rule.nuclei is None or inv.finals[f][0] in rule.nuclei
-    ]
-    return len(affected) / len(with_coda) if with_coda else 0.0
+def merge_dilution(inv, rules: MergeRuleSet, rule) -> float:
+    """Share of the finals with the rule's source coda that ``rules`` rewrites
+    with ``rule`` (``rules.rule_for``); ``rules`` has passed ``check_merges``."""
+    nuclei = [n for n, c in inv.finals.values() if c == rule.from_coda]
+    return sum(rules.rule_for(n, rule.from_coda) is rule for n in nuclei) / len(nuclei)
 
 
 def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
-    """(target label, merging label, effective blend fraction) per pair."""
+    """(target label, merging label, exposure) per pair of units in ``labels``."""
     pairs = []
     for rule in rules.rules:
         if scheme == SCHEME_ONC:
-            exposure = merge_dilution(inv, rule)
-            for tone in range(1, 7):
-                a, b = f"_{rule.to_coda}{tone}", f"_{rule.from_coda}{tone}"
-                if a in labels and b in labels:
-                    pairs.append((a, b, exposure))
+            exposure, kind = merge_dilution(inv, rules, rule), "coda"
+            units = [(rule.to_coda, rule.from_coda)]
         else:
+            exposure, kind, units = 1.0, "final", []
             for final, (nucleus, coda) in sorted(inv.finals.items()):
-                if coda != rule.from_coda:
-                    continue
-                if rule.nuclei is not None and nucleus not in rule.nuclei:
+                if rules.rule_for(nucleus, coda) is not rule:
                     continue
                 try:
-                    target = inv.final_for(nucleus, rule.to_coda)
-                except JyutpingError:
-                    continue
-                for tone in range(1, 7):
-                    a, b = f"{target}{tone}", f"{final}{tone}"
-                    if a in labels and b in labels:
-                        pairs.append((a, b, 1.0))
+                    units.append((inv.final_for(nucleus, rule.to_coda), final))
+                except JyutpingError:  # the merged final is not in the inventory
+                    pass
+        for target, source in units:
+            for tone in TONES:
+                a, b = Phone(kind, target, tone).label, Phone(kind, source, tone).label
+                if a in labels and b in labels:
+                    pairs.append((a, b, exposure))
     return pairs
 
 
 def derive_confusions(
     inv,
     scheme: str,
+    labels: set[str],
     models,
     rules: MergeRuleSet,
     p: float,
@@ -265,16 +262,15 @@ def derive_confusions(
 ) -> tuple[tuple[str, str, float], ...]:
     """Per-scheme confusion entries realizing a coda merge of strength p.
 
-    Each pair's nominal blend fraction is ``b + (1-b) * p * exposure`` where
-    the exposure is 1 for a whole-final unit (it is only ever trained inside
-    the merging context) and the affected-context fraction for a shared coda
-    unit.  The weight is then rescaled from the pair's distance in the
-    separated ``models`` (the mean over its state pdfs), so that
-    ``blend_confusions`` leaves the pair ``(1 - nominal) *
-    reference_distance`` apart regardless of where the random draws landed,
-    which keeps flip rates comparable across model seeds.
+    Each confused pair of the phone units ``labels`` has the nominal blend
+    fraction ``b + (1-b) * p * exposure``, where the exposure is 1 for a
+    whole-final unit (it is only ever trained inside the merging context)
+    and ``merge_dilution`` for a shared coda unit.  The weight is then
+    rescaled from the pair's distance in the separated ``models`` (the mean
+    over its state pdfs), so that ``blend_confusions`` leaves the pair ``(1 -
+    nominal) * reference_distance`` apart regardless of where the random
+    draws landed, which keeps flip rates comparable across model seeds.
     """
-    labels = {pdf.rpartition("#")[0] for pdf in models.labels}
     row, means = models.index, models.means
     entries = []
     for a, b, exposure in _confusable_pairs(inv, scheme, labels, rules):
@@ -321,6 +317,7 @@ def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSyst
     confusion = derive_confusions(
         inv,
         scheme,
+        set(lex.labels),
         separated,
         MergeRuleSet.parse(cfg.merge_rules),
         cfg.confusion_p,

@@ -60,7 +60,6 @@ def read_lexicon(path: str | Path) -> list[LexiconEntry]:
     """Read ``word<TAB>syl1 syl2 ...`` lines, merging repeated words."""
     path = Path(path)
     prons: dict[str, list[tuple[str, ...]]] = {}
-    order: list[str] = []
     with open_text(path, LexiconError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -74,16 +73,16 @@ def read_lexicon(path: str | Path) -> list[LexiconEntry]:
             word, syls = fields[0].strip(), tuple(fields[1].split())
             if not word or not syls:
                 raise LexiconError(f"{path}:{lineno}: empty word or pronunciation")
-            if word not in prons:
-                prons[word] = []
-                order.append(word)
-            if syls not in prons[word]:
-                prons[word].append(syls)
-    return [LexiconEntry(w, tuple(prons[w])) for w in order]
+            word_prons = prons.setdefault(word, [])
+            if syls not in word_prons:
+                word_prons.append(syls)
+    return [LexiconEntry(w, tuple(p)) for w, p in prons.items()]
 
 
 def check_merges(merges: MergeRuleSet, inv: Inventory) -> None:
-    """Reject the first rule that names a coda or nucleus ``inv`` lacks."""
+    """Reject the first rule that names a coda or nucleus ``inv`` lacks, or
+    that rewrites no final of ``inv`` (``merges.rule_for`` picks another rule
+    or none for every final)."""
     for rule in merges.rules:
         unknown = [f"coda {c!r}" for c in (rule.from_coda, rule.to_coda) if c not in inv.codas]
         unknown += [f"nucleus {n!r}" for n in sorted(rule.nuclei or ()) if n not in inv.nuclei]
@@ -91,6 +90,8 @@ def check_merges(merges: MergeRuleSet, inv: Inventory) -> None:
             raise LexiconError(
                 f"merge rule {str(rule)!r} names unknown {' and '.join(unknown)}"
             )
+        if not any(merges.rule_for(n, c) is rule for n, c in inv.finals.values()):
+            raise LexiconError(f"merge rule {str(rule)!r} rewrites no final of the inventory")
 
 
 def compile_lexicon(

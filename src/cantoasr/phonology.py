@@ -232,15 +232,10 @@ def default_inventory_path() -> Path:
     return Path(__file__).parent / "data" / "inventory.tsv"
 
 
-_default_inventory: Inventory | None = None
-
-
+@cache
 def default_inventory() -> Inventory:
     """The bundled inventory, loaded once."""
-    global _default_inventory
-    if _default_inventory is None:
-        _default_inventory = load_inventory(default_inventory_path())
-    return _default_inventory
+    return load_inventory(default_inventory_path())
 
 
 def parse_jyutping(s: str, inv: Inventory) -> Syllable:
@@ -328,17 +323,22 @@ class MergeRule:
         text = f"{self.from_coda}>{self.to_coda}"
         return text if self.nuclei is None else f"{text}@{','.join(sorted(self.nuclei))}"
 
-    def matches(self, syl: Syllable) -> bool:
-        if syl.coda != self.from_coda:
-            return False
-        return self.nuclei is None or syl.nucleus in self.nuclei
-
 
 @dataclass(frozen=True)
 class MergeRuleSet:
-    """Ordered coda-merge rules; the first matching rule applies."""
+    """Ordered coda-merge rules.  ``rule_for`` alone decides which rule, if
+    any, rewrites a syllable (the first that matches it), for ``apply_merge``,
+    ``lexicon.check_merges`` and the experiment's confusion derivation alike.
+    """
 
     rules: tuple[MergeRule, ...] = ()
+
+    def rule_for(self, nucleus: str, coda: str | None) -> MergeRule | None:
+        """The first rule that rewrites a syllable with this nucleus and coda, or None."""
+        for rule in self.rules:
+            if rule.from_coda == coda and (rule.nuclei is None or nucleus in rule.nuclei):
+                return rule
+        return None
 
     @classmethod
     def parse(cls, text: str) -> "MergeRuleSet":
@@ -358,8 +358,6 @@ class MergeRuleSet:
 
 
 def apply_merge(syl: Syllable, rules: MergeRuleSet) -> Syllable:
-    """Rewrite the coda by the first matching rule; other fields unchanged."""
-    for rule in rules.rules:
-        if rule.matches(syl):
-            return replace(syl, coda=rule.to_coda)
-    return syl
+    """Rewrite the coda by ``rules.rule_for``'s rule; other fields unchanged."""
+    rule = rules.rule_for(syl.nucleus, syl.coda)
+    return syl if rule is None else replace(syl, coda=rule.to_coda)

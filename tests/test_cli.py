@@ -674,6 +674,25 @@ def test_merge_rule_outside_the_inventory_is_data_error(tmp_path, capsys):
     assert "merge rule 't>k,n>ng'" in err
 
 
+def test_merge_rule_that_rewrites_no_final_is_data_error(tmp_path, capsys):
+    out_dir = tmp_path / "lex"
+    code, out, err = run(
+        capsys, "lexicon", "compile", "--scheme", "onc", "--merge", "ng>n@yu", "--out", str(out_dir)
+    )
+    assert code == 2 and out == ""
+    assert "merge rule 'ng>n@yu' rewrites no final of the inventory" in err
+    assert not out_dir.exists()
+    cfg = tmp_path / "merge.cfg"
+    cfg.write_text("merge_rules = t>k;t>p\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "--seed", "7", "experiment", "onc-vs-if",
+        "--config", str(cfg), "--out", str(tmp_path / "out"),
+    )
+    assert code == 2 and out == ""
+    assert "merge rule 't>p' rewrites no final of the inventory" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_merge_rule_with_an_empty_nucleus_filter_is_data_error(tmp_path, capsys):
     out_dir = tmp_path / "lex"
     code, out, err = run(

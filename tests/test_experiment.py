@@ -1,6 +1,8 @@
 import gc
+import itertools
 import json
 import math
+import random
 import shutil
 import weakref
 from dataclasses import fields, replace
@@ -19,9 +21,19 @@ from cantoasr.experiment import (
     merge_dilution,
     run_experiment,
 )
-from cantoasr.lexicon import read_lexicon
+from cantoasr.lexicon import LexiconError, check_merges, read_lexicon
 from cantoasr.ngram import read_corpus, train_ngram
-from cantoasr.phonology import MergeRuleSet, default_inventory
+from cantoasr.phonology import (
+    TONES,
+    JyutpingError,
+    MergeRule,
+    MergeRuleSet,
+    Phone,
+    Syllable,
+    apply_merge,
+    default_inventory,
+    to_if,
+)
 
 DEMO_CFG = Path(__file__).parent.parent / "src/cantoasr/data/demo_experiment.cfg"
 
@@ -42,8 +54,107 @@ def test_merge_dilution_counts():
     inv = default_inventory()
     rules = MergeRuleSet.parse("t>k@aa,a,o;ng>n@aa,a,o")
     # finals with coda t: aat at it ot eot ut yut; affected: aat at ot
-    assert merge_dilution(inv, rules.rules[0]) == pytest.approx(3 / 7)
-    assert merge_dilution(inv, rules.rules[1]) == pytest.approx(3 / 7)
+    assert merge_dilution(inv, rules, rules.rules[0]) == pytest.approx(3 / 7)
+    assert merge_dilution(inv, rules, rules.rules[1]) == pytest.approx(3 / 7)
+
+
+def all_labels(inv):
+    """Every final and coda phone label of ``inv``, so that no pair is left out."""
+    return {
+        Phone(kind, base, tone).label
+        for kind, bases in (("final", inv.finals), ("coda", inv.codas))
+        for base in bases
+        for tone in TONES
+    }
+
+
+def test_overlapping_rules_read_as_the_lexicon_reads_them():
+    inv = default_inventory()
+    labels = all_labels(inv)
+    # baat3 -> baak3 by the first rule, so the second rewrites 6 of the 7 t finals
+    rules = MergeRuleSet.parse("t>k@aa;t>ng")
+    assert merge_dilution(inv, rules, rules.rules[1]) == pytest.approx(6 / 7)
+    onc = _confusable_pairs(inv, "onc", labels, rules)
+    assert {(a[:-1], b[:-1], e) for a, b, e in onc} == {("_k", "_t", 1 / 7), ("_ng", "_t", 6 / 7)}
+    # ak is the first rule's alone: the second pairs aau/aak but not au/ak
+    rules = MergeRuleSet.parse("k>p@a;k>u")
+    pairs = {(a[:-1], b[:-1]) for a, b, _ in _confusable_pairs(inv, "if", labels, rules)}
+    assert pairs == {("ap", "ak"), ("aau", "aak")}
+
+
+def merge_reference(inv, rules):
+    """The IF pairs and ONC exposures that ``apply_merge`` implies for ``rules``.
+
+    An IF pair is (merged final, final) of each final the rules rewrite into
+    another final of ``inv``; a rule's ONC exposure is the share of its coda's
+    finals whose rewrite first happens at that rule.
+    """
+    if_pairs, onc = [], []
+    for nucleus, coda in inv.finals.values():
+        for tone in TONES:
+            syl = Syllable(None, nucleus, coda, tone)
+            try:
+                merged = to_if(apply_merge(syl, rules), inv)
+            except JyutpingError:
+                continue
+            if merged != to_if(syl, inv):
+                if_pairs.append((merged[-1].label, to_if(syl, inv)[-1].label, 1.0))
+    for i, rule in enumerate(rules.rules):
+        before, upto = MergeRuleSet(rules.rules[:i]), MergeRuleSet(rules.rules[: i + 1])
+        syls = [Syllable(None, n, c, 1) for n, c in inv.finals.values() if c == rule.from_coda]
+        hit = [s for s in syls if apply_merge(s, before) == s != apply_merge(s, upto)]
+        for tone in TONES:
+            a, b = Phone("coda", rule.to_coda, tone), Phone("coda", rule.from_coda, tone)
+            onc.append((a.label, b.label, len(hit) / len(syls)))
+    return sorted(if_pairs), onc
+
+
+def accepted(inv, rules):
+    try:
+        check_merges(rules, inv)
+    except LexiconError:
+        return False
+    return True
+
+
+def single_rules(inv):
+    for src, dst in itertools.permutations(sorted(inv.codas), 2):
+        for nuclei in [None, *(frozenset([n]) for n in sorted(inv.nuclei))]:
+            yield MergeRuleSet((MergeRule(src, dst, nuclei),))
+
+
+def random_rule_pairs(inv, count, seed):
+    rng = random.Random(seed)
+    codas, nuclei = sorted(inv.codas), sorted(inv.nuclei)
+    for _ in range(count):
+        rules = []
+        for _ in range(2):
+            src, dst = rng.sample(codas, 2)
+            filt = rng.choice([None, frozenset(rng.sample(nuclei, rng.randint(1, 4)))])
+            rules.append(MergeRule(src, dst, filt))
+        yield MergeRuleSet(tuple(rules))
+
+
+@pytest.mark.parametrize("sets", ["single", "random-pairs"])
+def test_confusable_pairs_follow_apply_merge(sets):
+    inv = default_inventory()
+    labels = all_labels(inv)
+    candidates = single_rules(inv) if sets == "single" else random_rule_pairs(inv, 300, 7)
+    checked = 0
+    for rules in filter(lambda r: accepted(inv, r), candidates):
+        if_pairs, onc = merge_reference(inv, rules)
+        assert sorted(_confusable_pairs(inv, "if", labels, rules)) == if_pairs, str(rules)
+        assert _confusable_pairs(inv, "onc", labels, rules) == onc, str(rules)
+        checked += 1
+    assert checked >= 100
+
+
+def test_a_merge_rule_that_rewrites_no_final_fails_the_config(tmp_path):
+    p = tmp_path / "merge.cfg"
+    p.write_text("seed = 1\nmerge_rules = ng>n@yu\n", encoding="utf-8")
+    with pytest.raises(ExperimentError, match="merge rule 'ng>n@yu' rewrites no final"):
+        load_experiment_config(p, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def post_blend_gaps(scheme, cfg):

@@ -123,6 +123,12 @@ def test_merge_collision(inv):
         ("x>k", "merge rule 'x>k' names unknown coda 'x'"),
         ("t>k@aa,zz", "merge rule 't>k@aa,zz' names unknown nucleus 'zz'"),
         ("ng>n;p>b@zz", "merge rule 'p>b@zz' names unknown coda 'b' and nucleus 'zz'"),
+        # nucleus yu has only the finals yu, yun and yut
+        ("ng>n@yu", "merge rule 'ng>n@yu' rewrites no final of the inventory"),
+        # the earlier rule rewrites every final the later one names
+        ("t>k;t>p", "merge rule 't>p' rewrites no final of the inventory"),
+        ("t>k;t>k", "merge rule 't>k' rewrites no final of the inventory"),
+        ("m>n@aa,a;m>ng@a", "merge rule 'm>ng@a' rewrites no final of the inventory"),
     ],
 )
 def test_merge_rule_outside_the_inventory_is_rejected(inv, scheme, rules, message):

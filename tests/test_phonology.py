@@ -220,6 +220,17 @@ def test_apply_merge(inv):
     assert apply_merge(syl, MergeRuleSet()) == syl
 
 
+def test_rule_for_is_the_first_matching_rule(inv):
+    rules = MergeRuleSet.parse("t>k@aa;t>ng")
+    first, second = rules.rules
+    assert rules.rule_for("aa", "t") is first
+    assert rules.rule_for("o", "t") is second
+    assert rules.rule_for("aa", "k") is None and rules.rule_for("aa", None) is None
+    # apply_merge follows it: baat3 is rewritten by the first rule alone
+    assert render(apply_merge(parse_jyutping("baat3", inv), rules), inv) == "baak3"
+    assert render(apply_merge(parse_jyutping("got3", inv), rules), inv) == "gong3"
+
+
 def test_merge_nucleus_filter(inv):
     rules = MergeRuleSet.parse("t>k@aa,a,o")
     assert render(apply_merge(parse_jyutping("baat3", inv), rules), inv) == "baak3"
