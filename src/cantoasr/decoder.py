@@ -280,10 +280,9 @@ class WordLM:
             toks = word_tokens[word]
             firsts.append(toks[0])
             inner[w] = lm.ln_score(toks[1:], (toks[0],))[0]
-        self.table = LN10 * lm.bigram_log10_table(ctx_tokens, firsts) + inner
-        self.end_lm = np.array(
-            [LN10 * lm.logprob10(EOS, (tok,)) for tok in ctx_tokens]
-        )
+        full = LN10 * lm.bigram_log10_table(ctx_tokens, firsts + [EOS])
+        self.table = full[:, :-1] + inner
+        self.end_lm = full[:, -1].copy()  # a view would keep all of ``full`` alive
         self.word_end_ctx = np.array(
             [ctx_index[word_tokens[w][-1]] for w in self.words],
             dtype=np.int32,

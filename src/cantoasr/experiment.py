@@ -16,16 +16,16 @@ applied to them.
 Confusion derivation is where the scheme asymmetry lives.  A merge rule
 such as ``t>k@aa,a,o`` blends the units it rewrites toward their merge
 targets; which rule rewrites a final is ``MergeRuleSet.rule_for``'s answer
-(the first matching rule), as in the lexicon.  Under the initial/final
-scheme each rewritten whole final (``aat``/``aak``, ...) is blended with
-weight ``b + (1-b) * p``: the unit is only ever trained inside the merging
-context.  Under the onset/nucleus/coda scheme the coda unit is shared
-across every final using that coda, most of which the merge never touches,
-so its blend exposure is diluted to the share of the coda's finals that the
-rule rewrites: ``b + (1-b) * p * dilution``.  A rule that rewrites no final
-is a config error.  ``b`` is the baseline acoustic similarity of the
-merging pair (unreleased stops and the two nasal codas are close even for
-careful speakers) and ``p`` is the merge strength.
+(the first matching rule), as in the lexicon.  Each confused pair of units
+is blended once, by ``b + (1-b) * p * exposure``, where ``b`` is the
+baseline acoustic similarity of the pair (unreleased stops and the two
+nasal codas are close even for careful speakers) and ``p`` the merge
+strength.  An initial/final whole-final unit (``aat``/``aak``, ...) has
+exposure 1: it is only ever trained inside the merging context.  An
+onset/nucleus/coda coda unit is shared across every final using that coda,
+most of which the merge never touches, so its exposure is the share of the
+coda's finals that the rules rewrite into that target.  A rule that
+rewrites no final, or a unit blended twice, is a config error.
 
 Each setting is one ``ExperimentConfig`` field: its name is the config-file
 key and the ``report.json`` params key, its type says how the file value is
@@ -141,7 +141,9 @@ class ExperimentConfig:
         if not 0.0 <= self.base_similarity < 1.0:
             raise ExperimentError("base_similarity must be in [0, 1)")
         try:
-            check_merges(MergeRuleSet.parse(self.merge_rules), default_inventory())
+            rules = MergeRuleSet.parse(self.merge_rules)
+            check_merges(rules, default_inventory())
+            _check_one_blend_per_unit(default_inventory(), rules)
             self.sim_config()
             params = self.decode_params()
             # the main run's point and every sweep grid point
@@ -219,72 +221,80 @@ def load_experiment_config(
     return cfg
 
 
-def merge_dilution(inv, rules: MergeRuleSet, rule) -> float:
-    """Share of the finals with the rule's source coda that ``rules`` rewrites
-    with ``rule`` (``rules.rule_for``); ``rules`` has passed ``check_merges``."""
-    nuclei = [n for n, c in inv.finals.values() if c == rule.from_coda]
-    return sum(rules.rule_for(n, rule.from_coda) is rule for n in nuclei) / len(nuclei)
+def _confused_units(inv, scheme: str, rules: MergeRuleSet) -> dict[tuple[str, str], list]:
+    """(target, source) unit base -> the rule (``rules.rule_for``) of each
+    final whose rewrite confuses them, in the order of the first rule."""
+    units: dict[tuple[str, str], list] = {}
+    for rule in rules.rules:
+        for final, (nucleus, coda) in sorted(inv.finals.items()):
+            if rules.rule_for(nucleus, coda) is not rule:
+                continue
+            if scheme == SCHEME_ONC:
+                pair = (rule.to_coda, coda)
+            else:
+                try:
+                    pair = (inv.final_for(nucleus, rule.to_coda), final)
+                except JyutpingError:  # the merged final is not in the inventory
+                    continue
+            units.setdefault(pair, []).append(rule)
+    return units
+
+
+def _check_one_blend_per_unit(inv, rules: MergeRuleSet) -> None:
+    """Raise ``ExperimentError`` when, under either scheme, ``rules`` blend a unit
+    twice (toward two targets, or as a blended target): the second undoes the first."""
+    for scheme in (SCHEME_IF, SCHEME_ONC):
+        units = _confused_units(inv, scheme, rules)
+        for _, unit in units:
+            naming = [hits[0] for pair, hits in units.items() if unit in pair]
+            if len(naming) > 1:
+                kind = "coda" if scheme == SCHEME_ONC else "final"
+                raise ExperimentError(
+                    f"merge rules {str(naming[0])!r} and {str(naming[1])!r} blend the "
+                    f"{scheme.upper()} {kind} {unit!r} twice"
+                )
 
 
 def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
-    """(target label, merging label, exposure) per pair of units in ``labels``."""
+    """(target label, merging label, exposure) per confused pair of units in ``labels``,
+    once each; an ONC exposure is the share of the coda's finals that confuse it."""
+    kind = "coda" if scheme == SCHEME_ONC else "final"
     pairs = []
-    for rule in rules.rules:
+    for (target, source), hits in _confused_units(inv, scheme, rules).items():
+        exposure = 1.0
         if scheme == SCHEME_ONC:
-            exposure, kind = merge_dilution(inv, rules, rule), "coda"
-            units = [(rule.to_coda, rule.from_coda)]
-        else:
-            exposure, kind, units = 1.0, "final", []
-            for final, (nucleus, coda) in sorted(inv.finals.items()):
-                if rules.rule_for(nucleus, coda) is not rule:
-                    continue
-                try:
-                    units.append((inv.final_for(nucleus, rule.to_coda), final))
-                except JyutpingError:  # the merged final is not in the inventory
-                    pass
-        for target, source in units:
-            for tone in TONES:
-                a, b = Phone(kind, target, tone).label, Phone(kind, source, tone).label
-                if a in labels and b in labels:
-                    pairs.append((a, b, exposure))
+            exposure = len(hits) / sum(c == source for _, c in inv.finals.values())
+        for tone in TONES:
+            a, b = Phone(kind, target, tone).label, Phone(kind, source, tone).label
+            if a in labels and b in labels:
+                pairs.append((a, b, exposure))
     return pairs
 
 
-def derive_confusions(
-    inv,
-    scheme: str,
-    labels: set[str],
-    models,
-    rules: MergeRuleSet,
-    p: float,
-    base: float,
-    reference_distance: float,
-) -> tuple[tuple[str, str, float], ...]:
-    """Per-scheme confusion entries realizing a coda merge of strength p.
+def derive_confusions(inv, scheme: str, labels: set[str], models, cfg: ExperimentConfig):
+    """``models`` with ``cfg``'s coda merge of strength p blended in for ``scheme``.
 
     Each confused pair of the phone units ``labels`` has the nominal blend
-    fraction ``b + (1-b) * p * exposure``, where the exposure is 1 for a
-    whole-final unit (it is only ever trained inside the merging context)
-    and ``merge_dilution`` for a shared coda unit.  The weight is then
-    rescaled from the pair's distance in the separated ``models`` (the mean
-    over its state pdfs), so that ``blend_confusions`` leaves the pair ``(1 -
-    nominal) * reference_distance`` apart regardless of where the random
+    fraction ``b + (1-b) * p * exposure`` (``_confusable_pairs``), rescaled
+    from the pair's distance in the separated ``models`` (the mean over its
+    state pdfs) so that the blend leaves the pair ``(1 - nominal)`` times the
+    expected distance of two independent means apart wherever the random
     draws landed, which keeps flip rates comparable across model seeds.
     """
+    p, base, rules = cfg.confusion_p, cfg.base_similarity, MergeRuleSet.parse(cfg.merge_rules)
+    reference_distance = cfg.mean_scale * math.sqrt(2.0 * cfg.feature_dim)
     row, means = models.index, models.means
     entries = []
     for a, b, exposure in _confusable_pairs(inv, scheme, labels, rules):
         blend = base + (1.0 - base) * p * exposure
         target_margin = (1.0 - blend) * reference_distance
-        gaps = [
-            float(np.linalg.norm(means[row[pa]] - means[row[pb]]))
-            for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b))
-        ]
+        pdfs = zip(pdf_labels_for(a), pdf_labels_for(b))
+        gaps = [float(np.linalg.norm(means[row[pa]] - means[row[pb]])) for pa, pb in pdfs]
         actual = sum(gaps) / len(gaps)
         if actual > 0:
             blend = min(max(1.0 - target_margin / actual, 0.0), 1.0)
         entries.append((a, b, blend))
-    return tuple(entries)
+    return blend_confusions(models, tuple(entries))
 
 
 @dataclass
@@ -313,19 +323,8 @@ def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSyst
     the confusion weights from those means and blend."""
     lex = compile_lexicon(entries, scheme, inv)
     graph = build_graph(lex, lm)
-    separated = build_state_models(set(graph.pdf_labels), cfg.sim_config())
-    confusion = derive_confusions(
-        inv,
-        scheme,
-        set(lex.labels),
-        separated,
-        MergeRuleSet.parse(cfg.merge_rules),
-        cfg.confusion_p,
-        cfg.base_similarity,
-        # the expected distance of two independent means
-        reference_distance=cfg.mean_scale * math.sqrt(2.0 * cfg.feature_dim),
-    )
-    return SchemeSystem(lex, graph, blend_confusions(separated, confusion))
+    models = build_state_models(set(graph.pdf_labels), cfg.sim_config())
+    return SchemeSystem(lex, graph, derive_confusions(inv, scheme, set(lex.labels), models, cfg))
 
 
 def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[tuple[str, ...]]:

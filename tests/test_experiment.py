@@ -18,7 +18,6 @@ from cantoasr.experiment import (
     _build_system,
     _confusable_pairs,
     load_experiment_config,
-    merge_dilution,
     run_experiment,
 )
 from cantoasr.lexicon import LexiconError, check_merges, read_lexicon
@@ -54,8 +53,8 @@ def test_merge_dilution_counts():
     inv = default_inventory()
     rules = MergeRuleSet.parse("t>k@aa,a,o;ng>n@aa,a,o")
     # finals with coda t: aat at it ot eot ut yut; affected: aat at ot
-    assert merge_dilution(inv, rules, rules.rules[0]) == pytest.approx(3 / 7)
-    assert merge_dilution(inv, rules, rules.rules[1]) == pytest.approx(3 / 7)
+    onc = _confusable_pairs(inv, "onc", all_labels(inv), rules)
+    assert {(a[:-1], b[:-1], e) for a, b, e in onc} == {("_k", "_t", 3 / 7), ("_n", "_ng", 3 / 7)}
 
 
 def all_labels(inv):
@@ -73,7 +72,6 @@ def test_overlapping_rules_read_as_the_lexicon_reads_them():
     labels = all_labels(inv)
     # baat3 -> baak3 by the first rule, so the second rewrites 6 of the 7 t finals
     rules = MergeRuleSet.parse("t>k@aa;t>ng")
-    assert merge_dilution(inv, rules, rules.rules[1]) == pytest.approx(6 / 7)
     onc = _confusable_pairs(inv, "onc", labels, rules)
     assert {(a[:-1], b[:-1], e) for a, b, e in onc} == {("_k", "_t", 1 / 7), ("_ng", "_t", 6 / 7)}
     # ak is the first rule's alone: the second pairs aau/aak but not au/ak
@@ -86,8 +84,9 @@ def merge_reference(inv, rules):
     """The IF pairs and ONC exposures that ``apply_merge`` implies for ``rules``.
 
     An IF pair is (merged final, final) of each final the rules rewrite into
-    another final of ``inv``; a rule's ONC exposure is the share of its coda's
-    finals whose rewrite first happens at that rule.
+    another final of ``inv``; an ONC pair (to coda, from coda) is listed once,
+    in the order of its first rule, and its exposure is the share of the from
+    coda's finals whose rewrite first happens at a rule with that pair.
     """
     if_pairs, onc = [], []
     for nucleus, coda in inv.finals.values():
@@ -99,13 +98,18 @@ def merge_reference(inv, rules):
                 continue
             if merged != to_if(syl, inv):
                 if_pairs.append((merged[-1].label, to_if(syl, inv)[-1].label, 1.0))
+    hits: dict[tuple[str, str], int] = {}
     for i, rule in enumerate(rules.rules):
         before, upto = MergeRuleSet(rules.rules[:i]), MergeRuleSet(rules.rules[: i + 1])
         syls = [Syllable(None, n, c, 1) for n, c in inv.finals.values() if c == rule.from_coda]
         hit = [s for s in syls if apply_merge(s, before) == s != apply_merge(s, upto)]
+        pair = (rule.to_coda, rule.from_coda)
+        hits[pair] = hits.get(pair, 0) + len(hit)
+    for (to, frm), count in hits.items():
+        finals = sum(c == frm for _, c in inv.finals.values())
         for tone in TONES:
-            a, b = Phone("coda", rule.to_coda, tone), Phone("coda", rule.from_coda, tone)
-            onc.append((a.label, b.label, len(hit) / len(syls)))
+            a, b = Phone("coda", to, tone), Phone("coda", frm, tone)
+            onc.append((a.label, b.label, count / finals))
     return sorted(if_pairs), onc
 
 
@@ -157,12 +161,60 @@ def test_a_merge_rule_that_rewrites_no_final_fails_the_config(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ("t>k@aa;t>p@o", "merge rules 't>k@aa' and 't>p@o' blend the ONC coda 't' twice"),
+        ("t>k@aa;t>ng", "merge rules 't>k@aa' and 't>ng' blend the ONC coda 't' twice"),
+        ("t>k@aa;k>p@o", "merge rules 't>k@aa' and 'k>p@o' blend the ONC coda 'k' twice"),
+        ("t>k@aa;k>p@aa", "merge rules 't>k@aa' and 'k>p@aa' blend the IF final 'aak' twice"),
+    ],
+    ids=["two-targets", "two-targets-shadowed", "onc-chain", "if-chain"],
+)
+def test_merge_rules_that_blend_a_unit_twice_fail_the_config(tmp_path, rules, message):
+    # a blend holds one margin per unit: a second blend of a source, or of a
+    # target that is itself blended, would undo the first
+    p = tmp_path / "merge.cfg"
+    p.write_text(f"seed = 1\nmerge_rules = {rules}\n", encoding="utf-8")
+    with pytest.raises(ExperimentError, match=f"^{message}$"):
+        load_experiment_config(p, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_single_rules_and_the_demo_set_blend_each_unit_once(tmp_path):
+    inv = default_inventory()
+    demo = load_experiment_config(DEMO_CFG, seed=1, out_dir=tmp_path).merge_rules
+    sets = [demo, *(str(r.rules[0]) for r in single_rules(inv) if accepted(inv, r))]
+    assert len(sets) == 425
+    for rules in sets:
+        small_config(tmp_path, merge_rules=rules).validate()
+
+
+def scheme_system(scheme, cfg):
+    lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
+    return _build_system(scheme, read_lexicon(cfg.lexicon), default_inventory(), lm, cfg)
+
+
+def test_rules_that_repeat_a_pair_blend_it_once(tmp_path):
+    # two rules that confuse the same coda pair add up to one exposure, as
+    # the rule that names both nuclei does
+    inv = default_inventory()
+    split = small_config(tmp_path, merge_rules="t>k@aa;t>k@o")
+    joined = small_config(tmp_path, merge_rules="t>k@aa,o")
+    split.validate()
+    labels = all_labels(inv)
+    pairs = _confusable_pairs(inv, "onc", labels, MergeRuleSet.parse(split.merge_rules))
+    assert pairs == _confusable_pairs(inv, "onc", labels, MergeRuleSet.parse(joined.merge_rules))
+    assert {e for *_, e in pairs} == {2 / 7}
+    split_means = scheme_system("onc", split).models.means
+    assert split_means.tobytes() == scheme_system("onc", joined).models.means.tobytes()
+
+
 def post_blend_gaps(scheme, cfg):
     """Per confused pair of the scheme's system: its blend exposure, its
     nominal blend weight and the mean gap of its three blended pdf means."""
     inv = default_inventory()
-    lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
-    system = _build_system(scheme, read_lexicon(cfg.lexicon), inv, lm, cfg)
+    system = scheme_system(scheme, cfg)
     means, row = system.models.means, system.models.index
     rules = MergeRuleSet.parse(cfg.merge_rules)
     out = {}

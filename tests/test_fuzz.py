@@ -1,6 +1,7 @@
-"""Mutated ARPA, lattice, experiment-config and FSCR files: a reader either
-loads one or raises its typed error."""
+"""Mutated ARPA, lattice, experiment-config, FSCR, lexicon, inventory and
+external-score files: a reader either loads one or raises its typed error."""
 
+import math
 import struct
 from pathlib import Path
 
@@ -10,8 +11,22 @@ from hypothesis import strategies as st
 
 from cantoasr.decoder import MatrixScorer, ScoreFormatError, read_scores, write_scores
 from cantoasr.experiment import ExperimentError, load_experiment_config
-from cantoasr.lattice import LatticeFormatError, demo_lattice_path, read_lattice
+from cantoasr.lattice import (
+    LatticeFormatError,
+    demo_lattice_path,
+    read_external_scores,
+    read_lattice,
+)
+from cantoasr.lexicon import LexiconError, compile_lexicon, demo_lexicon_path, read_lexicon
 from cantoasr.ngram import ArpaFormatError, read_arpa, train_ngram, write_arpa
+from cantoasr.phonology import (
+    SCHEME_IF,
+    SCHEME_ONC,
+    InventoryError,
+    default_inventory,
+    default_inventory_path,
+    load_inventory,
+)
 
 # what a mutation writes: the formats' own keywords and values that an
 # int or float parse reads oddly
@@ -170,3 +185,43 @@ def test_mutated_fscr_loads_or_raises_score_format_error(tmp_path):
         assert (tmp_path / "back.fscr").read_bytes() == path.read_bytes()
 
     check_reader(tmp_path, write, read_scores, ScoreFormatError, writes_back)
+
+
+# syllables and segments the lexicon and inventory readers parse: valid, out
+# of the inventory, a bad tone, a syllabic nasal, a section header
+SEGMENT_TOKENS = TOKENS + [
+    "baat3", "baat7", "baat0", "ng5", "m4", "hm4", "zzz1", "令狐", "aa", "k", "ng", "y",
+    "#onsets", "#nuclei", "#codas", "#finals", "aak\taa\tk", "ik\ti\tk", "a\t-\t-",
+]
+
+
+def test_mutated_lexicon_compiles_or_raises_lexicon_error(tmp_path):
+    text = demo_lexicon_path().read_text(encoding="utf-8")
+
+    def compiles(path):
+        entries = read_lexicon(path)
+        for scheme in (SCHEME_IF, SCHEME_ONC):
+            compile_lexicon(entries, scheme, default_inventory())
+
+    check_reader(tmp_path, write_mutated_text(text, SEGMENT_TOKENS), compiles, LexiconError)
+
+
+def test_mutated_inventory_loads_or_raises_inventory_error(tmp_path):
+    text = default_inventory_path().read_text(encoding="utf-8")
+    write = write_mutated_text(text, SEGMENT_TOKENS)
+    check_reader(tmp_path, write, load_inventory, InventoryError)
+
+
+def test_mutated_external_scores_load_or_raise_lattice_format_error(tmp_path):
+    text = "\t-0.5\n好\t-1.0\n好 天\t-2.5\n天 好 天\t-inf\n命令\t-3.25\n"
+
+    def scores_are_finite_or_minus_inf(path, scores):
+        assert all(isinstance(v, float) and v < math.inf for v in scores.values())
+
+    check_reader(
+        tmp_path,
+        write_mutated_text(text),
+        read_external_scores,
+        LatticeFormatError,
+        scores_are_finite_or_minus_inf,
+    )
