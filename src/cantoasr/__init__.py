@@ -46,3 +46,16 @@ def json_text(value, indent: int | None = None) -> str:
     return json.dumps(
         _finite(value), ensure_ascii=False, sort_keys=True, indent=indent, allow_nan=False
     )
+
+
+def left_sum(values) -> float:
+    """The sum of ``values`` added left to right, one rounding per addition.
+
+    Every float sum that feeds an output comes from here: from Python 3.12
+    the built-in ``sum`` of floats is compensated, which can change the last
+    bit of a result and so the bytes of a report.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total

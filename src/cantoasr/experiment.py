@@ -46,7 +46,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import DataError, json_text, open_text
+from . import DataError, json_text, left_sum, open_text
 from .decoder import (
     BatchResult,
     DecodeParams,
@@ -290,7 +290,7 @@ def derive_confusions(inv, scheme: str, labels: set[str], models, cfg: Experimen
         target_margin = (1.0 - blend) * reference_distance
         pdfs = zip(pdf_labels_for(a), pdf_labels_for(b))
         gaps = [float(np.linalg.norm(means[row[pa]] - means[row[pb]])) for pa, pb in pdfs]
-        actual = sum(gaps) / len(gaps)
+        actual = left_sum(gaps) / len(gaps)
         if actual > 0:
             blend = min(max(1.0 - target_margin / actual, 0.0), 1.0)
         entries.append((a, b, blend))
@@ -430,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         log.info("seed %d: if %s onc %s", seed_idx, wer_if.percent, wer_onc.percent)
     onc_better = sum(wer_onc.rate < wer_if.rate for wer_if, wer_onc in pairs)
     classification = classify_errors(refs, hyps[SCHEME_IF], hyps[SCHEME_ONC])
-    mean_rel = sum(r["relative_improvement"] for r in per_seed) / len(per_seed)
+    mean_rel = left_sum(r["relative_improvement"] for r in per_seed) / len(per_seed)
 
     report = {
         # left out: out_dir, so that reports written to two places compare equal,

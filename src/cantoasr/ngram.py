@@ -34,8 +34,18 @@ be rebound.  ``ln_score``, which ``rescore_ngram`` and the decoder's word
 tables call, skips the memo and walks once per token from the state it
 holds: 22 % of ``rescore_ngram``'s queries hit the memo, so for the other
 78 % it only added a key, an insert and a periodic clear.  Set-up queries
-(``interpolate``, ``tune_lambda``) hardly repeat, so they call ``_query``
-and skip the memo too.
+hardly repeat, so they skip the memo too.
+
+The rest of set-up makes no helper call per n-gram.  ``interpolate`` sorts
+the union of both models' n-grams once and makes one loop per order: each
+side's query is the n-gram with its tokens mapped as ``_query`` maps them,
+read from the side's table, and only an unstored one walks the back-off
+chain; the same loop sums each history's continuations for its back-off
+weight.  ``tune_lambda`` asks ``_query`` once per held-out event and runs
+each EM step as array arithmetic.  ``read_arpa`` parses each n-gram line in
+its section loop.  All three give the tables and weight, bit for bit, of
+per-n-gram code that calls a query for each n-gram, and float sums that
+feed them are added left to right (``left_sum``).
 
 ``tokenize_chars`` answers a text already in its table of token tuples
 from the table, and returns a new list each call.  The table is emptied
@@ -54,6 +64,7 @@ perplexity stays finite.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -62,7 +73,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import DataError, open_text
+from . import DataError, left_sum, open_text
 
 SOS = "<s>"
 EOS = "</s>"
@@ -449,33 +460,37 @@ def tune_lambda(a: NGramModel, b: NGramModel, heldout: list[list[str]]) -> float
 
     The held-out log-likelihood is strictly concave in the weight, so EM
     converges to the optimum; the endpoints 0 and 1 are also evaluated so a
-    boundary optimum is returned exactly.
+    boundary optimum is returned exactly.  Each EM step is array arithmetic
+    over the held-out events; its posterior shares are added in order by
+    ``np.add.accumulate``, the float sum of a ``+=`` loop, and the
+    log-likelihood keeps ``math.log`` per event, since numpy's SIMD ``log``
+    can differ from it in the last bit.
     """
+    MixtureModel(a, b, 0.5)  # models of different orders raise here
     if not heldout:
         raise DataError("empty held-out text")
     # held-out queries hardly repeat, so they skip the memo
-    events = [
+    pa, pb = np.array([
         (10.0 ** a._query(g[-1], g[:-1]), 10.0 ** b._query(g[-1], g[:-1]))
         for sent in heldout
         for g in _ngrams(a.order, sent)
-    ]
+    ]).T
     lam = 0.5
     for _ in range(EM_MAX_ITER):
-        post = 0.0
-        for pa, pb in events:
-            mixed = lam * pa + (1.0 - lam) * pb
-            post += lam * pa / mixed if mixed > 0 else 0.5
-        new_lam = post / len(events)
+        mixed = lam * pa + (1.0 - lam) * pb
+        # an event that neither model can produce gives each side half
+        share = np.divide(lam * pa, mixed, out=np.full(len(pa), 0.5), where=mixed > 0)
+        new_lam = float(np.add.accumulate(share)[-1]) / len(pa)
         if abs(new_lam - lam) < EM_TOL:
             lam = new_lam
             break
         lam = new_lam
 
     def loglik(l):
-        return sum(math.log(max(l * pa + (1.0 - l) * pb, 1e-300)) for pa, pb in events)
+        mixed = np.maximum(l * pa + (1.0 - l) * pb, 1e-300)
+        return left_sum(map(math.log, mixed.tolist()))
 
-    best = max((lam, 0.0, 1.0), key=lambda l: (loglik(l), l == lam))
-    return best
+    return max((lam, 0.0, 1.0), key=lambda l: (loglik(l), l == lam))
 
 
 def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
@@ -489,53 +504,74 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
     so the unknown-marker unigram is set to the leftover probability instead
     of the raw mixture.
     """
-    mixture = MixtureModel(a, b, lam)
+    MixtureModel(a, b, lam)  # models of different orders raise here
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"lambda must be in [0, 1], got {lam}")
     order = a.order
     logprob: dict[tuple[str, ...], float] = {}
     backoff: dict[tuple[str, ...], float] = {}
-    support: list[list[tuple[str, ...]]] = [
-        sorted(
-            {g for g in a.logprob if len(g) == k} | {g for g in b.logprob if len(g) == k}
-        )
+    union = sorted(a._logprob.keys() | b._logprob.keys())
+    union.sort(key=len)  # stable: each order stays sorted
+    support = [
+        union[bisect_left(union, k, key=len):bisect_right(union, k, key=len)]
         for k in range(1, order + 1)
     ]
+    lp_a, bo_a, vocab_a = a._logprob, a._backoff, a.vocab
+    lp_b, bo_b, vocab_b = b._logprob, b._backoff, b.vocab
+    mu = 1.0 - lam
 
-    for k_idx, grams in enumerate(support):
+    for k, grams in enumerate(support, 1):
+        weights: dict[tuple[str, ...], float] = {}
+        h, num, den = None, 1.0, 1.0
         for gram in grams:
             if gram[-1] == SOS:
                 logprob[gram] = LOG10_FLOOR
                 continue
-            logprob[gram] = mixture.logprob10(gram[-1], gram[:-1])
-        if k_idx == 0:
-            # the unknown marker takes whatever mass the real words leave
-            leftover = 1.0 - sum(
-                10.0 ** lp
-                for g, lp in logprob.items()
-                if len(g) == 1 and g[0] != UNK
+            # each side's query: a token outside its unigrams reads as <unk>
+            qa = gram if vocab_a.issuperset(gram) else tuple(
+                t if t in vocab_a else UNK for t in gram
             )
+            qb = gram if vocab_b.issuperset(gram) else tuple(
+                t if t in vocab_b else UNK for t in gram
+            )
+            la = lp_a.get(qa)
+            if la is None:
+                la = _backoff_logprob(lp_a, bo_a, qa)
+            lb = lp_b.get(qb)
+            if lb is None:
+                lb = _backoff_logprob(lp_b, bo_b, qb)
+            lp = logprob[gram] = math.log10(max(lam * 10.0 ** la + mu * 10.0 ** lb, 1e-300))
+            if k == 1:
+                continue
+            if gram[:-1] != h:
+                if h is not None:
+                    weights[h] = _backoff_weight(num, den)
+                h, num, den = gram[:-1], 1.0, 1.0
+            num -= 10.0 ** lp
+            low = logprob.get(gram[1:])
+            if low is None:
+                low = _backoff_logprob(logprob, backoff, gram[1:])
+            den -= 10.0 ** low
+        if k == 1:
+            # the unknown marker takes whatever mass the real words leave
+            leftover = 1.0 - left_sum(10.0 ** logprob[g] for g in grams if g[0] != UNK)
             logprob[(UNK,)] = math.log10(max(leftover, 1e-12))
             continue
-        # back-off weights for the (k-1)-gram histories, each lower order
-        # read through the same walk a query takes over the orders so far
-        continuations: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for gram in grams:
-            continuations.setdefault(gram[:-1], []).append(gram)
-        for h in support[k_idx - 1]:
-            stored = continuations.get(h, [])
-            num = 1.0
-            den = 1.0
-            for gram in stored:
-                if gram[-1] == SOS:
-                    continue
-                num -= 10.0 ** logprob[gram]
-                den -= 10.0 ** _backoff_logprob(logprob, backoff, h[1:] + gram[-1:])
-            if num <= 1e-12 or den <= 1e-12:
-                backoff[h] = LOG10_FLOOR
-            else:
-                backoff[h] = math.log10(num / den)
+        if h is not None:
+            weights[h] = _backoff_weight(num, den)
+        # the (k-1)-gram histories in their sorted order; one with no
+        # continuation keeps all its mass: log10(1 / 1)
+        for h in support[k - 2]:
+            backoff[h] = weights.get(h, 0.0)
     return NGramModel._adopt(order, logprob, backoff)
+
+
+def _backoff_weight(num: float, den: float) -> float:
+    """log10 of a history's back-off weight: the mass its stored continuations
+    leave (``num``) over the mass the lower order leaves them (``den``)."""
+    if num <= 1e-12 or den <= 1e-12:
+        return LOG10_FLOOR
+    return math.log10(num / den)
 
 
 def write_arpa(model: NGramModel, path: str | Path) -> None:
@@ -591,14 +627,19 @@ def write_arpa(model: NGramModel, path: str | Path) -> None:
         fh.write("\n\\end\\\n")
 
 
-def _arpa_lines(fh, path: Path):
-    """Each non-blank line of ``fh``, stripped, with its number.  An ARPA
-    file ends with ``\\end\\``, so running out of lines raises."""
-    for lineno, raw in enumerate(fh, 1):
+def _truncated(path: Path) -> ArpaFormatError:
+    return ArpaFormatError(f"{path}: truncated ARPA file (no \\end\\)")
+
+
+def _arpa_lines(numbered, path: Path):
+    """Each non-blank line of ``numbered`` (``enumerate`` over a file), stripped,
+    with its number.  An ARPA file ends with ``\\end\\``, so running out of
+    lines raises."""
+    for lineno, raw in numbered:
         line = raw.strip()
         if line:
             yield lineno, line
-    raise ArpaFormatError(f"{path}: truncated ARPA file (no \\end\\)")
+    raise _truncated(path)
 
 
 def read_arpa(path: str | Path) -> NGramModel:
@@ -612,24 +653,27 @@ def read_arpa(path: str | Path) -> NGramModel:
     A highest-order n-gram's weight is checked but not stored: no query
     reads it and ``write_arpa`` writes none.
 
+    The file is read line by line, never held whole, and each n-gram line
+    is parsed in the section loop; ``bad_number`` runs only on a fault.
+
     The model holds each distinct token once, not once per position.  The
     file is prefix closed, so an n-gram's context was stored in the section
     before: its key is that stored key plus the last token, taken from a
     per-read ``str -> str`` table, so each n-gram adds a tuple but no string.
     """
     path = Path(path)
+    inf = math.inf
 
     def fail(lineno, msg):
         raise ArpaFormatError(f"{path}:{lineno}: {msg}")
 
-    def number(lineno, line, text, what):
+    def bad_number(lineno, line, text, what):
         try:
             value = float(text)
         except ValueError:
             fail(lineno, f"bad {what} in {line!r}")
-        if not value < math.inf:  # -inf is a zero probability, NaN compares false
-            fail(lineno, f"{'NaN' if math.isnan(value) else '+inf'} {what} in {line!r}")
-        return value
+        # -inf is a zero probability, so the value is NaN or +inf
+        fail(lineno, f"{'NaN' if math.isnan(value) else '+inf'} {what} in {line!r}")
 
     logprob: dict[tuple[str, ...], float] = {}
     backoff: dict[tuple[str, ...], float] = {}
@@ -637,7 +681,8 @@ def read_arpa(path: str | Path) -> NGramModel:
     contexts: dict[tuple[str, ...], tuple[str, ...]] = {(): ()}
     tokens: dict[str, str] = {}
     with open_text(path, ArpaFormatError) as fh:
-        lines = _arpa_lines(fh, path)
+        numbered = enumerate(fh, 1)
+        lines = _arpa_lines(numbered, path)
         for lineno, line in lines:
             if line == "\\data\\":
                 break
@@ -675,13 +720,21 @@ def read_arpa(path: str | Path) -> NGramModel:
             start = len(logprob)
             # a section runs to the next line that starts with a backslash,
             # which no n-gram line does
-            for lineno, line in lines:
-                if line.startswith("\\"):
+            for lineno, line in numbered:
+                line = line.strip()
+                if not line:
+                    continue
+                if line[0] == "\\":
                     break
                 fields = line.split("\t")
                 if not 2 <= len(fields) <= 3:
                     fail(lineno, f"bad n-gram line {line!r}")
-                lp = number(lineno, line, fields[0], "log probability")
+                try:
+                    lp = float(fields[0])
+                except ValueError:
+                    bad_number(lineno, line, fields[0], "log probability")
+                if not lp < inf:  # -inf is a zero probability, NaN compares false
+                    bad_number(lineno, line, fields[0], "log probability")
                 words = fields[1].split()
                 if len(words) != section:
                     fail(lineno, f"{len(words)}-gram {tuple(words)!r} in section {section}")
@@ -696,10 +749,17 @@ def read_arpa(path: str | Path) -> NGramModel:
                     fail(lineno, f"repeated n-gram {fields[1]!r}")
                 logprob[gram] = lp
                 if len(fields) == 3:
-                    bow = number(lineno, line, fields[2], "back-off weight")
+                    try:
+                        bow = float(fields[2])
+                    except ValueError:
+                        bad_number(lineno, line, fields[2], "back-off weight")
+                    if not bow < inf:
+                        bad_number(lineno, line, fields[2], "back-off weight")
                     # no query reads a highest-order n-gram's weight
                     if section < order:
                         backoff[gram] = bow
+            else:
+                raise _truncated(path)
             seen = len(logprob) - start
             if seen != declared[section]:
                 fail(

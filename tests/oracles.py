@@ -8,6 +8,8 @@ import numpy as np
 
 from cantoasr.decoder import MatrixScorer, pdf_labels_for
 from cantoasr.ngram import (
+    EM_MAX_ITER,
+    EM_TOL,
     EOS,
     LOG10_FLOOR,
     MLE_UNK_FLOOR,
@@ -361,6 +363,98 @@ def counting_train_ngram(corpus, order, smoothing="witten_bell"):
             else:
                 backoff[h] = LOG10_FLOOR
     return NGramModel(order, logprob, backoff)
+
+
+def interpolate_reference(a, b, lam):
+    """``ngram.interpolate`` one n-gram at a time.
+
+    Each order is sorted from its own pass over both models.  A union
+    n-gram's mixture is ``lam * pa + (1 - lam) * pb`` with each side read
+    through ``arpa_logprob10``, which maps the tokens first; ``<unk>`` takes
+    the unigram mass the other words leave, summed left to right.  A
+    history's back-off weight renormalizes its continuations, each lower
+    order read by the ARPA recursion over the mixture's tables so far with
+    the tokens unmapped.  Its items, their order and their bits must equal
+    the fast path's.
+    """
+    logprob, backoff = {}, {}
+    support = [
+        sorted({g for m in (a, b) for g in m.logprob if len(g) == k})
+        for k in range(1, a.order + 1)
+    ]
+
+    def walk(gram):
+        if gram in logprob:
+            return logprob[gram]
+        if len(gram) == 1:
+            return logprob.get((UNK,), LOG10_FLOOR)
+        return backoff.get(gram[:-1], 0.0) + walk(gram[1:])
+
+    for k, grams in enumerate(support, 1):
+        for gram in grams:
+            if gram[-1] == SOS:
+                logprob[gram] = LOG10_FLOOR
+                continue
+            pa = 10.0 ** arpa_logprob10(a, gram[-1], gram[:-1])
+            pb = 10.0 ** arpa_logprob10(b, gram[-1], gram[:-1])
+            logprob[gram] = math.log10(max(lam * pa + (1.0 - lam) * pb, 1e-300))
+        if k == 1:
+            mass = 0.0
+            for g, lp in logprob.items():
+                if g[0] != UNK:
+                    mass += 10.0 ** lp
+            logprob[(UNK,)] = math.log10(max(1.0 - mass, 1e-12))
+            continue
+        continuations = {}
+        for gram in grams:
+            continuations.setdefault(gram[:-1], []).append(gram)
+        for h in support[k - 2]:
+            num = den = 1.0
+            for gram in continuations.get(h, []):
+                if gram[-1] != SOS:
+                    num -= 10.0 ** logprob[gram]
+                    den -= 10.0 ** walk(gram[1:])
+            backoff[h] = LOG10_FLOOR if num <= 1e-12 or den <= 1e-12 else math.log10(num / den)
+    return NGramModel(a.order, logprob, backoff)
+
+
+def tune_lambda_reference(a, b, heldout):
+    """``ngram.tune_lambda`` as a plain EM loop over (pa, pb) pairs.
+
+    Each event is a held-out prediction, read through ``arpa_logprob10``;
+    each step sums the posterior shares left to right, an event that
+    neither side can produce giving half; the endpoints 0 and 1 compete
+    with the EM weight on the left-to-right log-likelihood sum, a tie going
+    to the EM weight.  Its weight must equal the fast path's bit for bit.
+    """
+    events = []
+    for sent in heldout:
+        padded = [SOS] * (a.order - 1) + list(sent) + [EOS]
+        for i in range(a.order - 1, len(padded)):
+            if padded[i] != SOS:
+                history = tuple(padded[i - a.order + 1 : i])
+                events.append(tuple(
+                    10.0 ** arpa_logprob10(m, padded[i], history) for m in (a, b)
+                ))
+    lam = 0.5
+    for _ in range(EM_MAX_ITER):
+        post = 0.0
+        for pa, pb in events:
+            mixed = lam * pa + (1.0 - lam) * pb
+            post += lam * pa / mixed if mixed > 0 else 0.5
+        new_lam = post / len(events)
+        done = abs(new_lam - lam) < EM_TOL
+        lam = new_lam
+        if done:
+            break
+
+    def loglik(l):
+        total = 0.0
+        for pa, pb in events:
+            total += math.log(max(l * pa + (1.0 - l) * pb, 1e-300))
+        return total
+
+    return max((lam, 0.0, 1.0), key=lambda l: (loglik(l), l == lam))
 
 
 def parse_jyutping_reference(s, inv):

@@ -1,6 +1,9 @@
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -54,6 +57,37 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == "0.1.0"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fresh_python(args, **env):
+    """``python args`` in a fresh interpreter with ``src`` on the path, the BLAS
+    thread variables unset and then ``env`` set."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**base, "PYTHONPATH": str(DATA.parent.parent), **env},
+    )
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_the_cli_sets_one_blas_thread_unless_told_otherwise(preset):
+    probe = (
+        "import os, cantoasr.cli\n"
+        f"print(*[os.environ[k] for k in {BLAS_THREADS!r}])"
+    )
+    env = dict.fromkeys(BLAS_THREADS, preset) if preset else {}
+    done = fresh_python(["-c", probe], **env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [preset or "1"] * 3
+
+
+def test_python_dash_m_runs_the_cli():
+    done = fresh_python(["-m", "cantoasr", "--help"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: cantoasr ")
 
 
 def test_lexicon_stats_json(capsys):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantoasr import ngram
-from cantoasr.lexicon import demo_lexicon_path
+from cantoasr import DataError, left_sum, ngram
+from cantoasr.lexicon import demo_lexicon_path, read_lexicon
 from cantoasr.ngram import (
     EOS,
     LOG10_FLOOR,
@@ -31,7 +31,12 @@ from cantoasr.ngram import (
     write_arpa,
 )
 
-from oracles import arpa_logprob10, counting_train_ngram
+from oracles import (
+    arpa_logprob10,
+    counting_train_ngram,
+    interpolate_reference,
+    tune_lambda_reference,
+)
 
 
 def sents(*lines):
@@ -743,3 +748,93 @@ def test_sentence_order_changes_no_table(order, smoothing):
     for corpus in corpora:
         shuffled = rng.sample(corpus, len(corpus))
         assert_same_tables(train_ngram(shuffled, order, smoothing), train_ngram(corpus, order, smoothing))
+
+
+def test_tune_lambda_rejects_models_of_different_orders():
+    bigram = train_ngram(sents("a b a"), order=2)
+    trigram = train_ngram(sents("a b a"), order=3)
+    for heldout in (sents("a b"), []):  # before any query or other check
+        with pytest.raises(DataError) as err:
+            tune_lambda(bigram, trigram, heldout)
+        assert str(err.value) == "order mismatch: 2 vs 3"
+
+
+def test_left_sum_adds_left_to_right():
+    # a compensated sum, as the built-in sum of floats is from Python 3.12, gives 1.0
+    assert repr(left_sum([1e16, 1.0, -1e16])) == "0.0"
+    assert repr(left_sum([0.1] * 10)) == "0.9999999999999999"
+    assert repr(left_sum([])) == "0.0"
+
+
+def with_orphans(rng, m):
+    """``m`` plus n-grams whose last token, ``q`` or ``r``, has no unigram, as
+    an ARPA file may hold them; some of them are contexts of longer n-grams."""
+    logprob = dict(m.logprob)
+    for k in range(1, m.order):
+        for gram in [g for g in logprob if len(g) == k]:
+            if rng.random() < 0.3:
+                score = rng.choice([-0.0, -math.inf, rng.uniform(-3.0, 0.0)])
+                logprob[gram + (rng.choice("qr"),)] = score
+    return NGramModel(m.order, logprob, m.backoff)
+
+
+def mixture_components(rng, order, tmp_path):
+    """Two random models of one order, each over its own tokens (``<unk>``
+    stored on one side, both or neither; ``<s>`` ending n-grams), some with
+    orphan n-grams, some read back from ARPA."""
+    models = []
+    for side in "ab":
+        m = random_model(rng, order)
+        if rng.random() < 0.5:
+            m = with_orphans(rng, m)
+        if rng.random() < 0.3:
+            write_arpa(m, tmp_path / f"{side}.arpa")
+            m = read_arpa(tmp_path / f"{side}.arpa")
+        models.append(m)
+    return models
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_interpolate_and_tune_lambda_equal_the_per_ngram_references(tmp_path, order):
+    rng = random.Random(41 + order)
+    heldout_tokens = ["a", "b", "c", "d", "q", "z", SOS, EOS, UNK]
+    for _ in range(60):
+        a, b = mixture_components(rng, order, tmp_path)
+        heldout = [
+            rng.choices(heldout_tokens, k=rng.randint(0, 6)) for _ in range(rng.randint(1, 4))
+        ]
+        lam = tune_lambda(a, b, heldout)
+        assert repr(lam) == repr(tune_lambda_reference(a, b, heldout))
+        for weight in (lam, 0.0, 1.0, rng.random()):
+            assert_same_tables(interpolate(a, b, weight), interpolate_reference(a, b, weight))
+
+
+def test_interpolate_maps_a_token_without_a_unigram_before_it_reads(tmp_path):
+    # "z" has no unigram in a, so a reads "z" after "a" as "<unk>" after "a",
+    # though it stores "a z" too; b stores "z", so the union holds "a z"
+    (tmp_path / "a.arpa").write_text(
+        "\\data\\\nngram 1=3\nngram 2=2\n\n\\1-grams:\n-0.5\t<s>\t0.0\n-0.3\ta\t-0.2\n"
+        "-0.4\t<unk>\t0.0\n\n\\2-grams:\n-0.1\ta z\n-2.0\ta <unk>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    a = read_arpa(tmp_path / "a.arpa")
+    b = train_ngram(sents("a z z", "z a"), order=2)
+    m = interpolate(a, b, 1.0)
+    assert m.logprob[("a", "z")] == -2.0
+    assert_same_tables(m, interpolate_reference(a, b, 1.0))
+    assert_same_tables(interpolate(a, b, 0.25), interpolate_reference(a, b, 0.25))
+
+
+def test_the_rescore_set_up_mixture_equals_the_per_ngram_references(tmp_path):
+    # the benchmark's external scorer: an ARPA-read corpus 3-gram mixed with
+    # a lexicon-word 3-gram, tuned on the last 30 sentences
+    corpus = read_corpus(demo_lexicon_path().parent / "demo_corpus.txt")
+    write_arpa(train_ngram(corpus[:-30], 3), tmp_path / "lm3.arpa")
+    corpus_lm = read_arpa(tmp_path / "lm3.arpa")
+    words = [e.word for e in read_lexicon(demo_lexicon_path())]
+    word_lm = train_ngram([tokenize_chars(w) for w in words], 3)
+    lam = tune_lambda(corpus_lm, word_lm, corpus[-30:])
+    assert repr(lam) == repr(tune_lambda_reference(corpus_lm, word_lm, corpus[-30:]))
+    assert_same_tables(
+        interpolate(corpus_lm, word_lm, lam), interpolate_reference(corpus_lm, word_lm, lam)
+    )
