@@ -436,23 +436,10 @@ def perplexity(model, sentences: list[list[str]]) -> float:
     return 10.0 ** (-total / n)
 
 
-class MixtureModel:
-    """Exact linear mixture of two equal-order models; ``interpolate`` stores its scores."""
-
-    def __init__(self, a: NGramModel, b: NGramModel, lam: float):
-        if a.order != b.order:
-            raise DataError(f"order mismatch: {a.order} vs {b.order}")
-        self.a, self.b, self.lam = a, b, lam
-        self.order = a.order
-
-    def prob(self, word: str, history: tuple[str, ...] = ()) -> float:
-        # each component without its memo: a mixture's queries hardly repeat
-        pa = 10.0 ** self.a._query(word, history)
-        pb = 10.0 ** self.b._query(word, history)
-        return self.lam * pa + (1.0 - self.lam) * pb
-
-    def logprob10(self, word: str, history: tuple[str, ...] = ()) -> float:
-        return math.log10(max(self.prob(word, history), 1e-300))
+def _check_orders(a: NGramModel, b: NGramModel) -> None:
+    """Only two models of one order mix."""
+    if a.order != b.order:
+        raise DataError(f"order mismatch: {a.order} vs {b.order}")
 
 
 def tune_lambda(a: NGramModel, b: NGramModel, heldout: list[list[str]]) -> float:
@@ -466,7 +453,7 @@ def tune_lambda(a: NGramModel, b: NGramModel, heldout: list[list[str]]) -> float
     log-likelihood keeps ``math.log`` per event, since numpy's SIMD ``log``
     can differ from it in the last bit.
     """
-    MixtureModel(a, b, 0.5)  # models of different orders raise here
+    _check_orders(a, b)
     if not heldout:
         raise DataError("empty held-out text")
     # held-out queries hardly repeat, so they skip the memo
@@ -504,7 +491,7 @@ def interpolate(a: NGramModel, b: NGramModel, lam: float) -> NGramModel:
     so the unknown-marker unigram is set to the leftover probability instead
     of the raw mixture.
     """
-    MixtureModel(a, b, lam)  # models of different orders raise here
+    _check_orders(a, b)
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"lambda must be in [0, 1], got {lam}")
     order = a.order

@@ -365,6 +365,27 @@ def counting_train_ngram(corpus, order, smoothing="witten_bell"):
     return NGramModel(order, logprob, backoff)
 
 
+class MixtureModel:
+    """Exact linear mixture of two equal-order models, queried per event.
+
+    ``ngram.interpolate`` stores the same probabilities as a back-off
+    model; this form scores held-out text (``perplexity``) without one.
+    """
+
+    def __init__(self, a, b, lam):
+        self.a, self.b, self.lam = a, b, lam
+        self.order = a.order
+
+    def prob(self, word, history=()):
+        # each component without its memo: a mixture's queries hardly repeat
+        pa = 10.0 ** self.a._query(word, history)
+        pb = 10.0 ** self.b._query(word, history)
+        return self.lam * pa + (1.0 - self.lam) * pb
+
+    def logprob10(self, word, history=()):
+        return math.log10(max(self.prob(word, history), 1e-300))
+
+
 def interpolate_reference(a, b, lam):
     """``ngram.interpolate`` one n-gram at a time.
 

@@ -37,7 +37,6 @@ from cantoasr.ngram import (
     EOS,
     SOS,
     UNK,
-    MixtureModel,
     perplexity,
     read_arpa,
     read_corpus,
@@ -57,7 +56,7 @@ from cantoasr.phonology import (
 )
 from cantoasr.simulate import SimConfig, build_state_models, simulate_utterance
 
-from oracles import edit_distance, enumerate_paths, viterbi_reference
+from oracles import MixtureModel, edit_distance, enumerate_paths, viterbi_reference
 from test_decoder import beam_flip_fixture, make_system, random_fixture
 from test_lattice import make_lattice, milk_corpus
 from test_ngram import predicted_tokens

@@ -341,6 +341,52 @@ def test_no_path_when_too_few_frames():
     assert viterbi_reference(lex, lm, scorer, 1.0) is None
 
 
+def _assert_matches_oracle(lex, lm, graph, matrix, words):
+    scorer = MatrixScorer(np.asarray(matrix, dtype=float), graph.pdf_labels)
+    oracle = viterbi_reference(lex, lm, scorer, UNPRUNED.lm_weight)
+    hyp, _, _ = decode(graph, scorer, UNPRUNED)
+    assert oracle[0] == words
+    assert hyp.words == words
+    assert hyp.am_total == pytest.approx(oracle[1], abs=1e-9)
+    assert hyp.lm_total == pytest.approx(oracle[2], abs=1e-9)
+
+
+def test_consecutive_forward_winners_keep_their_own_records():
+    # one word of three states (1, 2, 3).  A path crosses a word end after
+    # frame 2 and re-enters state 1; at frame 3 it moves on to state 2 while
+    # the one-word path moves on from state 2 to state 3, so both forward
+    # arcs win in one frame and carry different records.  Only the one-word
+    # path can finish by frame 4; a record copy that runs state by state
+    # would hand it the re-entered path's record, a second word.
+    lex, lm, graph = make_system([("甲", "aa1")], corpus=[["甲", "甲"]])
+    assert graph.pdf_labels == ("aa1#0", "aa1#1", "aa1#2")
+    matrix = [
+        [0, -9, -9],
+        [0, -1, -9],
+        [-5, 0, 0],
+        [0, -3, -9],
+        [-9, -9, 0],
+    ]
+    _assert_matches_oracle(lex, lm, graph, matrix, ("甲",))
+
+
+def test_forward_arc_wins_a_tie_between_different_histories():
+    # every score is 0 or -inf and the bigram is uniform, so paths of the
+    # same word count tie.  乙 (states 1-3) can end only at frame 2, 甲 at any
+    # frame from 2 on, and only 乙 can end at the last frame.  At frame 5,
+    # 乙's state 1 holds the path entered after 甲 ended at frame 4, and its
+    # state 2 the path entered after 乙 ended at frame 2; they tie, the
+    # forward arc wins, and the result is 甲 乙 rather than 乙 乙.
+    words = [("甲", "aa1"), ("乙", "m4")]
+    corpus = [[a, b] for a, _ in words for b, _ in words]
+    lex, lm, graph = make_system(words, corpus=corpus)
+    assert graph.pdf_labels == ("aa1#0", "aa1#1", "aa1#2", "m4#0", "m4#1", "m4#2")
+    matrix = np.zeros((8, 6))
+    for t, col in [(2, 3), (2, 4), (3, 5), (4, 3), (7, 2)]:
+        matrix[t, col] = -np.inf
+    _assert_matches_oracle(lex, lm, graph, matrix, ("甲", "乙"))
+
+
 def beam_flip_fixture():
     """Two one-phone words; the eventual winner trails by 14 mid-utterance."""
     lex, lm, graph = make_system(

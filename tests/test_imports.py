@@ -56,6 +56,7 @@ def test_allowed_imports_are_still_unused(module, name):
 ALLOWED_UNREAD = {
     ("phonology", "render"): "c02 checks it as the inverse of parse_jyutping",
     ("lattice", "demo_lattice_path"): "locates the shipped sample lattice",
+    ("ngram", "prob"): "c04 checks hand-counted probabilities through it",
 }
 
 

@@ -19,7 +19,6 @@ from cantoasr.ngram import (
     TOKEN_TABLE_SIZE,
     UNK,
     ArpaFormatError,
-    MixtureModel,
     NGramModel,
     interpolate,
     perplexity,
@@ -32,6 +31,7 @@ from cantoasr.ngram import (
 )
 
 from oracles import (
+    MixtureModel,
     arpa_logprob10,
     counting_train_ngram,
     interpolate_reference,
