@@ -24,6 +24,14 @@ for every label at once on uint32 arrays, and one generator, set to each
 label's seeded state in turn, draws every mean.  A label that separation
 redraws continues its own stream.
 
+Separation decides by the direct distance ``np.sqrt(np.add.reduce((a - b)
+** 2))``, but measures it only for the pairs that one Gram screen
+(``_gram_candidates``: ``|a|^2 + |b|^2 - 2 a.b`` against ``floor**2`` and a
+rounding margin) cannot clear.  Every separation check goes through that
+screen: the first draws' pairs ``SCREEN_BLOCK_ROWS`` = 32 rows at a time,
+holding 32 × n floats per block for n labels, and each redraw as one row
+against all the others, holding O(n) floats.
+
 ``numpy.random`` is loaded at the first draw, not at import, so a process
 that only rescores never holds it (nor the ``hashlib`` it brings).
 """
@@ -52,6 +60,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# float64's rounding unit and smallest subnormal, for the separation screen's bound
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 class SimulationError(DataError):
@@ -172,41 +183,69 @@ def _label_states(seed: int, labels: list[str]) -> list[dict]:
     return states
 
 
+def _gram_candidates(norms: np.ndarray, dots: np.ndarray, floor: float, dim: int) -> np.ndarray:
+    """Where a pair of ``dim``-float rows ``a`` and ``b`` may be closer than
+    ``floor``, given ``norms = |a|^2 + |b|^2`` and ``dots = a.b``.
+
+    The Gram gap ``norms - 2 * dots`` loses, against the direct form
+    ``np.add.reduce((a - b) ** 2)``, under ``(2 * dim + 4) * eps * norms`` to
+    rounding, whatever the summation order of the norms and products, plus
+    about ``2.5 * dim`` subnormal units where squares underflow.  A pair is a
+    candidate unless its Gram gap clears ``floor**2`` by twice that, so every
+    pair closer than ``floor`` by the direct distance is a candidate, and so
+    is every pair whose gap is NaN (from an overflowed norm).
+    """
+    bound = floor * floor + 4.0 * (dim + 4) * _TINY
+    return ~(norms - 2.0 * dots >= bound + 4.0 * (dim + 4) * _EPS * norms)
+
+
 def _close_pairs(mat: np.ndarray, floor: float) -> list:
     """The later row of every pair of rows of ``mat`` closer than ``floor``,
     in row-major order of the pairs, a row once per pair.
 
     A pair ``(i, j)`` is close when ``np.sqrt(np.add.reduce((mat[i] -
-    mat[j]) ** 2)) < floor``.  A Gram screen finds the candidates:
-    ``SCREEN_BLOCK_ROWS`` rows at a time, one matrix product against the
-    later rows gives every squared gap as ``|a|^2 + |b|^2 - 2 a.b``, so a
-    block's temporaries hold at most ``SCREEN_BLOCK_ROWS * n`` floats.
-    Against the direct form, that form loses under ``(2 * feature_dim + 4)
-    * eps * (|a|^2 + |b|^2)`` to rounding, whatever the product's summation
-    order (so whatever the block's shape), plus about ``2.5 * feature_dim``
-    subnormal units where squares underflow.  A pair stays a candidate
-    unless its Gram gap clears ``floor**2`` by twice that, and each
-    candidate is measured by the direct expression, so the result is the
-    row-by-row check's, bit for bit, in O(n * (feature_dim +
-    SCREEN_BLOCK_ROWS)) memory.
+    mat[j]) ** 2)) < floor``.  The Gram screen (``_gram_candidates``), the
+    one every separation check goes through, finds the candidates
+    ``SCREEN_BLOCK_ROWS`` rows at a time: one matrix product against the
+    later rows gives every squared gap of the block, so its temporaries
+    hold at most ``SCREEN_BLOCK_ROWS * n`` floats (a redraw's check,
+    ``_row_clear``, holds O(n)).  Each candidate is measured by the direct
+    expression, so the result is the row-by-row check's, bit for bit, in
+    O(n * (feature_dim + SCREEN_BLOCK_ROWS)) memory.
     """
     n, d = mat.shape
     sq = np.add.reduce(mat * mat, axis=1)
-    slack = 4.0 * (d + 4) * np.finfo(float).eps
-    bound = floor * floor + 4.0 * (d + 4) * np.finfo(float).smallest_subnormal
     close = []
     for i0 in range(0, n - 1, SCREEN_BLOCK_ROWS):
         i1 = min(i0 + SCREEN_BLOCK_ROWS, n - 1)
         norms = sq[i0:i1, None] + sq[None, i0 + 1 :]
-        gram = norms - 2.0 * (mat[i0:i1] @ mat[i0 + 1 :].T)
-        # column c is row i0 + 1 + c, so the upper triangle is j > i; a NaN
-        # gap (from an overflowed norm) stays a candidate
-        rows, cols = np.triu(~(gram >= bound + slack * norms)).nonzero()
-        if len(rows):
-            i, j = rows + i0, cols + (i0 + 1)
+        rows, cols = _gram_candidates(norms, mat[i0:i1] @ mat[i0 + 1 :].T, floor, d).nonzero()
+        # column c is row i0 + 1 + c, so the pairs j > i are those with c >= r
+        upper = cols >= rows
+        if upper.any():
+            i, j = rows[upper] + i0, cols[upper] + (i0 + 1)
             dist = np.sqrt(np.add.reduce((mat[i] - mat[j]) ** 2, axis=1))
             close.extend(j[dist < floor])
     return close
+
+
+def _row_clear(mat: np.ndarray, sq: np.ndarray, j: int, floor: float) -> bool:
+    """Whether row ``j`` of ``mat`` is at least ``floor`` from every other row
+    by the direct distance ``np.sqrt(np.add.reduce((mat - mat[j]) ** 2,
+    axis=1))``.
+
+    ``sq`` holds the squared norm of every row.  The Gram screen
+    (``_gram_candidates``) takes one matrix-vector product against all the
+    rows, and only the candidates other than row ``j`` are measured
+    directly, so the answer is the direct check's in O(n) floats.
+    """
+    row = mat[j]
+    near = _gram_candidates(sq + sq[j], mat @ row, floor, mat.shape[1])
+    near[j] = False
+    near = near.nonzero()[0]
+    if not len(near):
+        return True
+    return np.sqrt(np.add.reduce((mat[near] - row) ** 2, axis=1)).min() >= floor
 
 
 def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> StateModel:
@@ -221,12 +260,14 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
     Separation redraws the lexicographically later mean of each pair that
     is too close.  A redrawn label continues its own stream, so its k-th
     redraw is that stream's (k + 1)-th draw.  The conflicting pairs are
-    those of the first draws, taken in row-major order (``_close_pairs``:
-    a Gram screen in blocks of 32 rows, with temporaries of at most 32 * n
-    floats for n labels, confirmed by the direct distance); each redraw
+    those of the first draws, taken in row-major order; each redraw
     overwrites its label's row of the means matrix in place, and is checked
-    against the current rows of every other label.  A redraw measures its
-    gaps against the whole matrix, with its own gap set to infinity.
+    against the current rows of every other label.  Every one of these
+    distance checks goes through the one Gram screen (``_gram_candidates``)
+    and measures by the direct distance only the pairs the screen cannot
+    clear: the first-draw pairs in blocks of 32 rows (``_close_pairs``,
+    temporaries of at most 32 * n floats for n labels), each redraw as one
+    row against all the others (``_row_clear``, O(n) floats).
     """
     labels = sorted(set(labels))
     if not labels:
@@ -246,12 +287,11 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
         # a redrawn row's stream state after its latest draw; a row can be
         # the later row of several close pairs, so it is kept between them
         streams = {}
+        sq = np.add.reduce(mat * mat, axis=1)
         for j in _close_pairs(mat, floor):
             # redraw the later label until it clears every other mean
             for tries in range(101):
-                gaps = np.sqrt(np.add.reduce((mat - mat[j]) ** 2, axis=1))
-                gaps[j] = np.inf
-                if gaps.min() >= floor:
+                if _row_clear(mat, sq, j, floor):
                     break
                 if tries == 100:
                     raise SimulationError(
@@ -265,6 +305,7 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
                     bitgen.state = states[j]
                     gen.normal(0.0, cfg.mean_scale, cfg.feature_dim)
                 mat[j] = gen.normal(0.0, cfg.mean_scale, cfg.feature_dim)
+                sq[j] = mat[j] @ mat[j]
                 streams[j] = bitgen.state
     return StateModel(tuple(labels), mat)
 

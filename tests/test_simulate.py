@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from cantoasr.simulate import (
     SimulationError,
     _close_pairs,
     _label_states,
+    _row_clear,
     blend_confusions,
     build_state_models,
     draw_frames,
@@ -161,6 +163,58 @@ def test_state_models_equal_the_broadcast_reference(feature_dim):
     assert failed > 0 or feature_dim > 1
 
 
+def stream_draws(models, cfg):
+    """How many draws of each label's own stream its mean took (1 when separation
+    kept the first draw)."""
+    draws = {}
+    for lab, mean in zip(models.labels, models.means):
+        rng = label_rng(cfg.seed, lab)
+        draws[lab] = next(
+            k for k in range(1, 102)
+            if rng.normal(0.0, cfg.mean_scale, cfg.feature_dim).tobytes() == mean.tobytes()
+        )
+    return draws
+
+
+def later_rows_of_close_pairs(labels, cfg):
+    """How many close pairs of the first draws each label is the later row of."""
+    labels = sorted(labels)
+    first = np.stack([
+        label_rng(cfg.seed, lab).normal(0.0, cfg.mean_scale, cfg.feature_dim) for lab in labels
+    ])
+    dist = np.sqrt(np.add.reduce((first[:, None] - first[None, :]) ** 2, axis=2))
+    i, j = np.triu_indices(len(labels), 1)
+    return Counter(labels[k] for k in j[dist[i, j] < 4 * cfg.noise_sigma])
+
+
+# 24 labels in 2 and 3 dimensions against floors of 0.8 and 1 at mean_scale 1:
+# rows redrawn more than once in their visit, rows that are the later row of
+# several close pairs, and in 2 dimensions rows that cannot be separated
+def test_state_models_equal_the_broadcast_reference_through_repeated_redraws():
+    labels = [f"s{k}#0" for k in range(24)]
+    redrawn_again = later_twice = failed = 0
+    for feature_dim in (2, 3):
+        for seed in range(4):
+            for noise_sigma in (0.2, 0.25):
+                cfg = SimConfig(seed=seed, feature_dim=feature_dim, noise_sigma=noise_sigma)
+                try:
+                    expected = broadcast_state_models(labels, cfg)
+                except SimulationError as exc:
+                    with pytest.raises(SimulationError) as raised:
+                        build_state_models(labels, cfg)
+                    assert str(raised.value) == str(exc)
+                    failed += 1
+                    continue
+                models = build_state_models(labels, cfg)
+                assert models.labels == expected.labels
+                assert models.means.tobytes() == expected.means.tobytes()
+                draws = stream_draws(models, cfg)
+                later = later_rows_of_close_pairs(labels, cfg)
+                redrawn_again += sum(k >= 3 for k in draws.values())
+                later_twice += sum(later[lab] >= 2 and draws[lab] >= 2 for lab in labels)
+    assert redrawn_again > 0 and later_twice > 0 and failed > 0
+
+
 def test_state_models_memory_is_linear_in_the_labels():
     labels = [f"s{k}#0" for k in range(1000)]
     cfg = SimConfig(seed=1)
@@ -207,6 +261,17 @@ def edge_floors(mat):
     return floors
 
 
+def edge_matrices(rng, n, feature_dim, offset):
+    """Small integer coordinates, where many pairs share exact squared gaps;
+    the same rows nudged by an ulp; normals; and squares that underflow."""
+    grid = rng.integers(-2, 3, size=(n, feature_dim)).astype(float) + offset
+    nudged = grid.copy()
+    nudged[::2] = np.nextafter(nudged[::2], np.inf)
+    normal = offset + rng.normal(size=(n, feature_dim))
+    tiny = (grid - offset) * 1e-160
+    return grid, nudged, normal, tiny
+
+
 @pytest.mark.parametrize("feature_dim", [1, 3, 8, 64])
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 def test_close_pairs_equal_the_row_loop_at_the_edge(feature_dim, offset):
@@ -215,21 +280,40 @@ def test_close_pairs_equal_the_row_loop_at_the_edge(feature_dim, offset):
     # around feature_dim, and on both sides of one and two 32-row screen blocks
     sizes = {2, max(2, feature_dim - 1), feature_dim + 1, 2 * feature_dim + 3, 31, 32, 33, 65}
     for n in sorted(sizes):
-        # small integer coordinates: many pairs share exact squared gaps; and
-        # the same rows nudged by an ulp
-        grid = rng.integers(-2, 3, size=(n, feature_dim)).astype(float) + offset
-        nudged = grid.copy()
-        nudged[::2] = np.nextafter(nudged[::2], np.inf)
-        normal = offset + rng.normal(size=(n, feature_dim))
-        # squares that underflow
-        tiny = (grid - offset) * 1e-160
-        for mat in (grid, nudged, normal, tiny):
+        for mat in edge_matrices(rng, n, feature_dim, offset):
             for floor in edge_floors(mat):
                 close = _close_pairs(mat, floor)
                 assert close == row_loop_close_pairs(mat, floor)
                 checked += 1
                 found += len(close)
     assert checked > 0 and found > 0
+
+
+def direct_row_clear(mat, j, floor):
+    """The redraw check ``_row_clear`` replaced: every row's direct gap to row ``j``."""
+    gaps = np.sqrt(np.add.reduce((mat - mat[j]) ** 2, axis=1))
+    gaps[j] = np.inf
+    return gaps.min() >= floor
+
+
+@pytest.mark.parametrize("feature_dim", [1, 3, 8, 64])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_row_clear_equals_the_direct_check_at_the_edge(feature_dim, offset):
+    rng = np.random.default_rng(feature_dim)
+    checked = clear = 0
+    for n in sorted({2, max(2, feature_dim - 1), feature_dim + 1, 33}):
+        for mat in edge_matrices(rng, n, feature_dim, offset):
+            sq = np.add.reduce(mat * mat, axis=1)
+            floors = edge_floors(mat)
+            for j in range(n):
+                # and at row j's own nearest gap, where its answer flips
+                nearest = np.sqrt(np.add.reduce((np.delete(mat, j, axis=0) - mat[j]) ** 2, axis=1)).min()
+                for floor in floors + [np.nextafter(nearest, 0.0), nearest, np.nextafter(nearest, np.inf)]:
+                    expected = direct_row_clear(mat, j, floor)
+                    assert _row_clear(mat, sq, j, floor) == expected
+                    checked += 1
+                    clear += expected
+    assert 0 < clear < checked
 
 
 @pytest.fixture(scope="module")
