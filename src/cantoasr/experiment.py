@@ -13,19 +13,19 @@ every pair of means is separated, each confused pair's blend weight is
 derived from its distance in those separated means, and the blend is
 applied to them.
 
-Confusion derivation is where the scheme asymmetry lives.  A merge rule
-such as ``t>k@aa,a,o`` blends the units it rewrites toward their merge
-targets; which rule rewrites a final is ``MergeRuleSet.rule_for``'s answer
-(the first matching rule), as in the lexicon.  Each confused pair of units
-is blended once, by ``b + (1-b) * p * exposure``, where ``b`` is the
-baseline acoustic similarity of the pair (unreleased stops and the two
-nasal codas are close even for careful speakers) and ``p`` the merge
-strength.  An initial/final whole-final unit (``aat``/``aak``, ...) has
-exposure 1: it is only ever trained inside the merging context.  An
-onset/nucleus/coda coda unit is shared across every final using that coda,
-most of which the merge never touches, so its exposure is the share of the
-coda's finals that the rules rewrite into that target.  A rule that
-rewrites no final, or a unit blended twice, is a config error.
+Confusion derivation is where the scheme asymmetry lives, and the scheme
+enters it only through its decomposition (``phonology.to_phones``): a merge
+rule such as ``t>k@aa,a,o`` acts on the last phone of each final it
+rewrites, the IF final or the ONC coda; ``MergeRuleSet.rule_for`` picks the
+rule (the first that matches), as in the lexicon.  Each confused pair of
+units is blended once, by ``b + (1-b) * p * exposure``, where ``b`` is the
+baseline acoustic similarity of the pair (unreleased stops and the two nasal
+codas are close even for careful speakers) and ``p`` the merge strength.
+The exposure is the share of the source unit's finals that the rules rewrite
+into the target: 1 for a whole final (``aat``/``aak``), only ever trained
+inside the merging context; a fraction for a coda, which every final using
+it shares (3/7 for ``_t`` under the demo rules).  A rule that rewrites no
+final, or a unit blended twice, is a config error.
 
 Each setting is one ``ExperimentConfig`` field: its name is the config-file
 key and the ``report.json`` params key, its type says how the file value is
@@ -39,6 +39,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -69,8 +70,8 @@ from .evaluate import (
 )
 from .lexicon import check_merges, compile_lexicon, demo_lexicon_path, lexicon_stats, read_lexicon
 from .ngram import read_corpus, train_ngram
-from .phonology import SCHEME_IF, SCHEME_ONC, TONES, JyutpingError, MergeRuleSet, Phone
-from .phonology import default_inventory
+from .phonology import SCHEME_IF, SCHEME_ONC, SCHEMES, TONES, JyutpingError, MergeRuleSet, Phone
+from .phonology import Syllable, default_inventory, to_phones
 from .simulate import SimConfig, blend_confusions, build_state_models, simulate_utterance
 
 log = logging.getLogger(__name__)
@@ -221,21 +222,24 @@ def load_experiment_config(
     return cfg
 
 
-def _confused_units(inv, scheme: str, rules: MergeRuleSet) -> dict[tuple[str, str], list]:
-    """(target, source) unit base -> the rule (``rules.rule_for``) of each
-    final whose rewrite confuses them, in the order of the first rule."""
-    units: dict[tuple[str, str], list] = {}
+def _merge_unit(inv, scheme: str, nucleus: str, coda: str | None) -> Phone:
+    """The unit a coda merge acts on: the final's last phone under ``scheme``, at tone 1."""
+    return to_phones(Syllable(None, nucleus, coda, 1), scheme, inv)[-1]
+
+
+def _confused_units(inv, scheme: str, rules: MergeRuleSet) -> dict[tuple[Phone, Phone], list]:
+    """(merged final's unit, final's unit) -> the rule (``rules.rule_for``) of each
+    final whose rewrite confuses them, in the order of the first rule; a final's
+    unit is its last phone under ``scheme`` (``_merge_unit``)."""
+    units: dict[tuple[Phone, Phone], list] = {}
     for rule in rules.rules:
-        for final, (nucleus, coda) in sorted(inv.finals.items()):
+        for _, (nucleus, coda) in sorted(inv.finals.items()):
             if rules.rule_for(nucleus, coda) is not rule:
                 continue
-            if scheme == SCHEME_ONC:
-                pair = (rule.to_coda, coda)
-            else:
-                try:
-                    pair = (inv.final_for(nucleus, rule.to_coda), final)
-                except JyutpingError:  # the merged final is not in the inventory
-                    continue
+            try:
+                pair = tuple(_merge_unit(inv, scheme, nucleus, c) for c in (rule.to_coda, coda))
+            except JyutpingError:  # the merged final is not in the inventory
+                continue
             units.setdefault(pair, []).append(rule)
     return units
 
@@ -243,29 +247,27 @@ def _confused_units(inv, scheme: str, rules: MergeRuleSet) -> dict[tuple[str, st
 def _check_one_blend_per_unit(inv, rules: MergeRuleSet) -> None:
     """Raise ``ExperimentError`` when, under either scheme, ``rules`` blend a unit
     twice (toward two targets, or as a blended target): the second undoes the first."""
-    for scheme in (SCHEME_IF, SCHEME_ONC):
+    for scheme in SCHEMES:
         units = _confused_units(inv, scheme, rules)
         for _, unit in units:
             naming = [hits[0] for pair, hits in units.items() if unit in pair]
             if len(naming) > 1:
-                kind = "coda" if scheme == SCHEME_ONC else "final"
                 raise ExperimentError(
                     f"merge rules {str(naming[0])!r} and {str(naming[1])!r} blend the "
-                    f"{scheme.upper()} {kind} {unit!r} twice"
+                    f"{scheme.upper()} {unit.kind} {unit.base!r} twice"
                 )
 
 
 def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
     """(target label, merging label, exposure) per confused pair of units in ``labels``,
-    once each; an ONC exposure is the share of the coda's finals that confuse it."""
-    kind = "coda" if scheme == SCHEME_ONC else "final"
+    once each; the exposure is the share of the finals whose last phone under
+    ``scheme`` is the merging unit that confuse it (1 for an IF final)."""
+    finals_per_unit = Counter(_merge_unit(inv, scheme, n, c) for n, c in inv.finals.values())
     pairs = []
     for (target, source), hits in _confused_units(inv, scheme, rules).items():
-        exposure = 1.0
-        if scheme == SCHEME_ONC:
-            exposure = len(hits) / sum(c == source for _, c in inv.finals.values())
+        exposure = len(hits) / finals_per_unit[source]
         for tone in TONES:
-            a, b = Phone(kind, target, tone).label, Phone(kind, source, tone).label
+            a, b = (Phone(u.kind, u.base, tone).label for u in (target, source))
             if a in labels and b in labels:
                 pairs.append((a, b, exposure))
     return pairs
@@ -313,7 +315,7 @@ def _build_systems(entries, inv, lm, cfg: ExperimentConfig) -> dict[str, SchemeS
     word_lm = WordLM((e.word for e in entries), lm)
     return {
         scheme: _build_system(scheme, entries, inv, word_lm, cfg)
-        for scheme in (SCHEME_IF, SCHEME_ONC)
+        for scheme in SCHEMES
     }
 
 

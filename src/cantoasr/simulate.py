@@ -284,9 +284,6 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
 
     floor = 4.0 * cfg.noise_sigma
     if floor > 0.0 and len(labels) > 1:
-        # a redrawn row's stream state after its latest draw; a row can be
-        # the later row of several close pairs, so it is kept between them
-        streams = {}
         sq = np.add.reduce(mat * mat, axis=1)
         for j in _close_pairs(mat, floor):
             # redraw the later label until it clears every other mean
@@ -298,15 +295,15 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
                         f"cannot separate {labels[j]!r}; raise mean_scale or "
                         f"lower noise_sigma"
                     )
-                if j in streams:
-                    bitgen.state = streams[j]
-                else:
-                    # replay the first draw, which is already row j
+                if tries == 0:
+                    # the label's first redraw: a label redrawn on an earlier
+                    # visit is still clear, as each later redraw was checked
+                    # clear of it and the direct gap is symmetric; so replay
+                    # the stream's first draw, which is row j
                     bitgen.state = states[j]
                     gen.normal(0.0, cfg.mean_scale, cfg.feature_dim)
                 mat[j] = gen.normal(0.0, cfg.mean_scale, cfg.feature_dim)
                 sq[j] = mat[j] @ mat[j]
-                streams[j] = bitgen.state
     return StateModel(tuple(labels), mat)
 
 

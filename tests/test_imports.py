@@ -1,8 +1,8 @@
 """No module of the package imports a name that it never uses, or defines
 a function, class or method that nothing in the package or the benchmark reads;
 one function writes every JSON text the package prints or saves, and one opens
-every text file it reads; and the second pass runs without loading
-``numpy.random``, ``hashlib`` or ``secrets``."""
+every text file it reads; only ``phonology`` branches on the scheme; and the
+second pass runs without loading ``numpy.random``, ``hashlib`` or ``secrets``."""
 
 import ast
 import os
@@ -211,6 +211,50 @@ def test_text_is_read_only_through_open_text():
         for site in call_sites(path.read_text(encoding="utf-8"), reads_text)
     ]
     assert sites == [("__init__", "open_text")]
+
+
+SCHEME_NAMES = {"SCHEME_IF", "SCHEME_ONC"}
+SCHEME_VALUES = {"if", "onc"}
+
+
+def is_scheme(node) -> bool:
+    """A scheme constant, bare or as an attribute, or a scheme name literal."""
+    return (
+        isinstance(node, ast.Name) and node.id in SCHEME_NAMES
+        or isinstance(node, ast.Attribute) and node.attr in SCHEME_NAMES
+        or isinstance(node, ast.Constant) and node.value in SCHEME_VALUES
+    )
+
+
+def scheme_compares(source: str) -> list[int]:
+    """The line of each comparison in ``source`` with a scheme as an operand."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and any(map(is_scheme, [node.left, *node.comparators]))
+    )
+
+
+def test_the_check_finds_a_scheme_compare():
+    source = (
+        "from .phonology import SCHEME_ONC\nfrom . import phonology\n"
+        "def f(scheme):\n    if scheme == SCHEME_ONC:\n        return 1\n"
+        "    return 'x' if 'if' != scheme else phonology.SCHEME_IF is scheme\n"
+        "g = {'if': 1, 'onc': 2}\nh = 'if' + 'onc'\n"
+    )
+    assert scheme_compares(source) == [4, 6, 6]
+
+
+def test_only_phonology_branches_on_the_scheme():
+    # a scheme is its decomposition (phonology.to_phones): every other module
+    # reads what it needs from the phones, so a new scheme needs no branch there
+    sites = [
+        (path.stem, line)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "phonology"
+        for line in scheme_compares(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == []
 
 
 # loaded with numpy.random: about 6 MB of RSS that no second-pass call needs
