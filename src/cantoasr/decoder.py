@@ -13,8 +13,8 @@ LM cost is charged on the entry arc (the context is already known there):
 path totals are unchanged versus charging it at the word end, but tokens
 inside competing words then carry comparable LM amounts, which is what
 makes beam comparisons meaningful.
-The end-of-sentence LM term is added when the best final token is
-selected.
+The end-of-sentence LM term is added after the final frame's best word
+end is chosen, so it takes no part in that choice.
 
 A token is its score and the word-boundary record it descends from, a
 ``(word, prev, frame, am, lm)`` tuple: word id, previous record (-1 for

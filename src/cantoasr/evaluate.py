@@ -9,6 +9,7 @@ insertions and deletions.  Corpus rates are micro-averaged (total errors
 over total reference length).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from . import DataError
@@ -57,12 +58,12 @@ def normalize(text: str) -> str:
     return "".join(c for c in text if not c.isspace())
 
 
-def wer(ref: str | list[str], hyp: str | list[str]) -> WerResult:
+def wer(ref: str | Sequence[str], hyp: str | Sequence[str]) -> WerResult:
     """Character error counts from a minimal-edit alignment.
 
     Strings are scored one unit per character (whitespace stripped first);
-    pass token lists to score other unit choices, e.g. ``tokenize_chars``
-    output where ASCII runs such as utterance labels stay whole.
+    pass token sequences to score other unit choices, e.g. ``tokenize_chars``
+    tuples, where ASCII runs such as utterance labels stay whole.
 
     The DP minimizes (total edits, insertions + deletions) lexicographically,
     so substitutions are preferred over insertion+deletion pairs; with the

@@ -47,10 +47,11 @@ its section loop.  All three give the tables and weight, bit for bit, of
 per-n-gram code that calls a query for each n-gram, and float sums that
 feed them are added left to right (``left_sum``).
 
-``tokenize_chars`` answers a text already in its table of token tuples
-from the table, and returns a new list each call.  The table is emptied
-when it holds ``TOKEN_TABLE_SIZE`` texts, as the memo is: scoring a 200-best list word by word tokenizes 1,600 words
-drawn from at most 32 distinct ones per ``rescore`` lattice.
+``tokenize_chars`` is a ``functools.lru_cache`` of ``TOKEN_TABLE_SIZE``
+texts, and answers a tuple that no caller can change: scoring a 200-best
+list word by word tokenizes 1,600 words drawn from at most 32 distinct
+ones per ``rescore`` lattice.  ``read_corpus`` splits its lines without
+the cache, so reading a corpus evicts none of those words.
 
 Witten-Bell here is the interpolated form: for a history ``h`` with total
 continuation count ``c(h)`` and ``T(h)`` distinct continuation types,
@@ -67,6 +68,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
 from types import MappingProxyType
@@ -86,26 +88,21 @@ EM_MAX_ITER = 100
 MLE_UNK_FLOOR = 1e-7
 LN10 = math.log(10.0)  # natural log of a log10 score: LN10 * log10
 QUERY_MEMO_SIZE = 256  # entries; a full memo is emptied before the next insert
-TOKEN_TABLE_SIZE = 256  # texts; a full table is emptied before the next insert
-_token_table: dict[str, tuple[str, ...]] = {}  # tokenize_chars's answers
+TOKEN_TABLE_SIZE = 256  # texts tokenize_chars keeps, least recently used out first
 
 
 class ArpaFormatError(DataError):
     pass
 
 
-def tokenize_chars(text: str) -> list[str]:
+@lru_cache(maxsize=TOKEN_TABLE_SIZE)
+def tokenize_chars(text: str) -> tuple[str, ...]:
     """One token per code point, but keep runs of ASCII word chars whole.
 
-    A recently seen text is answered from a table of token tuples, emptied
-    when it holds ``TOKEN_TABLE_SIZE`` texts; each call returns a new list.
+    The answer is a tuple, cached for the ``TOKEN_TABLE_SIZE`` most recently
+    asked texts; a repeated text gets the same tuple.
     """
-    tokens = _token_table.get(text)
-    if tokens is None:
-        if len(_token_table) >= TOKEN_TABLE_SIZE:
-            _token_table.clear()
-        tokens = _token_table[text] = tuple(_split_chars(text))
-    return list(tokens)
+    return tuple(_split_chars(text))
 
 
 def _split_chars(text: str) -> list[str]:
@@ -134,7 +131,7 @@ def read_corpus(path: str | Path) -> list[list[str]]:
     sentences = []
     with open_text(path) as fh:
         for line in fh:
-            tokens = tokenize_chars(line)
+            tokens = _split_chars(line)
             if tokens:
                 sentences.append(tokens)
     return sentences

@@ -79,7 +79,9 @@ def viterbi_reference(lex, lm, scorer, lm_weight):
     join a hub with no cost, and the hub enters every pronunciation
     charging the whole word's character-bigram LM score (``tokenize_chars``)
     after the hub's context, the last character of the previous word.  The
-    end-of-sentence term is added at the final frame.  A state keeps one
+    end-of-sentence term is added after the final frame's best word end is
+    chosen, as the decoder adds it, so it takes no part in that choice (an
+    exact oracle would add it before).  A state keeps one
     token.  A forward arc wins a tie with a self-loop, the first word end
     in that order wins a tie at the hub, and a token already in a chain's
     first state wins a tie with the hub's entry.  Returns

@@ -1,8 +1,9 @@
 """No module of the package imports a name that it never uses, or defines
 a function, class or method that nothing in the package or the benchmark reads;
 one function writes every JSON text the package prints or saves, and one opens
-every text file it reads; only ``phonology`` branches on the scheme; and the
-second pass runs without loading ``numpy.random``, ``hashlib`` or ``secrets``."""
+every text file it reads; only ``phonology`` branches on the scheme; no module
+binds a mutable container at its top level; and the second pass runs without
+loading ``numpy.random``, ``hashlib`` or ``secrets``."""
 
 import ast
 import os
@@ -255,6 +256,49 @@ def test_only_phonology_branches_on_the_scheme():
         for line in scheme_compares(path.read_text(encoding="utf-8"))
     ]
     assert sites == []
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def makes_container(node) -> bool:
+    """A dict, list or set display or comprehension, or a ``dict()``,
+    ``list()`` or ``set()`` call."""
+    return isinstance(node, CONTAINERS) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"dict", "list", "set"}
+    )
+
+
+def module_containers(source: str) -> list[str]:
+    """The targets of each top-level assignment in ``source`` that binds a
+    new dict, list or set."""
+    return [
+        ast.unparse(target)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and makes_container(node.value)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+
+
+def test_the_check_finds_a_module_level_container():
+    source = (
+        "a = {}\nb: list[int] = []\nc = d = {1}\ne = {k: 1 for k in 'x'}\nf = [k for k in 'x']\n"
+        "g = dict(x=1)\nh = set()\ni = (1, 2)\nj = frozenset()\nk: int\n"
+        "def m():\n    n = {}\n    return n\n"
+    )
+    assert module_containers(source) == ["a", "b", "c", "d", "e", "f", "g", "h"]
+
+
+def test_no_module_binds_a_mutable_container():
+    # a cache is a functools cache (phonology._phone, ngram.tokenize_chars),
+    # never a module-level table with its own eviction
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in module_containers(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], f"module-level containers: {found}"
 
 
 # loaded with numpy.random: about 6 MB of RSS that no second-pass call needs

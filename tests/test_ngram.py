@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantoasr import DataError, left_sum, ngram
+from cantoasr import DataError, left_sum
 from cantoasr.lexicon import demo_lexicon_path, read_lexicon
 from cantoasr.ngram import (
     EOS,
@@ -55,9 +55,9 @@ def hand_bigram():
 
 
 def test_tokenize_chars():
-    assert tokenize_chars("該罐裝奶") == ["該", "罐", "裝", "奶"]
-    assert tokenize_chars("abc 該def") == ["abc", "該", "def"]
-    assert tokenize_chars("  ") == []
+    assert tokenize_chars("該罐裝奶") == ("該", "罐", "裝", "奶")
+    assert tokenize_chars("abc 該def") == ("abc", "該", "def")
+    assert tokenize_chars("  ") == ()
 
 
 def split_reference(text):
@@ -90,23 +90,31 @@ TEXTS = st.text(
 @given(st.lists(TEXTS, min_size=1, max_size=8))
 def test_tokenize_chars_equals_the_loop_reference(texts):
     # each drawn text again and again, between more distinct texts than the
-    # table holds: answers from a fresh split, from the table, and after it
-    # was emptied
+    # cache holds: answers from a fresh split, from the cache, and after the
+    # least recently used texts were evicted
     for i in range(TOKEN_TABLE_SIZE + 1):
         text = texts[i % len(texts)]
         for asked in (text, f"{text}{i}", f"{i}\u3000{text}"):
-            assert tokenize_chars(asked) == split_reference(asked)
-    assert len(ngram._token_table) <= TOKEN_TABLE_SIZE
+            assert tokenize_chars(asked) == tuple(split_reference(asked))
+    assert tokenize_chars.cache_info().currsize <= TOKEN_TABLE_SIZE
 
 
-def test_a_changed_token_list_changes_no_later_answer():
+def test_a_token_answer_is_immutable_and_shared():
     first = tokenize_chars("ab 該罐")
-    first[0] = "x"
-    first.append("y")
-    second = tokenize_chars("ab 該罐")
-    assert second == ["ab", "該", "罐"] and second is not first
-    second.clear()
-    assert tokenize_chars("ab 該罐") == ["ab", "該", "罐"]
+    assert first == ("ab", "該", "罐")
+    with pytest.raises(TypeError):
+        first[0] = "x"
+    assert tokenize_chars("ab 該罐") is first
+
+
+def test_reading_a_corpus_evicts_no_cached_token_answer(tmp_path):
+    # more distinct lines than the cache holds, read between two asks
+    corpus = tmp_path / "corpus.txt"
+    lines = [f"該{i}罐" for i in range(TOKEN_TABLE_SIZE + 1)]
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    first = tokenize_chars("ab 該罐")
+    assert read_corpus(corpus) == [["該", str(i), "罐"] for i in range(TOKEN_TABLE_SIZE + 1)]
+    assert tokenize_chars("ab 該罐") is first
 
 
 def test_hand_bigram_counts(hand_bigram):
