@@ -8,10 +8,9 @@ loop only decodes and records: one table row per utterance, its reference
 and each scheme's hypothesis text (empty where the decode failed), plus the
 wall, audio and failure sums.  Every reported number is computed from that
 table after the loop: per-seed and pooled error rates, sentence-level error
-classification, and timing.  Each scheme's state models are built once:
-every pair of means is separated, each confused pair's blend weight is
-derived from its distance in those separated means, and the blend is
-applied to them.
+classification, and timing.  Each scheme's state models are built once: a
+generator with every pair of means separated, mixed (``mix_models``) by a
+blend table whose weights come from the confused pairs' distances in it.
 
 Confusion derivation is where the scheme asymmetry lives, and the scheme
 enters it only through its decomposition (``phonology.to_phones``): a merge
@@ -72,7 +71,7 @@ from .lexicon import check_merges, compile_lexicon, demo_lexicon_path, lexicon_s
 from .ngram import read_corpus, train_ngram
 from .phonology import SCHEME_IF, SCHEME_ONC, SCHEMES, TONES, JyutpingError, MergeRuleSet, Phone
 from .phonology import Syllable, default_inventory, to_phones
-from .simulate import SimConfig, blend_confusions, build_state_models, simulate_utterance
+from .simulate import SimConfig, StateModel, build_state_models, mix_models, simulate_utterance
 
 log = logging.getLogger(__name__)
 
@@ -246,7 +245,8 @@ def _confused_units(inv, scheme: str, rules: MergeRuleSet) -> dict[tuple[Phone, 
 
 def _check_one_blend_per_unit(inv, rules: MergeRuleSet) -> None:
     """Raise ``ExperimentError`` when, under either scheme, ``rules`` blend a unit
-    twice (toward two targets, or as a blended target): the second undoes the first."""
+    twice (toward two targets, or as a blended target): a blend table holds
+    one row per pdf, so a second blend would replace the first."""
     for scheme in SCHEMES:
         units = _confused_units(inv, scheme, rules)
         for _, unit in units:
@@ -274,36 +274,36 @@ def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
 
 
 def derive_confusions(inv, scheme: str, labels: set[str], models, cfg: ExperimentConfig):
-    """``models`` with ``cfg``'s coda merge of strength p blended in for ``scheme``.
+    """The ``mix_models`` table of ``cfg``'s coda merge of strength p for ``scheme``.
 
     Each confused pair of the phone units ``labels`` has the nominal blend
-    fraction ``b + (1-b) * p * exposure`` (``_confusable_pairs``), rescaled
-    from the pair's distance in the separated ``models`` (the mean over its
-    state pdfs) so that the blend leaves the pair ``(1 - nominal)`` times the
-    expected distance of two independent means apart wherever the random
-    draws landed, which keeps flip rates comparable across model seeds.
+    ``b + (1-b) * p * exposure`` (``_confusable_pairs``), rescaled from its
+    distance in the separated generator ``models`` (the mean over its pdf
+    pairs ``(pa, pb)``) so that the row ``pb -> ((blend, pa), (1 - blend, pb))``
+    leaves it ``(1 - nominal)`` times the expected distance of two independent
+    means apart, which keeps flip rates comparable across model seeds.
     """
     p, base, rules = cfg.confusion_p, cfg.base_similarity, MergeRuleSet.parse(cfg.merge_rules)
     reference_distance = cfg.mean_scale * math.sqrt(2.0 * cfg.feature_dim)
     row, means = models.index, models.means
-    entries = []
+    table = {}
     for a, b, exposure in _confusable_pairs(inv, scheme, labels, rules):
         blend = base + (1.0 - base) * p * exposure
         target_margin = (1.0 - blend) * reference_distance
-        pdfs = zip(pdf_labels_for(a), pdf_labels_for(b))
+        pdfs = list(zip(pdf_labels_for(a), pdf_labels_for(b)))
         gaps = [float(np.linalg.norm(means[row[pa]] - means[row[pb]])) for pa, pb in pdfs]
         actual = left_sum(gaps) / len(gaps)
         if actual > 0:
             blend = min(max(1.0 - target_margin / actual, 0.0), 1.0)
-        entries.append((a, b, blend))
-    return blend_confusions(models, tuple(entries))
+        table |= {pb: ((blend, pa), (1.0 - blend, pb)) for pa, pb in pdfs}
+    return table
 
 
 @dataclass
 class SchemeSystem:
     lex: object
     graph: object
-    models: object
+    models: StateModel
 
 
 def _build_systems(entries, inv, lm, cfg: ExperimentConfig) -> dict[str, SchemeSystem]:
@@ -321,12 +321,13 @@ def _build_systems(entries, inv, lm, cfg: ExperimentConfig) -> dict[str, SchemeS
 
 def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSystem:
     """Compile the scheme's lexicon and graph (``lm`` is what ``build_graph``
-    takes), then build its state models once: separate every pair, derive
-    the confusion weights from those means and blend."""
+    takes), then build its state models once: a separated generator, mixed
+    by the blend table derived from its means."""
     lex = compile_lexicon(entries, scheme, inv)
     graph = build_graph(lex, lm)
     models = build_state_models(set(graph.pdf_labels), cfg.sim_config())
-    return SchemeSystem(lex, graph, derive_confusions(inv, scheme, set(lex.labels), models, cfg))
+    table = derive_confusions(inv, scheme, set(lex.labels), models, cfg)
+    return SchemeSystem(lex, graph, mix_models(models, table))
 
 
 def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[tuple[str, ...]]:

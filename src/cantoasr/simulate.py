@@ -11,11 +11,11 @@ models: frames drawn from one ``StateModel`` can be scored under another.
 model variance so the zero-noise case stays well-defined; ``noise_sigma``
 only controls the generation noise.
 
-The state models are made in two steps.  ``build_state_models`` draws
-every pdf's mean and keeps every pair apart; ``blend_confusions`` then
-moves one unit's means toward another's, which is how coda-merge sound
-change is injected: the blend happens in the emission space, so schemes
-that share the underlying units experience the same degradation geometry.
+A state model is a generator and a table.  ``build_state_models`` draws
+the generator, every pdf's mean with every pair kept apart; ``mix_models``
+gives each pdf in a table ``{pdf: ((w, gen_label), ...)}`` the weighted sum
+of those generator means.  That is how coda-merge sound change is injected:
+in the emission space, so schemes that share units share its geometry.
 
 Each pdf label has its own stream, the one ``default_rng(SeedSequence((seed,
 crc32(label))))`` gives, and its mean is that stream's first draw.  The
@@ -307,25 +307,24 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
     return StateModel(tuple(labels), mat)
 
 
-def blend_confusions(
-    models: StateModel, entries: tuple[tuple[str, str, float], ...]
-) -> StateModel:
-    """``models`` with each entry ``(a, b, p)`` blending phone ``b`` toward ``a``.
-
-    For each of the two phones' state pdfs in turn, ``means[b] = p *
-    means[a] + (1 - p) * means[b]``; the entries apply in order.
+def mix_models(generator: StateModel, table: dict) -> StateModel:
+    """``generator`` with each pdf label in ``table`` given the mean ``w1 * g1 +
+    w2 * g2 + ...`` of its row ``((w1, g1), (w2, g2), ...)``; a label the table
+    leaves out keeps its generator mean.  Every ``g`` is a generator row, never
+    a replaced one, so the result does not depend on the table's row order.
     """
-    means, row = models.means.copy(), models.index
-    for a, b, p in entries:
-        if not 0.0 <= p <= 1.0:
-            raise SimulationError(f"confusion probability {p} outside [0, 1]")
-        if a == b:
-            raise SimulationError(f"confusion pair must differ, got {a!r}")
-        for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b)):
-            if pa not in row or pb not in row:
-                raise SimulationError(f"confusion names unknown label {a!r}/{b!r}")
-            means[row[pb]] = p * means[row[pa]] + (1.0 - p) * means[row[pb]]
-    return StateModel(models.labels, means)
+    gen, row, means = generator.means, generator.index, generator.means.copy()
+    for label, components in table.items():
+        for w, lab in ((1.0, label), *components):
+            if lab not in row:
+                raise SimulationError(f"model table names unknown label {lab!r}")
+            if not 0.0 <= w <= 1.0:
+                raise SimulationError(f"component weight {w} outside [0, 1]")
+        (w, lab), *rest = components
+        means[row[label]] = w * gen[row[lab]]
+        for w, lab in rest:
+            means[row[label]] += w * gen[row[lab]]
+    return StateModel(generator.labels, means)
 
 
 def draw_frames(

@@ -236,6 +236,30 @@ def broadcast_state_models(labels, cfg):
     return StateModel(tuple(labels), mat)
 
 
+def blend_rows(entries):
+    """The ``simulate.mix_models`` table rows of phone-level blends: each entry
+    ``(a, b, p)`` gives every state pdf pair ``(pa, pb)`` of the two phones the
+    row ``pb -> ((p, pa), (1 - p, pb))``, as ``experiment.derive_confusions``
+    builds them."""
+    return {
+        pb: ((p, pa), (1.0 - p, pb))
+        for a, b, p in entries
+        for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b))
+    }
+
+
+def sequential_blend(models, entries):
+    """The coda-merge blend as one in-place loop: for each entry ``(a, b, p)``
+    in order and each state pdf pair of the two phones, ``means[pb] = p *
+    means[pa] + (1 - p) * means[pb]``, reading rows that earlier entries may
+    already have replaced."""
+    means, row = models.means.copy(), models.index
+    for a, b, p in entries:
+        for pa, pb in zip(pdf_labels_for(a), pdf_labels_for(b)):
+            means[row[pb]] = p * means[row[pa]] + (1.0 - p) * means[row[pb]]
+    return StateModel(models.labels, means)
+
+
 def true_label_sequence(phone_seq, models, cfg, salt=0):
     """The generating pdf label of every frame ``simulate.draw_frames`` draws,
     re-derived from its draw protocol.

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantoasr import experiment
 from cantoasr.decoder import DecodeParams, decode, build_graph
@@ -19,17 +21,19 @@ from cantoasr.simulate import (
     _close_pairs,
     _label_states,
     _row_clear,
-    blend_confusions,
     build_state_models,
     draw_frames,
+    mix_models,
     score_frames,
     simulate_utterance,
 )
 
 from oracles import (
+    blend_rows,
     broadcast_state_models,
     fused_simulate_utterance,
     label_rng,
+    sequential_blend,
     true_label_sequence,
 )
 
@@ -50,8 +54,8 @@ def test_same_seed_same_means():
 
 def test_confusion_blend_endpoints():
     base = build_state_models(pdfs(LABELS), SimConfig(seed=7))
-    p0 = blend_confusions(base, (("_k3", "_t3", 0.0),))
-    p1 = blend_confusions(base, (("_k3", "_t3", 1.0),))
+    p0 = mix_models(base, blend_rows((("_k3", "_t3", 0.0),)))
+    p1 = mix_models(base, blend_rows((("_k3", "_t3", 1.0),)))
     row = base.index
     for k in range(3):
         np.testing.assert_array_equal(p0.means[row[f"_t3#{k}"]], base.means[row[f"_t3#{k}"]])
@@ -60,7 +64,7 @@ def test_confusion_blend_endpoints():
 
 def test_confusion_halfway_is_blend():
     base = build_state_models(pdfs(LABELS), SimConfig(seed=7))
-    p5 = blend_confusions(base, (("_k3", "_t3", 0.5),))
+    p5 = mix_models(base, blend_rows((("_k3", "_t3", 0.5),)))
     row = base.index
     for k in range(3):
         expected = 0.5 * base.means[row[f"_k3#{k}"]] + 0.5 * base.means[row[f"_t3#{k}"]]
@@ -69,9 +73,90 @@ def test_confusion_halfway_is_blend():
 
 def test_confusion_unknown_label():
     with pytest.raises(SimulationError, match="unknown"):
-        blend_confusions(
-            build_state_models(pdfs(LABELS), SimConfig(seed=1)), (("zz9", "_t3", 0.5),)
+        mix_models(
+            build_state_models(pdfs(LABELS), SimConfig(seed=1)), blend_rows((("zz9", "_t3", 0.5),))
         )
+
+
+# the demo rules and single rules that ExperimentConfig.validate accepts
+BLEND_RULES = ["t>k@aa,a,o;ng>n@aa,a,o", "t>k", "k>t@o", "ng>n@aa", "m>n", "n>ng"]
+
+
+@pytest.mark.parametrize("seed", [7, 81])
+@pytest.mark.parametrize("rules", BLEND_RULES)
+@pytest.mark.parametrize("scheme", ["if", "onc"])
+def test_the_blend_table_mixes_as_the_sequential_blend(tmp_path, monkeypatch, scheme, rules, seed):
+    cfg = experiment.ExperimentConfig(seed=seed, out_dir=tmp_path, merge_rules=rules)
+    cfg.validate()
+    mixes = []
+
+    def recording(generator, table):
+        mixes.append((generator, table))
+        return mix_models(generator, table)
+
+    monkeypatch.setattr(experiment, "mix_models", recording)
+    lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
+    lex = read_lexicon(cfg.lexicon)
+    system = experiment._build_system(scheme, lex, default_inventory(), lm, cfg)
+    [(generator, table)] = mixes
+    # the table's rows as the phone-level entries (a, b, p) they came from, in row order
+    entries = list(dict.fromkeys(
+        (pa.rpartition("#")[0], pb.rpartition("#")[0], w) for pb, ((w, pa), _) in table.items()
+    ))
+    assert entries and table == blend_rows(entries)
+    assert system.models.means.tobytes() == sequential_blend(generator, entries).means.tobytes()
+
+
+MIX_GENERATOR = build_state_models(pdfs(LABELS | {"_p3"}), SimConfig(seed=7))
+MIX_LABELS = MIX_GENERATOR.labels
+
+
+def test_a_chained_table_is_not_the_sequential_blend():
+    # _k3 is both blended (toward _p3) and a blend target (of _t3): the in-place
+    # loop reads _k3 after blending it, the table its generator mean.  Configs
+    # that would build such a table are rejected (_check_one_blend_per_unit).
+    entries = (("_p3", "_k3", 0.5), ("_k3", "_t3", 0.5))
+    mixed = mix_models(MIX_GENERATOR, blend_rows(entries)).means.tobytes()
+    assert mixed != sequential_blend(MIX_GENERATOR, entries).means.tobytes()
+    assert mixed == sequential_blend(MIX_GENERATOR, entries[::-1]).means.tobytes()
+
+
+mix_rows = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from(MIX_LABELS)), min_size=1, max_size=3
+).map(tuple)
+mix_tables = st.dictionaries(st.sampled_from(MIX_LABELS), mix_rows)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(table=mix_tables, data=st.data())
+def test_mix_models_is_independent_of_row_order(table, data):
+    rows = data.draw(st.permutations(list(table.items())))
+    mixed = mix_models(MIX_GENERATOR, table).means.tobytes()
+    assert mix_models(MIX_GENERATOR, dict(rows)).means.tobytes() == mixed
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(labels=st.sets(st.sampled_from(MIX_LABELS)))
+def test_an_identity_row_keeps_the_generator_mean(labels):
+    mixed = mix_models(MIX_GENERATOR, {lab: ((1.0, lab),) for lab in labels})
+    assert mixed.means.tobytes() == MIX_GENERATOR.means.tobytes()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(table=mix_tables, in_key=st.booleans())
+def test_mix_models_rejects_an_unknown_label(table, in_key):
+    a, b = MIX_LABELS[:2]
+    bad = {"zz9#0": ((1.0, a),)} if in_key else {a: ((0.5, b), (0.5, "zz9#0"))}
+    with pytest.raises(SimulationError, match="unknown label 'zz9#0'"):
+        mix_models(MIX_GENERATOR, table | bad)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(table=mix_tables, w=st.floats().filter(lambda w: not 0.0 <= w <= 1.0))
+def test_mix_models_rejects_a_weight_outside_the_unit_interval(table, w):
+    a, b = MIX_LABELS[:2]
+    with pytest.raises(SimulationError, match="outside"):
+        mix_models(MIX_GENERATOR, table | {a: ((0.5, a), (w, b))})
 
 
 def test_separation_floor():
@@ -424,7 +509,7 @@ def test_frames_drawn_from_one_model_scored_under_another():
 
 def test_noiseless_frames_are_the_generating_means():
     cfg = SimConfig(seed=9, noise_sigma=0.0)
-    models = blend_confusions(build_state_models(pdfs(LABELS), cfg), (("_k3", "_t3", 0.5),))
+    models = mix_models(build_state_models(pdfs(LABELS), cfg), blend_rows((("_k3", "_t3", 0.5),)))
     for salt, seq in enumerate((["b", "aa1", "_k3"], ["_t3"], ["aa1", "b", "_t3", "_k3"])):
         frames = draw_frames(seq, models, cfg, salt)
         truth = true_label_sequence(seq, models, cfg, salt)
@@ -461,8 +546,8 @@ def test_noiseless_frames_argmax_true_label():
 def test_noiseless_scores_are_mean_distances():
     # pins the label <-> means row <-> scorer column order, with blended rows
     cfg = SimConfig(seed=9, noise_sigma=0.0)
-    models = blend_confusions(
-        build_state_models(pdfs(LABELS), cfg), (("_k3", "_t3", 0.5),)
+    models = mix_models(
+        build_state_models(pdfs(LABELS), cfg), blend_rows((("_k3", "_t3", 0.5),))
     )
     seq = ["b", "_t3", "aa1", "_k3"]
     scorer = simulate_utterance(seq, models, cfg, salt=4)
@@ -488,7 +573,7 @@ def test_fixed_seed_identical_matrix():
 
 def test_full_confusion_scores_equal():
     cfg = SimConfig(seed=12, noise_sigma=0.3)
-    models = blend_confusions(build_state_models(pdfs(LABELS), cfg), (("_k3", "_t3", 1.0),))
+    models = mix_models(build_state_models(pdfs(LABELS), cfg), blend_rows((("_k3", "_t3", 1.0),)))
     for seq in (["aa1", "_k3"], ["aa1", "_t3"]):
         scorer = simulate_utterance(seq, models, cfg, salt=6)
         for k in range(3):
@@ -529,10 +614,8 @@ def test_bad_config_rejected():
         with pytest.raises(SimulationError, match="feature_dim"):
             SimConfig(seed=1, feature_dim=dim)
     models = build_state_models(pdfs(LABELS), SimConfig(seed=1))
-    with pytest.raises(SimulationError, match="must differ"):
-        blend_confusions(models, (("_k3", "_k3", 0.5),))
     with pytest.raises(SimulationError, match="outside"):
-        blend_confusions(models, (("_k3", "_t3", 1.5),))
+        mix_models(models, blend_rows((("_k3", "_t3", 1.5),)))
 
 
 def test_noiseless_end_to_end_wer_zero():
