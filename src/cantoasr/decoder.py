@@ -41,13 +41,16 @@ list.  Both arcs of a state carry the same score, so the emitting step
 computes it once per active state and lands it on ``s`` and on ``s + 1``;
 where a self-loop and a forward arc tie, the forward arc wins.  The step
 expands every surviving token without picking out the emitting ones: the
-score array has one ``-inf`` column past the graph's pdfs, which
-``state_pdf`` -1 of the hub and the junctions reads, so their arcs land
-only ``-inf`` scores, and a state's record is read only where its score is
-finite.  The dense per-state arrays have one sentinel slot past the last
-junction, so their views shifted one state on (``nv[1:]``) are as long as
-the state count: the forward arcs read and write ``s + 1`` through those
-views, made once per decode, and no frame forms the ids ``s + 1``.
+scores are read through a window of ``SCORE_WINDOW`` = 32 frames in graph
+pdf order, refilled from the scorer as the frames advance, so a decode
+holds 32 rows beside the scorer's matrix, never a copy of it.  The window
+has one ``-inf`` column past the graph's pdfs, which ``state_pdf`` -1 of
+the hub and the junctions reads, so their arcs land only ``-inf`` scores,
+and a state's record is read only where its score is finite.  The dense
+per-state arrays have one sentinel slot past the last junction, so their
+views shifted one state on (``nv[1:]``) are as long as the state count:
+the forward arcs read and write ``s + 1`` through those views, made once
+per decode, and no frame forms the ids ``s + 1``.
 
 Decoding is frame-synchronous token passing with at most one surviving
 token per graph state, beam pruning, and a hard cap on surviving tokens
@@ -79,7 +82,7 @@ import numbers
 import os
 import struct
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,6 +100,8 @@ HMM_STATES_PER_PHONE = 3
 FRAME_SHIFT_SECONDS = 0.01
 # every emitting state's self-loop and forward arc are equally likely
 TRANSITION_LOG_PROB = math.log(0.5)
+# frames of scores ``decode`` holds in graph pdf order at a time
+SCORE_WINDOW = 32
 
 
 class GraphError(DataError):
@@ -162,19 +167,24 @@ class MatrixScorer:
     """Acoustic scores backed by a (frames x labels) matrix.
 
     ``matrix[t, k]`` is the natural-log likelihood of frame ``t`` under
-    ``labels[k]``; the audio duration assumes a fixed 10 ms frame shift.
+    ``labels[k]``, and no label names two columns; the audio duration
+    assumes a fixed 10 ms frame shift.
     """
 
     def __init__(self, matrix: np.ndarray, labels: tuple[str, ...]):
         matrix = np.asarray(matrix, dtype=np.float64)
+        labels = tuple(labels)
         if matrix.ndim != 2 or matrix.shape[1] != len(labels):
             raise ValueError("matrix must be (frames, len(labels))")
+        if len(set(labels)) != len(labels):
+            twice = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+            raise DataError(f"label {twice!r} names two columns")
         # NaN compares false and +inf is no log likelihood; -inf (zero
         # likelihood) is a valid score
         if not (matrix < np.inf).all():
             raise DataError("score matrix holds NaN or +inf")
         self.matrix = matrix
-        self.labels = tuple(labels)
+        self.labels = labels
 
     def num_frames(self) -> int:
         return self.matrix.shape[0]
@@ -230,9 +240,6 @@ def read_scores(path: str | Path) -> MatrixScorer:
         labels = tuple(fh.read().split())
     if len(labels) != n_labels:
         raise ScoreFormatError(f"{path}: {n_labels} columns but {len(labels)} labels")
-    if len(set(labels)) != n_labels:
-        twice = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
-        raise ScoreFormatError(f"{path}: label {twice!r} names two columns")
     matrix = data.reshape(frames, n_labels).astype(np.float64)
     try:
         return MatrixScorer(matrix, labels)
@@ -378,28 +385,37 @@ def build_graph(lex: PhoneLexicon, lm: NGramModel | WordLM) -> SearchGraph:
     return SearchGraph(lex, lm)
 
 
-def _score_matrix(graph: SearchGraph, scorer: MatrixScorer) -> np.ndarray:
-    """(frames, graph pdf + 1) score array, mapped from the scorer's labels.
-
-    Column ``k`` holds the scores of ``graph.pdf_labels[k]`` and the last
-    column is ``-inf``, which ``state_pdf`` -1 (the hub and the junctions)
-    reads.  The array is always a new copy, so the scorer's matrix is never
-    written.
-    """
-    n_pdfs = len(graph.pdf_labels)
-    # every cell is written below, so the array starts uninitialised
-    am = np.empty((scorer.num_frames(), n_pdfs + 1))
-    am[:, n_pdfs] = NEG_INF
+def _pdf_columns(graph: SearchGraph, scorer: MatrixScorer) -> slice | np.ndarray:
+    """The scorer's columns in ``graph.pdf_labels`` order: all of them when
+    the labels are the graph's, else an index array."""
     if scorer.labels == graph.pdf_labels:
-        am[:, :n_pdfs] = scorer.matrix
-        return am
+        return slice(None)
     col = {lab: i for i, lab in enumerate(scorer.labels)}
     try:
-        perm = np.array([col[lab] for lab in graph.pdf_labels])
+        return np.array([col[lab] for lab in graph.pdf_labels])
     except KeyError as exc:
         raise DecodeError(f"scorer is missing pdf label {exc.args[0]!r}") from None
-    am[:, :n_pdfs] = scorer.matrix[:, perm]
-    return am
+
+
+def _score_rows(
+    matrix: np.ndarray, cols: slice | np.ndarray, n_pdfs: int
+) -> Iterator[np.ndarray]:
+    """One ``n_pdfs + 1`` score row per frame of ``matrix``, read through one
+    ``SCORE_WINDOW``-frame window.
+
+    Column ``k`` of a row holds the scores of graph pdf ``k`` (the scorer's
+    column ``cols[k]``) and the last column is ``-inf``, which ``state_pdf``
+    -1 (the hub and the junctions) reads.  A row is a view of the window,
+    valid until the window is refilled ``SCORE_WINDOW`` frames on, and the
+    scorer's matrix is never written.
+    """
+    window = np.empty((SCORE_WINDOW, n_pdfs + 1))
+    window[:, n_pdfs] = NEG_INF
+    for t0 in range(0, len(matrix), SCORE_WINDOW):
+        block = matrix[t0 : t0 + SCORE_WINDOW]
+        rows = window[: len(block)]
+        rows[:, :n_pdfs] = block[:, cols]
+        yield from rows
 
 
 def _cap(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
@@ -446,8 +462,8 @@ def decode(
     self-loop ties its forward arc, so it never crosses a word end.
     """
     params = params or DecodeParams()
-    am = _score_matrix(graph, scorer)
-    n_frames = am.shape[0]
+    cols = _pdf_columns(graph, scorer)
+    n_frames = scorer.num_frames()
     if n_frames < 1:
         raise DecodeError("scorer has no frames")
     started = time.perf_counter()
@@ -489,7 +505,7 @@ def decode(
     # ``experiment`` shape (about 140 ids) indexing takes 0.27 against
     # 0.41 us.  The two cross near 700 ids; at the 4,400 ids of a ``prune``
     # frame indexing is about 0.2 us slower a gather, under 1 % of the frame.
-    for t, am_t in enumerate(am):
+    for t, am_t in enumerate(_score_rows(scorer.matrix, cols, len(graph.pdf_labels))):
         expanded += act.size
         # both arcs of a state score the same: the self-loop lands it on act,
         # the forward arc on act + 1, read and written through the shifted
@@ -658,25 +674,28 @@ def batch_decode(
 
     ``scorers`` may be any iterable; it is read once, in order.  A
     generator's next scorer is made only after the current one is decoded,
-    and the current one is dropped when the next arrives, so a streamed
-    batch holds at most two utterances' scores.  An iterable that yields
-    nothing raises ``DataError``.  Utterances run sequentially so the timing
-    that feeds the aggregate real-time factor is never skewed by contention.
+    and the loop lets go of the current one before it asks for the next, so
+    a streamed batch holds one utterance's scores (plus ``decode``'s
+    32-frame window).  The loop keeps no ``enumerate``: its cached result
+    tuple would hold the previous scorer while the next one is made.  An
+    iterable that yields nothing raises ``DataError``.  Utterances run
+    sequentially so the timing that feeds the aggregate real-time factor is
+    never skewed by contention.
     """
     params = params or DecodeParams()
     batch = BatchResult()
-    for i, scorer in enumerate(scorers):
+    for scorer in scorers:
         try:
             hyp, lattice, stats = decode(graph, scorer, params)
         except DecodeError as exc:
-            batch.results.append(UtteranceResult(error=str(exc)))
-            log.warning("utterance %d failed: %s", i, exc)
-            continue
-        batch.results.append(
-            UtteranceResult(hypothesis=hyp, lattice=lattice, stats=stats)
-        )
-        batch.wall_seconds += stats.wall_seconds
-        batch.audio_seconds += stats.audio_seconds
+            result = UtteranceResult(error=str(exc))
+            log.warning("utterance %d failed: %s", len(batch.results), result.error)
+        else:
+            result = UtteranceResult(hypothesis=hyp, lattice=lattice, stats=stats)
+            batch.wall_seconds += stats.wall_seconds
+            batch.audio_seconds += stats.audio_seconds
+        batch.results.append(result)
+        del scorer
     if not batch.results:
         raise DataError("empty batch")
     return batch

@@ -344,9 +344,10 @@ def _simulate(
 ) -> Iterator[MatrixScorer]:
     """Yield one simulated scorer per text; text ``i`` is salted ``first_salt + i``.
 
-    Each scorer is made only when it is asked for, so a consumer that
-    decodes each one before asking for the next, as ``batch_decode`` does,
-    holds one utterance's scores at a time.
+    Each scorer is made only when it is asked for, and the generator keeps
+    no reference to one it has yielded, so a consumer that lets go of each
+    one before asking for the next, as ``batch_decode`` does, holds one
+    utterance's scores at a time.
     """
     for i, text in enumerate(texts):
         yield simulate_utterance(

@@ -7,7 +7,8 @@ state and draws an utterance's noisy feature vectors; ``score_frames`` gives
 a scorer whose columns, in the same order, hold the Gaussian log density of
 each frame under every state's model.  The two halves need not share the
 models: frames drawn from one ``StateModel`` can be scored under another.
-``simulate_utterance`` is the two with one model.  Scoring uses a fixed
+``simulate_utterance`` is the two with one model; a scorer holds one
+score-sized array, built in place.  Scoring uses a fixed
 model variance so the zero-noise case stays well-defined; ``noise_sigma``
 only controls the generation noise.
 
@@ -365,18 +366,20 @@ def score_frames(frames: np.ndarray, models: StateModel) -> MatrixScorer:
     """The log density of every row of ``frames`` under every label in ``models``.
 
     The scorer's columns are ``models.labels`` and it carries the
-    10 ms-per-frame audio-duration annotation.
+    10 ms-per-frame audio-duration annotation.  The log densities are built
+    in the one ``(frames, labels)`` array the product makes, each step with
+    ``out=`` in the operand order of ``-0.5 * d * log(2 pi v) - (|x|^2 - 2
+    x.mu + |mu|^2) / (2v)``, so no second score-sized array is made.
     """
     # log N(x; mu, v I) = -d/2 log(2 pi v) - |x - mu|^2 / (2v)
     v = MODEL_VARIANCE
     d = frames.shape[1]
     mean_mat = models.means
-    sq = (
-        np.sum(frames**2, axis=1)[:, None]
-        - 2.0 * frames @ mean_mat.T
-        + np.sum(mean_mat**2, axis=1)[None, :]
-    )
-    matrix = -0.5 * d * np.log(2.0 * np.pi * v) - sq / (2.0 * v)
+    matrix = 2.0 * frames @ mean_mat.T
+    np.subtract(np.sum(frames**2, axis=1)[:, None], matrix, out=matrix)
+    np.add(matrix, np.sum(mean_mat**2, axis=1)[None, :], out=matrix)
+    np.divide(matrix, 2.0 * v, out=matrix)
+    np.subtract(-0.5 * d * np.log(2.0 * np.pi * v), matrix, out=matrix)
     return MatrixScorer(matrix, models.labels)
 
 

@@ -320,6 +320,23 @@ def fused_simulate_utterance(
     return MatrixScorer(matrix, models.labels)
 
 
+def score_frames_reference(frames, models):
+    """``simulate.score_frames`` as one expression that allocates each
+    intermediate afresh, as it was written before it built the scores in
+    place; kept verbatim as its reference."""
+    # log N(x; mu, v I) = -d/2 log(2 pi v) - |x - mu|^2 / (2v)
+    v = MODEL_VARIANCE
+    d = frames.shape[1]
+    mean_mat = models.means
+    sq = (
+        np.sum(frames**2, axis=1)[:, None]
+        - 2.0 * frames @ mean_mat.T
+        + np.sum(mean_mat**2, axis=1)[None, :]
+    )
+    matrix = -0.5 * d * np.log(2.0 * np.pi * v) - sq / (2.0 * v)
+    return MatrixScorer(matrix, models.labels)
+
+
 def counting_train_ngram(corpus, order, smoothing="witten_bell"):
     """``ngram.train_ngram`` counting in plain dicts, one prediction at a time.
 

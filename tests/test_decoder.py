@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -794,6 +795,15 @@ def test_matrix_scorer_rejects_nan_and_pos_inf(bad):
     assert MatrixScorer(matrix, tuple("abc")).matrix[2, 1] == -math.inf
 
 
+def test_a_scorer_built_in_code_refuses_a_repeated_label():
+    # a repeat would decode from whichever of its columns the column map took last
+    with_nan = np.zeros((2, 3))
+    with_nan[1, 2] = np.nan
+    for matrix in (np.zeros((2, 3)), with_nan):  # the repeat is named before the NaN
+        with pytest.raises(DataError, match="^label 'a' names two columns$"):
+            MatrixScorer(matrix, ("a", "b", "a"))
+
+
 def test_fscr_nan_scores_name_the_file(tmp_path):
     p = tmp_path / "nan.fscr"
     data = np.zeros((2, 3), dtype="<f4")
@@ -822,6 +832,7 @@ MALFORMED_FSCR = {
     "label_count": (_fscr(2, 3), "a\nb\n", "3 columns but 2 labels"),
     # otherwise the decoder would silently read the last column named "a"
     "repeated_label": (_fscr(2, 3), "a\nb\na\n", "label 'a' names two columns"),
+    "repeated_label_and_nan": (_fscr(2, 3, np.nan), "a\nb\na\n", "label 'a' names two columns"),
     "nan": (_fscr(2, 3, np.nan), "a\nb\nc\n", r"NaN or \+inf"),
     "pos_inf": (_fscr(2, 3, np.inf), "a\nb\nc\n", r"NaN or \+inf"),
     # read as is, this header would ask for 2**66 bytes before any check
@@ -907,6 +918,88 @@ def test_batch_decode_streams_a_generator(monkeypatch):
     assert [r.hypothesis.text for r in batch.results] == texts
     # scorer k + 1 is made only after scorer k is decoded
     assert log == [(event, k) for k in range(len(texts)) for event in ("made", "decoded")]
+
+
+def test_batch_decode_lets_go_of_each_scorer_before_the_next():
+    lex, lm, graph = make_system([("天", "tin1"), ("地", "dei6")])
+    cfg = SimConfig(seed=2, noise_sigma=0.0)
+    models = build_state_models(set(graph.pdf_labels), cfg)
+    texts = ["天", "地", None, "天"]  # None: one frame, too short for any word
+    yielded = []
+
+    def scorers():
+        for k, word in enumerate(texts):
+            # every scorer yielded so far must be gone before the next is made
+            assert [ref() for ref in yielded] == [None] * len(yielded)
+            if word is None:
+                scorer = MatrixScorer(np.zeros((1, len(graph.pdf_labels))), graph.pdf_labels)
+            else:
+                scorer = simulate_utterance([p.label for p in lex.entries[word][0]], models, cfg, k)
+            yielded.append(weakref.ref(scorer))
+            yield scorer
+            del scorer
+
+    batch = batch_decode(graph, scorers(), UNPRUNED)
+    assert [r.hypothesis.text if r.error is None else None for r in batch.results] == texts
+    assert len(yielded) == len(texts)
+
+
+def _outcome(graph, scorer, params):
+    """What ``decode`` gives that its score reads could change, or its error."""
+    try:
+        hyp, lattice, stats = decode(graph, scorer, params)
+    except DecodeError as exc:
+        return str(exc)
+    return hyp.words, hyp.combined, lattice.arcs, stats.tokens_expanded
+
+
+@pytest.mark.parametrize("frames", [1, 31, 32, 33, 65])
+def test_the_score_window_edges_read_every_frame(frames):
+    # SCORE_WINDOW is 32: one frame, a window's worth either side, and a third refill
+    assert decoder.SCORE_WINDOW == 32
+    lex, lm, graph = make_system(
+        [("天", "tin1"), ("地", "dei6"), ("香港", "hoeng1 gong2")],
+        corpus=[["天", "地"], ["香", "港", "天"], ["地"]],
+    )
+    rng = np.random.default_rng(frames)
+    labels = graph.pdf_labels
+    extra = ("zz#0", "zz#1")
+    matrix = rng.normal(0.0, 3.0, (frames, len(labels)))
+    wide = np.hstack([matrix, rng.normal(0.0, 3.0, (frames, len(extra)))])
+    perm = rng.permutation(len(labels))
+    perm_wide = rng.permutation(len(labels) + len(extra))
+    scorers = [
+        MatrixScorer(matrix, labels),
+        MatrixScorer(matrix[:, perm], tuple(labels[k] for k in perm)),
+        MatrixScorer(wide[:, perm_wide], tuple((labels + extra)[k] for k in perm_wide)),
+    ]
+    unpruned, pruned = (
+        [_outcome(graph, scorer, params) for scorer in scorers]
+        for params in (UNPRUNED, DecodeParams(beam=6.0, max_active=12, lm_weight=2.0))
+    )
+    assert unpruned == unpruned[:1] * 3 and pruned == pruned[:1] * 3
+    first = unpruned[0]
+    oracle = viterbi_reference(lex, lm, scorers[0], UNPRUNED.lm_weight)
+    if frames == 1:
+        assert oracle is None and isinstance(first, str)
+        return
+    words, _, _, combined = oracle
+    assert first[0] == words
+    assert first[1] == pytest.approx(combined, abs=1e-9)
+
+
+def test_a_missing_label_and_an_empty_scorer_still_raise():
+    lex, lm, graph = make_system([("天", "tin1")])
+    labels = graph.pdf_labels
+    cases = [
+        (MatrixScorer(np.zeros((40, len(labels) - 1)), labels[1:]), "missing pdf label"),
+        (MatrixScorer(np.zeros((0, len(labels))), labels), "scorer has no frames"),
+        # the missing label is named first, as the column map comes first
+        (MatrixScorer(np.zeros((0, len(labels) - 1)), labels[1:]), "missing pdf label"),
+    ]
+    for scorer, message in cases:
+        with pytest.raises(DecodeError, match=message):
+            decode(graph, scorer, UNPRUNED)
 
 
 @pytest.mark.parametrize(

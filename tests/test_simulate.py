@@ -18,6 +18,7 @@ from cantoasr.simulate import (
     MODEL_VARIANCE,
     SimConfig,
     SimulationError,
+    StateModel,
     _close_pairs,
     _label_states,
     _row_clear,
@@ -33,6 +34,7 @@ from oracles import (
     broadcast_state_models,
     fused_simulate_utterance,
     label_rng,
+    score_frames_reference,
     sequential_blend,
     true_label_sequence,
 )
@@ -637,3 +639,17 @@ def test_noiseless_end_to_end_wer_zero():
         scorer = simulate_utterance(phones, models, cfg, salt=i)
         hyp, _, _ = decode(graph, scorer, params)
         assert hyp.words == text
+
+
+def test_score_frames_is_the_reference_expression_bit_for_bit():
+    # the in-place steps must round as the expression with fresh temporaries does
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        frames, labels, dim = rng.integers(1, 401), rng.integers(1, 601), rng.integers(1, 41)
+        feats = rng.normal(0.0, 2.0, (frames, dim))
+        means = rng.normal(size=(labels, dim))
+        models = StateModel(tuple(f"s{k}#0" for k in range(labels)), means)
+        scorer = score_frames(feats, models)
+        expected = score_frames_reference(feats, models)
+        assert scorer.labels == expected.labels
+        assert scorer.matrix.tobytes() == expected.matrix.tobytes()
