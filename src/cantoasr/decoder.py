@@ -179,9 +179,10 @@ class MatrixScorer:
         if len(set(labels)) != len(labels):
             twice = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
             raise DataError(f"label {twice!r} names two columns")
-        # NaN compares false and +inf is no log likelihood; -inf (zero
-        # likelihood) is a valid score
-        if not (matrix < np.inf).all():
+        # +inf is no log likelihood, and NaN carries through max and compares
+        # false; -inf (zero likelihood) is a valid score.  max allocates
+        # nothing, where a comparison would make one byte per score
+        if matrix.size and not matrix.max() < np.inf:
             raise DataError("score matrix holds NaN or +inf")
         self.matrix = matrix
         self.labels = labels
@@ -262,6 +263,11 @@ class WordLM:
     of word ``w`` after context ``c``, factored as first-token-given-context
     plus the word's inner cost.  ``end_lm[c]`` is the end-of-sentence cost after context ``c``,
     and ``word_end_ctx[w]`` the context after word ``w``.
+
+    ``table`` is built in place, in the one array ``bigram_log10_table``
+    returns (its last column, the ``</s>`` column, is copied to ``end_lm``),
+    so the model holds one table-sized array.  ``pron_table`` hands out each
+    graph's gather of it, one read-only array per distinct word map.
     """
 
     def __init__(self, words: Iterable[str], lm: NGramModel):
@@ -290,13 +296,27 @@ class WordLM:
             toks = word_tokens[word]
             firsts.append(toks[0])
             inner[w] = lm.ln_score(toks[1:], (toks[0],))[0]
-        full = LN10 * lm.bigram_log10_table(ctx_tokens, firsts + [EOS])
-        self.table = full[:, :-1] + inner
-        self.end_lm = full[:, -1].copy()  # a view would keep all of ``full`` alive
+        table = lm.bigram_log10_table(ctx_tokens, firsts + [EOS])
+        table *= LN10
+        self.end_lm = table[:, -1].copy()
+        self.table = table[:, :-1]
+        self.table += inner
         self.word_end_ctx = np.array(
             [ctx_index[word_tokens[w][-1]] for w in self.words],
             dtype=np.int32,
         )
+        self._pron_tables: dict[bytes, np.ndarray] = {}
+
+    def pron_table(self, j_words: np.ndarray) -> np.ndarray:
+        """``table[:, j_words]``, read-only: every call with the same word map
+        (a graph's int32 ``j_words``) gets the same array, so graphs that map
+        their pronunciations to the same words share one."""
+        key = j_words.tobytes()
+        if key not in self._pron_tables:
+            gathered = self.table[:, j_words]
+            gathered.flags.writeable = False
+            self._pron_tables[key] = gathered
+        return self._pron_tables[key]
 
 
 class SearchGraph:
@@ -304,8 +324,10 @@ class SearchGraph:
 
     The LM arrays come from ``word_lm``: ``words``, ``end_lm``,
     ``word_end_ctx`` and ``sos_ctx`` are its own, and ``pron_lm[c, p]`` is
-    its table's column for pronunciation ``p``'s word, one contiguous row
-    per context.  The graph keeps no reference to ``word_lm`` itself.
+    its table's column for pronunciation ``p``'s word (``WordLM.pron_table``):
+    read-only, and shared by every graph of ``word_lm`` whose pronunciations
+    map to the same words.  The graph keeps no reference to ``word_lm``
+    itself.
     """
 
     def __init__(self, lex: PhoneLexicon, word_lm: WordLM):
@@ -362,7 +384,7 @@ class SearchGraph:
         self.by_word_end = np.argsort(self.frames_to_word_end, kind="stable")
         self.viable_count = np.cumsum(np.bincount(self.frames_to_word_end))
 
-        self.pron_lm = word_lm.table[:, self.j_words]
+        self.pron_lm = word_lm.pron_table(self.j_words)
         self.end_lm = word_lm.end_lm
         self.word_end_ctx = word_lm.word_end_ctx
         self.sos_ctx = word_lm.sos_ctx

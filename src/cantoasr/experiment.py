@@ -306,28 +306,45 @@ class SchemeSystem:
     models: StateModel
 
 
-def _build_systems(entries, inv, lm, cfg: ExperimentConfig) -> dict[str, SchemeSystem]:
-    """Both schemes' systems, whose graphs share one word-level LM table.
+def _build_systems(entries, inv, cfg: ExperimentConfig) -> dict[str, SchemeSystem]:
+    """Both schemes' systems: their lexicons and graphs first (``_build_graphs``),
+    then their state models (``_state_models``).
 
-    The table lives only while the graphs are built; each graph keeps its
-    own gather of it (``pron_lm``).
+    The models are drawn after the corpus, the bigram LM and the word-level
+    LM table are let go of, so set-up holds one LM table at a time, and the
+    seed loop holds none of them.
     """
-    word_lm = WordLM((e.word for e in entries), lm)
+    graphs = _build_graphs(entries, inv, cfg)
     return {
-        scheme: _build_system(scheme, entries, inv, word_lm, cfg)
-        for scheme in SCHEMES
+        scheme: SchemeSystem(lex, graph, _state_models(inv, scheme, lex, graph, cfg))
+        for scheme, (lex, graph) in graphs.items()
     }
 
 
-def _build_system(scheme, entries, inv, lm, cfg: ExperimentConfig) -> SchemeSystem:
-    """Compile the scheme's lexicon and graph (``lm`` is what ``build_graph``
-    takes), then build its state models once: a separated generator, mixed
-    by the blend table derived from its means."""
-    lex = compile_lexicon(entries, scheme, inv)
-    graph = build_graph(lex, lm)
+def _build_graphs(entries, inv, cfg: ExperimentConfig) -> dict[str, tuple]:
+    """Each scheme's compiled lexicon and graph under the Witten-Bell bigram
+    trained on ``cfg.corpus``.
+
+    The graphs share one word-level LM table (``WordLM``), and one read-only
+    pronunciation table (``pron_lm``) when they map their pronunciations to
+    the same words.  The corpus and the bigram live only while that table is
+    built, and the table only until the graphs are.
+    """
+    lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
+    word_lm = WordLM((e.word for e in entries), lm)
+    del lm
+    graphs = {}
+    for scheme in SCHEMES:
+        lex = compile_lexicon(entries, scheme, inv)
+        graphs[scheme] = lex, build_graph(lex, word_lm)
+    return graphs
+
+
+def _state_models(inv, scheme, lex, graph, cfg: ExperimentConfig) -> StateModel:
+    """The scheme's state models, built once: a separated generator over the
+    graph's pdf labels, mixed by the blend table derived from its means."""
     models = build_state_models(set(graph.pdf_labels), cfg.sim_config())
-    table = derive_confusions(inv, scheme, set(lex.labels), models, cfg)
-    return SchemeSystem(lex, graph, mix_models(models, table))
+    return mix_models(models, derive_confusions(inv, scheme, set(lex.labels), models, cfg))
 
 
 def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[tuple[str, ...]]:
@@ -386,10 +403,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     t_start = time.perf_counter()
     inv = default_inventory()
     entries = read_lexicon(cfg.lexicon)
-    corpus = read_corpus(cfg.corpus)
-    lm = train_ngram(corpus, order=2, smoothing="witten_bell")
-
-    systems = _build_systems(entries, inv, lm, cfg)
+    systems = _build_systems(entries, inv, cfg)
     sim_cfg, params = cfg.sim_config(), cfg.decode_params()
     words = [e.word for e in entries]
 

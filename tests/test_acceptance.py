@@ -242,7 +242,7 @@ def test_c07_pruning_rtf_trend():
     n_seeds, n_utts = 20, 200
     faster = less_work = 0
     wers = {2000: [], 7000: []}
-    ratios = []  # rtf[2000] / rtf[7000] per seed: the wall-clock gate's margin
+    ratios = []  # rtf[2000] / rtf[7000] per seed: the timed gate's margin
     for seed in range(n_seeds):
         scorers, refs = [], []
         rng = random.Random(7000 + seed)
@@ -258,8 +258,11 @@ def test_c07_pruning_rtf_trend():
             params = DecodeParams(
                 beam=1e30, max_active=max_active, lm_weight=1.0, lattice_width=2
             )
+            # process time: another process's load on a shared host does not
+            # count against the cap it happens to overlap
+            started = time.process_time()
             batch = batch_decode(graph, scorers, params)
-            rtf[max_active] = batch.rtf
+            rtf[max_active] = (time.process_time() - started) / batch.audio_seconds
             expanded[max_active] = sum(r.stats.tokens_expanded for r in batch.results if r.stats)
             pairs = list(zip(refs, hypothesis_texts(batch)))
             wers[max_active].append(corpus_wer(pairs).rate)

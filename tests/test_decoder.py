@@ -1,12 +1,13 @@
 import math
 import random
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from cantoasr import DataError, decoder
+from cantoasr import DataError, decoder, experiment
 from cantoasr.decoder import (
     BatchResult,
     DecodeError,
@@ -208,25 +209,42 @@ GRAPH_ARRAYS = (
 )
 
 
+def assert_graph_equals_own_build(shared, own):
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(shared, name), getattr(own, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (shared.words, shared.pdf_labels, shared.sos_ctx, shared.num_prons) == (
+        own.words,
+        own.pdf_labels,
+        own.sos_ctx,
+        own.num_prons,
+    )
+
+
 @pytest.mark.parametrize("lexicon", ["demo", "small"])
-def test_graphs_sharing_one_word_lm_equal_their_own_builds(lexicon):
+def test_graphs_sharing_one_word_lm_equal_their_own_builds(lexicon, tmp_path):
     entries, lm = entries_and_lm(lexicon)
     inv = default_inventory()
     word_lm = WordLM((e.word for e in entries), lm)
+    shared = {}
     for scheme in ("if", "onc"):
         lex = compile_lexicon(entries, scheme, inv)
-        shared, own = build_graph(lex, word_lm), build_graph(lex, lm)
-        for name in GRAPH_ARRAYS:
-            a, b = getattr(shared, name), getattr(own, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        assert (shared.words, shared.pdf_labels, shared.sos_ctx, shared.num_prons) == (
-            own.words,
-            own.pdf_labels,
-            own.sos_ctx,
-            own.num_prons,
-        )
-    # the graphs hold their own gather of the table, not the table
-    assert not any(v is word_lm or v is word_lm.table for v in vars(shared).values())
+        shared[scheme] = build_graph(lex, word_lm)
+        assert_graph_equals_own_build(shared[scheme], build_graph(lex, lm))
+    # the graphs hold a gather of the table, not the table: one, read-only,
+    # because both schemes map their pronunciations to the same words
+    for graph in shared.values():
+        assert not any(v is word_lm or v is word_lm.table for v in vars(graph).values())
+    assert shared["if"].pron_lm is shared["onc"].pron_lm
+    assert not shared["if"].pron_lm.flags.writeable
+    if lexicon == "small":
+        return
+    # so do the two graphs the experiment builds from the demo lexicon and corpus
+    systems = experiment._build_systems(entries, inv, experiment.ExperimentConfig(1, tmp_path))
+    for system in systems.values():
+        assert_graph_equals_own_build(system.graph, build_graph(system.lex, lm))
+    assert systems["if"].graph.pron_lm is systems["onc"].graph.pron_lm
+    assert not systems["if"].graph.pron_lm.flags.writeable
 
 
 def test_word_lm_of_other_words_is_rejected():
@@ -790,9 +808,32 @@ def test_matrix_scorer_rejects_nan_and_pos_inf(bad):
     matrix[2, 1] = bad
     with pytest.raises(ValueError, match=r"NaN or \+inf"):
         MatrixScorer(matrix, tuple("abc"))
-    # zero likelihood is a valid score
-    matrix[2, 1] = -math.inf
-    assert MatrixScorer(matrix, tuple("abc")).matrix[2, 1] == -math.inf
+    # next to -inf, the bad score is still found
+    matrix[2] = -math.inf
+    matrix[3, 0] = bad
+    with pytest.raises(ValueError, match=r"NaN or \+inf"):
+        MatrixScorer(matrix, tuple("abc"))
+    # zero likelihood is a valid score, in every column of a frame too
+    matrix[3, 0] = 0.0
+    assert (MatrixScorer(matrix, tuple("abc")).matrix[2] == -math.inf).all()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+def test_matrix_scorer_accepts_an_empty_matrix(shape):
+    assert MatrixScorer(np.zeros(shape), tuple("abc"[: shape[1]])).num_frames() == shape[0]
+
+
+def test_matrix_scorer_checks_scores_without_a_copy():
+    # a check that made an array per score (even one byte each) would show here
+    matrix = np.zeros((2000, 50))
+    labels = tuple(f"p{k}" for k in range(50))
+    tracemalloc.start()
+    try:
+        MatrixScorer(matrix, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.size // 10
 
 
 def test_a_scorer_built_in_code_refuses_a_repeated_label():

@@ -15,13 +15,12 @@ from cantoasr import experiment
 from cantoasr.experiment import (
     ExperimentConfig,
     ExperimentError,
-    _build_system,
+    _build_systems,
     _confusable_pairs,
     load_experiment_config,
     run_experiment,
 )
 from cantoasr.lexicon import LexiconError, check_merges, read_lexicon
-from cantoasr.ngram import read_corpus, train_ngram
 from cantoasr.phonology import (
     TONES,
     JyutpingError,
@@ -191,8 +190,7 @@ def test_single_rules_and_the_demo_set_blend_each_unit_once(tmp_path):
 
 
 def scheme_system(scheme, cfg):
-    lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
-    return _build_system(scheme, read_lexicon(cfg.lexicon), default_inventory(), lm, cfg)
+    return _build_systems(read_lexicon(cfg.lexicon), default_inventory(), cfg)[scheme]
 
 
 def test_rules_that_repeat_a_pair_blend_it_once(tmp_path):
@@ -272,6 +270,40 @@ def test_seed_loop_holds_one_utterance_at_a_time(tmp_path, monkeypatch):
     assert len(alive_at_call) == 2 * 2 * 5
     # batch_decode lets go of each scorer before it asks for the next
     assert max(alive_at_call) == 0
+
+
+def test_set_up_lets_go_of_each_lm_before_the_next_phase(tmp_path, monkeypatch):
+    # the bigram and the word-level table, held weakly: alive only while the run holds them
+    made = {}
+    alive_at = {"build_graph": [], "build_state_models": [], "batch_decode": []}
+
+    def track(name, made_as=None):
+        fn = getattr(experiment, name)
+
+        def call(*args, **kwargs):
+            if name in alive_at:
+                gc.collect()
+                alive_at[name].append(sorted(k for k, ref in made.items() if ref() is not None))
+            out = fn(*args, **kwargs)
+            if made_as:
+                made[made_as] = weakref.ref(out)
+            return out
+
+        monkeypatch.setattr(experiment, name, call)
+
+    track("train_ngram", "bigram")
+    track("WordLM", "word_lm")
+    for name in alive_at:
+        track(name)
+    run_experiment(small_config(tmp_path / "out", num_seeds=1, num_utterances=2))
+    assert sorted(made) == ["bigram", "word_lm"]
+    # the graphs are built after the bigram is gone, the models after the
+    # word-level table is too, and every decode after both
+    assert alive_at == {
+        "build_graph": [["word_lm"]] * 2,
+        "build_state_models": [[], []],
+        "batch_decode": [[], []],
+    }
 
 
 def test_one_state_model_build_per_scheme(tmp_path, monkeypatch):

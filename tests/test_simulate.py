@@ -97,9 +97,11 @@ def test_the_blend_table_mixes_as_the_sequential_blend(tmp_path, monkeypatch, sc
         return mix_models(generator, table)
 
     monkeypatch.setattr(experiment, "mix_models", recording)
-    lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
-    lex = read_lexicon(cfg.lexicon)
-    system = experiment._build_system(scheme, lex, default_inventory(), lm, cfg)
+    inv = default_inventory()
+    lex, graph = experiment._build_graphs(read_lexicon(cfg.lexicon), inv, cfg)[scheme]
+    system = experiment.SchemeSystem(
+        lex, graph, experiment._state_models(inv, scheme, lex, graph, cfg)
+    )
     [(generator, table)] = mixes
     # the table's rows as the phone-level entries (a, b, p) they came from, in row order
     entries = list(dict.fromkeys(
@@ -447,8 +449,7 @@ def demo_systems(tmp_path_factory):
         out_dir=tmp_path_factory.mktemp("demo"),
     )
     entries = read_lexicon(cfg.lexicon)
-    lm = train_ngram(read_corpus(cfg.corpus), 2, smoothing="witten_bell")
-    systems = experiment._build_systems(entries, default_inventory(), lm, cfg)
+    systems = experiment._build_systems(entries, default_inventory(), cfg)
     texts = experiment._draw_texts([e.word for e in entries], cfg, 2, 0)
     return cfg, systems, texts
 
