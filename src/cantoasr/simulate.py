@@ -22,8 +22,9 @@ Each pdf label has its own stream, the one ``default_rng(SeedSequence((seed,
 crc32(label))))`` gives, and its mean is that stream's first draw.  The
 streams are not built one by one: ``_label_states`` runs numpy's seeding
 for every label at once on uint32 arrays, and one generator, set to each
-label's seeded state in turn, draws every mean.  A label that separation
-redraws continues its own stream.
+label's seeded state in turn, writes every first draw straight into its
+row of the means matrix.  A label that separation redraws continues its
+own stream.
 
 Separation decides by the direct distance ``np.sqrt(np.add.reduce((a - b)
 ** 2))``, but measures it only for the pairs that one Gram screen
@@ -31,12 +32,16 @@ Separation decides by the direct distance ``np.sqrt(np.add.reduce((a - b)
 rounding margin) cannot clear.  Every separation check goes through that
 screen: the first draws' pairs ``SCREEN_BLOCK_ROWS`` = 32 rows at a time,
 holding 32 × n floats per block for n labels, and each redraw as one row
-against all the others, holding O(n) floats.
+against all the others, holding O(n) floats.  A visit of a close pair's
+later label needs no check: the label is redrawn when it has not been
+redrawn and some first-draw partner of it has not been either, which is
+what the check would answer, so ``_row_clear`` runs once after each redraw.
 
 ``numpy.random`` is loaded at the first draw, not at import, so a process
 that only rescores never holds it (nor the ``hashlib`` it brings).
 """
 
+import numbers
 import zlib
 from dataclasses import dataclass, field
 
@@ -70,6 +75,14 @@ class SimulationError(DataError):
     pass
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, or ``SimulationError`` naming ``name``."""
+    # a bool is an int to Python, but True is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SimulationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int
@@ -79,13 +92,17 @@ class SimConfig:
     mean_scale: float = 1.0
 
     def __post_init__(self):
-        lo, hi = self.frames_per_state
+        # a numpy integer is kept as the Python int, so it draws the same means
+        lo, hi = (_integer("frames_per_state bound", v) for v in self.frames_per_state)
         # each state draws up to hi frames of feature_dim floats
         if not 1 <= lo <= hi <= MAX_FRAMES_PER_STATE:
             raise SimulationError(
                 f"bad frames_per_state range {self.frames_per_state}: "
                 f"need 1 <= lo <= hi <= {MAX_FRAMES_PER_STATE}"
             )
+        object.__setattr__(self, "frames_per_state", (lo, hi))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "feature_dim", _integer("feature_dim", self.feature_dim))
         # each check written so that NaN fails it
         if not self.seed >= 0:
             raise SimulationError(f"seed must be >= 0, got {self.seed}")
@@ -200,9 +217,9 @@ def _gram_candidates(norms: np.ndarray, dots: np.ndarray, floor: float, dim: int
     return ~(norms - 2.0 * dots >= bound + 4.0 * (dim + 4) * _EPS * norms)
 
 
-def _close_pairs(mat: np.ndarray, floor: float) -> list:
-    """The later row of every pair of rows of ``mat`` closer than ``floor``,
-    in row-major order of the pairs, a row once per pair.
+def _close_pairs(mat: np.ndarray, floor: float) -> list[tuple[int, int]]:
+    """Every pair ``(i, j)``, ``i < j``, of rows of ``mat`` closer than
+    ``floor``, in row-major order.
 
     A pair ``(i, j)`` is close when ``np.sqrt(np.add.reduce((mat[i] -
     mat[j]) ** 2)) < floor``.  The Gram screen (``_gram_candidates``), the
@@ -225,8 +242,8 @@ def _close_pairs(mat: np.ndarray, floor: float) -> list:
         upper = cols >= rows
         if upper.any():
             i, j = rows[upper] + i0, cols[upper] + (i0 + 1)
-            dist = np.sqrt(np.add.reduce((mat[i] - mat[j]) ** 2, axis=1))
-            close.extend(j[dist < floor])
+            near = np.sqrt(np.add.reduce((mat[i] - mat[j]) ** 2, axis=1)) < floor
+            close.extend(zip(i[near].tolist(), j[near].tolist()))
     return close
 
 
@@ -256,19 +273,28 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
     ``np.random.default_rng(np.random.SeedSequence((cfg.seed,
     crc32(lab))))`` gives.  ``_label_states`` seeds every label's stream in
     one array pass, and one generator draws them all, set to each label's
-    state before its draw.
+    state before its draw.  The first draws go straight into the rows of
+    the means matrix as standard normals, and the matrix is scaled once:
+    ``* mean_scale + 0.0`` is numpy's ``normal(0.0, mean_scale)``, bit for
+    bit.
 
     Separation redraws the lexicographically later mean of each pair that
     is too close.  A redrawn label continues its own stream, so its k-th
     redraw is that stream's (k + 1)-th draw.  The conflicting pairs are
-    those of the first draws, taken in row-major order; each redraw
-    overwrites its label's row of the means matrix in place, and is checked
-    against the current rows of every other label.  Every one of these
-    distance checks goes through the one Gram screen (``_gram_candidates``)
-    and measures by the direct distance only the pairs the screen cannot
-    clear: the first-draw pairs in blocks of 32 rows (``_close_pairs``,
-    temporaries of at most 32 * n floats for n labels), each redraw as one
-    row against all the others (``_row_clear``, O(n) floats).
+    those of the first draws (``_close_pairs``, in row-major order), and
+    each visit of a pair's later label ``j`` is decided without a distance
+    check: ``j`` needs a redraw exactly when it has not been redrawn and
+    some first-draw partner of it (earlier or later row) has not been
+    either.  That is what checking row ``j`` against every current row
+    would answer, since a row moves only when it is redrawn, each redraw is
+    checked clear of every row as it stood then, and the direct gap is
+    symmetric bit for bit.  So a label is redrawn on one visit at most,
+    each redraw overwrites its row in place, and the one check,
+    ``_row_clear``, runs once after each redraw.  Every distance check goes
+    through the one Gram screen (``_gram_candidates``) and measures by the
+    direct distance only the pairs the screen cannot clear: the first-draw
+    pairs in blocks of 32 rows (temporaries of at most 32 * n floats for n
+    labels), each redraw as one row against all the others (O(n) floats).
     """
     labels = sorted(set(labels))
     if not labels:
@@ -277,34 +303,42 @@ def build_state_models(labels: set[str] | tuple[str, ...], cfg: SimConfig) -> St
     # one generator for every stream: each draw first sets the label's state
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
-    rows = []
-    for state in states:
+    scale = float(cfg.mean_scale)  # the double that normal() reads
+    mat = np.empty((len(labels), cfg.feature_dim))
+    for state, row in zip(states, mat):
         bitgen.state = state
-        rows.append(gen.normal(0.0, cfg.mean_scale, cfg.feature_dim))
-    mat = np.stack(rows)
+        gen.standard_normal(out=row)
+    # normal(0.0, scale) is 0.0 + scale * z, which turns a -0.0 product into +0.0
+    mat *= scale
+    mat += 0.0
 
     floor = 4.0 * cfg.noise_sigma
     if floor > 0.0 and len(labels) > 1:
+        pairs = _close_pairs(mat, floor)
+        partners: dict[int, set[int]] = {}
+        for i, j in pairs:
+            partners.setdefault(i, set()).add(j)
+            partners.setdefault(j, set()).add(i)
         sq = np.add.reduce(mat * mat, axis=1)
-        for j in _close_pairs(mat, floor):
-            # redraw the later label until it clears every other mean
-            for tries in range(101):
+        redrawn: set[int] = set()
+        for _, j in pairs:
+            # row j is still clear once it or every partner it was close to has moved
+            if j in redrawn or partners[j] <= redrawn:
+                continue
+            redrawn.add(j)
+            # continue the label's stream past its first draw, which is row j
+            bitgen.state = states[j]
+            gen.standard_normal(cfg.feature_dim)
+            for _ in range(100):
+                mat[j] = gen.normal(0.0, scale, cfg.feature_dim)
+                sq[j] = mat[j] @ mat[j]
                 if _row_clear(mat, sq, j, floor):
                     break
-                if tries == 100:
-                    raise SimulationError(
-                        f"cannot separate {labels[j]!r}; raise mean_scale or "
-                        f"lower noise_sigma"
-                    )
-                if tries == 0:
-                    # the label's first redraw: a label redrawn on an earlier
-                    # visit is still clear, as each later redraw was checked
-                    # clear of it and the direct gap is symmetric; so replay
-                    # the stream's first draw, which is row j
-                    bitgen.state = states[j]
-                    gen.normal(0.0, cfg.mean_scale, cfg.feature_dim)
-                mat[j] = gen.normal(0.0, cfg.mean_scale, cfg.feature_dim)
-                sq[j] = mat[j] @ mat[j]
+            else:
+                raise SimulationError(
+                    f"cannot separate {labels[j]!r}; raise mean_scale or "
+                    f"lower noise_sigma"
+                )
     return StateModel(tuple(labels), mat)
 
 
@@ -338,6 +372,7 @@ def draw_frames(
     ``frames_per_state``; each frame is the state mean plus isotropic noise.
     ``cfg.feature_dim`` must be the models' dimension.
     """
+    salt = _integer("salt", salt)
     if not salt >= 0:
         raise SimulationError(f"salt must be >= 0, got {salt}")
     if cfg.feature_dim != models.means.shape[1]:

@@ -484,6 +484,19 @@ def test_simulation_settings_are_checked_when_loaded(tmp_path, key, text):
         load_experiment_config(p)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.5), ("seed", True), ("feature_dim", 2.5), ("frames_per_state", (1.5, 3))],
+)
+def test_a_non_integer_simulation_setting_is_an_experiment_error(tmp_path, key, value):
+    out = tmp_path / "out"
+    with pytest.raises(ExperimentError, match=f"^{key}.* must be an integer"):
+        small_config(out, **{key: value}).validate()
+    with pytest.raises(ExperimentError, match=f"^{key}.* must be an integer"):
+        run_experiment(small_config(out, **{key: value}))
+    assert not out.exists()
+
+
 def test_report_params_are_the_settings(tmp_path):
     cfg = small_config(tmp_path / "out", num_seeds=1, num_utterances=2)
     params = run_experiment(cfg)["params"]

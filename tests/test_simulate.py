@@ -252,6 +252,40 @@ def test_state_models_equal_the_broadcast_reference(feature_dim):
     assert failed > 0 or feature_dim > 1
 
 
+# the same at mean_scales that are not powers of two, so that scaling every
+# first draw at once must round as each draw's own ``normal`` does; 0.7 redraws
+# in 3 to 13 dimensions and 5.3 in one
+@pytest.mark.parametrize("feature_dim", [1, 3, 8, 13])
+def test_state_models_equal_the_broadcast_reference_at_inexact_scales(feature_dim):
+    labels = [f"s{k}#0" for k in range(40)]
+    redrawn = failed = 0
+    for seed in range(5):
+        for noise_sigma in (0.0, 0.1, 0.3, 0.6):
+            for mean_scale in (0.7, 5.3):
+                cfg = SimConfig(
+                    seed=seed, feature_dim=feature_dim, noise_sigma=noise_sigma,
+                    mean_scale=mean_scale,
+                )
+                try:
+                    expected = broadcast_state_models(labels, cfg)
+                except SimulationError as exc:
+                    with pytest.raises(SimulationError) as raised:
+                        build_state_models(labels, cfg)
+                    assert str(raised.value) == str(exc)
+                    failed += 1
+                    continue
+                models = build_state_models(labels, cfg)
+                assert models.labels == expected.labels
+                assert models.means.tobytes() == expected.means.tobytes()
+                first = np.stack([
+                    label_rng(seed, lab).normal(0.0, mean_scale, feature_dim)
+                    for lab in models.labels
+                ])
+                redrawn += not np.array_equal(first, models.means)
+    assert redrawn > 0
+    assert failed > 0 or feature_dim > 1
+
+
 def stream_draws(models, cfg):
     """How many draws of each label's own stream its mean took (1 when separation
     kept the first draw)."""
@@ -332,11 +366,12 @@ def test_state_models_screen_memory_is_linear_in_the_labels():
 
 
 def row_loop_close_pairs(mat, floor):
-    """The row-by-row separation check ``_close_pairs`` replaced."""
+    """The row-by-row separation check ``_close_pairs`` replaced: every close
+    pair ``(i, j)``, ``i < j``, in row-major order."""
     close = []
     for i in range(len(mat) - 1):
         dist = np.sqrt(np.add.reduce((mat[i] - mat[i + 1 :]) ** 2, axis=1))
-        close.extend(i + 1 + np.flatnonzero(dist < floor))
+        close.extend((i, i + 1 + int(k)) for k in np.flatnonzero(dist < floor))
     return close
 
 
@@ -439,6 +474,23 @@ def test_state_models_equal_the_broadcast_reference_on_the_demo_labels(
             assert models.means.tobytes() == expected.means.tobytes()
             built += 1
     assert built >= 10 and failed > 0
+
+
+def test_each_redraw_is_checked_once_and_no_visit_is(demo_label_sets, monkeypatch, tmp_path):
+    cfg = experiment.load_experiment_config(
+        demo_lexicon_path().parent / "demo_experiment.cfg", seed=7, out_dir=tmp_path
+    ).sim_config()
+    calls = []
+
+    def counted(mat, sq, j, floor):
+        calls.append(j)
+        return _row_clear(mat, sq, j, floor)
+
+    monkeypatch.setattr("cantoasr.simulate._row_clear", counted)
+    models = build_state_models(demo_label_sets["if"], cfg)
+    redraws = sum(k - 1 for k in stream_draws(models, cfg).values())
+    # a check on every visit as well would make about 150 calls
+    assert 0 < len(calls) == redraws
 
 
 @pytest.fixture(scope="module")
@@ -619,6 +671,45 @@ def test_bad_config_rejected():
     models = build_state_models(pdfs(LABELS), SimConfig(seed=1))
     with pytest.raises(SimulationError, match="outside"):
         mix_models(models, blend_rows((("_k3", "_t3", 1.5),)))
+
+
+@pytest.mark.parametrize(
+    "settings, name",
+    [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": float("nan")}, "seed"),
+        ({"feature_dim": 2.5}, "feature_dim"),
+        ({"feature_dim": np.float64(8.0)}, "feature_dim"),
+        ({"frames_per_state": (1.5, 3)}, "frames_per_state"),
+        ({"frames_per_state": (1, True)}, "frames_per_state"),
+    ],
+)
+def test_a_non_integer_setting_is_a_simulation_error(settings, name):
+    with pytest.raises(SimulationError, match=f"^{name}( bound)? must be an integer"):
+        SimConfig(**{"seed": 1} | settings)
+
+
+@pytest.mark.parametrize("salt", [1.5, True, np.float32(2.0)])
+def test_a_non_integer_salt_is_a_simulation_error(salt):
+    cfg = SimConfig(seed=4)
+    models = build_state_models(pdfs(LABELS), cfg)
+    with pytest.raises(SimulationError, match="^salt must be an integer"):
+        draw_frames(["b", "aa1"], models, cfg, salt)
+
+
+def test_numpy_integer_settings_draw_what_python_ints_draw():
+    cfg = SimConfig(seed=2**40 + 5, frames_per_state=(1, 3), feature_dim=4, noise_sigma=0.3)
+    as_numpy = SimConfig(
+        seed=np.uint64(2**40 + 5), frames_per_state=(np.int8(1), np.int16(3)),
+        feature_dim=np.int32(4), noise_sigma=0.3,
+    )
+    assert as_numpy == cfg
+    assert all(type(v) is int for v in (as_numpy.seed, as_numpy.feature_dim, *as_numpy.frames_per_state))
+    models = build_state_models(pdfs(LABELS), cfg)
+    assert build_state_models(pdfs(LABELS), as_numpy).means.tobytes() == models.means.tobytes()
+    frames = draw_frames(["b", "aa1"], models, cfg, salt=3)
+    assert draw_frames(["b", "aa1"], models, as_numpy, salt=np.int64(3)).tobytes() == frames.tobytes()
 
 
 def test_noiseless_end_to_end_wer_zero():
