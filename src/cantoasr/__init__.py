@@ -11,6 +11,17 @@ class DataError(ValueError):
     """Malformed or out-of-range user input; the command line exits 2 on it."""
 
 
+def check_kind(name: str, value, kind, what: str, error: type[DataError] = DataError):
+    """``value`` when it is a ``kind``, else ``error`` saying that ``name`` must be ``what``.
+
+    A bool is an int to Python, but True is no count, number or name, so no
+    bool passes; a numpy scalar passes as the ``numbers`` kind it registers.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise error(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 @contextmanager
 def open_text(path, error: type[DataError] = DataError):
     """A UTF-8 text file opened to read; bytes that do not decode raise ``error`` naming it.

@@ -88,7 +88,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import DataError, open_text
+from . import DataError, check_kind, open_text
 from .lattice import DEFAULT_LM_WEIGHT, Arc, Hypothesis, Lattice
 from .lexicon import PhoneLexicon
 from .ngram import EOS, LN10, SOS, NGramModel, tokenize_chars
@@ -124,11 +124,10 @@ class DecodeParams:
     lattice_width: int = 10  # how many final nodes the lattice gets
 
     def __post_init__(self):
-        # a bool is an int to Python, but True is no count
+        for name in ("beam", "lm_weight"):
+            check_kind(name, getattr(self, name), numbers.Real, "a number")
         for name in ("max_active", "lattice_width"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataError(f"{self}: {name} must be an integer")
+            check_kind(name, getattr(self, name), numbers.Integral, "an integer")
         # written so that NaN fails; an infinite beam (no beam) stays valid
         if not (self.beam > 0 and self.max_active > 0 and 0 < self.lm_weight < math.inf):
             raise DataError(f"{self}: beam, max_active, lm_weight must be positive, lm_weight finite")

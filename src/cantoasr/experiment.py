@@ -10,7 +10,8 @@ wall, audio and failure sums.  Every reported number is computed from that
 table after the loop: per-seed and pooled error rates, sentence-level error
 classification, and timing.  Each scheme's state models are built once: a
 generator with every pair of means separated, mixed (``mix_models``) by a
-blend table whose weights come from the confused pairs' distances in it.
+blend table built from that generator alone (``derive_confusions``): a row
+per pdf of each confused pair it holds, weighted by the pair's distance in it.
 
 Confusion derivation is where the scheme asymmetry lives, and the scheme
 enters it only through its decomposition (``phonology.to_phones``): a merge
@@ -28,7 +29,8 @@ final, or a unit blended twice, is a config error.
 
 Each setting is one ``ExperimentConfig`` field: its name is the config-file
 key and the ``report.json`` params key, its type says how the file value is
-read, and ``validate`` checks it with the class that uses it before any work.
+read, and ``validate`` checks its kind and range with the class that uses it
+before any work.
 
 Timing numbers go to a separate file so the main report is byte-identical
 across repeated runs with the same seed.
@@ -36,6 +38,7 @@ across repeated runs with the same seed.
 
 import logging
 import math
+import numbers
 import os
 import time
 from collections import Counter
@@ -46,7 +49,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import DataError, json_text, left_sum, open_text
+from . import DataError, check_kind, json_text, left_sum, open_text
 from .decoder import (
     BatchResult,
     DecodeParams,
@@ -120,6 +123,16 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every setting, each with the class that uses it, before any work."""
+        # the kinds of the settings that only the runner reads
+        for names, kind, what in (
+            (("out_dir", "lexicon", "corpus"), str | os.PathLike, "a path"),
+            (("num_seeds", "num_utterances", "words_per_utterance"), numbers.Integral, "an integer"),
+            (("merge_rules",), str, "a string"),
+            (("confusion_p", "base_similarity"), numbers.Real, "a number"),
+            (("sweep_beams", "sweep_max_actives"), tuple | list, "a tuple"),
+        ):
+            for name in names:
+                check_kind(name, getattr(self, name), kind, what, ExperimentError)
         for path in (self.lexicon, self.corpus):
             if not os.path.exists(path):  # unlike Path.exists, False for a NUL byte
                 raise ExperimentError(f"referenced path does not exist: {path}")
@@ -258,39 +271,40 @@ def _check_one_blend_per_unit(inv, rules: MergeRuleSet) -> None:
                 )
 
 
-def _confusable_pairs(inv, scheme: str, labels: set[str], rules: MergeRuleSet):
-    """(target label, merging label, exposure) per confused pair of units in ``labels``,
-    once each; the exposure is the share of the finals whose last phone under
-    ``scheme`` is the merging unit that confuse it (1 for an IF final)."""
+def _confusable_pairs(inv, scheme: str, rules: MergeRuleSet):
+    """(target label, merging label, exposure) per tone of each confused pair of
+    units, once each; the exposure is the share of the finals whose last phone
+    under ``scheme`` is the merging unit that confuse it (1 for an IF final)."""
     finals_per_unit = Counter(_merge_unit(inv, scheme, n, c) for n, c in inv.finals.values())
     pairs = []
     for (target, source), hits in _confused_units(inv, scheme, rules).items():
         exposure = len(hits) / finals_per_unit[source]
         for tone in TONES:
             a, b = (Phone(u.kind, u.base, tone).label for u in (target, source))
-            if a in labels and b in labels:
-                pairs.append((a, b, exposure))
+            pairs.append((a, b, exposure))
     return pairs
 
 
-def derive_confusions(inv, scheme: str, labels: set[str], models, cfg: ExperimentConfig):
+def derive_confusions(inv, scheme: str, generator: StateModel, cfg: ExperimentConfig):
     """The ``mix_models`` table of ``cfg``'s coda merge of strength p for ``scheme``.
 
-    Each confused pair of the phone units ``labels`` has the nominal blend
-    ``b + (1-b) * p * exposure`` (``_confusable_pairs``), rescaled from its
-    distance in the separated generator ``models`` (the mean over its pdf
-    pairs ``(pa, pb)``) so that the row ``pb -> ((blend, pa), (1 - blend, pb))``
+    Each confused pair whose six pdfs the separated ``generator`` holds has the
+    nominal blend ``b + (1-b) * p * exposure`` (``_confusable_pairs``), rescaled
+    from its distance in ``generator`` (the mean over its pdf pairs
+    ``(pa, pb)``) so that the row ``pb -> ((blend, pa), (1 - blend, pb))``
     leaves it ``(1 - nominal)`` times the expected distance of two independent
     means apart, which keeps flip rates comparable across model seeds.
     """
     p, base, rules = cfg.confusion_p, cfg.base_similarity, MergeRuleSet.parse(cfg.merge_rules)
     reference_distance = cfg.mean_scale * math.sqrt(2.0 * cfg.feature_dim)
-    row, means = models.index, models.means
+    row, means = generator.index, generator.means
     table = {}
-    for a, b, exposure in _confusable_pairs(inv, scheme, labels, rules):
+    for a, b, exposure in _confusable_pairs(inv, scheme, rules):
+        pdfs = list(zip(pdf_labels_for(a), pdf_labels_for(b)))
+        if not all(pa in row and pb in row for pa, pb in pdfs):
+            continue
         blend = base + (1.0 - base) * p * exposure
         target_margin = (1.0 - blend) * reference_distance
-        pdfs = list(zip(pdf_labels_for(a), pdf_labels_for(b)))
         gaps = [float(np.linalg.norm(means[row[pa]] - means[row[pb]])) for pa, pb in pdfs]
         actual = left_sum(gaps) / len(gaps)
         if actual > 0:
@@ -307,28 +321,15 @@ class SchemeSystem:
 
 
 def _build_systems(entries, inv, cfg: ExperimentConfig) -> dict[str, SchemeSystem]:
-    """Both schemes' systems: their lexicons and graphs first (``_build_graphs``),
-    then their state models (``_state_models``).
-
-    The models are drawn after the corpus, the bigram LM and the word-level
-    LM table are let go of, so set-up holds one LM table at a time, and the
-    seed loop holds none of them.
-    """
-    graphs = _build_graphs(entries, inv, cfg)
-    return {
-        scheme: SchemeSystem(lex, graph, _state_models(inv, scheme, lex, graph, cfg))
-        for scheme, (lex, graph) in graphs.items()
-    }
-
-
-def _build_graphs(entries, inv, cfg: ExperimentConfig) -> dict[str, tuple]:
-    """Each scheme's compiled lexicon and graph under the Witten-Bell bigram
-    trained on ``cfg.corpus``.
+    """Both schemes' systems under the Witten-Bell bigram trained on ``cfg.corpus``.
 
     The graphs share one word-level LM table (``WordLM``), and one read-only
     pronunciation table (``pron_lm``) when they map their pronunciations to
-    the same words.  The corpus and the bigram live only while that table is
-    built, and the table only until the graphs are.
+    the same words.  Set-up holds one LM table at a time: the corpus and the
+    bigram live only while that table is built, and the table only until
+    both graphs are, so neither is alive while the state models are drawn or
+    in the seed loop.  Each scheme's state models are a separated generator
+    over its graph's pdf labels, mixed by the blend table derived from it.
     """
     lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
     word_lm = WordLM((e.word for e in entries), lm)
@@ -337,14 +338,13 @@ def _build_graphs(entries, inv, cfg: ExperimentConfig) -> dict[str, tuple]:
     for scheme in SCHEMES:
         lex = compile_lexicon(entries, scheme, inv)
         graphs[scheme] = lex, build_graph(lex, word_lm)
-    return graphs
-
-
-def _state_models(inv, scheme, lex, graph, cfg: ExperimentConfig) -> StateModel:
-    """The scheme's state models, built once: a separated generator over the
-    graph's pdf labels, mixed by the blend table derived from its means."""
-    models = build_state_models(set(graph.pdf_labels), cfg.sim_config())
-    return mix_models(models, derive_confusions(inv, scheme, set(lex.labels), models, cfg))
+    del word_lm
+    systems = {}
+    for scheme, (lex, graph) in graphs.items():
+        generator = build_state_models(set(graph.pdf_labels), cfg.sim_config())
+        table = derive_confusions(inv, scheme, generator, cfg)
+        systems[scheme] = SchemeSystem(lex, graph, mix_models(generator, table))
+    return systems
 
 
 def _draw_texts(words: list[str], cfg: ExperimentConfig, *stream: int) -> list[tuple[str, ...]]:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import DataError
+from . import DataError, check_kind
 from .decoder import MatrixScorer, pdf_labels_for
 
 MODEL_VARIANCE = 1.0
@@ -77,10 +77,7 @@ class SimulationError(DataError):
 
 def _integer(name: str, value) -> int:
     """``value`` as a Python int, or ``SimulationError`` naming ``name``."""
-    # a bool is an int to Python, but True is no count
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise SimulationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return int(check_kind(name, value, numbers.Integral, "an integer", SimulationError))
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,14 @@ class SimConfig:
     mean_scale: float = 1.0
 
     def __post_init__(self):
+        try:
+            lo, hi = self.frames_per_state
+        except (TypeError, ValueError):
+            raise SimulationError(
+                f"frames_per_state must be a (lo, hi) pair, got {self.frames_per_state!r}"
+            ) from None
         # a numpy integer is kept as the Python int, so it draws the same means
-        lo, hi = (_integer("frames_per_state bound", v) for v in self.frames_per_state)
+        lo, hi = _integer("frames_per_state bound", lo), _integer("frames_per_state bound", hi)
         # each state draws up to hi frames of feature_dim floats
         if not 1 <= lo <= hi <= MAX_FRAMES_PER_STATE:
             raise SimulationError(
@@ -103,6 +106,8 @@ class SimConfig:
         object.__setattr__(self, "frames_per_state", (lo, hi))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         object.__setattr__(self, "feature_dim", _integer("feature_dim", self.feature_dim))
+        for name in ("noise_sigma", "mean_scale"):
+            check_kind(name, getattr(self, name), numbers.Real, "a number", SimulationError)
         # each check written so that NaN fails it
         if not self.seed >= 0:
             raise SimulationError(f"seed must be >= 0, got {self.seed}")

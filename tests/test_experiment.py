@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from cantoasr import experiment
+from cantoasr.decoder import pdf_labels_for
 from cantoasr.experiment import (
     ExperimentConfig,
     ExperimentError,
     _build_systems,
     _confusable_pairs,
+    derive_confusions,
     load_experiment_config,
     run_experiment,
 )
@@ -32,6 +34,7 @@ from cantoasr.phonology import (
     default_inventory,
     to_if,
 )
+from cantoasr.simulate import build_state_models
 
 DEMO_CFG = Path(__file__).parent.parent / "src/cantoasr/data/demo_experiment.cfg"
 
@@ -52,30 +55,19 @@ def test_merge_dilution_counts():
     inv = default_inventory()
     rules = MergeRuleSet.parse("t>k@aa,a,o;ng>n@aa,a,o")
     # finals with coda t: aat at it ot eot ut yut; affected: aat at ot
-    onc = _confusable_pairs(inv, "onc", all_labels(inv), rules)
+    onc = _confusable_pairs(inv, "onc", rules)
     assert {(a[:-1], b[:-1], e) for a, b, e in onc} == {("_k", "_t", 3 / 7), ("_n", "_ng", 3 / 7)}
-
-
-def all_labels(inv):
-    """Every final and coda phone label of ``inv``, so that no pair is left out."""
-    return {
-        Phone(kind, base, tone).label
-        for kind, bases in (("final", inv.finals), ("coda", inv.codas))
-        for base in bases
-        for tone in TONES
-    }
 
 
 def test_overlapping_rules_read_as_the_lexicon_reads_them():
     inv = default_inventory()
-    labels = all_labels(inv)
     # baat3 -> baak3 by the first rule, so the second rewrites 6 of the 7 t finals
     rules = MergeRuleSet.parse("t>k@aa;t>ng")
-    onc = _confusable_pairs(inv, "onc", labels, rules)
+    onc = _confusable_pairs(inv, "onc", rules)
     assert {(a[:-1], b[:-1], e) for a, b, e in onc} == {("_k", "_t", 1 / 7), ("_ng", "_t", 6 / 7)}
     # ak is the first rule's alone: the second pairs aau/aak but not au/ak
     rules = MergeRuleSet.parse("k>p@a;k>u")
-    pairs = {(a[:-1], b[:-1]) for a, b, _ in _confusable_pairs(inv, "if", labels, rules)}
+    pairs = {(a[:-1], b[:-1]) for a, b, _ in _confusable_pairs(inv, "if", rules)}
     assert pairs == {("ap", "ak"), ("aau", "aak")}
 
 
@@ -141,13 +133,12 @@ def random_rule_pairs(inv, count, seed):
 @pytest.mark.parametrize("sets", ["single", "random-pairs"])
 def test_confusable_pairs_follow_apply_merge(sets):
     inv = default_inventory()
-    labels = all_labels(inv)
     candidates = single_rules(inv) if sets == "single" else random_rule_pairs(inv, 300, 7)
     checked = 0
     for rules in filter(lambda r: accepted(inv, r), candidates):
         if_pairs, onc = merge_reference(inv, rules)
-        assert sorted(_confusable_pairs(inv, "if", labels, rules)) == if_pairs, str(rules)
-        assert _confusable_pairs(inv, "onc", labels, rules) == onc, str(rules)
+        assert sorted(_confusable_pairs(inv, "if", rules)) == if_pairs, str(rules)
+        assert _confusable_pairs(inv, "onc", rules) == onc, str(rules)
         checked += 1
     assert checked >= 100
 
@@ -200,9 +191,8 @@ def test_rules_that_repeat_a_pair_blend_it_once(tmp_path):
     split = small_config(tmp_path, merge_rules="t>k@aa;t>k@o")
     joined = small_config(tmp_path, merge_rules="t>k@aa,o")
     split.validate()
-    labels = all_labels(inv)
-    pairs = _confusable_pairs(inv, "onc", labels, MergeRuleSet.parse(split.merge_rules))
-    assert pairs == _confusable_pairs(inv, "onc", labels, MergeRuleSet.parse(joined.merge_rules))
+    pairs = _confusable_pairs(inv, "onc", MergeRuleSet.parse(split.merge_rules))
+    assert pairs == _confusable_pairs(inv, "onc", MergeRuleSet.parse(joined.merge_rules))
     assert {e for *_, e in pairs} == {2 / 7}
     split_means = scheme_system("onc", split).models.means
     assert split_means.tobytes() == scheme_system("onc", joined).models.means.tobytes()
@@ -214,13 +204,32 @@ def post_blend_gaps(scheme, cfg):
     inv = default_inventory()
     system = scheme_system(scheme, cfg)
     means, row = system.models.means, system.models.index
-    rules = MergeRuleSet.parse(cfg.merge_rules)
+    rules, labels = MergeRuleSet.parse(cfg.merge_rules), set(system.lex.labels)
     out = {}
-    for a, b, exposure in _confusable_pairs(inv, scheme, set(system.lex.labels), rules):
+    for a, b, exposure in _confusable_pairs(inv, scheme, rules):
+        if a not in labels or b not in labels:
+            continue
         nominal = cfg.base_similarity + (1 - cfg.base_similarity) * cfg.confusion_p * exposure
         gaps = [np.linalg.norm(means[row[f"{a}#{k}"]] - means[row[f"{b}#{k}"]]) for k in range(3)]
         out[a, b] = (exposure, nominal, sum(gaps) / 3)
     return out
+
+
+@pytest.mark.parametrize("missing", ["_k3#1", "_t5#0"])
+def test_a_pair_gets_no_rows_at_a_tone_whose_pdfs_the_generator_lacks(tmp_path, missing):
+    # the ONC pairs are (_kN, _tN) at every tone N; the generator lacks one
+    # pdf of one tone's pair: the target's (_k3#1) or the source's (_t5#0)
+    cfg = small_config(tmp_path, merge_rules="t>k@aa,a,o")
+    inv = default_inventory()
+    pairs = _confusable_pairs(inv, "onc", MergeRuleSet.parse(cfg.merge_rules))
+    assert [(a, b) for a, b, _ in pairs] == [(f"_k{t}", f"_t{t}") for t in TONES]
+    labels = {pdf for a, b, _ in pairs for pdf in (*pdf_labels_for(a), *pdf_labels_for(b))}
+    full = derive_confusions(inv, "onc", build_state_models(labels, cfg.sim_config()), cfg)
+    assert set(full) == {pdf for t in TONES for pdf in pdf_labels_for(f"_t{t}")}
+    generator = build_state_models(labels - {missing}, cfg.sim_config())
+    tone = missing[2]
+    lacking = derive_confusions(inv, "onc", generator, cfg)
+    assert set(lacking) == set(full) - set(pdf_labels_for(f"_t{tone}"))
 
 
 def test_derive_confusions_asymmetry(tmp_path):
@@ -495,6 +504,56 @@ def test_a_non_integer_simulation_setting_is_an_experiment_error(tmp_path, key, 
     with pytest.raises(ExperimentError, match=f"^{key}.* must be an integer"):
         run_experiment(small_config(out, **{key: value}))
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("frames_per_state", (1, 2, 3)),
+        ("frames_per_state", 3),
+        ("noise_sigma", "0.3"),
+        ("noise_sigma", None),
+        ("mean_scale", None),
+    ],
+)
+def test_a_simulation_setting_of_the_wrong_kind_is_an_experiment_error(tmp_path, key, value):
+    with pytest.raises(ExperimentError, match=f"^{key} must be a "):
+        small_config(tmp_path / "out", **{key: value}).validate()
+
+
+# one value of the wrong kind per setting; none opens a descriptor, as
+# validate rejects a path that is not a str or os.PathLike before it looks
+WRONG_KINDS = {
+    "seed": 1.5,
+    "out_dir": 5,
+    "lexicon": 0,
+    "corpus": 2,
+    "num_seeds": 1.5,
+    "num_utterances": True,
+    "words_per_utterance": 2.5,
+    "merge_rules": None,
+    "confusion_p": "0.5",
+    "base_similarity": None,
+    "noise_sigma": "0.3",
+    "frames_per_state": 3,
+    "feature_dim": 2.5,
+    "mean_scale": None,
+    "beam": "40",
+    "max_active": 7000.0,
+    "lm_weight": None,
+    "lattice_width": True,
+    "sweep_beams": 5.0,
+    "sweep_max_actives": 7,
+}
+
+
+@pytest.mark.parametrize("key", WRONG_KINDS)
+def test_a_setting_of_the_wrong_kind_fails_validation(tmp_path, key):
+    # a key is one field plus its check in validate, so a new field needs a row here
+    assert list(WRONG_KINDS) == [f.name for f in fields(ExperimentConfig)]
+    cfg = replace(small_config(tmp_path / "out"), **{key: WRONG_KINDS[key]})
+    with pytest.raises(ExperimentError, match=f"^{key} must be (a|an) "):
+        cfg.validate()
 
 
 def test_report_params_are_the_settings(tmp_path):

@@ -39,9 +39,8 @@ def test_probe_and_tracer_patch_and_restore(monkeypatch):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} was not restored"
 
 
-def test_traced_experiment_times_one_graph_build_per_scheme(monkeypatch, tmp_path):
-    """Both schemes' graphs are built through ``experiment.build_graph``, so
-    the tracer's ``decoder.graph_build`` holds one span for each."""
+def traced_experiment(monkeypatch, tmp_path):
+    """A one-seed experiment's config, run under the benchmark's tracer, and the tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -52,7 +51,13 @@ def test_traced_experiment_times_one_graph_build_per_scheme(monkeypatch, tmp_pat
     with spans.Patches() as patches:
         tracer.install(patches)
         experiment.run_experiment(cfg)
+    return cfg, tracer
 
+
+def test_traced_experiment_times_one_graph_build_per_scheme(monkeypatch, tmp_path):
+    """Both schemes' graphs are built through ``experiment.build_graph``, so
+    the tracer's ``decoder.graph_build`` holds one span for each."""
+    cfg, tracer = traced_experiment(monkeypatch, tmp_path)
     graph_build = tracer.names.index("decoder.graph_build")
     assert list(tracer.name).count(graph_build) == 2
     lm = train_ngram(read_corpus(cfg.corpus), order=2, smoothing="witten_bell")
@@ -63,3 +68,12 @@ def test_traced_experiment_times_one_graph_build_per_scheme(monkeypatch, tmp_pat
     ]
     assert tracer.counts["graph_states"] == sum(states)
     assert tracer.per_layer()["decoder.graph_build_s"] > 0
+
+
+def test_traced_experiment_times_one_state_model_build_per_scheme(monkeypatch, tmp_path):
+    """Both schemes' state models are drawn through ``experiment.build_state_models``,
+    so the tracer's ``simulate.models`` holds one span for each."""
+    _, tracer = traced_experiment(monkeypatch, tmp_path)
+    models = tracer.names.index("simulate.models")
+    assert list(tracer.name).count(models) == 2
+    assert tracer.per_layer()["simulate.models_s"] > 0

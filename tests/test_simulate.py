@@ -97,12 +97,10 @@ def test_the_blend_table_mixes_as_the_sequential_blend(tmp_path, monkeypatch, sc
         return mix_models(generator, table)
 
     monkeypatch.setattr(experiment, "mix_models", recording)
-    inv = default_inventory()
-    lex, graph = experiment._build_graphs(read_lexicon(cfg.lexicon), inv, cfg)[scheme]
-    system = experiment.SchemeSystem(
-        lex, graph, experiment._state_models(inv, scheme, lex, graph, cfg)
-    )
-    [(generator, table)] = mixes
+    systems = experiment._build_systems(read_lexicon(cfg.lexicon), default_inventory(), cfg)
+    # one mix per scheme, in the systems' order
+    generator, table = dict(zip(systems, mixes, strict=True))[scheme]
+    system = systems[scheme]
     # the table's rows as the phone-level entries (a, b, p) they came from, in row order
     entries = list(dict.fromkeys(
         (pa.rpartition("#")[0], pb.rpartition("#")[0], w) for pb, ((w, pa), _) in table.items()
@@ -688,6 +686,36 @@ def test_bad_config_rejected():
 def test_a_non_integer_setting_is_a_simulation_error(settings, name):
     with pytest.raises(SimulationError, match=f"^{name}( bound)? must be an integer"):
         SimConfig(**{"seed": 1} | settings)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"frames_per_state": (1, 2, 3)}, "frames_per_state must be a (lo, hi) pair"),
+        ({"frames_per_state": 3}, "frames_per_state must be a (lo, hi) pair"),
+        ({"noise_sigma": "0.3"}, "noise_sigma must be a number"),
+        ({"noise_sigma": None}, "noise_sigma must be a number"),
+        ({"noise_sigma": True}, "noise_sigma must be a number"),
+        ({"mean_scale": None}, "mean_scale must be a number"),
+    ],
+)
+def test_a_setting_of_the_wrong_kind_is_a_simulation_error(settings, message):
+    with pytest.raises(SimulationError) as raised:
+        SimConfig(**{"seed": 1} | settings)
+    assert str(raised.value).startswith(message)
+
+
+def test_numpy_scalar_settings_still_build():
+    cfg = SimConfig(
+        seed=np.int64(1),
+        frames_per_state=np.array([1, 3]),
+        feature_dim=np.int32(8),
+        noise_sigma=np.float64(0.3),
+        mean_scale=np.float32(1.0),
+    )
+    assert cfg.frames_per_state == (1, 3)
+    plain = build_state_models(pdfs(LABELS), SimConfig(seed=1, frames_per_state=(1, 3)))
+    assert build_state_models(pdfs(LABELS), cfg).means.tobytes() == plain.means.tobytes()
 
 
 @pytest.mark.parametrize("salt", [1.5, True, np.float32(2.0)])
