@@ -26,12 +26,13 @@ pronunciation ``p`` entered from it has LM total
 of its record.  A record's acoustic total is derived too, as
 ``score - lm_weight * lm`` at its word end.
 
-A frame records one word-end crossing, its best: the hub and every word
-entry it improves take that record, so every token descends from the best
-crossing of some earlier frame, and no other crossing could ever precede a
-later record.  Only the final frame records the ``lattice_width`` best
-crossings, which become the lattice's final nodes; the lattice is the
-chains of records that reach them, read back from those records.
+Every frame records one word-end crossing, its best: the hub and every
+word entry it improves take that record, so every token descends from the
+best crossing of some earlier frame, and no other crossing could ever
+precede a later record.  After the loop, the final frame's next
+``lattice_width - 1`` crossings are recorded from its junctions, whose
+records no closure writes; with its best they are the lattice's final
+nodes, and the lattice is the chains of records that reach them.
 
 Pronunciations are laid out as consecutive state ids (entry state, chain,
 junction), so every emitting state ``s`` has exactly two arcs, ``s -> s``
@@ -42,11 +43,11 @@ computes it once per active state and lands it on ``s`` and on ``s + 1``;
 where a self-loop and a forward arc tie, the forward arc wins.  The step
 expands every surviving token without picking out the emitting ones: the
 scores are read through a window of ``SCORE_WINDOW`` = 32 frames in graph
-pdf order, refilled from the scorer as the frames advance, so a decode
-holds 32 rows beside the scorer's matrix, never a copy of it.  The window
-has one ``-inf`` column past the graph's pdfs, which ``state_pdf`` -1 of
-the hub and the junctions reads, so their arcs land only ``-inf`` scores,
-and a state's record is read only where its score is finite.  The dense
+pdf order, refilled from the scorer every 32 frames, so a decode holds 32
+rows beside the scorer's matrix, never a copy of it.  The window has one
+``-inf`` column past the graph's pdfs, which ``state_pdf`` -1 of the hub
+and the junctions reads, so their arcs land only ``-inf`` scores, and a
+state's record is read only where its score is finite.  The dense
 per-state arrays have one sentinel slot past the last junction, so their
 views shifted one state on (``nv[1:]``) are as long as the state count:
 the forward arcs read and write ``s + 1`` through those views, made once
@@ -82,7 +83,7 @@ import numbers
 import os
 import struct
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -358,6 +359,8 @@ class SearchGraph:
         to_end: list[int] = [0]
         self.num_prons = 0
         for word in self.words:
+            if not lex.entries[word]:  # a compiled lexicon has none such
+                raise GraphError(f"word {word!r} has no pronunciation")
             for pron in lex.entries[word]:
                 chain = [i for phone in pron for i in phone_pdfs[phone.label]]
                 entry_states.append(len(state_pdf))
@@ -416,27 +419,6 @@ def _pdf_columns(graph: SearchGraph, scorer: MatrixScorer) -> slice | np.ndarray
         return np.array([col[lab] for lab in graph.pdf_labels])
     except KeyError as exc:
         raise DecodeError(f"scorer is missing pdf label {exc.args[0]!r}") from None
-
-
-def _score_rows(
-    matrix: np.ndarray, cols: slice | np.ndarray, n_pdfs: int
-) -> Iterator[np.ndarray]:
-    """One ``n_pdfs + 1`` score row per frame of ``matrix``, read through one
-    ``SCORE_WINDOW``-frame window.
-
-    Column ``k`` of a row holds the scores of graph pdf ``k`` (the scorer's
-    column ``cols[k]``) and the last column is ``-inf``, which ``state_pdf``
-    -1 (the hub and the junctions) reads.  A row is a view of the window,
-    valid until the window is refilled ``SCORE_WINDOW`` frames on, and the
-    scorer's matrix is never written.
-    """
-    window = np.empty((SCORE_WINDOW, n_pdfs + 1))
-    window[:, n_pdfs] = NEG_INF
-    for t0 in range(0, len(matrix), SCORE_WINDOW):
-        block = matrix[t0 : t0 + SCORE_WINDOW]
-        rows = window[: len(block)]
-        rows[:, :n_pdfs] = block[:, cols]
-        yield from rows
 
 
 def _cap(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
@@ -519,14 +501,32 @@ def decode(
     entries = graph.entry_states
     j_all = graph.j_states
     j_words = graph.j_words.tolist()
-    last = n_frames - 1
     word_end_ctx = graph.word_end_ctx.tolist()
+
+    def record(p: int, score: float, frame: int) -> None:
+        r = rec.item(j_all.item(p))
+        # the word's LM total was fixed on its entry arc from record r
+        if r < 0:
+            lm = pron_lm.item(graph.sos_ctx, p)
+        else:
+            r_word, _, _, _, r_lm = recs[r]
+            lm = r_lm + pron_lm.item(word_end_ctx[r_word], p)
+        recs.append((j_words[p], r, frame, score - lm_weight * lm, lm))
+
+    # the score window and its -inf column (see the module docstring)
+    window = np.full((SCORE_WINDOW, len(graph.pdf_labels) + 1), NEG_INF)
+    rows = list(window)
 
     # Gathers index (``a[ids]``) rather than call ``take``: at the
     # ``experiment`` shape (about 140 ids) indexing takes 0.27 against
     # 0.41 us.  The two cross near 700 ids; at the 4,400 ids of a ``prune``
     # frame indexing is about 0.2 us slower a gather, under 1 % of the frame.
-    for t, am_t in enumerate(_score_rows(scorer.matrix, cols, len(graph.pdf_labels))):
+    for t in range(n_frames):
+        k = t % SCORE_WINDOW
+        if k == 0:
+            block = scorer.matrix[t : t + SCORE_WINDOW]
+            window[: len(block), :-1] = block[:, cols]
+        am_t = rows[k]
         expanded += act.size
         # both arcs of a state score the same: the self-loop lands it on act,
         # the forward arc on act + 1, read and written through the shifted
@@ -545,38 +545,22 @@ def decode(
         # it; the gather reads every source before any is overwritten
         rec_next[src] = rec[src]
 
-        # epsilon closure: word-end arcs into the hub, then word entries
-        # (each word's LM cost was already charged on its entry arc).  A
-        # frame before the last records only its best crossing (argmax takes
-        # the first maximum, the lowest junction); the last frame records
-        # the lattice_width best, in (-score, junction) order.
+        # epsilon closure: the frame records its best word-end crossing
+        # (argmax takes the first maximum, the lowest junction), whose arc
+        # into the hub leads to the word entries (each word's LM cost was
+        # already charged on its entry arc)
         jv = nv[j_all]
-        if t < last:
-            p = int(jv.argmax())
-            ends = [p] if jv.item(p) > NEG_INF else ()
-        else:
-            crossing = (jv > NEG_INF).nonzero()[0]
-            order = np.argsort(-jv[crossing], kind="stable")
-            ends = crossing[order[: params.lattice_width]].tolist()
-        if ends:
-            first = len(recs)  # first appended = best
-            for p in ends:
-                r = rec.item(j_all.item(p))
-                # the word's LM total was fixed on its entry arc from record r
-                if r < 0:
-                    lm = pron_lm.item(graph.sos_ctx, p)
-                else:
-                    r_word, _, _, _, r_lm = recs[r]
-                    lm = r_lm + pron_lm.item(word_end_ctx[r_word], p)
-                recs.append((j_words[p], r, t + 1, jv.item(p) - lm_weight * lm, lm))
-            hv = jv.item(ends[0])
+        p = int(jv.argmax())
+        hv = jv.item(p)
+        if hv > NEG_INF:
+            rec[hub] = len(recs)
+            record(p, hv, t + 1)
             nv[hub] = hv
-            rec[hub] = first
-            cand_entry = hv + lm_weight * pron_lm[word_end_ctx[j_words[ends[0]]]]
+            cand_entry = hv + lm_weight * pron_lm[word_end_ctx[j_words[p]]]
             improve = cand_entry > nv[entries]
             targets = entries[improve]
             nv[targets] = cand_entry[improve]
-            rec[targets] = first
+            rec[targets] = rec[hub]
 
         # the beam is measured from the best token that can still reach a
         # word boundary in the frames left; if none can, from the best token.
@@ -604,6 +588,13 @@ def decode(
         raise DecodeError(
             "no surviving token reaches a word boundary at the final frame"
         )
+    # The final frame's next lattice_width - 1 crossings, in (-score,
+    # junction) order, are final too: the stable sort puts the recorded best
+    # first, and nothing writes a junction's rec after the closure.
+    order = np.argsort(-jv, kind="stable")[1 : params.lattice_width].tolist()
+    finals = [p for p in order if jv.item(p) > NEG_INF]
+    for p in finals:
+        record(p, jv.item(p), n_frames)
     r = int(rec[hub])
     word, _, _, am_total, lm_total = recs[r]
     lm_total += float(graph.end_lm[word_end_ctx[word]])
@@ -621,7 +612,7 @@ def decode(
         lm_total=lm_total,
         lm_weight=lm_weight,
     )
-    lattice = _records_to_lattice(graph.words, recs, len(ends))
+    lattice = _records_to_lattice(graph.words, recs, 1 + len(finals))
     stats = DecodeStats(
         frames=n_frames,
         active_tokens_mean=active_total / n_frames,

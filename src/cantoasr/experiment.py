@@ -43,7 +43,7 @@ import os
 import time
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -153,16 +153,21 @@ class ExperimentConfig:
             raise ExperimentError("confusion_p must be in [0, 1]")
         if not 0.0 <= self.base_similarity < 1.0:
             raise ExperimentError("base_similarity must be in [0, 1)")
+        # each sweep grid value under its grid's key, with DecodeParams' ranges:
+        # written so that NaN fails, and an infinite beam (no beam) stays valid
+        for name, kind, what, valid in (
+            ("sweep_beams", numbers.Real, "a number > 0", lambda v: v > 0),
+            ("sweep_max_actives", numbers.Integral, "an integer >= 1", lambda v: v >= 1),
+        ):
+            for value in getattr(self, name):
+                if not valid(check_kind(f"{name} value", value, kind, what, ExperimentError)):
+                    raise ExperimentError(f"{name} value must be {what}, got {value!r}")
         try:
             rules = MergeRuleSet.parse(self.merge_rules)
             check_merges(rules, default_inventory())
             _check_one_blend_per_unit(default_inventory(), rules)
             self.sim_config()
-            params = self.decode_params()
-            # the main run's point and every sweep grid point
-            for beam in (self.beam, *self.sweep_beams):
-                for max_active in (self.max_active, *self.sweep_max_actives):
-                    replace(params, beam=beam, max_active=max_active)
+            self.decode_params()
         except DataError as exc:
             raise ExperimentError(str(exc)) from exc
 

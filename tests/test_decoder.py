@@ -26,7 +26,13 @@ from cantoasr.decoder import (
     write_scores,
 )
 from cantoasr.lattice import best_path
-from cantoasr.lexicon import LexiconEntry, compile_lexicon, demo_lexicon_path, read_lexicon
+from cantoasr.lexicon import (
+    LexiconEntry,
+    PhoneLexicon,
+    compile_lexicon,
+    demo_lexicon_path,
+    read_lexicon,
+)
 from cantoasr.ngram import (
     EOS,
     SOS,
@@ -113,6 +119,8 @@ def test_graph_rejects_empty_and_wrong_order():
     lm2 = train_ngram([["天"]], 2)
     with pytest.raises(GraphError, match="empty"):
         build_graph(compile_lexicon([], "onc", inv), lm2)
+    with pytest.raises(GraphError, match="word '天' has no pronunciation"):
+        build_graph(PhoneLexicon(entries={"天": ()}), lm2)
     lex = compile_lexicon([entry("天", "tin1")], "onc", inv)
     lm3 = train_ngram([["天"]], 3)
     with pytest.raises(GraphError, match="bigram"):
@@ -787,6 +795,24 @@ def test_lattice_width_changes_only_the_final_frame():
             phones = [p.label for w in text for p in lex.entries[w][0]]
             scorer = simulate_utterance(phones, models, cfg, salt=salt)
             assert _check_lattice_widths(graph, scorer, 40.0, 0.5), (scheme, text)
+
+
+def test_an_exact_final_tie_keeps_the_lower_junction_first():
+    # two homophones score the same on every frame, so every word end ties
+    # exactly; 夾 sorts first, so its junction is the lower one
+    lex, lm, graph = make_system([("甲", "gaap3"), ("夾", "gaap3")], corpus=[["甲"], ["夾"]])
+    assert graph.words == ("夾", "甲")
+    cfg = SimConfig(seed=3, noise_sigma=0.3)
+    models = build_state_models(set(graph.pdf_labels), cfg)
+    phones = [p.label for w in ("甲", "甲") for p in lex.entries[w][0]]
+    scorer = simulate_utterance(phones, models, cfg, salt=1)
+    for width in (1, 2, 5):
+        params = DecodeParams(beam=1e30, max_active=10**9, lm_weight=1.0, lattice_width=width)
+        hyp, lattice, _ = decode(graph, scorer, params)
+        assert hyp.words == ("夾", "夾"), width
+        finals = [a for a in lattice.arcs if a.dst in lattice.finals]
+        assert [a.word for a in finals] == ["夾", "甲"][:width], width
+        assert len({(a.src, a.am, a.lm) for a in finals}) == 1, width
 
 
 def test_fscr_round_trip(tmp_path):

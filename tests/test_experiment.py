@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -556,6 +557,35 @@ def test_a_setting_of_the_wrong_kind_fails_validation(tmp_path, key):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("sweep_beams", "x", "sweep_beams value must be a number > 0, got 'x'"),
+        ("sweep_beams", math.nan, "sweep_beams value must be a number > 0, got nan"),
+        ("sweep_beams", -1.0, "sweep_beams value must be a number > 0, got -1.0"),
+        ("sweep_beams", 0, "sweep_beams value must be a number > 0, got 0"),
+        ("sweep_max_actives", 0, "sweep_max_actives value must be an integer >= 1, got 0"),
+        ("sweep_max_actives", True, "sweep_max_actives value must be an integer >= 1, got True"),
+        ("sweep_max_actives", 5.0, "sweep_max_actives value must be an integer >= 1, got 5.0"),
+    ],
+)
+def test_a_sweep_grid_value_is_checked_under_its_grid_key(tmp_path, key, value, message):
+    # the bad value follows a good one, so the message names the value, not the grid
+    good = {"sweep_beams": 20.0, "sweep_max_actives": 100}[key]
+    cfg = small_config(tmp_path / "out", **{key: (good, value)})
+    with pytest.raises(ExperimentError) as info:
+        cfg.validate()
+    assert str(info.value) == message
+
+
+def test_a_sweep_grid_value_is_checked_when_loaded(tmp_path):
+    p = tmp_path / "grid.cfg"
+    p.write_text("seed = 1\nsweep_max_actives = 100, 0\n", encoding="utf-8")
+    with pytest.raises(ExperimentError) as info:
+        load_experiment_config(p)
+    assert str(info.value) == "sweep_max_actives value must be an integer >= 1, got 0"
+
+
 def test_report_params_are_the_settings(tmp_path):
     cfg = small_config(tmp_path / "out", num_seeds=1, num_utterances=2)
     params = run_experiment(cfg)["params"]
@@ -647,6 +677,30 @@ def test_small_demo_report_is_pinned(tmp_path):
     assert cfg.seed == 7
     report = run_experiment(replace(cfg, num_seeds=2, num_utterances=8, words_per_utterance=4))
     assert {k: report[k] for k in PINNED} == PINNED
+
+
+# sha256 of report.json and sweep.json for a run of GOLDEN_CONFIG
+GOLDEN_CONFIG = dict(
+    seed=7, num_seeds=2, num_utterances=8, words_per_utterance=4, sweep_beams=(20.0, 40.0)
+)
+GOLDEN_SHA256 = {
+    "report.json": "23945ff0adc9251616588f344ac0c3ab90243242063a5ba0026c8b933aab48dc",
+    "sweep.json": "39a3c3db6f26e0f390fb137413518637fbbdb060890458701f77492a3a3a5633",
+}
+
+
+def test_a_small_run_writes_the_pinned_outputs(tmp_path):
+    """Two seeds of the demo settings, plus a beam sweep, write both files as pinned.
+
+    ``sweep.json`` carries each cell's ``tokens_expanded``, so the decoder's
+    work is pinned as well as its hypotheses.  A change that means to move
+    the outputs updates both hashes and lists the change in CHANGES.md.
+    """
+    run_experiment(ExperimentConfig(out_dir=tmp_path, **GOLDEN_CONFIG))
+    written = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
+    }
+    assert written == GOLDEN_SHA256
 
 
 def test_noiseless_zero_confusion_is_exact(tmp_path):
